@@ -1,8 +1,10 @@
 """Command-line front end for the interpreters, translator, and harness.
 
 Exit codes: 0 value/success, 1 blame, 2 type or parse error, 3 invariant
-violation or disagreement, 4 out of fuel.  Program output goes to stdout,
-diagnostics to stderr, so golden tests can diff stdout alone.
+violation or disagreement, 4 out of fuel, 5 internal error (an unexpected
+exception, reported in one line and never as exit 1, which means blame).
+Program output goes to stdout, diagnostics to stderr, so golden tests can
+diff stdout alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import harness, lam_s, lam_sx, surface, translate
+from . import harness, lam_s, lam_sx, surface, terms, translate
 from .coercions import CoercionTypeError
 from .surface import ParseError
 
@@ -22,6 +24,7 @@ EXIT_BLAME = 1
 EXIT_STATIC = 2
 EXIT_VIOLATION = 3
 EXIT_FUEL = 4
+EXIT_INTERNAL = 5
 
 _OUTCOME_EXIT = {
     "value": EXIT_OK,
@@ -104,7 +107,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     p, dialect = _load(args)
     _typecheck(p, dialect)
     mod = _mod(dialect)
-    fuel = _fuel(args, mod.DEFAULT_FUEL)
+    fuel = _fuel(args, terms.DEFAULT_FUEL)
 
     peaks = harness.PeakSizes(mod, p.main) if args.metrics else None
 
@@ -118,7 +121,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(surface.print_term(p.main, dialect))
     try:
         out = mod.evaluate_program(p, fuel, observe)
-    except mod.StuckTerm as e:
+    except terms.StuckTerm as e:
         raise CliError(EXIT_VIOLATION, f"stuck term (step invariant broken): {e}") from None
     if out.kind == "value" or out.kind == "blame":
         print(surface.print_term(out.term, dialect))
@@ -289,6 +292,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except Exception as e:  # a fault of the program, not of its input
+        detail = " ".join(str(e).split())
+        print(f"error: internal: {type(e).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

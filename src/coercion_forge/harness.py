@@ -16,6 +16,7 @@ from . import lam_s as S
 from . import lam_sx as X
 from . import surface, translate
 from .coercions import Coercion, Fun, Id, IdStar, InjSeq, ProjSeq, is_canonical
+from .terms import IsBlame, IsValue, walk
 from .types import BOOL, DYN, INT, Base, Dyn, FunT, Fun2T, Type, is_source_type
 
 
@@ -294,11 +295,13 @@ def _observe(out, dialect: str):
     if out.kind == "out_of_fuel":
         return ("out_of_fuel",)
     mod = S if dialect == "lams" else X
+    # the value's Python type is kept, since 1 == True
     if isinstance(term, mod.Const):
-        return ("const", term.val)
+        return ("const", type(term.val), term.val)
     if isinstance(term, mod.CoercedVal) and isinstance(term.subject, mod.Const):
         d = term.crc if dialect == "lamsx" else translate.psi_crc(term.crc)
-        return ("const", term.subject.val, surface.print_coercion(d, "lamsx"))
+        v = term.subject.val
+        return ("const", type(v), v, surface.print_coercion(d, "lamsx"))
     return ("closure",)
 
 
@@ -362,7 +365,7 @@ def simulationCheck(
     cur_s = p.main
     for i in range(max_steps):
         r = S.step(cur_s, sdefs)
-        if isinstance(r, (S.IsValue, S.IsBlame)):
+        if isinstance(r, (IsValue, IsBlame)):
             break
         nxt_s = r.term
         expected = translate.trans_state(p, nxt_s)
@@ -373,7 +376,7 @@ def simulationCheck(
         used = 0
         while not matched and used < inner_cap:
             rx = X.step(t, xdefs)
-            if isinstance(rx, (X.IsValue, X.IsBlame)):
+            if isinstance(rx, (IsValue, IsBlame)):
                 break
             if rx.kind == "e":
                 if e_budget == 0:
@@ -402,32 +405,6 @@ def simulationCheck(
 
 # ---------------------------------------------------------------------------
 # Invariant suite
-
-
-def _coercions_of_s(t: S.TermS) -> list[Coercion]:
-    out = []
-    match t:
-        case S.CrcApp(m, c) | S.CoercedVal(m, c):
-            out.append(c)
-            out.extend(_coercions_of_s(m))
-        case _:
-            for ch in S._children(t):
-                out.extend(_coercions_of_s(ch))
-    return out
-
-
-def _coercions_of_x(t: X.TermX) -> list[Coercion]:
-    out = []
-    match t:
-        case X.CrcLit(c):
-            out.append(c)
-        case X.CoercedVal(m, c):
-            out.append(c)
-            out.extend(_coercions_of_x(m))
-        case _:
-            for ch in X._children(t):
-                out.extend(_coercions_of_x(ch))
-    return out
 
 
 def invariantSuite(
@@ -460,7 +437,7 @@ def invariantSuite(
     for _ in range(max_states):
         oracle = S.decompose_oracle(state, sdefs)
         r = S.step(state, sdefs)
-        if isinstance(r, (S.IsValue, S.IsBlame)):
+        if isinstance(r, (IsValue, IsBlame)):
             if oracle:
                 bad("oracle found a redex in a terminal state", surface.print_term(state, "lams"))
             break
@@ -478,7 +455,7 @@ def invariantSuite(
             bad(f"preservation failed after {r.rule}: {e}", surface.print_term(state, "lams"))
             break
         del ty
-        for c in _coercions_of_s(state):
+        for c in [m.crc for m in walk(state) if m.__class__ in (S.CrcApp, S.CoercedVal)]:
             if not is_canonical(c, FunT):
                 bad(
                     f"non-canonical coercion {surface.print_coercion(c)} after {r.rule}",
@@ -506,7 +483,7 @@ def invariantSuite(
     for _ in range(max_states):
         oracle = X.decompose_oracle(xstate, xdefs)
         r = X.step(xstate, xdefs)
-        if isinstance(r, (X.IsValue, X.IsBlame)):
+        if isinstance(r, (IsValue, IsBlame)):
             if oracle:
                 bad("oracle found a redex in a terminal target state", surface.print_term(xstate, "lamsx"))
             break
@@ -526,7 +503,7 @@ def invariantSuite(
         except X.TypeCheckError as e:
             bad(f"target preservation failed after {r.rule}: {e}", surface.print_term(xstate, "lamsx"))
             break
-        for c in _coercions_of_x(xstate):
+        for c in [m.crc for m in walk(xstate) if m.__class__ in (X.CrcLit, X.CoercedVal)]:
             if not is_canonical(c, Fun2T):
                 bad(
                     f"non-canonical target coercion {surface.print_coercion(c, 'lamsx')} after {r.rule}",
@@ -553,20 +530,16 @@ def spaceBench(
     to the period still observes the true maxima.
     """
     if dialect == "lams":
-        p = even_odd_program(n)
         mod = S
-        run = lambda cb: S.evaluate_program(p, fuel, cb)  # noqa: E731
-        start = p.main
+        p = even_odd_program(n)
     elif dialect == "lamsx":
-        px = even_odd_target(n)
         mod = X
-        run = lambda cb: X.evaluate_program(px, fuel, cb)  # noqa: E731
-        start = px.main
+        p = even_odd_target(n)
     else:
         raise ValueError(f"unknown dialect {dialect!r}")
 
     stride = sample_stride if sample_stride is not None else (1 if n <= 1000 else 53)
-    peaks = PeakSizes(mod, start)
+    peaks = PeakSizes(mod, p.main)
     see = peaks.see
 
     def observe(k: int, r) -> None:
@@ -575,6 +548,6 @@ def spaceBench(
         if on_step is not None:
             on_step(k, r)
 
-    out = run(observe)
+    out = mod.evaluate_program(p, fuel, observe)
     peaks.see(out.term)
     return peaks.report(n, out.steps)

@@ -22,53 +22,59 @@ from .coercions import (
     Id,
     IdStar,
     InjSeq,
-    ProjSeq,
     check_crc,
     compose,
     crc_source,
     is_delayed,
     size,
 )
-from .types import ANY, BOOL, DYN, INT, AnyT, FunT, Type, matches, merge_types
+from .terms import Variable, const_eq, const_hash, free_vars, node
+from . import terms
+from .types import ANY, BOOL, INT, AnyT, FunT, Type, matches, merge_types
 
 
-@dataclass(frozen=True)
+@node
 class Const:
     val: object  # int or bool
 
+    __eq__ = const_eq
+    __hash__ = const_hash
 
-@dataclass(frozen=True)
-class Var:
+
+@node
+class Var(Variable):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Abs:
+    _binds = ("var",)
+
     var: str
     var_ty: Type
     body: TermS
 
 
-@dataclass(frozen=True)
+@node
 class Op:
     op: str
     left: TermS
     right: TermS
 
 
-@dataclass(frozen=True)
+@node
 class App:
     fun: TermS
     arg: TermS
 
 
-@dataclass(frozen=True)
+@node
 class CrcApp:
     subject: TermS
     crc: Coercion
 
 
-@dataclass(frozen=True)
+@node
 class CoercedVal:
     """A value carrying its single delayed coercion (injection or arrow)."""
 
@@ -76,19 +82,19 @@ class CoercedVal:
     crc: Coercion
 
 
-@dataclass(frozen=True)
+@node
 class Blame:
     label: str
 
 
-@dataclass(frozen=True)
+@node
 class If:
     cond: TermS
     then: TermS
     els: TermS
 
 
-@dataclass(frozen=True)
+@node
 class GlobalRef:
     name: str
 
@@ -152,15 +158,6 @@ class TypeCheckError(Exception):
 
 
 @dataclass(frozen=True)
-class Typed:
-    """Typing derivation: the term, its type, and typed immediate subterms."""
-
-    term: TermS
-    ty: Type
-    children: tuple[Typed, ...] = ()
-
-
-@dataclass(frozen=True)
 class DefS:
     name: str
     ty: FunT
@@ -184,7 +181,7 @@ def typecheck(
     env: Optional[Mapping[str, Type]] = None,
     defs: Optional[Mapping[str, Type]] = None,
     expected: Optional[Type] = None,
-) -> Typed:
+) -> terms.Typed:
     """Build a typing derivation; ``expected`` constrains ambiguous terms.
 
     Blame and failure-targeted coercion applications can be given any type;
@@ -196,15 +193,15 @@ def typecheck(
     return _tc(term, env, defs, expected)
 
 
-def _done(term: TermS, ty: Type, expected: Optional[Type], children: tuple[Typed, ...]) -> Typed:
+def _done(term, ty: Type, expected: Optional[Type], children: tuple) -> terms.Typed:
     if expected is not None:
         if not matches(ty, expected):
             raise TypeCheckError(f"expected {expected!r}, found {ty!r}")
         ty = merge_types(ty, expected)
-    return Typed(term, ty, children)
+    return terms.Typed(term, ty, children)
 
 
-def _tc(term: TermS, env, defs, expected: Optional[Type]) -> Typed:
+def _tc(term: TermS, env, defs, expected: Optional[Type]) -> terms.Typed:
     match term:
         case Const(v):
             return _done(term, const_type(v), expected, ())
@@ -281,7 +278,7 @@ def _tc(term: TermS, env, defs, expected: Optional[Type]) -> Typed:
     raise AssertionError(term)
 
 
-def typecheck_program(p: ProgramS) -> Typed:
+def typecheck_program(p: ProgramS) -> terms.Typed:
     """Check the definitions against their signatures, then the main term."""
     sigs = p.def_types()
     for d in p.defs:
@@ -293,22 +290,6 @@ def typecheck_program(p: ProgramS) -> Typed:
 
 # ---------------------------------------------------------------------------
 # Substitution
-
-
-def free_vars(t: TermS) -> frozenset[str]:
-    match t:
-        case Var(x):
-            return frozenset((x,))
-        case Abs(x, _, m):
-            return free_vars(m) - {x}
-        case Op(_, l, r) | App(l, r):
-            return free_vars(l) | free_vars(r)
-        case CrcApp(m, _) | CoercedVal(m, _):
-            return free_vars(m)
-        case If(c, m, n):
-            return free_vars(c) | free_vars(m) | free_vars(n)
-        case _:
-            return frozenset()
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -357,41 +338,15 @@ def substitute(t: TermS, sub: Mapping[str, TermS]) -> TermS:
 # Small-step semantics
 
 
-@dataclass(frozen=True)
-class Stepped:
-    kind: str  # "e" or "c"
-    rule: str
-    term: TermS
-
-
-@dataclass(frozen=True)
-class IsValue:
-    pass
-
-
-@dataclass(frozen=True)
-class IsBlame:
-    pass
-
-
-StepResult = Union[Stepped, IsValue, IsBlame]
-IS_VALUE = IsValue()
-IS_BLAME = IsBlame()
-
-
-class StuckTerm(Exception):
-    """No rule applies to a non-value, non-blame term (ill-typed or open)."""
-
-
-def step(term: TermS, defs: Optional[Mapping[str, TermS]] = None) -> StepResult:
+def step(term: TermS, defs: Optional[Mapping[str, TermS]] = None) -> terms.StepResult:
     if is_value(term):
-        return IS_VALUE
+        return terms.IS_VALUE
     if isinstance(term, Blame):
-        return IS_BLAME
+        return terms.IS_BLAME
     r = _find(term, defs or {})
     if r is None:
-        raise StuckTerm(repr(term))
-    return Stepped(*r)
+        raise terms.StuckTerm(repr(term))
+    return terms.Stepped(*r)
 
 
 def _find(t: TermS, defs) -> Optional[tuple[str, str, TermS]]:
@@ -493,106 +448,25 @@ def _find(t: TermS, defs) -> Optional[tuple[str, str, TermS]]:
     return (kind, rule, new)
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    kind: str  # "value", "blame", "out_of_fuel"
-    term: TermS
-    steps: int
-
-
-DEFAULT_FUEL = 10**6
-
-
 def evaluate(
     term: TermS,
     defs: Optional[Mapping[str, TermS]] = None,
-    fuel: int = DEFAULT_FUEL,
+    fuel: int = terms.DEFAULT_FUEL,
     on_step=None,
     detect_cycles: bool = False,
-) -> EvalOutcome:
+) -> terms.EvalOutcome:
     """Run to a value or blame; ``on_step`` sees every intermediate state."""
-    defs = dict(defs) if defs else {}
-    seen: set[TermS] = set()
-    n = 0
-    while n < fuel:
-        r = step(term, defs)
-        if isinstance(r, IsValue):
-            return EvalOutcome("value", term, n)
-        if isinstance(r, IsBlame):
-            return EvalOutcome("blame", term, n)
-        term = r.term
-        n += 1
-        if on_step is not None:
-            on_step(n, r)
-        # A repeated state proves divergence, so any fuel would run out.
-        # Sampling every 64th state keeps the hashing cost negligible.
-        if detect_cycles and n % 64 == 0:
-            if term in seen:
-                return EvalOutcome("diverges", term, n)
-            seen.add(term)
-    return EvalOutcome("out_of_fuel", term, n)
+    return terms.evaluate(step, term, defs, fuel, on_step, detect_cycles)
 
 
 def evaluate_program(
-    p: ProgramS, fuel: int = DEFAULT_FUEL, on_step=None, detect_cycles: bool = False
-) -> EvalOutcome:
+    p: ProgramS, fuel: int = terms.DEFAULT_FUEL, on_step=None, detect_cycles: bool = False
+) -> terms.EvalOutcome:
     return evaluate(p.main, p.def_terms(), fuel, on_step, detect_cycles)
 
 
 # ---------------------------------------------------------------------------
 # Decomposition oracle: a grammar-driven search, independent of step()
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    path: tuple[int, ...]
-    rule: str
-    kind: str
-    term: TermS  # the full term after firing this redex
-
-
-def _subterm(t: TermS, path: tuple[int, ...]) -> TermS:
-    for i in path:
-        t = _children(t)[i]
-    return t
-
-
-def _children(t: TermS) -> tuple[TermS, ...]:
-    match t:
-        case Op(_, l, r):
-            return (l, r)
-        case App(f, a):
-            return (f, a)
-        case CrcApp(m, _) | CoercedVal(m, _):
-            return (m,)
-        case If(c, m, n):
-            return (c, m, n)
-        case Abs(_, _, m):
-            return (m,)
-        case _:
-            return ()
-
-
-def _replace(t: TermS, path: tuple[int, ...], new: TermS) -> TermS:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    kids = list(_children(t))
-    kids[i] = _replace(kids[i], rest, new)
-    match t:
-        case Op(op, _, _):
-            return Op(op, *kids)
-        case App(_, _):
-            return App(*kids)
-        case CrcApp(_, s):
-            return CrcApp(kids[0], s)
-        case CoercedVal(_, d):
-            return CoercedVal(kids[0], d)
-        case If(_, _, _):
-            return If(*kids)
-        case Abs(x, a, _):
-            return Abs(x, a, kids[0])
-    raise AssertionError(t)
 
 
 def _frame_ok(t: TermS, i: int) -> Optional[str]:
@@ -627,7 +501,7 @@ def _context_sort(t: TermS, path: tuple[int, ...]) -> Optional[str]:
         if cls is None or (cls == "crc" and prev == "crc"):
             return None
         prev = cls
-        node = _children(node)[i]
+        node = terms.children(node)[i]
     return "E" if prev == "crc" else "F"
 
 
@@ -659,27 +533,29 @@ def _local_redexes(t: TermS, defs) -> Iterator[tuple[str, str, TermS]]:
                     yield ("R-Crc", "c", CoercedVal(u, s))
 
 
-def decompose_oracle(term: TermS, defs: Optional[Mapping[str, TermS]] = None) -> list[Decomposition]:
+def decompose_oracle(
+    term: TermS, defs: Optional[Mapping[str, TermS]] = None
+) -> list[terms.Decomposition]:
     """Every (context, redex) split licensed by the context grammar.
 
     On closed well-typed non-value terms exactly one decomposition exists;
     zero or several signal an interpreter or typing bug.
     """
     defs = dict(defs) if defs else {}
-    out: list[Decomposition] = []
+    out: list[terms.Decomposition] = []
 
     def walk(path: tuple[int, ...]) -> None:
-        sub = _subterm(term, path)
+        sub = terms.subterm(term, path)
         sort = _context_sort(term, path)
         if sort is None:
             return
         if isinstance(sub, Blame) and path:
-            out.append(Decomposition(path, "E-Abort", "e", sub))
+            out.append(terms.Decomposition(path, "E-Abort", "e", sub))
         for rule, kind, red in _local_redexes(sub, defs):
             if kind == "c" and sort != "F":
                 continue
-            out.append(Decomposition(path, rule, kind, _replace(term, path, red)))
-        for i in range(len(_children(sub))):
+            out.append(terms.Decomposition(path, rule, kind, terms.replace(term, path, red)))
+        for i in range(len(sub._kids)):
             if _frame_ok(sub, i) is not None:
                 walk(path + (i,))
 
@@ -692,6 +568,7 @@ def decompose_oracle(term: TermS, defs: Optional[Mapping[str, TermS]] = None) ->
 
 
 def _measure(t: TermS) -> tuple[int, int, int]:
+    """(term_size, max_coercion_size, metric_f) of ``t``, in one walk."""
     cls = t.__class__
     if cls is CrcApp or cls is CoercedVal:
         n, c, f = _measure(t.subject)
@@ -723,24 +600,8 @@ def _measure(t: TermS) -> tuple[int, int, int]:
 
 _LEAF = (1, 0, 0)
 _LEAF_CLASSES = frozenset((Const, Var, GlobalRef, Blame))
-_last_measured: tuple = (None, _LEAF)
-
-
-def measure(t: TermS) -> tuple[int, int, int]:
-    """(term_size, max_coercion_size, metric_f) of ``t``, in one walk.
-
-    The last answer is kept, so asking for the three sizes of one state
-    one after the other walks it once.  Terms are immutable and the kept
-    term stays alive, so its identity is a sound key, and no caller can
-    tell the kept answer from a fresh walk.
-    """
-    global _last_measured
-    last, m = _last_measured
-    if t is last:
-        return m
-    m = _measure(t)
-    _last_measured = (t, m)
-    return m
+# Asking for the three sizes of one state one after the other walks it once.
+measure = terms.keep_last(_measure)
 
 
 def term_size(t: TermS) -> int:

@@ -23,14 +23,12 @@ from .coercions import (
     check_crc,
     compose,
     crc_source,
-    crc_target,
     is_delayed,
     size,
 )
 from .types import (
     ANY,
     BOOL,
-    INT,
     AnyT,
     CrcT,
     Fun2T,
@@ -40,22 +38,29 @@ from .types import (
     merge_types,
     occurs,
 )
-from .lam_s import OPS, TypeCheckError, const_type, delta, fresh_name
+from .lam_s import OPS, TypeCheckError, _done, const_type, delta, fresh_name
+from .terms import Variable, const_eq, const_hash, free_vars, node
+from . import terms
 
 
-@dataclass(frozen=True)
+@node
 class Const:
     val: object
 
+    __eq__ = const_eq
+    __hash__ = const_hash
 
-@dataclass(frozen=True)
-class Var:
+
+@node
+class Var(Variable):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Abs2:
     """Two-argument abstraction: a value and the continuation coercion."""
+
+    _binds = ("var", "kvar")
 
     var: str
     var_ty: Type
@@ -64,63 +69,65 @@ class Abs2:
     body: TermX
 
 
-@dataclass(frozen=True)
+@node
 class Op:
     op: str
     left: TermX
     right: TermX
 
 
-@dataclass(frozen=True)
+@node
 class App2:
     fun: TermX
     arg: TermX
     cont: TermX
 
 
-@dataclass(frozen=True)
+@node
 class Let:
+    _binds = ("var",)
+
     var: str
     bound: TermX
     body: TermX
 
 
-@dataclass(frozen=True)
+@node
 class Compose:
     left: TermX
     right: TermX
 
 
-@dataclass(frozen=True)
+@node
 class CrcApp:
     subject: TermX
     crc: TermX  # a general term of coercion type
 
 
-@dataclass(frozen=True)
+@node
 class CoercedVal:
     subject: TermX
     crc: Coercion
 
 
-@dataclass(frozen=True)
+@node
 class CrcLit:
     crc: Coercion
 
 
-@dataclass(frozen=True)
+@node
 class Blame:
     label: str
 
 
-@dataclass(frozen=True)
+@node
 class If:
     cond: TermX
     then: TermX
     els: TermX
 
 
-@dataclass(frozen=True)
+@node
 class GlobalRef:
     name: str
 
@@ -154,13 +161,6 @@ class EscapedTyVar(TypeCheckError):
 
 
 @dataclass(frozen=True)
-class TypedX:
-    term: TermX
-    ty: Type
-    children: tuple[TypedX, ...] = ()
-
-
-@dataclass(frozen=True)
 class DefX:
     name: str
     ty: Fun2T
@@ -179,36 +179,22 @@ class ProgramX:
         return {d.name: d.ty for d in self.defs}
 
 
+def _ty_uid(a: Type) -> int:
+    match a:
+        case TyVar(u):
+            return u
+        case Fun2T(x, y) | CrcT(x, y):
+            return max(_ty_uid(x), _ty_uid(y))
+        case _:
+            return -1
+
+
 def _max_uid(t: TermX) -> int:
     """Largest rigid-variable id mentioned in annotations, -1 if none."""
-
-    def ty_uid(a: Type) -> int:
-        match a:
-            case TyVar(u):
-                return u
-            case Fun2T(x, y) | CrcT(x, y):
-                return max(ty_uid(x), ty_uid(y))
-            case _:
-                return -1
-
     best = -1
-    match t:
-        case Abs2(_, a, _, b, m):
-            best = max(ty_uid(a), ty_uid(b), _max_uid(m))
-        case Op(_, l, r) | Compose(l, r):
-            best = max(_max_uid(l), _max_uid(r))
-        case App2(f, a, k):
-            best = max(_max_uid(f), _max_uid(a), _max_uid(k))
-        case Let(_, m, n):
-            best = max(_max_uid(m), _max_uid(n))
-        case CrcApp(m, c):
-            best = max(_max_uid(m), _max_uid(c))
-        case CoercedVal(m, _):
-            best = _max_uid(m)
-        case If(c, m, n):
-            best = max(_max_uid(c), _max_uid(m), _max_uid(n))
-        case _:
-            pass
+    for m in terms.walk(t):
+        if m.__class__ is Abs2:
+            best = max(best, _ty_uid(m.var_ty), _ty_uid(m.k_src))
     return best
 
 
@@ -217,19 +203,11 @@ def typecheck(
     env: Optional[Mapping[str, Type]] = None,
     defs: Optional[Mapping[str, Type]] = None,
     expected: Optional[Type] = None,
-) -> TypedX:
+) -> terms.Typed:
     env = dict(env) if env else {}
     defs = dict(defs) if defs else {}
     counter = [_max_uid(term) + 1]
     return _tc(term, env, defs, expected, counter)
-
-
-def _done(term: TermX, ty: Type, expected: Optional[Type], children) -> TypedX:
-    if expected is not None:
-        if not matches(ty, expected):
-            raise TypeCheckError(f"expected {expected!r}, found {ty!r}")
-        ty = merge_types(ty, expected)
-    return TypedX(term, ty, tuple(children))
 
 
 def _as_crc_type(ty: Type, what: str) -> CrcT:
@@ -240,7 +218,7 @@ def _as_crc_type(ty: Type, what: str) -> CrcT:
     return ty
 
 
-def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> TypedX:
+def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> terms.Typed:
     match term:
         case Const(v):
             return _done(term, const_type(v), expected, ())
@@ -341,7 +319,7 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> TypedX:
     raise AssertionError(term)
 
 
-def typecheck_program(p: ProgramX) -> TypedX:
+def typecheck_program(p: ProgramX) -> terms.Typed:
     sigs = p.def_types()
     for d in p.defs:
         if not isinstance(d.ty, Fun2T):
@@ -352,28 +330,6 @@ def typecheck_program(p: ProgramX) -> TypedX:
 
 # ---------------------------------------------------------------------------
 # Substitution
-
-
-def free_vars(t: TermX) -> frozenset[str]:
-    match t:
-        case Var(x):
-            return frozenset((x,))
-        case Abs2(x, _, kv, _, m):
-            return free_vars(m) - {x, kv}
-        case Op(_, l, r) | Compose(l, r):
-            return free_vars(l) | free_vars(r)
-        case App2(f, a, k):
-            return free_vars(f) | free_vars(a) | free_vars(k)
-        case Let(x, m, n):
-            return free_vars(m) | (free_vars(n) - {x})
-        case CrcApp(m, c):
-            return free_vars(m) | free_vars(c)
-        case CoercedVal(m, _):
-            return free_vars(m)
-        case If(c, m, n):
-            return free_vars(c) | free_vars(m) | free_vars(n)
-        case _:
-            return frozenset()
 
 
 def substitute(t: TermX, sub: Mapping[str, TermX]) -> TermX:
@@ -435,41 +391,15 @@ def substitute(t: TermX, sub: Mapping[str, TermX]) -> TermX:
 # Small-step semantics
 
 
-@dataclass(frozen=True)
-class Stepped:
-    kind: str
-    rule: str
-    term: TermX
-
-
-@dataclass(frozen=True)
-class IsValue:
-    pass
-
-
-@dataclass(frozen=True)
-class IsBlame:
-    pass
-
-
-StepResult = Union[Stepped, IsValue, IsBlame]
-IS_VALUE = IsValue()
-IS_BLAME = IsBlame()
-
-
-class StuckTerm(Exception):
-    pass
-
-
-def step(term: TermX, defs: Optional[Mapping[str, TermX]] = None) -> StepResult:
+def step(term: TermX, defs: Optional[Mapping[str, TermX]] = None) -> terms.StepResult:
     if is_value(term):
-        return IS_VALUE
+        return terms.IS_VALUE
     if isinstance(term, Blame):
-        return IS_BLAME
+        return terms.IS_BLAME
     r = _find(term, defs or {})
     if r is None:
-        raise StuckTerm(repr(term))
-    return Stepped(*r)
+        raise terms.StuckTerm(repr(term))
+    return terms.Stepped(*r)
 
 
 def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
@@ -605,113 +535,25 @@ def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
     return (kind, rule, new)
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    kind: str
-    term: TermX
-    steps: int
-
-
-DEFAULT_FUEL = 10**6
-
-
 def evaluate(
     term: TermX,
     defs: Optional[Mapping[str, TermX]] = None,
-    fuel: int = DEFAULT_FUEL,
+    fuel: int = terms.DEFAULT_FUEL,
     on_step=None,
     detect_cycles: bool = False,
-) -> EvalOutcome:
-    defs = dict(defs) if defs else {}
-    seen: set[TermX] = set()
-    n = 0
-    while n < fuel:
-        r = step(term, defs)
-        if isinstance(r, IsValue):
-            return EvalOutcome("value", term, n)
-        if isinstance(r, IsBlame):
-            return EvalOutcome("blame", term, n)
-        term = r.term
-        n += 1
-        if on_step is not None:
-            on_step(n, r)
-        # A repeated state proves divergence, so any fuel would run out.
-        # Sampling every 64th state keeps the hashing cost negligible.
-        if detect_cycles and n % 64 == 0:
-            if term in seen:
-                return EvalOutcome("diverges", term, n)
-            seen.add(term)
-    return EvalOutcome("out_of_fuel", term, n)
+) -> terms.EvalOutcome:
+    """Run to a value or blame; ``on_step`` sees every intermediate state."""
+    return terms.evaluate(step, term, defs, fuel, on_step, detect_cycles)
 
 
 def evaluate_program(
-    p: ProgramX, fuel: int = DEFAULT_FUEL, on_step=None, detect_cycles: bool = False
-) -> EvalOutcome:
+    p: ProgramX, fuel: int = terms.DEFAULT_FUEL, on_step=None, detect_cycles: bool = False
+) -> terms.EvalOutcome:
     return evaluate(p.main, p.def_terms(), fuel, on_step, detect_cycles)
 
 
 # ---------------------------------------------------------------------------
 # Decomposition oracle
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    path: tuple[int, ...]
-    rule: str
-    kind: str
-    term: TermX
-
-
-def _children(t: TermX) -> tuple[TermX, ...]:
-    match t:
-        case Op(_, l, r) | Compose(l, r):
-            return (l, r)
-        case App2(f, a, k):
-            return (f, a, k)
-        case Let(_, m, n):
-            return (m, n)
-        case CrcApp(m, c):
-            return (m, c)
-        case CoercedVal(m, _):
-            return (m,)
-        case If(c, m, n):
-            return (c, m, n)
-        case Abs2(_, _, _, _, m):
-            return (m,)
-        case _:
-            return ()
-
-
-def _subterm(t: TermX, path: tuple[int, ...]) -> TermX:
-    for i in path:
-        t = _children(t)[i]
-    return t
-
-
-def _replace(t: TermX, path: tuple[int, ...], new: TermX) -> TermX:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    kids = list(_children(t))
-    kids[i] = _replace(kids[i], rest, new)
-    match t:
-        case Op(op, _, _):
-            return Op(op, *kids)
-        case Compose(_, _):
-            return Compose(*kids)
-        case App2(_, _, _):
-            return App2(*kids)
-        case Let(x, _, _):
-            return Let(x, *kids)
-        case CrcApp(_, _):
-            return CrcApp(*kids)
-        case CoercedVal(_, d):
-            return CoercedVal(kids[0], d)
-        case If(_, _, _):
-            return If(*kids)
-        case Abs2(x, a, kv, b, _):
-            return Abs2(x, a, kv, b, kids[0])
-    raise AssertionError(t)
 
 
 def _frame_ok(t: TermX, i: int) -> bool:
@@ -769,21 +611,23 @@ def _local_redexes(t: TermX, defs) -> Iterator[tuple[str, str, TermX]]:
             yield ("R-IfFalse", "e", n)
 
 
-def decompose_oracle(term: TermX, defs: Optional[Mapping[str, TermX]] = None) -> list[Decomposition]:
+def decompose_oracle(
+    term: TermX, defs: Optional[Mapping[str, TermX]] = None
+) -> list[terms.Decomposition]:
     defs = dict(defs) if defs else {}
-    out: list[Decomposition] = []
+    out: list[terms.Decomposition] = []
 
-    def walk(path: tuple[int, ...]) -> None:
-        sub = _subterm(term, path)
+    def visit(path: tuple[int, ...]) -> None:
+        sub = terms.subterm(term, path)
         if isinstance(sub, Blame) and path:
-            out.append(Decomposition(path, "E-Abort", "e", sub))
+            out.append(terms.Decomposition(path, "E-Abort", "e", sub))
         for rule, kind, red in _local_redexes(sub, defs):
-            out.append(Decomposition(path, rule, kind, _replace(term, path, red)))
-        for i in range(len(_children(sub))):
+            out.append(terms.Decomposition(path, rule, kind, terms.replace(term, path, red)))
+        for i in range(len(sub._kids)):
             if _frame_ok(sub, i):
-                walk(path + (i,))
+                visit(path + (i,))
 
-    walk(())
+    visit(())
     return out
 
 
@@ -792,6 +636,7 @@ def decompose_oracle(term: TermX, defs: Optional[Mapping[str, TermX]] = None) ->
 
 
 def _measure(t: TermX) -> tuple[int, int, int]:
+    """(term_size, max_coercion_size, metric_f) of ``t``, in one walk."""
     cls = t.__class__
     if cls is CrcLit:
         k = size(t.crc)
@@ -834,24 +679,8 @@ def _measure(t: TermX) -> tuple[int, int, int]:
 
 _LEAF = (1, 0, 0)
 _LEAF_CLASSES = frozenset((Const, Var, GlobalRef, Blame))
-_last_measured: tuple = (None, _LEAF)
-
-
-def measure(t: TermX) -> tuple[int, int, int]:
-    """(term_size, max_coercion_size, metric_f) of ``t``, in one walk.
-
-    The last answer is kept, so asking for the three sizes of one state
-    one after the other walks it once.  Terms are immutable and the kept
-    term stays alive, so its identity is a sound key, and no caller can
-    tell the kept answer from a fresh walk.
-    """
-    global _last_measured
-    last, m = _last_measured
-    if t is last:
-        return m
-    m = _measure(t)
-    _last_measured = (t, m)
-    return m
+# Asking for the three sizes of one state one after the other walks it once.
+measure = terms.keep_last(_measure)
 
 
 def term_size(t: TermX) -> int:

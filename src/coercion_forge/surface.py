@@ -128,6 +128,7 @@ class Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.dialect = dialect
+        self.mod = S if dialect == "lams" else X  # the node classes to build
 
     # -- token plumbing
 
@@ -318,10 +319,6 @@ class Parser:
 
     # -- terms
 
-    def parse_term(self) -> TermAny:
-        t = self.parse_expr()
-        return t
-
     def parse_expr(self) -> TermAny:
         t = self.peek()
         if t.kind == "\\":
@@ -343,7 +340,7 @@ class Parser:
             then = self.parse_expr()
             self.eat("else")
             els = self.parse_expr()
-            return S.If(cond, then, els) if self.dialect == "lams" else X.If(cond, then, els)
+            return self.mod.If(cond, then, els)
         return self.parse_compose()
 
     def parse_lambda(self) -> TermAny:
@@ -384,7 +381,7 @@ class Parser:
             right, right_bare = sub()
             if right_bare:
                 self.fail("a parenthesized application as operator operand")
-            node = S.Op(op, left, right) if self.dialect == "lams" else X.Op(op, left, right)
+            node = self.mod.Op(op, left, right)
             left, bare_app, first = node, False, False
         return left, bare_app
 
@@ -409,9 +406,7 @@ class Parser:
             except ParseError:
                 self.pos = saved
                 return None
-            if self.dialect == "lams":
-                return S.CoercedVal(subject, c)
-            return X.CoercedVal(subject, c)
+            return self.mod.CoercedVal(subject, c)
         if self.at("<"):
             saved = self.pos
             self.next()
@@ -424,9 +419,7 @@ class Parser:
             except ParseError:
                 self.pos = saved
                 return None
-            if self.dialect == "lams":
-                return S.CrcApp(subject, inner)
-            return X.CrcApp(subject, inner)
+            return self.mod.CrcApp(subject, inner)
         return None
 
     def _at_atom_start(self) -> bool:
@@ -471,26 +464,26 @@ class Parser:
                 return lit
         if t.kind == "INT":
             self.next()
-            return self._const(int(t.value))
+            return self.mod.Const(int(t.value))
         if t.kind == "-" and self.peek(1).kind == "INT":
             self.next()
             v = self.next()
-            return self._const(-int(v.value))
+            return self.mod.Const(-int(v.value))
         if t.kind == "true":
             self.next()
-            return self._const(True)
+            return self.mod.Const(True)
         if t.kind == "false":
             self.next()
-            return self._const(False)
+            return self.mod.Const(False)
         if t.kind == "IDENT":
             self.next()
             name = str(t.value)
-            return S.Var(name) if self.dialect == "lams" else X.Var(name)
+            return self.mod.Var(name)
         if t.kind == "blame":
             self.next()
             lbl = self.eat("IDENT", "a blame label")
             name = str(lbl.value)
-            return S.Blame(name) if self.dialect == "lams" else X.Blame(name)
+            return self.mod.Blame(name)
         if t.kind == "(":
             self.next()
             inner = self.parse_expr()
@@ -526,21 +519,19 @@ class Parser:
         names = [d[0] for d in raw_defs]
         if len(set(names)) != len(names):
             raise ParseError(1, 1, "distinct definition names", "a duplicate")
+        # a definition name that no binder shadows refers to the definition
+        refs = {n: self.mod.GlobalRef(n) for n in names}
         if self.dialect == "lams":
             defs = tuple(
-                S.DefS(n, FunT(a, r), S.Abs(x, a, _resolve_s(body, set(names), frozenset({x}))))
+                S.DefS(n, FunT(a, r), S.substitute(S.Abs(x, a, body), refs))
                 for n, x, a, r, body in raw_defs
             )
-            return S.ProgramS(defs, _resolve_s(main, set(names), frozenset()))
+            return S.ProgramS(defs, S.substitute(main, refs))
         defs = tuple(
-            X.DefX(
-                n,
-                Fun2T(a, r),
-                X.Abs2(x, a, k, r, _resolve_x(body, set(names), frozenset({x, k}))),
-            )
+            X.DefX(n, Fun2T(a, r), X.substitute(X.Abs2(x, a, k, r, body), refs))
             for n, x, a, k, r, body in raw_defs
         )
-        return X.ProgramX(defs, _resolve_x(main, set(names), frozenset()))
+        return X.ProgramX(defs, X.substitute(main, refs))
 
     def _parse_def(self):
         f = self.eat("IDENT", "a definition name")
@@ -563,59 +554,6 @@ class Parser:
         self.eat("=")
         body = self.parse_expr()
         return (str(f.value), str(x.value), a, r, body)
-
-    def _const(self, v) -> TermAny:
-        return S.Const(v) if self.dialect == "lams" else X.Const(v)
-
-
-def _resolve_s(t: S.TermS, defs: set[str], bound: frozenset[str]) -> S.TermS:
-    match t:
-        case S.Var(x) if x in defs and x not in bound:
-            return S.GlobalRef(x)
-        case S.Abs(x, a, m):
-            return S.Abs(x, a, _resolve_s(m, defs, bound | {x}))
-        case S.Op(op, l, r):
-            return S.Op(op, _resolve_s(l, defs, bound), _resolve_s(r, defs, bound))
-        case S.App(f, a):
-            return S.App(_resolve_s(f, defs, bound), _resolve_s(a, defs, bound))
-        case S.CrcApp(m, c):
-            return S.CrcApp(_resolve_s(m, defs, bound), c)
-        case S.CoercedVal(m, c):
-            return S.CoercedVal(_resolve_s(m, defs, bound), c)
-        case S.If(c, m, n):
-            return S.If(
-                _resolve_s(c, defs, bound), _resolve_s(m, defs, bound), _resolve_s(n, defs, bound)
-            )
-        case _:
-            return t
-
-
-def _resolve_x(t: X.TermX, defs: set[str], bound: frozenset[str]) -> X.TermX:
-    match t:
-        case X.Var(x) if x in defs and x not in bound:
-            return X.GlobalRef(x)
-        case X.Abs2(x, a, k, b, m):
-            return X.Abs2(x, a, k, b, _resolve_x(m, defs, bound | {x, k}))
-        case X.Op(op, l, r):
-            return X.Op(op, _resolve_x(l, defs, bound), _resolve_x(r, defs, bound))
-        case X.App2(f, a, k):
-            return X.App2(
-                _resolve_x(f, defs, bound), _resolve_x(a, defs, bound), _resolve_x(k, defs, bound)
-            )
-        case X.Let(x, m, n):
-            return X.Let(x, _resolve_x(m, defs, bound), _resolve_x(n, defs, bound | {x}))
-        case X.Compose(l, r):
-            return X.Compose(_resolve_x(l, defs, bound), _resolve_x(r, defs, bound))
-        case X.CrcApp(m, c):
-            return X.CrcApp(_resolve_x(m, defs, bound), _resolve_x(c, defs, bound))
-        case X.CoercedVal(m, c):
-            return X.CoercedVal(_resolve_x(m, defs, bound), c)
-        case X.If(c, m, n):
-            return X.If(
-                _resolve_x(c, defs, bound), _resolve_x(m, defs, bound), _resolve_x(n, defs, bound)
-            )
-        case _:
-            return t
 
 
 def parse_term(text: str, dialect: str) -> TermAny:
@@ -820,24 +758,19 @@ def _is_x_term(t) -> bool:
 
 
 def print_program(p, sugar: bool = True) -> str:
-    if isinstance(p, S.ProgramS):
-        if not p.defs:
-            return print_term(p.main, "lams", sugar)
-        parts = []
-        for d in p.defs:
-            head = f"{d.name} ({d.fun.var}:{print_type(d.ty.arg)}) : {print_type(d.ty.res)}"
-            parts.append(f"{head} = {print_term(d.fun.body, 'lams', sugar)}")
-        joined = "\nand ".join(parts)
-        return f"letrec {joined}\nin {print_term(p.main, 'lams', sugar)}"
+    dialect = "lams" if isinstance(p, S.ProgramS) else "lamsx"
     if not p.defs:
-        return print_term(p.main, "lamsx", sugar)
+        return print_term(p.main, dialect, sugar)
     parts = []
     for d in p.defs:
         f = d.fun
-        head = f"{d.name} ({f.var}:{print_type(d.ty.arg)}, {f.kvar}:{print_type(d.ty.res)})"
-        parts.append(f"{head} = {print_term(f.body, 'lamsx', sugar)}")
+        if dialect == "lams":
+            head = f"{d.name} ({f.var}:{print_type(d.ty.arg)}) : {print_type(d.ty.res)}"
+        else:
+            head = f"{d.name} ({f.var}:{print_type(d.ty.arg)}, {f.kvar}:{print_type(d.ty.res)})"
+        parts.append(f"{head} = {print_term(f.body, dialect, sugar)}")
     joined = "\nand ".join(parts)
-    return f"letrec {joined}\nin {print_term(p.main, 'lamsx', sugar)}"
+    return f"letrec {joined}\nin {print_term(p.main, dialect, sugar)}"
 
 
 def format_trace_line(n: int, kind: str, rule: str, term: TermAny, dialect: str) -> str:

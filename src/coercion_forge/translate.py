@@ -20,6 +20,7 @@ from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_iden
 from .types import Dyn, FunT, Fun2T, Type
 from . import lam_s as S
 from . import lam_sx as X
+from .terms import Typed, walk
 
 
 def psi_type(a: Type) -> Type:
@@ -72,34 +73,12 @@ class _NameSupply:
 
 
 def _all_names(t: S.TermS) -> set[str]:
-    out: set[str] = set()
-
-    def walk(m: S.TermS) -> None:
-        match m:
-            case S.Var(x):
-                out.add(x)
-            case S.Abs(x, _, b):
-                out.add(x)
-                walk(b)
-            case S.GlobalRef(f):
-                out.add(f)
-            case S.Op(_, l, r):
-                walk(l)
-                walk(r)
-            case S.App(f, a):
-                walk(f)
-                walk(a)
-            case S.CrcApp(s, _) | S.CoercedVal(s, _):
-                walk(s)
-            case S.If(c, l, r):
-                walk(c)
-                walk(l)
-                walk(r)
-            case _:
-                pass
-
-    walk(t)
-    return out
+    """Every variable, binder and definition name in ``t``."""
+    return {
+        m.var if m.__class__ is S.Abs else m.name
+        for m in walk(t)
+        if m.__class__ in (S.Var, S.Abs, S.GlobalRef)
+    }
 
 
 @dataclass
@@ -108,7 +87,7 @@ class Translator:
     rename: dict[str, str] = field(default_factory=dict)
     optimize_op: bool = False
 
-    def value(self, v: S.Typed) -> X.TermX:
+    def value(self, v: Typed) -> X.TermX:
         match v.term:
             case S.Const(c):
                 return X.Const(c)
@@ -124,7 +103,7 @@ class Translator:
                 return X.CoercedVal(self.value(v.children[0]), psi_crc(d))
         raise AssertionError(v.term)
 
-    def k(self, m: S.Typed, cont: X.TermX) -> X.TermX:
+    def k(self, m: Typed, cont: X.TermX) -> X.TermX:
         term = m.term
         if S.is_value(term):
             return X.CrcApp(self.value(m), cont)  # Tr-Val
@@ -147,7 +126,7 @@ class Translator:
                 return X.If(self.c(ct), self.k(mt, cont), self.k(nt, cont))  # Tr-If
         raise AssertionError(term)
 
-    def c(self, m: S.Typed) -> X.TermX:
+    def c(self, m: Typed) -> X.TermX:
         if S.is_value(m.term):
             return self.value(m)  # TrC-Val
         if isinstance(m.term, S.CrcApp):
@@ -166,7 +145,7 @@ def _make_translator(
 
 
 def trans_term(
-    typed: S.Typed,
+    typed: Typed,
     cont: Optional[X.TermX] = None,
     optimize_op: bool = False,
 ) -> X.TermX:

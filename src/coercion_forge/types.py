@@ -125,17 +125,6 @@ def is_source_type(t: Type) -> bool:
             return False
 
 
-def is_target_type(t: Type) -> bool:
-    """Whether ``t`` belongs to the continuation-passing calculus."""
-    match t:
-        case Dyn() | Base() | TyVar():
-            return True
-        case Fun2T(a, b) | CrcT(a, b):
-            return is_target_type(a) and is_target_type(b)
-        case _:
-            return False
-
-
 def is_ground(t: Type, fun_ctor: type) -> bool:
     """Ground types are base types and the dialect's Dyn-to-Dyn function type."""
     match t:
@@ -145,17 +134,6 @@ def is_ground(t: Type, fun_ctor: type) -> bool:
             return t.arg == DYN and t.res == DYN
         case _:
             return False
-
-
-def ground_of(t: Type, fun_ctor: type) -> Type | None:
-    """The unique ground type consistent with a non-dynamic type, if any."""
-    match t:
-        case Base():
-            return t
-        case _ if isinstance(t, fun_ctor):
-            return fun_ctor(DYN, DYN)
-        case _:
-            return None
 
 
 def consistent(a: Type, b: Type) -> bool:
@@ -187,17 +165,3 @@ def occurs(v: TyVar, t: Type) -> bool:
             return occurs(v, a) or occurs(v, b)
         case _:
             return False
-
-
-def subst_tyvar(t: Type, v: TyVar, by: Type) -> Type:
-    match t:
-        case TyVar():
-            return by if t == v else t
-        case FunT(a, b):
-            return FunT(subst_tyvar(a, v, by), subst_tyvar(b, v, by))
-        case Fun2T(a, b):
-            return Fun2T(subst_tyvar(a, v, by), subst_tyvar(b, v, by))
-        case CrcT(a, b):
-            return CrcT(subst_tyvar(a, v, by), subst_tyvar(b, v, by))
-        case _:
-            return t

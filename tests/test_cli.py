@@ -223,3 +223,28 @@ class TestBench:
         with pytest.raises(SystemExit) as e:
             cli.main(["bench", "evenodd", "-1"])
         assert e.value.code == 2
+
+
+class TestInternalErrors:
+    SUM = " + ".join(["1"] * 3000)
+    NESTED = "(" * 1500 + "1" + ")" * 1500
+    WIDE = " + ".join(["1"] * 400)
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "-e", SUM),
+        ("eval", "-e", NESTED),
+        ("translate", "-e", WIDE),
+    ], ids=["eval-3000-term-sum", "eval-1500-parentheses", "translate-400-term-sum"])
+    def test_deep_input_never_exits_as_blame(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code != cli.EXIT_BLAME
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1
+
+    def test_an_unexpected_exception_exits_five_in_one_line(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken\ninterpreter")
+
+        monkeypatch.setattr(cli.lam_s, "evaluate_program", broken)
+        assert run(capsys, "eval", "-e", "5") == (
+            5, "", "error: internal: RuntimeError: broken interpreter\n")

@@ -4,7 +4,7 @@ simulation and invariant checks, and the space benchmark."""
 import pytest
 
 from coercion_forge import lam_s as S
-from coercion_forge import surface
+from coercion_forge import surface, translate
 from coercion_forge.harness import (
     GenConfig,
     GenerationExhausted,
@@ -82,6 +82,15 @@ class TestDifferentialRun:
         assert v.kind == "agree"
         assert v.detail == "both ran out of fuel"
         assert v.source.startswith("diverges")
+
+    @pytest.mark.parametrize("src, tgt", [("1", "true"), ("0", "false"),
+                                          ("1<Int!>", "true<<Int!>>")])
+    def test_an_integer_and_a_boolean_disagree(self, monkeypatch, src, tgt):
+        # the translation cannot produce this pair, so a faulty one is planted
+        target = surface.parse_program(tgt, "lamsx")
+        monkeypatch.setattr(translate, "trans_program", lambda p: target)
+        v = differentialRun(surface.parse_program(src, "lams"))
+        assert v.kind == "disagree", v
 
     def test_witness_replays(self):
         p = genWellTyped(GenConfig(seed=3))

@@ -15,8 +15,6 @@ from coercion_forge.lam_s import (
     GlobalRef,
     If,
     Op,
-    Stepped,
-    StuckTerm,
     TypeCheckError,
     Var,
     decompose_oracle,
@@ -30,6 +28,7 @@ from coercion_forge.lam_s import (
     typecheck,
     typecheck_program,
 )
+from coercion_forge.terms import Stepped, StuckTerm
 from coercion_forge.types import BOOL, DYN, INT, FunT
 
 
@@ -149,6 +148,12 @@ class TestStep:
     def test_stuck_term_raises(self):
         with pytest.raises(StuckTerm):
             step(App(Const(1), Const(2)))
+
+    def test_an_integer_condition_is_stuck_as_the_oracle_says(self):
+        t = If(Const(1), Const(2), Const(3))
+        assert decompose_oracle(t) == []
+        with pytest.raises(StuckTerm):
+            step(t)
 
 
 class TestEvaluate:

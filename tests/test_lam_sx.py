@@ -15,8 +15,6 @@ from coercion_forge.lam_sx import (
     EscapedTyVar,
     Let,
     Op,
-    Stepped,
-    StuckTerm,
     TypeCheckError,
     Var,
     decompose_oracle,
@@ -26,6 +24,7 @@ from coercion_forge.lam_sx import (
     term_size,
     typecheck,
 )
+from coercion_forge.terms import Stepped, StuckTerm
 from coercion_forge.types import BOOL, CrcT, DYN, INT, Fun2T
 
 
@@ -126,6 +125,12 @@ class TestStep:
     def test_stuck_term_raises(self):
         with pytest.raises(StuckTerm):
             step(App2(Const(1), Const(2), CrcLit(Id(INT))))
+
+    def test_an_integer_condition_is_stuck_as_the_oracle_says(self):
+        t = X.If(Const(1), Const(2), Const(3))
+        assert decompose_oracle(t) == []
+        with pytest.raises(StuckTerm):
+            step(t)
 
 
 class TestEvaluate:

@@ -14,18 +14,19 @@ from coercion_forge import lam_sx as X
 from coercion_forge import translate
 from coercion_forge.coercions import size
 from coercion_forge.harness import even_odd_program, even_odd_target, spaceBench
+from coercion_forge.terms import children
 
 
 def term_size_s(t):
     if isinstance(t, (S.CrcApp, S.CoercedVal)):
         return 1 + term_size_s(t.subject) + size(t.crc)
-    return 1 + sum(term_size_s(k) for k in S._children(t))
+    return 1 + sum(term_size_s(k) for k in children(t))
 
 
 def max_coercion_size_s(t):
     if isinstance(t, (S.CrcApp, S.CoercedVal)):
         return max(size(t.crc), max_coercion_size_s(t.subject))
-    return max((max_coercion_size_s(k) for k in S._children(t)), default=0)
+    return max((max_coercion_size_s(k) for k in children(t)), default=0)
 
 
 def metric_f_s(t):
@@ -33,7 +34,7 @@ def metric_f_s(t):
         return 4 * size(t.crc) + 2 + metric_f_s(t.subject)
     if isinstance(t, S.CoercedVal):
         return 4 * size(t.crc) + 1 + metric_f_s(t.subject)
-    return sum(metric_f_s(k) for k in S._children(t))
+    return sum(metric_f_s(k) for k in children(t))
 
 
 def term_size_x(t):
@@ -41,7 +42,7 @@ def term_size_x(t):
         return size(t.crc)
     if isinstance(t, X.CoercedVal):
         return 1 + term_size_x(t.subject) + size(t.crc)
-    return 1 + sum(term_size_x(k) for k in X._children(t))
+    return 1 + sum(term_size_x(k) for k in children(t))
 
 
 def max_coercion_size_x(t):
@@ -49,7 +50,7 @@ def max_coercion_size_x(t):
         return size(t.crc)
     if isinstance(t, X.CoercedVal):
         return max(size(t.crc), max_coercion_size_x(t.subject))
-    return max((max_coercion_size_x(k) for k in X._children(t)), default=0)
+    return max((max_coercion_size_x(k) for k in children(t)), default=0)
 
 
 def metric_f_x(t):
@@ -57,7 +58,7 @@ def metric_f_x(t):
         return 4 * size(t.crc.crc) + 2 + metric_f_x(t.subject)
     if isinstance(t, X.CoercedVal):
         return 4 * size(t.crc) + 1 + metric_f_x(t.subject)
-    return sum(metric_f_x(k) for k in X._children(t))
+    return sum(metric_f_x(k) for k in children(t))
 
 
 SPEC = {

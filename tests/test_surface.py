@@ -165,6 +165,25 @@ class TestPrograms:
         assert p.defs[0].fun.body == S.App(S.GlobalRef("f"), S.Var("x"))
         assert p.main == S.App(S.GlobalRef("f"), S.Const(1))
 
+    def test_shadowed_definition_names_stay_variables(self):
+        p = parse_program(
+            "letrec f (x:Int) : Int = x and g (f:Int) : Int = f 1\n"
+            "in (\\f:Int. f) (g (f 1))", "lams")
+        f, g = S.GlobalRef("f"), S.GlobalRef("g")
+        assert p.defs[1].fun.body == S.App(S.Var("f"), S.Const(1))
+        assert p.main == S.App(S.Abs("f", INT, S.Var("f")), S.App(g, S.App(f, S.Const(1))))
+
+    def test_shadowed_target_definition_names_stay_variables(self):
+        p = parse_program(
+            "letrec f (x:Int, k:Int) = f(x, k)\n"
+            "and g (x:Int, f:Int) = f(x, f)\n"
+            "in (\\ (f:Int, k:Int). f<g>)(let f = f in f, f)", "lamsx")
+        f, g = X.GlobalRef("f"), X.GlobalRef("g")
+        assert p.defs[0].fun.body == X.App2(f, X.Var("x"), X.Var("k"))
+        assert p.defs[1].fun.body == X.App2(X.Var("f"), X.Var("x"), X.Var("f"))
+        fun = X.Abs2("f", INT, "k", INT, X.CrcApp(X.Var("f"), g))
+        assert p.main == X.App2(fun, X.Let("f", f, X.Var("f")), f)
+
     def test_free_names_outside_programs_stay_variables(self):
         assert parse_term("f 1", "lams") == S.App(S.Var("f"), S.Const(1))
 

@@ -12,6 +12,7 @@ from coercion_forge.translate import (
     trans_state,
     trans_term,
 )
+from coercion_forge.terms import Stepped
 from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT
 
 
@@ -167,7 +168,7 @@ class TestAdministrativeSteps:
         t = with_id
         while not surface.alpha_eq(t, direct):
             r = X.step(t)
-            assert isinstance(r, X.Stepped) and r.kind == "c"
+            assert isinstance(r, Stepped) and r.kind == "c"
             t = r.term
             steps += 1
             assert steps <= 2

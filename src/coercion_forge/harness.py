@@ -450,11 +450,10 @@ def invariantSuite(
             )
         state = r.term
         try:
-            ty = S.typecheck(state, {}, sigs, ty0)
+            S.typecheck(state, {}, sigs, ty0)
         except S.TypeCheckError as e:
             bad(f"preservation failed after {r.rule}: {e}", surface.print_term(state, "lams"))
             break
-        del ty
         for c in [m.crc for m in walk(state) if m.__class__ in (S.CrcApp, S.CoercedVal)]:
             if not is_canonical(c, FunT):
                 bad(

@@ -194,7 +194,8 @@ def typecheck(
 
 
 def _done(term, ty: Type, expected: Optional[Type], children: tuple) -> terms.Typed:
-    if expected is not None:
+    # a type matches itself, and merging it with itself gives it back
+    if expected is not None and expected is not ty:
         if not matches(ty, expected):
             raise TypeCheckError(f"expected {expected!r}, found {ty!r}")
         ty = merge_types(ty, expected)
@@ -202,79 +203,88 @@ def _done(term, ty: Type, expected: Optional[Type], children: tuple) -> terms.Ty
 
 
 def _tc(term: TermS, env, defs, expected: Optional[Type]) -> terms.Typed:
-    match term:
-        case Const(v):
-            return _done(term, const_type(v), expected, ())
-        case Var(x):
-            if x not in env:
-                raise TypeCheckError(f"unbound variable {x}")
-            return _done(term, env[x], expected, ())
-        case GlobalRef(f):
-            if f not in defs:
-                raise TypeCheckError(f"unknown definition {f}")
-            return _done(term, defs[f], expected, ())
-        case Abs(x, a, m):
-            body_exp = None
-            if isinstance(expected, FunT) and matches(expected.arg, a):
-                body_exp = expected.res
-            elif expected is not None and not isinstance(expected, AnyT):
-                if not isinstance(expected, FunT):
-                    raise TypeCheckError(f"expected {expected!r}, found a function")
-                raise TypeCheckError(
-                    f"function argument annotated {a!r}, expected {expected.arg!r}"
-                )
-            body = _tc(m, {**env, x: a}, defs, body_exp)
-            return _done(term, FunT(a, body.ty), expected, (body,))
-        case Op(op, l, r):
-            if op not in OPS:
-                raise TypeCheckError(f"unknown operator {op}")
-            t1, t2, res = OPS[op]
-            lt = _tc(l, env, defs, t1)
-            rt = _tc(r, env, defs, t2)
-            return _done(term, res, expected, (lt, rt))
-        case App(m, n):
-            if isinstance(m, Blame) or (isinstance(m, CrcApp) and isinstance(m.crc, Fail)):
-                # the function side can take any type; pin it from the argument
-                nt = _tc(n, env, defs, None)
-                res = expected if expected is not None else ANY
-                mt = _tc(m, env, defs, FunT(nt.ty, res))
-                return _done(term, res, expected, (mt, nt))
-            mt = _tc(m, env, defs, None)
-            fty = mt.ty
-            if isinstance(fty, AnyT):
-                fty = FunT(ANY, ANY)
-            if not isinstance(fty, FunT):
-                raise TypeCheckError(f"applied non-function of type {mt.ty!r}")
-            nt = _tc(n, env, defs, fty.arg)
-            return _done(term, fty.res, expected, (mt, nt))
-        case CrcApp(m, s):
-            src = crc_source(s, FunT)
-            sub = _tc(m, env, defs, None if isinstance(src, AnyT) else src)
-            try:
-                tgt = check_crc(s, sub.ty, FunT)
-            except CoercionTypeError as e:
-                raise TypeCheckError(str(e)) from None
-            return _done(term, tgt, expected, (sub,))
-        case CoercedVal(u, d):
-            if not is_uncoerced(u):
-                raise TypeCheckError("coerced-value subject must be an uncoerced value")
-            if not is_delayed(d):
-                raise TypeCheckError("coerced values carry injections or arrows only")
-            sub = _tc(u, env, defs, None)
-            try:
-                tgt = check_crc(d, sub.ty, FunT)
-            except CoercionTypeError as e:
-                raise TypeCheckError(str(e)) from None
-            return _done(term, tgt, expected, (sub,))
-        case Blame():
-            return _done(term, ANY if expected is None else expected, expected, ())
-        case If(c, m, n):
-            ct = _tc(c, env, defs, BOOL)
-            mt = _tc(m, env, defs, expected)
-            nt = _tc(n, env, defs, expected)
-            if not matches(mt.ty, nt.ty):
-                raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-            return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt))
+    # dispatch on the node class: this runs on every node of every checked
+    # state, where a ``match`` chain's tests add up
+    cls = term.__class__
+    if cls is Const:
+        return _done(term, const_type(term.val), expected, ())
+    if cls is Var:
+        x = term.name
+        if x not in env:
+            raise TypeCheckError(f"unbound variable {x}")
+        return _done(term, env[x], expected, ())
+    if cls is GlobalRef:
+        f = term.name
+        if f not in defs:
+            raise TypeCheckError(f"unknown definition {f}")
+        return _done(term, defs[f], expected, ())
+    if cls is Abs:
+        x, a = term.var, term.var_ty
+        body_exp = None
+        if isinstance(expected, FunT) and matches(expected.arg, a):
+            body_exp = expected.res
+        elif expected is not None and not isinstance(expected, AnyT):
+            if not isinstance(expected, FunT):
+                raise TypeCheckError(f"expected {expected!r}, found a function")
+            raise TypeCheckError(
+                f"function argument annotated {a!r}, expected {expected.arg!r}"
+            )
+        body = _tc(term.body, {**env, x: a}, defs, body_exp)
+        return _done(term, FunT(a, body.ty), expected, (body,))
+    if cls is Op:
+        op = term.op
+        if op not in OPS:
+            raise TypeCheckError(f"unknown operator {op}")
+        t1, t2, res = OPS[op]
+        lt = _tc(term.left, env, defs, t1)
+        rt = _tc(term.right, env, defs, t2)
+        return _done(term, res, expected, (lt, rt))
+    if cls is App:
+        m, n = term.fun, term.arg
+        if isinstance(m, Blame) or (isinstance(m, CrcApp) and isinstance(m.crc, Fail)):
+            # the function side can take any type; pin it from the argument
+            nt = _tc(n, env, defs, None)
+            res = expected if expected is not None else ANY
+            mt = _tc(m, env, defs, FunT(nt.ty, res))
+            return _done(term, res, expected, (mt, nt))
+        mt = _tc(m, env, defs, None)
+        fty = mt.ty
+        if isinstance(fty, AnyT):
+            fty = FunT(ANY, ANY)
+        if not isinstance(fty, FunT):
+            raise TypeCheckError(f"applied non-function of type {mt.ty!r}")
+        nt = _tc(n, env, defs, fty.arg)
+        return _done(term, fty.res, expected, (mt, nt))
+    if cls is CrcApp:
+        s = term.crc
+        src = crc_source(s, FunT)
+        sub = _tc(term.subject, env, defs, None if isinstance(src, AnyT) else src)
+        try:
+            tgt = check_crc(s, sub.ty, FunT)
+        except CoercionTypeError as e:
+            raise TypeCheckError(str(e)) from None
+        return _done(term, tgt, expected, (sub,))
+    if cls is CoercedVal:
+        u, d = term.subject, term.crc
+        if not is_uncoerced(u):
+            raise TypeCheckError("coerced-value subject must be an uncoerced value")
+        if not is_delayed(d):
+            raise TypeCheckError("coerced values carry injections or arrows only")
+        sub = _tc(u, env, defs, None)
+        try:
+            tgt = check_crc(d, sub.ty, FunT)
+        except CoercionTypeError as e:
+            raise TypeCheckError(str(e)) from None
+        return _done(term, tgt, expected, (sub,))
+    if cls is Blame:
+        return _done(term, ANY if expected is None else expected, expected, ())
+    if cls is If:
+        ct = _tc(term.cond, env, defs, BOOL)
+        mt = _tc(term.then, env, defs, expected)
+        nt = _tc(term.els, env, defs, expected)
+        if not matches(mt.ty, nt.ty):
+            raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
+        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt))
     raise AssertionError(term)
 
 

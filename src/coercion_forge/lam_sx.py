@@ -219,103 +219,114 @@ def _as_crc_type(ty: Type, what: str) -> CrcT:
 
 
 def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> terms.Typed:
-    match term:
-        case Const(v):
-            return _done(term, const_type(v), expected, ())
-        case Var(x):
-            if x not in env:
-                raise TypeCheckError(f"unbound variable {x}")
-            return _done(term, env[x], expected, ())
-        case GlobalRef(f):
-            if f not in defs:
-                raise TypeCheckError(f"unknown definition {f}")
-            return _done(term, defs[f], expected, ())
-        case Abs2(x, a, kv, b, m):
-            if isinstance(expected, Fun2T):
-                if not (matches(expected.arg, a) and matches(expected.res, b)):
-                    raise TypeCheckError(
-                        f"function annotated {a!r}/{b!r}, expected {expected!r}"
-                    )
-            x_var = TyVar(counter[0])
-            counter[0] += 1
-            body = _tc(m, {**env, x: a, kv: CrcT(b, x_var)}, defs, None, counter)
-            if not (isinstance(body.ty, AnyT) or body.ty == x_var):
-                if occurs(x_var, body.ty):
-                    raise EscapedTyVar(
-                        f"answer type {body.ty!r} leaks the rigid variable {x_var!r}"
-                    )
+    # dispatch on the node class: this runs on every node of every checked
+    # state, where a ``match`` chain's tests add up
+    cls = term.__class__
+    if cls is Const:
+        return _done(term, const_type(term.val), expected, ())
+    if cls is Var:
+        x = term.name
+        if x not in env:
+            raise TypeCheckError(f"unbound variable {x}")
+        return _done(term, env[x], expected, ())
+    if cls is GlobalRef:
+        f = term.name
+        if f not in defs:
+            raise TypeCheckError(f"unknown definition {f}")
+        return _done(term, defs[f], expected, ())
+    if cls is Abs2:
+        a, b = term.var_ty, term.k_src
+        if isinstance(expected, Fun2T):
+            if not (matches(expected.arg, a) and matches(expected.res, b)):
                 raise TypeCheckError(
-                    f"body must produce the continuation's answer type, found {body.ty!r}"
+                    f"function annotated {a!r}/{b!r}, expected {expected!r}"
                 )
-            return _done(term, Fun2T(a, b), expected, (body,))
-        case Op(op, l, r):
-            if op not in OPS:
-                raise TypeCheckError(f"unknown operator {op}")
-            t1, t2, res = OPS[op]
-            lt = _tc(l, env, defs, t1, counter)
-            rt = _tc(r, env, defs, t2, counter)
-            return _done(term, res, expected, (lt, rt))
-        case App2(f, a, k):
-            if isinstance(f, Blame):
-                at = _tc(a, env, defs, None, counter)
-                kt = _tc(k, env, defs, None, counter)
-                kty = _as_crc_type(kt.ty, "continuation argument")
-                ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), counter)
-                return _done(term, kty.tgt, expected, (ft, at, kt))
-            ft = _tc(f, env, defs, None, counter)
-            fty = ft.ty
-            if isinstance(fty, AnyT):
-                fty = Fun2T(ANY, ANY)
-            if not isinstance(fty, Fun2T):
-                raise TypeCheckError(f"applied non-function of type {ft.ty!r}")
-            at = _tc(a, env, defs, fty.arg, counter)
-            kt = _tc(k, env, defs, CrcT(fty.res, ANY), counter)
+        x_var = TyVar(counter[0])
+        counter[0] += 1
+        body = _tc(
+            term.body, {**env, term.var: a, term.kvar: CrcT(b, x_var)}, defs, None, counter
+        )
+        if not (isinstance(body.ty, AnyT) or body.ty == x_var):
+            if occurs(x_var, body.ty):
+                raise EscapedTyVar(
+                    f"answer type {body.ty!r} leaks the rigid variable {x_var!r}"
+                )
+            raise TypeCheckError(
+                f"body must produce the continuation's answer type, found {body.ty!r}"
+            )
+        return _done(term, Fun2T(a, b), expected, (body,))
+    if cls is Op:
+        op = term.op
+        if op not in OPS:
+            raise TypeCheckError(f"unknown operator {op}")
+        t1, t2, res = OPS[op]
+        lt = _tc(term.left, env, defs, t1, counter)
+        rt = _tc(term.right, env, defs, t2, counter)
+        return _done(term, res, expected, (lt, rt))
+    if cls is App2:
+        f, a, k = term.fun, term.arg, term.cont
+        if isinstance(f, Blame):
+            at = _tc(a, env, defs, None, counter)
+            kt = _tc(k, env, defs, None, counter)
             kty = _as_crc_type(kt.ty, "continuation argument")
+            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), counter)
             return _done(term, kty.tgt, expected, (ft, at, kt))
-        case Let(x, m, n):
-            mt = _tc(m, env, defs, None, counter)
-            nt = _tc(n, {**env, x: mt.ty}, defs, expected, counter)
-            return _done(term, nt.ty, expected, (mt, nt))
-        case Compose(l, r):
-            lt = _tc(l, env, defs, None, counter)
-            lty = _as_crc_type(lt.ty, "composition operand")
-            rt = _tc(r, env, defs, CrcT(lty.tgt, ANY), counter)
-            rty = _as_crc_type(rt.ty, "composition operand")
-            return _done(term, CrcT(lty.src, rty.tgt), expected, (lt, rt))
-        case CrcApp(m, c):
-            mt = _tc(m, env, defs, None, counter)
-            ct = _tc(c, env, defs, CrcT(mt.ty, ANY), counter)
-            cty = _as_crc_type(ct.ty, "applied coercion")
-            return _done(term, cty.tgt, expected, (mt, ct))
-        case CoercedVal(u, d):
-            if not is_uncoerced(u):
-                raise TypeCheckError("coerced-value subject must be an uncoerced value")
-            if not is_delayed(d):
-                raise TypeCheckError("coerced values carry injections or arrows only")
-            sub = _tc(u, env, defs, None, counter)
-            try:
-                tgt = check_crc(d, sub.ty, Fun2T)
-            except CoercionTypeError as e:
-                raise TypeCheckError(str(e)) from None
-            return _done(term, tgt, expected, (sub,))
-        case CrcLit(c):
-            src = crc_source(c, Fun2T)
-            if isinstance(expected, CrcT) and isinstance(src, AnyT):
-                src = expected.src
-            try:
-                tgt = check_crc(c, src, Fun2T)
-            except CoercionTypeError as e:
-                raise TypeCheckError(str(e)) from None
-            return _done(term, CrcT(src, tgt), expected, ())
-        case Blame():
-            return _done(term, ANY if expected is None else expected, expected, ())
-        case If(c, m, n):
-            ct = _tc(c, env, defs, BOOL, counter)
-            mt = _tc(m, env, defs, expected, counter)
-            nt = _tc(n, env, defs, expected, counter)
-            if not matches(mt.ty, nt.ty):
-                raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-            return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt))
+        ft = _tc(f, env, defs, None, counter)
+        fty = ft.ty
+        if isinstance(fty, AnyT):
+            fty = Fun2T(ANY, ANY)
+        if not isinstance(fty, Fun2T):
+            raise TypeCheckError(f"applied non-function of type {ft.ty!r}")
+        at = _tc(a, env, defs, fty.arg, counter)
+        kt = _tc(k, env, defs, CrcT(fty.res, ANY), counter)
+        kty = _as_crc_type(kt.ty, "continuation argument")
+        return _done(term, kty.tgt, expected, (ft, at, kt))
+    if cls is Let:
+        mt = _tc(term.bound, env, defs, None, counter)
+        nt = _tc(term.body, {**env, term.var: mt.ty}, defs, expected, counter)
+        return _done(term, nt.ty, expected, (mt, nt))
+    if cls is Compose:
+        lt = _tc(term.left, env, defs, None, counter)
+        lty = _as_crc_type(lt.ty, "composition operand")
+        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), counter)
+        rty = _as_crc_type(rt.ty, "composition operand")
+        return _done(term, CrcT(lty.src, rty.tgt), expected, (lt, rt))
+    if cls is CrcApp:
+        mt = _tc(term.subject, env, defs, None, counter)
+        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), counter)
+        cty = _as_crc_type(ct.ty, "applied coercion")
+        return _done(term, cty.tgt, expected, (mt, ct))
+    if cls is CoercedVal:
+        u, d = term.subject, term.crc
+        if not is_uncoerced(u):
+            raise TypeCheckError("coerced-value subject must be an uncoerced value")
+        if not is_delayed(d):
+            raise TypeCheckError("coerced values carry injections or arrows only")
+        sub = _tc(u, env, defs, None, counter)
+        try:
+            tgt = check_crc(d, sub.ty, Fun2T)
+        except CoercionTypeError as e:
+            raise TypeCheckError(str(e)) from None
+        return _done(term, tgt, expected, (sub,))
+    if cls is CrcLit:
+        c = term.crc
+        src = crc_source(c, Fun2T)
+        if isinstance(expected, CrcT) and isinstance(src, AnyT):
+            src = expected.src
+        try:
+            tgt = check_crc(c, src, Fun2T)
+        except CoercionTypeError as e:
+            raise TypeCheckError(str(e)) from None
+        return _done(term, CrcT(src, tgt), expected, ())
+    if cls is Blame:
+        return _done(term, ANY if expected is None else expected, expected, ())
+    if cls is If:
+        ct = _tc(term.cond, env, defs, BOOL, counter)
+        mt = _tc(term.then, env, defs, expected, counter)
+        nt = _tc(term.els, env, defs, expected, counter)
+        if not matches(mt.ty, nt.ty):
+            raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
+        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt))
     raise AssertionError(term)
 
 

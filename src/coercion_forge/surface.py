@@ -782,98 +782,124 @@ def format_trace_line(n: int, kind: str, rule: str, term: TermAny, dialect: str)
 
 
 def _ty_eq(a: Type, b: Type, tymap: dict[int, int]) -> bool:
-    match (a, b):
-        case (TyVar(u), TyVar(v)):
-            if u in tymap:
-                return tymap[u] == v
-            if v in tymap.values():
-                return False
-            tymap[u] = v
-            return True
-        case (FunT(a1, a2), FunT(b1, b2)) | (Fun2T(a1, a2), Fun2T(b1, b2)) | (
-            CrcT(a1, a2),
-            CrcT(b1, b2),
-        ):
-            return _ty_eq(a1, b1, tymap) and _ty_eq(a2, b2, tymap)
-        case _:
-            return a == b
+    """Equality of two types under the rigid-variable bijection ``tymap``, extended as needed."""
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is TyVar:
+        u, v = a.uid, b.uid
+        if u in tymap:
+            return tymap[u] == v
+        if v in tymap.values():
+            return False
+        tymap[u] = v
+        return True
+    if cls is FunT or cls is Fun2T:
+        return _ty_eq(a.arg, b.arg, tymap) and _ty_eq(a.res, b.res, tymap)
+    if cls is CrcT:
+        return _ty_eq(a.src, b.src, tymap) and _ty_eq(a.tgt, b.tgt, tymap)
+    return a == b
 
 
 def _crc_eq(c: Coercion, d: Coercion, tymap: dict[int, int]) -> bool:
-    match (c, d):
-        case (IdStar(), IdStar()):
-            return True
-        case (Id(a), Id(b)):
-            return _ty_eq(a, b, tymap)
-        case (InjSeq(g1, t1), InjSeq(g2, t2)):
-            return _crc_eq(g1, g2, tymap) and _ty_eq(t1, t2, tymap)
-        case (ProjSeq(g1, p1, b1), ProjSeq(g2, p2, b2)):
-            return _ty_eq(g1, g2, tymap) and p1 == p2 and _crc_eq(b1, b2, tymap)
-        case (Fun(s1, t1), Fun(s2, t2)):
-            return _crc_eq(s1, s2, tymap) and _crc_eq(t1, t2, tymap)
-        case (Fail(g1, p1, h1), Fail(g2, p2, h2)):
-            return _ty_eq(g1, g2, tymap) and p1 == p2 and _ty_eq(h1, h2, tymap)
-        case _:
-            return False
+    cls = c.__class__
+    if cls is not d.__class__:
+        return False
+    if cls is InjSeq:
+        return _crc_eq(c.body, d.body, tymap) and _ty_eq(c.ground, d.ground, tymap)
+    if cls is Id:
+        return _ty_eq(c.ty, d.ty, tymap)
+    if cls is ProjSeq:
+        return (
+            _ty_eq(c.ground, d.ground, tymap)
+            and c.label == d.label
+            and _crc_eq(c.body, d.body, tymap)
+        )
+    if cls is Fun:
+        return _crc_eq(c.arg, d.arg, tymap) and _crc_eq(c.res, d.res, tymap)
+    if cls is Fail:
+        return (
+            _ty_eq(c.src_tag, d.src_tag, tymap)
+            and c.label == d.label
+            and _ty_eq(c.tgt_tag, d.tgt_tag, tymap)
+        )
+    return cls is IdStar
+
+
+# Nodes whose one subterm is ``subject`` and whose coercion is ``crc``.
+_COERCED = frozenset((S.CrcApp, S.CoercedVal, X.CoercedVal))
+# Nodes whose fields are all subterms.
+_PLAIN = frozenset((S.App, S.If, X.App2, X.Compose, X.CrcApp, X.If))
 
 
 def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
+    """Whether two terms of one dialect differ only in bound names and rigid type variables.
+
+    Rigid type variables must correspond one to one throughout the pair.
+    The walk keeps an explicit stack, so deep terms need no recursion.
+    """
     tymap: dict[int, int] = {}
-
-    def go(a, b, env: tuple[tuple[str, str], ...]) -> bool:
-        def var_eq(x: str, y: str) -> bool:
-            for l, r in reversed(env):
+    # Each entry is a pair of subterms and the binders in scope, innermost
+    # first, as a linked list of (left name, right name, outer binders).
+    stack: list = [(m1, m2, None)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        a, b, env = pop()
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is S.Var or cls is X.Var:
+            x, y = a.name, b.name
+            # the innermost binder of either name decides
+            while env is not None:
+                l, r, env = env
                 if l == x or r == y:
-                    return l == x and r == y
-            return x == y
-
-        match (a, b):
-            case (S.Const(u), S.Const(v)) | (X.Const(u), X.Const(v)):
-                return u == v and type(u) is type(v)
-            case (S.Var(x), S.Var(y)) | (X.Var(x), X.Var(y)):
-                return var_eq(x, y)
-            case (S.GlobalRef(x), S.GlobalRef(y)) | (X.GlobalRef(x), X.GlobalRef(y)):
-                return x == y
-            case (S.Blame(p), S.Blame(q)) | (X.Blame(p), X.Blame(q)):
-                return p == q
-            case (S.Abs(x1, t1, b1), S.Abs(x2, t2, b2)):
-                return _ty_eq(t1, t2, tymap) and go(b1, b2, env + ((x1, x2),))
-            case (X.Abs2(x1, t1, k1, s1, b1), X.Abs2(x2, t2, k2, s2, b2)):
-                return (
-                    _ty_eq(t1, t2, tymap)
-                    and _ty_eq(s1, s2, tymap)
-                    and go(b1, b2, env + ((x1, x2), (k1, k2)))
-                )
-            case (S.Op(o1, l1, r1), S.Op(o2, l2, r2)) | (X.Op(o1, l1, r1), X.Op(o2, l2, r2)):
-                return o1 == o2 and go(l1, l2, env) and go(r1, r2, env)
-            case (S.App(f1, a1), S.App(f2, a2)):
-                return go(f1, f2, env) and go(a1, a2, env)
-            case (X.App2(f1, a1, k1), X.App2(f2, a2, k2)):
-                return go(f1, f2, env) and go(a1, a2, env) and go(k1, k2, env)
-            case (X.Let(x1, m1_, n1), X.Let(x2, m2_, n2)):
-                return go(m1_, m2_, env) and go(n1, n2, env + ((x1, x2),))
-            case (X.Compose(l1, r1), X.Compose(l2, r2)):
-                return go(l1, l2, env) and go(r1, r2, env)
-            case (S.CrcApp(s1, c1), S.CrcApp(s2, c2)):
-                return go(s1, s2, env) and _crc_eq(c1, c2, tymap)
-            case (X.CrcApp(s1, c1), X.CrcApp(s2, c2)):
-                return go(s1, s2, env) and go(c1, c2, env)
-            case (S.CoercedVal(s1, c1), S.CoercedVal(s2, c2)) | (
-                X.CoercedVal(s1, c1),
-                X.CoercedVal(s2, c2),
-            ):
-                return go(s1, s2, env) and _crc_eq(c1, c2, tymap)
-            case (X.CrcLit(c1), X.CrcLit(c2)):
-                return _crc_eq(c1, c2, tymap)
-            case (S.If(c1, m1_, n1), S.If(c2, m2_, n2)) | (
-                X.If(c1, m1_, n1),
-                X.If(c2, m2_, n2),
-            ):
-                return go(c1, c2, env) and go(m1_, m2_, env) and go(n1, n2, env)
-            case _:
+                    if l != x or r != y:
+                        return False
+                    break
+            else:
+                if x != y:
+                    return False
+        elif cls is S.Op or cls is X.Op:
+            if a.op != b.op:
                 return False
-
-    return go(m1, m2, ())
+            push((a.right, b.right, env))
+            push((a.left, b.left, env))
+        elif cls in _PLAIN:
+            for k in cls._kids_rev:
+                push((getattr(a, k), getattr(b, k), env))
+        elif cls in _COERCED:
+            if not _crc_eq(a.crc, b.crc, tymap):
+                return False
+            push((a.subject, b.subject, env))
+        elif cls is S.Const or cls is X.Const:
+            u, v = a.val, b.val
+            if u != v or u.__class__ is not v.__class__:
+                return False
+        elif cls is S.Abs:
+            if not _ty_eq(a.var_ty, b.var_ty, tymap):
+                return False
+            push((a.body, b.body, (a.var, b.var, env)))
+        elif cls is X.Abs2:
+            if not (_ty_eq(a.var_ty, b.var_ty, tymap) and _ty_eq(a.k_src, b.k_src, tymap)):
+                return False
+            push((a.body, b.body, (a.kvar, b.kvar, (a.var, b.var, env))))
+        elif cls is X.Let:
+            push((a.body, b.body, (a.var, b.var, env)))
+            push((a.bound, b.bound, env))
+        elif cls is X.CrcLit:
+            if not _crc_eq(a.crc, b.crc, tymap):
+                return False
+        elif cls is S.GlobalRef or cls is X.GlobalRef:
+            if a.name != b.name:
+                return False
+        elif cls is S.Blame or cls is X.Blame:
+            if a.label != b.label:
+                return False
+        else:
+            return False
+    return True
 
 
 def alpha_eq_program(p1, p2) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from .types import Type
 
@@ -21,9 +21,14 @@ _TERM_TYPES = frozenset(("TermS", "TermX"))
 
 
 def node(cls):
-    """Make ``cls`` a frozen dataclass and record its term-valued fields in ``_kids``."""
+    """Make ``cls`` a frozen dataclass and record its term-valued fields in ``_kids``.
+
+    ``_kids_rev`` holds them in reverse, the order a pre-order walk pushes
+    them on its stack.
+    """
     cls = dataclass(frozen=True)(cls)
     cls._kids = tuple(f.name for f in dataclasses.fields(cls) if f.type in _TERM_TYPES)
+    cls._kids_rev = cls._kids[::-1]
     return cls
 
 
@@ -65,13 +70,19 @@ def replace(t, path: tuple[int, ...], new):
     return dataclasses.replace(t, **{k: replace(getattr(t, k), path[1:], new)})
 
 
-def walk(t) -> Iterator:
-    """Every node of ``t``, in pre-order, without recursion."""
+def walk(t) -> list:
+    """A list of every node of ``t``, in pre-order, built without recursion."""
+    out = []
     stack = [t]
+    pop = stack.pop
+    push = stack.append
+    add = out.append
     while stack:
-        t = stack.pop()
-        yield t
-        stack.extend([getattr(t, k) for k in reversed(t._kids)])
+        t = pop()
+        add(t)
+        for k in t._kids_rev:
+            push(getattr(t, k))
+    return out
 
 
 _NO_NAMES: frozenset[str] = frozenset()

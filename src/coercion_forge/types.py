@@ -84,34 +84,38 @@ ANY = AnyT()
 
 def matches(a: Type, b: Type) -> bool:
     """Type equality up to the ``AnyT`` wildcard (on either side)."""
-    if isinstance(a, AnyT) or isinstance(b, AnyT):
+    # dispatch on the class: typechecking asks this at every node of every
+    # checked state, where a ``match`` chain's tests add up
+    if a is b:
         return True
-    match (a, b):
-        case (FunT(a1, b1), FunT(a2, b2)):
-            return matches(a1, a2) and matches(b1, b2)
-        case (Fun2T(a1, b1), Fun2T(a2, b2)):
-            return matches(a1, a2) and matches(b1, b2)
-        case (CrcT(a1, b1), CrcT(a2, b2)):
-            return matches(a1, a2) and matches(b1, b2)
-        case _:
-            return a == b
+    cls = a.__class__
+    if cls is AnyT or b.__class__ is AnyT:
+        return True
+    if cls is not b.__class__:
+        return False
+    if cls is FunT or cls is Fun2T:
+        return matches(a.arg, b.arg) and matches(a.res, b.res)
+    if cls is CrcT:
+        return matches(a.src, b.src) and matches(a.tgt, b.tgt)
+    return a == b
 
 
 def merge_types(a: Type, b: Type) -> Type:
     """Prefer concrete structure over wildcards when combining two views."""
-    if isinstance(a, AnyT):
-        return b
-    if isinstance(b, AnyT):
+    if a is b:
         return a
-    match (a, b):
-        case (FunT(a1, b1), FunT(a2, b2)):
-            return FunT(merge_types(a1, a2), merge_types(b1, b2))
-        case (Fun2T(a1, b1), Fun2T(a2, b2)):
-            return Fun2T(merge_types(a1, a2), merge_types(b1, b2))
-        case (CrcT(a1, b1), CrcT(a2, b2)):
-            return CrcT(merge_types(a1, a2), merge_types(b1, b2))
-        case _:
-            return a
+    cls = a.__class__
+    if cls is AnyT:
+        return b
+    if b.__class__ is AnyT:
+        return a
+    if cls is not b.__class__:
+        return a
+    if cls is FunT or cls is Fun2T:
+        return cls(merge_types(a.arg, b.arg), merge_types(a.res, b.res))
+    if cls is CrcT:
+        return CrcT(merge_types(a.src, b.src), merge_types(a.tgt, b.tgt))
+    return a
 
 
 def is_source_type(t: Type) -> bool:

@@ -1,0 +1,435 @@
+"""The checking kernels against their ``match``-based reference definitions.
+
+``types.matches``, ``types.merge_types``, ``surface._ty_eq``,
+``surface._crc_eq`` and ``surface.alpha_eq`` dispatch on the node class,
+and ``alpha_eq`` keeps an explicit stack.  The definitions below state the
+same relations as plain ``match`` chains and recursion; the kernels must
+give the same answers on:
+
+- every pair of types in the typing derivations of corpus seeds 0-99 in
+  both calculi, with wildcard and rigid-variable types among them, and
+  every (found, expected) pair the typecheckers ask ``matches`` about;
+- every pair of coercions in those programs and their translations;
+- every (target state, expected state) pair that ``simulationCheck``
+  compares on the first 50 of those programs, those pairs with their annotations turned into rigid type
+  variables, and mutated copies of them.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import random
+
+import pytest
+
+from coercion_forge import coercions, harness, surface, terms, translate, types
+from coercion_forge import lam_s as S
+from coercion_forge import lam_sx as X
+from coercion_forge.coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq
+from coercion_forge.types import (
+    ANY,
+    BOOL,
+    DYN,
+    INT,
+    AnyT,
+    CrcT,
+    Fun2T,
+    FunT,
+    TyVar,
+    Type,
+)
+
+SEEDS = range(100)
+SIMULATED = 50  # programs whose simulation pairs are compared
+
+# ---------------------------------------------------------------------------
+# The reference definitions
+
+
+def ref_matches(a: Type, b: Type) -> bool:
+    """Type equality up to the ``AnyT`` wildcard (on either side)."""
+    if isinstance(a, AnyT) or isinstance(b, AnyT):
+        return True
+    match (a, b):
+        case (FunT(a1, b1), FunT(a2, b2)):
+            return ref_matches(a1, a2) and ref_matches(b1, b2)
+        case (Fun2T(a1, b1), Fun2T(a2, b2)):
+            return ref_matches(a1, a2) and ref_matches(b1, b2)
+        case (CrcT(a1, b1), CrcT(a2, b2)):
+            return ref_matches(a1, a2) and ref_matches(b1, b2)
+        case _:
+            return a == b
+
+
+def ref_merge_types(a: Type, b: Type) -> Type:
+    """Prefer concrete structure over wildcards when combining two views."""
+    if isinstance(a, AnyT):
+        return b
+    if isinstance(b, AnyT):
+        return a
+    match (a, b):
+        case (FunT(a1, b1), FunT(a2, b2)):
+            return FunT(ref_merge_types(a1, a2), ref_merge_types(b1, b2))
+        case (Fun2T(a1, b1), Fun2T(a2, b2)):
+            return Fun2T(ref_merge_types(a1, a2), ref_merge_types(b1, b2))
+        case (CrcT(a1, b1), CrcT(a2, b2)):
+            return CrcT(ref_merge_types(a1, a2), ref_merge_types(b1, b2))
+        case _:
+            return a
+
+
+def ref_ty_eq(a: Type, b: Type, tymap: dict[int, int]) -> bool:
+    match (a, b):
+        case (TyVar(u), TyVar(v)):
+            if u in tymap:
+                return tymap[u] == v
+            if v in tymap.values():
+                return False
+            tymap[u] = v
+            return True
+        case (FunT(a1, a2), FunT(b1, b2)) | (Fun2T(a1, a2), Fun2T(b1, b2)) | (
+            CrcT(a1, a2),
+            CrcT(b1, b2),
+        ):
+            return ref_ty_eq(a1, b1, tymap) and ref_ty_eq(a2, b2, tymap)
+        case _:
+            return a == b
+
+
+def ref_crc_eq(c: Coercion, d: Coercion, tymap: dict[int, int]) -> bool:
+    match (c, d):
+        case (IdStar(), IdStar()):
+            return True
+        case (Id(a), Id(b)):
+            return ref_ty_eq(a, b, tymap)
+        case (InjSeq(g1, t1), InjSeq(g2, t2)):
+            return ref_crc_eq(g1, g2, tymap) and ref_ty_eq(t1, t2, tymap)
+        case (ProjSeq(g1, p1, b1), ProjSeq(g2, p2, b2)):
+            return ref_ty_eq(g1, g2, tymap) and p1 == p2 and ref_crc_eq(b1, b2, tymap)
+        case (Fun(s1, t1), Fun(s2, t2)):
+            return ref_crc_eq(s1, s2, tymap) and ref_crc_eq(t1, t2, tymap)
+        case (Fail(g1, p1, h1), Fail(g2, p2, h2)):
+            return ref_ty_eq(g1, g2, tymap) and p1 == p2 and ref_ty_eq(h1, h2, tymap)
+        case _:
+            return False
+
+
+def ref_alpha_eq(m1, m2) -> bool:
+    tymap: dict[int, int] = {}
+
+    def go(a, b, env: tuple[tuple[str, str], ...]) -> bool:
+        def var_eq(x: str, y: str) -> bool:
+            for l, r in reversed(env):
+                if l == x or r == y:
+                    return l == x and r == y
+            return x == y
+
+        match (a, b):
+            case (S.Const(u), S.Const(v)) | (X.Const(u), X.Const(v)):
+                return u == v and type(u) is type(v)
+            case (S.Var(x), S.Var(y)) | (X.Var(x), X.Var(y)):
+                return var_eq(x, y)
+            case (S.GlobalRef(x), S.GlobalRef(y)) | (X.GlobalRef(x), X.GlobalRef(y)):
+                return x == y
+            case (S.Blame(p), S.Blame(q)) | (X.Blame(p), X.Blame(q)):
+                return p == q
+            case (S.Abs(x1, t1, b1), S.Abs(x2, t2, b2)):
+                return ref_ty_eq(t1, t2, tymap) and go(b1, b2, env + ((x1, x2),))
+            case (X.Abs2(x1, t1, k1, s1, b1), X.Abs2(x2, t2, k2, s2, b2)):
+                return (
+                    ref_ty_eq(t1, t2, tymap)
+                    and ref_ty_eq(s1, s2, tymap)
+                    and go(b1, b2, env + ((x1, x2), (k1, k2)))
+                )
+            case (S.Op(o1, l1, r1), S.Op(o2, l2, r2)) | (X.Op(o1, l1, r1), X.Op(o2, l2, r2)):
+                return o1 == o2 and go(l1, l2, env) and go(r1, r2, env)
+            case (S.App(f1, a1), S.App(f2, a2)):
+                return go(f1, f2, env) and go(a1, a2, env)
+            case (X.App2(f1, a1, k1), X.App2(f2, a2, k2)):
+                return go(f1, f2, env) and go(a1, a2, env) and go(k1, k2, env)
+            case (X.Let(x1, m1_, n1), X.Let(x2, m2_, n2)):
+                return go(m1_, m2_, env) and go(n1, n2, env + ((x1, x2),))
+            case (X.Compose(l1, r1), X.Compose(l2, r2)):
+                return go(l1, l2, env) and go(r1, r2, env)
+            case (S.CrcApp(s1, c1), S.CrcApp(s2, c2)):
+                return go(s1, s2, env) and ref_crc_eq(c1, c2, tymap)
+            case (X.CrcApp(s1, c1), X.CrcApp(s2, c2)):
+                return go(s1, s2, env) and go(c1, c2, env)
+            case (S.CoercedVal(s1, c1), S.CoercedVal(s2, c2)) | (
+                X.CoercedVal(s1, c1),
+                X.CoercedVal(s2, c2),
+            ):
+                return go(s1, s2, env) and ref_crc_eq(c1, c2, tymap)
+            case (X.CrcLit(c1), X.CrcLit(c2)):
+                return ref_crc_eq(c1, c2, tymap)
+            case (S.If(c1, m1_, n1), S.If(c2, m2_, n2)) | (
+                X.If(c1, m1_, n1),
+                X.If(c2, m2_, n2),
+            ):
+                return go(c1, c2, env) and go(m1_, m2_, env) and go(n1, n2, env)
+            case _:
+                return False
+
+    return go(m1, m2, ())
+
+
+# ---------------------------------------------------------------------------
+# Inputs from the corpus
+
+
+@functools.cache
+def programs():
+    """Each corpus program with its translation."""
+    out = []
+    for s in SEEDS:
+        p = harness.genWellTyped(harness.GenConfig(seed=s, maxDepth=8))
+        out.append((p, translate.trans_program(p)))
+    return out
+
+
+def derivations(p, mod):
+    sigs = p.def_types()
+    yield mod.typecheck_program(p)
+    for d in p.defs:
+        yield mod.typecheck(d.fun, {}, sigs, d.ty)
+
+
+def type_parts(t):
+    yield t
+    for v in vars(t).values():
+        if not isinstance(v, (str, int)):
+            yield from type_parts(v)
+
+
+@functools.cache
+def derivation_types() -> list:
+    """Every type in the corpus's derivations, with wildcard and rigid-variable variants."""
+    found = set()
+    for p, px in programs():
+        for p_, mod in ((p, S), (px, X)):
+            for d in derivations(p_, mod):
+                stack = [d]
+                while stack:
+                    d = stack.pop()
+                    found.update(type_parts(d.ty))
+                    stack.extend(d.children)
+    wild = {ANY, FunT(ANY, ANY), Fun2T(ANY, ANY), CrcT(ANY, ANY), CrcT(INT, ANY), TyVar(0)}
+    for t in list(found):
+        if t.__class__ in (FunT, Fun2T):
+            wild |= {t.__class__(t.arg, ANY), t.__class__(ANY, t.res)}
+        elif t.__class__ is CrcT:
+            wild |= {CrcT(t.src, ANY), CrcT(ANY, t.tgt)}
+    found |= wild
+    assert any(t.__class__ is TyVar for t in found)
+    return sorted(found, key=repr)
+
+
+@functools.cache
+def asked_pairs() -> list:
+    """Every (found, expected) pair the typecheckers pass to ``matches`` on the corpus."""
+    asked = []
+
+    def recording(a, b):
+        asked.append((a, b))
+        return ref_matches(a, b)
+
+    mp = pytest.MonkeyPatch()
+    for mod in (S, X, coercions):
+        mp.setattr(mod, "matches", recording)
+    try:
+        for p, px in programs():
+            list(derivations(p, S))
+            list(derivations(px, X))
+    finally:
+        mp.undo()
+    assert any(AnyT in {m.__class__ for m in type_parts(b)} for _, b in asked)
+    return asked
+
+
+COERCIONS = (IdStar, Id, ProjSeq, InjSeq, Fun, Fail)
+CARRIERS = (S.CrcApp, S.CoercedVal, X.CoercedVal, X.CrcLit)
+
+
+@functools.cache
+def corpus_coercions() -> list:
+    """Every coercion in the corpus programs and their translations, with its parts."""
+    found = set()
+    stack = []
+    for p, px in programs():
+        for t in [p.main, *p.def_terms().values(), px.main, *px.def_terms().values()]:
+            stack.extend(m.crc for m in terms.walk(t) if isinstance(m, CARRIERS))
+    while stack:
+        c = stack.pop()
+        found.add(c)
+        stack.extend(v for v in vars(c).values() if isinstance(v, COERCIONS))
+    found |= {
+        Id(TyVar(0)),
+        Id(TyVar(1)),
+        Fun(Id(TyVar(0)), Id(TyVar(1))),
+        Fun(Id(TyVar(1)), Id(TyVar(1))),
+        InjSeq(Id(Fun2T(TyVar(0), DYN)), Fun2T(DYN, DYN)),
+    }
+    return sorted(found, key=repr)
+
+
+@functools.cache
+def simulation_pairs() -> list:
+    """The (target state, expected state) pairs ``simulationCheck`` compares."""
+    seen = []
+
+    def recording(a, b):
+        seen.append((a, b))
+        return ref_alpha_eq(a, b)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(surface, "alpha_eq", recording)
+    try:
+        for s, (p, _) in enumerate(programs()[:SIMULATED]):
+            assert harness.simulationCheck(p, seed=s).kind == "agree"
+    finally:
+        mp.undo()
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# Variants of the simulation pairs
+
+
+def relabel(t, tyvars: dict[Type, int]):
+    """``t`` with each base type in its binder annotations replaced by a rigid variable."""
+
+    def ty(a):
+        if a in tyvars:
+            return TyVar(tyvars[a])
+        if a.__class__ in (FunT, Fun2T):
+            return a.__class__(ty(a.arg), ty(a.res))
+        if a.__class__ is CrcT:
+            return CrcT(ty(a.src), ty(a.tgt))
+        return a
+
+    changes = {k: relabel(getattr(t, k), tyvars) for k in t._kids}
+    if t.__class__ is X.Abs2:
+        changes.update(var_ty=ty(t.var_ty), k_src=ty(t.k_src))
+    return dataclasses.replace(t, **changes) if changes else t
+
+
+def mutant(t, rng: random.Random, crcs: list):
+    """``t`` with one node changed: a leaf, a name, an annotation, a coercion or a shape."""
+    nodes = []
+    stack = [((), t)]
+    while stack:
+        path, m = stack.pop()
+        nodes.append((path, m))
+        stack.extend((path + (i,), k) for i, k in enumerate(terms.children(m)))
+    path, m = rng.choice(nodes)
+    binders = sorted({n.var for _, n in nodes if hasattr(n, "var")} | {"zz"})
+    cls = m.__class__
+    if cls is X.Const:
+        v = m.val
+        new = X.Const(rng.choice([not v, int(v)]) if isinstance(v, bool) else rng.choice([v + 1, bool(v)]))
+    elif cls is X.Var:
+        new = X.Var(rng.choice(binders))
+    elif cls is X.Abs2:
+        new = rng.choice(
+            [
+                dataclasses.replace(m, var=m.kvar, kvar=m.var),
+                dataclasses.replace(m, var=rng.choice(binders)),
+                dataclasses.replace(m, var_ty=DYN if m.var_ty != DYN else INT),
+                dataclasses.replace(m, k_src=TyVar(0)),
+            ]
+        )
+    elif cls is X.Let:
+        new = dataclasses.replace(m, var=rng.choice(binders))
+    elif cls in (X.CrcLit, X.CoercedVal):
+        new = dataclasses.replace(m, crc=rng.choice(crcs))
+    elif cls is X.Op:
+        new = dataclasses.replace(m, op="-" if m.op != "-" else "+")
+    elif cls is X.GlobalRef:
+        new = X.GlobalRef(m.name + "k")
+    elif cls is X.Blame:
+        new = X.Blame(m.label + "q")
+    else:
+        kids = terms.children(m)
+        new = kids[-1] if rng.random() < 0.5 else dataclasses.replace(m, **{m._kids[0]: kids[-1]})
+    return terms.replace(t, path, new)
+
+
+# ---------------------------------------------------------------------------
+# The tests
+
+
+def test_matches_and_merge_types_agree_on_every_pair_of_derivation_types():
+    tys = derivation_types()
+    for a in tys:
+        for b in tys:
+            assert types.matches(a, b) == ref_matches(a, b), (a, b)
+            assert types.merge_types(a, b) == ref_merge_types(a, b), (a, b)
+
+
+def test_matches_and_merge_types_agree_on_what_the_typecheckers_ask():
+    for a, b in asked_pairs():
+        assert types.matches(a, b) == ref_matches(a, b), (a, b)
+        assert types.matches(b, a) == ref_matches(b, a), (a, b)
+        assert types.merge_types(a, b) == ref_merge_types(a, b), (a, b)
+        assert types.merge_types(b, a) == ref_merge_types(b, a), (a, b)
+
+
+def test_type_equality_keeps_the_same_rigid_variable_bijection():
+    tys = derivation_types()
+    ours: dict[int, int] = {}
+    theirs: dict[int, int] = {}
+    for a in tys:
+        for b in tys:
+            fresh_ours: dict[int, int] = {}
+            fresh_theirs: dict[int, int] = {}
+            assert surface._ty_eq(a, b, fresh_ours) == ref_ty_eq(a, b, fresh_theirs), (a, b)
+            assert fresh_ours == fresh_theirs, (a, b)
+            # one map shared by a run of comparisons, as within one term
+            assert surface._ty_eq(a, b, ours) == ref_ty_eq(a, b, theirs), (a, b)
+            assert ours == theirs
+
+
+def test_coercion_equality_agrees_on_every_pair_of_corpus_coercions():
+    crcs = corpus_coercions()
+    for c in crcs:
+        for d in crcs:
+            ours: dict[int, int] = {}
+            theirs: dict[int, int] = {}
+            assert surface._crc_eq(c, d, ours) == ref_crc_eq(c, d, theirs), (c, d)
+            assert ours == theirs, (c, d)
+
+
+def test_alpha_eq_agrees_on_the_simulation_pairs():
+    pairs = simulation_pairs()
+    got = [surface.alpha_eq(a, b) for a, b in pairs]
+    assert got == [ref_alpha_eq(a, b) for a, b in pairs]
+    assert set(got) == {True, False}
+
+
+def test_alpha_eq_agrees_on_simulation_pairs_with_rigid_variables():
+    # every eighth pair, with Int, Bool and Dyn in its binder annotations
+    # turned into rigid variables: renamed one to one, merged, or swapped
+    outcomes = set()
+    for a, b in simulation_pairs()[::8]:
+        a2 = relabel(a, {INT: 0, BOOL: 1, DYN: 2})
+        for right in ({INT: 7, BOOL: 3, DYN: 5}, {INT: 4, BOOL: 4, DYN: 5}, {INT: 1, BOOL: 0}):
+            b2 = relabel(b, right)
+            want = ref_alpha_eq(a2, b2)
+            assert surface.alpha_eq(a2, b2) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_alpha_eq_agrees_on_mutated_simulation_pairs():
+    rng = random.Random(0)
+    crcs = [c for c in corpus_coercions() if "'X" not in repr(c)]
+    pairs = simulation_pairs()
+    negatives = 0
+    for a, b in pairs:
+        b2 = mutant(b, rng, crcs)
+        want = ref_alpha_eq(a, b2)
+        assert surface.alpha_eq(a, b2) == want
+        assert surface.alpha_eq(b2, a) == ref_alpha_eq(b2, a)
+        negatives += not want
+    assert negatives > len(pairs) // 2

@@ -232,3 +232,66 @@ class TestAlphaEquivalence:
         p3 = parse_program("letrec f (x:Int) : Int = x in f 2", "lams")
         assert alpha_eq_program(p1, p2)
         assert not alpha_eq_program(p1, p3)
+
+    def test_a_consistent_type_variable_renaming_is_accepted(self):
+        a = parse_term("\\ (x:'X0, k:'X1). \\ (y:'X1, j:'X0). x<k>", "lamsx")
+        b = parse_term("\\ (x:'X5, k:'X7). \\ (y:'X7, j:'X5). x<k>", "lamsx")
+        assert alpha_eq(a, b)
+        assert alpha_eq(b, a)
+
+    def test_two_type_variables_never_stand_for_one(self):
+        distinct = parse_term("\\ (x:'X0, k:'X1). x<k>", "lamsx")
+        same = parse_term("\\ (x:'X2, k:'X2). x<k>", "lamsx")
+        assert not alpha_eq(distinct, same)
+        assert not alpha_eq(same, distinct)
+        # the correspondence holds across the whole term, not per binder
+        one = parse_term("\\ (x:'X0, k:Int). \\ (y:'X0, j:Int). x<k>", "lamsx")
+        two = parse_term("\\ (x:'X0, k:Int). \\ (y:'X1, j:Int). x<k>", "lamsx")
+        assert not alpha_eq(one, two)
+        assert not alpha_eq(two, one)
+
+    @pytest.mark.parametrize(
+        "dialect, shape",
+        [("lams", "\\{}:Int. \\{}:Int. {}"), ("lamsx", "\\ ({}:Int, k:Int). \\ ({}:Int, j:Int). {}")],
+    )
+    def test_shadowing_binds_the_innermost_name(self, dialect, shape):
+        def t(outer, inner, body):
+            return parse_term(shape.format(outer, inner, body), dialect)
+
+        assert not alpha_eq(t("x", "x", "x"), t("x", "y", "x"))
+        assert not alpha_eq(t("x", "y", "x"), t("x", "x", "x"))
+        assert alpha_eq(t("x", "y", "x"), t("a", "b", "a"))
+        assert alpha_eq(t("x", "x", "x"), t("a", "b", "b"))
+
+    def test_let_binds_its_name_in_the_body_only(self):
+        def t(text):
+            return parse_term(text, "lamsx")
+
+        assert alpha_eq(t("let a = 1 in let b = 2 in a"), t("let c = 1 in let d = 2 in c"))
+        assert not alpha_eq(t("let a = 1 in let b = 2 in a"), t("let c = 1 in let d = 2 in d"))
+        assert not alpha_eq(t("let a = 1 in a"), t("let b = 1 in a"))
+        # the bound term is outside the binder's scope
+        assert alpha_eq(t("\\ (x:Int, k:Int). let y = x in y"), t("\\ (z:Int, k:Int). let x = z in x"))
+        assert not alpha_eq(
+            t("\\ (x:Int, k:Int). let x = x in x"), t("\\ (z:Int, k:Int). let x = x in z")
+        )
+
+    def test_deep_terms_compare_without_recursion(self):
+        depth = 10**4
+
+        def op_chain(innermost):
+            t = S.Const(innermost)
+            for _ in range(depth):
+                t = S.Op("+", t, S.Const(1))
+            return t
+
+        def let_chain(name, innermost):
+            t = X.Var(f"{name}{innermost}")
+            for i in reversed(range(depth)):
+                t = X.Let(f"{name}{i}", X.Const(i), t)
+            return t
+
+        assert alpha_eq(op_chain(1), op_chain(1))
+        assert not alpha_eq(op_chain(1), op_chain(2))
+        assert alpha_eq(let_chain("x", 0), let_chain("y", 0))
+        assert not alpha_eq(let_chain("x", 0), let_chain("y", 1))

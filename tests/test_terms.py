@@ -55,6 +55,7 @@ def corpus_states(mod, programs=25, states=20):
 def test_kids_are_the_fields_annotated_as_terms(mod, term_type):
     for cls in typing.get_args(term_type):
         assert cls._kids == term_fields(cls, term_type), cls
+        assert cls._kids_rev == cls._kids[::-1], cls
 
 
 def test_only_the_binders_declare_bound_names():

@@ -29,10 +29,6 @@ class GenConfig:
     seed: int = 0
     maxDepth: int = 6
     targetType: Optional[Type] = None
-    coercionDensity: float = 0.3
-    opWeight: float = 1.0
-    appWeight: float = 0.6
-    absWeight: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -134,6 +130,11 @@ def even_odd_target(n: int) -> X.ProgramX:
 
 _LABELS = ("p", "q", "r")
 _ARGPOOL = (INT, BOOL, DYN)
+# Weights of the generator's productions, next to a leaf's 1.0.
+_COERCION_DENSITY = 0.3
+_OP_WEIGHT = 1.0
+_APP_WEIGHT = 0.6
+_ABS_WEIGHT = 0.5
 
 
 def _leaf(rng: random.Random, ty: Type) -> S.TermS:
@@ -179,15 +180,15 @@ class _Gen:
         if vs:
             weighted.append((1.2, "var"))
         if isinstance(ty, Base):
-            weighted.append((self.cfg.opWeight, "op"))
+            weighted.append((_OP_WEIGHT, "op"))
         weighted.append((0.4, "if"))
-        weighted.append((self.cfg.appWeight, "app"))
+        weighted.append((_APP_WEIGHT, "app"))
         if isinstance(ty, FunT):
-            weighted.append((2.0 + self.cfg.absWeight, "abs"))
+            weighted.append((2.0 + _ABS_WEIGHT, "abs"))
             if ty.arg in _ARGPOOL and ty.res in _ARGPOOL:
-                weighted.append((self.cfg.coercionDensity, "funcrc"))
+                weighted.append((_COERCION_DENSITY, "funcrc"))
         else:
-            weighted.append((self.cfg.coercionDensity * 2.0, "crc"))
+            weighted.append((_COERCION_DENSITY * 2.0, "crc"))
         calls = [f for f, ft in self.defs.items() if ft.res == ty]
         if calls:
             weighted.append((1.5, "call"))
@@ -316,11 +317,10 @@ def _outcome_str(out, dialect: str) -> str:
 
 
 _FUELISH = ("out_of_fuel", "diverges")
+_INNER_CAP = 8  # target steps allowed to simulate one source step
 
 
-def differentialRun(
-    p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None, detect_cycles: bool = True
-) -> Verdict:
+def differentialRun(p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None) -> Verdict:
     """Run a program in both calculi and compare the observable outcomes.
 
     The target side gets ten times the fuel since its small steps are
@@ -328,9 +328,9 @@ def differentialRun(
     a detected state cycle counts as exhaustion since no fuel would do.
     """
     witness = surface.print_program(p)
-    src = S.evaluate_program(p, fuel, detect_cycles=detect_cycles)
+    src = S.evaluate_program(p, fuel, detect_cycles=True)
     px = translate.trans_program(p)
-    tgt = X.evaluate_program(px, fuel * 10, detect_cycles=detect_cycles)
+    tgt = X.evaluate_program(px, fuel * 10, detect_cycles=True)
     s_str = _outcome_str(src, "lams")
     t_str = _outcome_str(tgt, "lamsx")
 
@@ -347,9 +347,7 @@ def differentialRun(
 # Simulation checking
 
 
-def simulationCheck(
-    p: S.ProgramS, max_steps: int = 250, inner_cap: int = 8, seed: Optional[int] = None
-) -> Verdict:
+def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = None) -> Verdict:
     """Check the step-for-step simulation of a source run by its translation.
 
     Each source e-step must be matched by at most one target e-step plus
@@ -374,7 +372,7 @@ def simulationCheck(
         e_budget = 1 if r.kind == "e" else 0
         matched = r.kind == "e" and surface.alpha_eq(t, expected)
         used = 0
-        while not matched and used < inner_cap:
+        while not matched and used < _INNER_CAP:
             rx = X.step(t, xdefs)
             if isinstance(rx, (IsValue, IsBlame)):
                 break
@@ -389,7 +387,7 @@ def simulationCheck(
         if not matched:
             detail = (
                 f"source step {i + 1} ({r.kind} {r.rule}) not simulated within "
-                f"{inner_cap} target steps"
+                f"{_INNER_CAP} target steps"
             )
             return Verdict(
                 "invariant-violation",
@@ -425,90 +423,65 @@ def invariantSuite(
             Verdict("invariant-violation", detail, state_str, "", witness, seed)
         )
 
-    # source side
+    err = _check_run(S, "lams", FunT, (S.CrcApp, S.CoercedVal), p, max_states, bad)
+    if err is not None:
+        bad(f"source does not typecheck: {err}", "")
+        return violations
+    px = translate.trans_program(p)
+    err = _check_run(X, "lamsx", Fun2T, (X.CrcLit, X.CoercedVal), px, max_states, bad)
+    if err is not None:
+        bad(f"translation does not typecheck: {err}", "")
+    return violations
+
+
+def _check_run(
+    mod, dialect: str, fun_t: type, carriers: tuple, p, max_states: int, bad
+) -> Optional[str]:
+    """Check ``p``'s run in one calculus, whose function type is ``fun_t``
+    and whose ``carriers`` hold a coercion in ``crc``; each violation goes
+    to ``bad``.  Returns the type error if ``p`` does not typecheck."""
+    side = "" if dialect == "lams" else "target "
     sigs = p.def_types()
-    sdefs = p.def_terms()
+    defs = p.def_terms()
     try:
-        ty0 = S.typecheck_program(p).ty
-    except S.TypeCheckError as e:
-        return [Verdict("invariant-violation", f"source does not typecheck: {e}", "", "", witness, seed)]
+        ty0 = mod.typecheck_program(p).ty
+    except mod.TypeCheckError as e:
+        return str(e)
+
+    def report(detail: str) -> None:
+        bad(detail, surface.print_term(state, dialect))
+
     state = p.main
-    prev_metric = S.metric_f(state)
+    # the metric bounds the composition steps of the source calculus only
+    check_metric = dialect == "lams"
+    prev_metric = mod.metric_f(state) if check_metric else None
     for _ in range(max_states):
-        oracle = S.decompose_oracle(state, sdefs)
-        r = S.step(state, sdefs)
+        oracle = mod.decompose_oracle(state, defs)
+        r = mod.step(state, defs)
         if isinstance(r, (IsValue, IsBlame)):
             if oracle:
-                bad("oracle found a redex in a terminal state", surface.print_term(state, "lams"))
+                report(f"oracle found a redex in a terminal {side}state")
             break
         if len(oracle) != 1:
-            bad(f"oracle found {len(oracle)} redexes, want exactly 1", surface.print_term(state, "lams"))
+            report(f"{side}oracle found {len(oracle)} redexes, want exactly 1")
         elif oracle[0].rule != r.rule or oracle[0].term != r.term or oracle[0].kind != r.kind:
-            bad(
-                f"oracle chose {oracle[0].rule}, stepper chose {r.rule}",
-                surface.print_term(state, "lams"),
-            )
+            report(f"{side}oracle chose {oracle[0].rule}, stepper chose {r.rule}")
         state = r.term
         try:
-            S.typecheck(state, {}, sigs, ty0)
-        except S.TypeCheckError as e:
-            bad(f"preservation failed after {r.rule}: {e}", surface.print_term(state, "lams"))
+            mod.typecheck(state, {}, sigs, ty0)
+        except mod.TypeCheckError as e:
+            report(f"{side}preservation failed after {r.rule}: {e}")
             break
-        for c in [m.crc for m in walk(state) if m.__class__ in (S.CrcApp, S.CoercedVal)]:
-            if not is_canonical(c, FunT):
-                bad(
-                    f"non-canonical coercion {surface.print_coercion(c)} after {r.rule}",
-                    surface.print_term(state, "lams"),
-                )
-        m = S.metric_f(state)
-        if r.kind == "c" and not m < prev_metric:
-            bad(
-                f"metric did not decrease on c-step {r.rule}: {prev_metric} -> {m}",
-                surface.print_term(state, "lams"),
-            )
-        prev_metric = m
-
-    # target side
-    px = translate.trans_program(p)
-    xsigs = px.def_types()
-    xdefs = px.def_terms()
-    try:
-        xty0 = X.typecheck_program(px).ty
-    except X.TypeCheckError as e:
-        return violations + [
-            Verdict("invariant-violation", f"translation does not typecheck: {e}", "", "", witness, seed)
-        ]
-    xstate = px.main
-    for _ in range(max_states):
-        oracle = X.decompose_oracle(xstate, xdefs)
-        r = X.step(xstate, xdefs)
-        if isinstance(r, (IsValue, IsBlame)):
-            if oracle:
-                bad("oracle found a redex in a terminal target state", surface.print_term(xstate, "lamsx"))
-            break
-        if len(oracle) != 1:
-            bad(
-                f"target oracle found {len(oracle)} redexes, want exactly 1",
-                surface.print_term(xstate, "lamsx"),
-            )
-        elif oracle[0].rule != r.rule or oracle[0].term != r.term or oracle[0].kind != r.kind:
-            bad(
-                f"target oracle chose {oracle[0].rule}, stepper chose {r.rule}",
-                surface.print_term(xstate, "lamsx"),
-            )
-        xstate = r.term
-        try:
-            X.typecheck(xstate, {}, xsigs, xty0)
-        except X.TypeCheckError as e:
-            bad(f"target preservation failed after {r.rule}: {e}", surface.print_term(xstate, "lamsx"))
-            break
-        for c in [m.crc for m in walk(xstate) if m.__class__ in (X.CrcLit, X.CoercedVal)]:
-            if not is_canonical(c, Fun2T):
-                bad(
-                    f"non-canonical target coercion {surface.print_coercion(c, 'lamsx')} after {r.rule}",
-                    surface.print_term(xstate, "lamsx"),
-                )
-    return violations
+        for c in [m.crc for m in walk(state) if m.__class__ in carriers]:
+            if not is_canonical(c, fun_t):
+                crc = surface.print_coercion(c, dialect)
+                report(f"non-canonical {side}coercion {crc} after {r.rule}")
+        if check_metric:
+            m = mod.metric_f(state)
+            if r.kind == "c" and not m < prev_metric:
+                report(f"metric did not decrease on c-step {r.rule}: {prev_metric} -> {m}")
+            prev_metric = m
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ evaluation steps (kind "e") may look past them.  The two-sort context
 grammar says that a composition step may not fire directly under a pending
 coercion frame, and that coercion frames never nest.  The stepper needs no
 flag for it: a coercion applied to a pending coercion merges before the
-search could descend under it.
+search could descend under it.  The decomposition oracle states the grammar:
+``_frame_ok`` answers each frame's sort, "plain" or "crc", and the shared
+search ``terms.decompose`` applies the two rules.
 """
 
 from __future__ import annotations
@@ -480,7 +482,7 @@ def evaluate_program(
 
 
 def _frame_ok(t: TermS, i: int) -> Optional[str]:
-    """Frame class if descending into child ``i`` is an evaluation frame."""
+    """The sort of the frame whose hole is child ``i``: "plain", "crc" or None."""
     match t:
         case Op(_, l, _):
             if i == 0:
@@ -496,23 +498,6 @@ def _frame_ok(t: TermS, i: int) -> Optional[str]:
             return "crc" if i == 0 else None
         case _:
             return None
-
-
-def _context_sort(t: TermS, path: tuple[int, ...]) -> Optional[str]:
-    """"F" or "E" if the path is a legal context of that sort, else None.
-
-    Coercion frames may not nest directly; a context qualifies as the
-    restricted sort "F" when its innermost frame is not a coercion frame.
-    """
-    prev = None
-    node = t
-    for i in path:
-        cls = _frame_ok(node, i)
-        if cls is None or (cls == "crc" and prev == "crc"):
-            return None
-        prev = cls
-        node = terms.children(node)[i]
-    return "E" if prev == "crc" else "F"
 
 
 def _local_redexes(t: TermS, defs) -> Iterator[tuple[str, str, TermS]]:
@@ -546,31 +531,8 @@ def _local_redexes(t: TermS, defs) -> Iterator[tuple[str, str, TermS]]:
 def decompose_oracle(
     term: TermS, defs: Optional[Mapping[str, TermS]] = None
 ) -> list[terms.Decomposition]:
-    """Every (context, redex) split licensed by the context grammar.
-
-    On closed well-typed non-value terms exactly one decomposition exists;
-    zero or several signal an interpreter or typing bug.
-    """
-    defs = dict(defs) if defs else {}
-    out: list[terms.Decomposition] = []
-
-    def walk(path: tuple[int, ...]) -> None:
-        sub = terms.subterm(term, path)
-        sort = _context_sort(term, path)
-        if sort is None:
-            return
-        if isinstance(sub, Blame) and path:
-            out.append(terms.Decomposition(path, "E-Abort", "e", sub))
-        for rule, kind, red in _local_redexes(sub, defs):
-            if kind == "c" and sort != "F":
-                continue
-            out.append(terms.Decomposition(path, rule, kind, terms.replace(term, path, red)))
-        for i in range(len(sub._kids)):
-            if _frame_ok(sub, i) is not None:
-                walk(path + (i,))
-
-    walk(())
-    return out
+    """Every (context, redex) split licensed by the two-sort context grammar."""
+    return terms.decompose(term, defs, _frame_ok, _local_redexes, Blame)
 
 
 # ---------------------------------------------------------------------------

@@ -567,24 +567,23 @@ def evaluate_program(
 # Decomposition oracle
 
 
-def _frame_ok(t: TermX, i: int) -> bool:
+def _frame_ok(t: TermX, i: int) -> Optional[str]:
+    """"plain" if child ``i`` is the hole of an evaluation frame, else None.
+
+    Coercion passing leaves no pending coercion frame: no frame is "crc".
+    """
     match t:
         case Op(_, l, _) | Compose(l, _):
-            return i == 0 or is_value(l)
+            ok = i == 0 or is_value(l)
         case App2(f, a, _):
-            if i == 0:
-                return True
-            if i == 1:
-                return is_value(f)
-            return is_value(f) and is_value(a)
-        case Let(_, _, _):
-            return i == 0
+            ok = i == 0 or (is_value(f) and (i == 1 or is_value(a)))
+        case Let(_, _, _) | If(_, _, _):
+            ok = i == 0
         case CrcApp(m, _):
-            return i == 0 or is_value(m)
-        case If(_, _, _):
-            return i == 0
+            ok = i == 0 or is_value(m)
         case _:
-            return False
+            ok = False
+    return "plain" if ok else None
 
 
 def _local_redexes(t: TermX, defs) -> Iterator[tuple[str, str, TermX]]:
@@ -625,21 +624,8 @@ def _local_redexes(t: TermX, defs) -> Iterator[tuple[str, str, TermX]]:
 def decompose_oracle(
     term: TermX, defs: Optional[Mapping[str, TermX]] = None
 ) -> list[terms.Decomposition]:
-    defs = dict(defs) if defs else {}
-    out: list[terms.Decomposition] = []
-
-    def visit(path: tuple[int, ...]) -> None:
-        sub = terms.subterm(term, path)
-        if isinstance(sub, Blame) and path:
-            out.append(terms.Decomposition(path, "E-Abort", "e", sub))
-        for rule, kind, red in _local_redexes(sub, defs):
-            out.append(terms.Decomposition(path, rule, kind, terms.replace(term, path, red)))
-        for i in range(len(sub._kids)):
-            if _frame_ok(sub, i):
-                visit(path + (i,))
-
-    visit(())
-    return out
+    """Every (context, redex) split licensed by the call-by-value contexts."""
+    return terms.decompose(term, defs, _frame_ok, _local_redexes, Blame)
 
 
 # ---------------------------------------------------------------------------

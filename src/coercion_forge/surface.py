@@ -686,7 +686,7 @@ def _app_rooted(t) -> bool:
             return False
 
 
-def print_term(t: TermAny, dialect: Optional[str] = None, sugar: bool = True) -> str:
+def print_term(t: TermAny, dialect: Optional[str] = None) -> str:
     if dialect is None:
         dialect = "lamsx" if _is_x_term(t) else "lams"
 
@@ -731,7 +731,7 @@ def print_term(t: TermAny, dialect: Optional[str] = None, sugar: bool = True) ->
                 s = f"{go(l, _COMPOSE)} ;; {go(r, _CMP)}"
                 return wrap(s, _COMPOSE, limit)
             case S.CrcApp(sub, c):
-                s = f"{go(sub, _APP)}<{print_coercion(c, dialect, sugar)}>"
+                s = f"{go(sub, _APP)}<{print_coercion(c, dialect)}>"
                 return wrap(s, _SUFFIX if not isinstance(sub, S.App) else _APP, limit)
             case X.CrcApp(sub, c):
                 # comparisons inside the angle brackets would swallow the
@@ -739,10 +739,10 @@ def print_term(t: TermAny, dialect: Optional[str] = None, sugar: bool = True) ->
                 s = f"{go(sub, _APP)}<{go(c, _COMPOSE if not _has_cmp_root(c) else _ADD)}>"
                 return wrap(s, _SUFFIX if not isinstance(sub, X.App2) else _APP, limit)
             case S.CoercedVal(sub, c) | X.CoercedVal(sub, c):
-                s = f"{go(sub, _SUFFIX)}<<{print_coercion(c, dialect, sugar)}>>"
+                s = f"{go(sub, _SUFFIX)}<<{print_coercion(c, dialect)}>>"
                 return wrap(s, _SUFFIX, limit)
             case X.CrcLit(c):
-                s = print_coercion(c, dialect, sugar)
+                s = print_coercion(c, dialect)
                 # sequences and arrows contain spaces; keep them atomic
                 return wrap(s, _ATOM if " " not in s else _SUFFIX, limit)
             case S.If(c, a, b) | X.If(c, a, b):
@@ -757,10 +757,10 @@ def _is_x_term(t) -> bool:
     return t.__class__.__module__.endswith("lam_sx")
 
 
-def print_program(p, sugar: bool = True) -> str:
+def print_program(p) -> str:
     dialect = "lams" if isinstance(p, S.ProgramS) else "lamsx"
     if not p.defs:
-        return print_term(p.main, dialect, sugar)
+        return print_term(p.main, dialect)
     parts = []
     for d in p.defs:
         f = d.fun
@@ -768,9 +768,9 @@ def print_program(p, sugar: bool = True) -> str:
             head = f"{d.name} ({f.var}:{print_type(d.ty.arg)}) : {print_type(d.ty.res)}"
         else:
             head = f"{d.name} ({f.var}:{print_type(d.ty.arg)}, {f.kvar}:{print_type(d.ty.res)})"
-        parts.append(f"{head} = {print_term(f.body, dialect, sugar)}")
+        parts.append(f"{head} = {print_term(f.body, dialect)}")
     joined = "\nand ".join(parts)
-    return f"letrec {joined}\nin {print_term(p.main, dialect, sugar)}"
+    return f"letrec {joined}\nin {print_term(p.main, dialect)}"
 
 
 def format_trace_line(n: int, kind: str, rule: str, term: TermAny, dialect: str) -> str:

@@ -63,11 +63,15 @@ def subterm(t, path: tuple[int, ...]):
 
 
 def replace(t, path: tuple[int, ...], new):
-    """``t`` with its subterm at ``path`` replaced by ``new``."""
-    if not path:
-        return new
-    k = t._kids[path[0]]
-    return dataclasses.replace(t, **{k: replace(getattr(t, k), path[1:], new)})
+    """``t`` with its subterm at ``path`` replaced by ``new``, built without recursion."""
+    spine = []
+    for i in path:
+        k = t._kids[i]
+        spine.append((t, k))
+        t = getattr(t, k)
+    for t, k in reversed(spine):
+        new = dataclasses.replace(t, **{k: new})
+    return new
 
 
 def walk(t) -> list:
@@ -111,10 +115,10 @@ def free_vars(t) -> frozenset[str]:
 
 
 def keep_last(fn):
-    """``fn`` keeping its last answer, keyed by the identity of the term.
+    """``fn`` keeping its last answer, keyed by the identity of its argument.
 
-    Terms are immutable and the kept term stays alive, so the key is sound:
-    no caller can tell the kept answer from a fresh call.
+    Terms and programs are immutable and the kept argument stays alive, so
+    the key is sound: no caller can tell the kept answer from a fresh call.
     """
     kept = [None, None]
 
@@ -172,6 +176,51 @@ class Decomposition:
     rule: str
     kind: str
     term: Any  # the full term after firing this redex
+
+
+def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes, blame) -> list:
+    """Every (context, redex) split of ``term`` that the context grammar licenses.
+
+    ``frame_sort(node, i)`` answers the sort of the frame whose hole is
+    child ``i``: "plain", "crc" for a pending coercion, or None.
+    ``local_redexes(node, defs)`` yields (rule, kind, contractum) for each
+    rule firing at ``node``.  The grammar's own rules: no coercion frame
+    directly inside another, no ``c`` step directly under one, and a
+    ``blame`` node in a non-empty context aborts it (E-Abort).
+
+    On closed well-typed non-values exactly one split exists; zero or
+    several signal a bug.  The search keeps (node, path, innermost frame's
+    sort) on a stack and visits in pre-order, so it reaches any depth.
+    """
+    defs = dict(defs) if defs else {}
+    out: list[Decomposition] = []
+    # a path is a linked list (child index, parent's link), innermost first
+    stack = [(term, None, None)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        sub, link, sort = pop()
+        if link is not None and sub.__class__ is blame:
+            out.append(Decomposition(_spell(link), "E-Abort", "e", sub))
+        for rule, kind, red in local_redexes(sub, defs):
+            if kind == "c" and sort == "crc":
+                continue
+            path = _spell(link)
+            out.append(Decomposition(path, rule, kind, replace(term, path, red)))
+        kids = sub._kids
+        for i in range(len(kids) - 1, -1, -1):
+            inner = frame_sort(sub, i)
+            if inner is not None and (inner != "crc" or sort != "crc"):
+                push((getattr(sub, kids[i]), (i, link), inner))
+    return out
+
+
+def _spell(link) -> tuple[int, ...]:
+    path = []
+    while link is not None:
+        i, link = link
+        path.append(i)
+    return tuple(reversed(path))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_iden
 from .types import Dyn, FunT, Fun2T, Type
 from . import lam_s as S
 from . import lam_sx as X
-from .terms import Typed, walk
+from .terms import Typed, keep_last, walk
 
 
 def psi_type(a: Type) -> Type:
@@ -144,20 +144,20 @@ def _make_translator(
     return Translator(_NameSupply(set(avoid)), rename or {}, optimize_op)
 
 
-def trans_term(
-    typed: Typed,
-    cont: Optional[X.TermX] = None,
-    optimize_op: bool = False,
-) -> X.TermX:
+def trans_term(typed: Typed, cont: Optional[X.TermX] = None) -> X.TermX:
     """Translate one typed term; with no continuation, the top level stays bare."""
-    tr = _make_translator(_all_names(typed.term), optimize_op=optimize_op)
+    tr = _make_translator(_all_names(typed.term))
     if cont is None:
         return tr.c(typed)
     return tr.k(typed, cont)
 
 
+@keep_last
 def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
-    """Continuation-style names for the definitions, plus every name in use."""
+    """Continuation-style names for the definitions, plus every name in use.
+
+    The answer is kept for the next call; no caller changes the dict or set.
+    """
     avoid = _all_names(p.main) | set(p.def_types())
     for d in p.defs:
         avoid |= _all_names(d.fun)

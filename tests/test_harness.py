@@ -1,9 +1,13 @@
 """Tests for the verification harness: generation, differential runs,
 simulation and invariant checks, and the space benchmark."""
 
+import dataclasses
+
 import pytest
 
+from coercion_forge import harness
 from coercion_forge import lam_s as S
+from coercion_forge import lam_sx as X
 from coercion_forge import surface, translate
 from coercion_forge.harness import (
     GenConfig,
@@ -17,7 +21,7 @@ from coercion_forge.harness import (
     simulationCheck,
     spaceBench,
 )
-from coercion_forge.types import BOOL, Fun2T, INT
+from coercion_forge.types import BOOL, Fun2T, FunT, INT
 
 
 class TestGeneration:
@@ -127,6 +131,134 @@ class TestSimulationAndInvariants:
         p = surface.parse_program(
             "(if 5<Int!><Bool?^p> then 1 else 2) + 3", "lams")
         assert invariantSuite(p) == []
+
+
+# One program whose runs take e- and c-steps on both sides: the source
+# merges, adds and drops an identity; the target also composes and binds.
+_PLANT = "(1 + 2)<Int!><Int?^p>"
+_SIDES = {"lams": (S, FunT), "lamsx": (X, Fun2T)}
+
+
+def _violations(p=None):
+    p = p if p is not None else surface.parse_program(_PLANT, "lams")
+    return [(v.detail, v.source) for v in invariantSuite(p)]
+
+
+class TestInvariantMessages:
+    """Each check of ``invariantSuite`` reports its own message, pinned here
+    by planting one fault per message on each side."""
+
+    EXPECTED = {
+        ("empty oracle", "lams"): [
+            ("oracle found 0 redexes, want exactly 1", "(1 + 2)<Int!><Int?^p>"),
+            ("oracle found 0 redexes, want exactly 1", "(1 + 2)<id{Int}>"),
+            ("oracle found 0 redexes, want exactly 1", "3<id{Int}>"),
+        ],
+        ("empty oracle", "lamsx"): [
+            ("target oracle found 0 redexes, want exactly 1",
+             "let k0 = Int! ;; Int?^p in (1 + 2)<k0>"),
+            ("target oracle found 0 redexes, want exactly 1",
+             "let k0 = id{Int} in (1 + 2)<k0>"),
+            ("target oracle found 0 redexes, want exactly 1", "(1 + 2)<id{Int}>"),
+            ("target oracle found 0 redexes, want exactly 1", "3<id{Int}>"),
+        ],
+        ("wrong rule", "lams"): [
+            ("oracle chose R-Bogus, stepper chose R-MergeC", "(1 + 2)<Int!><Int?^p>"),
+            ("oracle chose R-Bogus, stepper chose R-Op", "(1 + 2)<id{Int}>"),
+            ("oracle chose R-Bogus, stepper chose R-Id", "3<id{Int}>"),
+        ],
+        ("wrong rule", "lamsx"): [
+            ("target oracle chose R-Bogus, stepper chose R-Cmp",
+             "let k0 = Int! ;; Int?^p in (1 + 2)<k0>"),
+            ("target oracle chose R-Bogus, stepper chose R-Let",
+             "let k0 = id{Int} in (1 + 2)<k0>"),
+            ("target oracle chose R-Bogus, stepper chose R-Op", "(1 + 2)<id{Int}>"),
+            ("target oracle chose R-Bogus, stepper chose R-Id", "3<id{Int}>"),
+        ],
+        ("stale oracle", "lams"): [
+            ("oracle chose R-MergeC, stepper chose R-Op", "(1 + 2)<id{Int}>"),
+            ("oracle chose R-MergeC, stepper chose R-Id", "3<id{Int}>"),
+            ("oracle found a redex in a terminal state", "3"),
+        ],
+        ("stale oracle", "lamsx"): [
+            ("target oracle chose R-Cmp, stepper chose R-Let",
+             "let k0 = id{Int} in (1 + 2)<k0>"),
+            ("target oracle chose R-Cmp, stepper chose R-Op", "(1 + 2)<id{Int}>"),
+            ("target oracle chose R-Cmp, stepper chose R-Id", "3<id{Int}>"),
+            ("oracle found a redex in a terminal target state", "3"),
+        ],
+        ("flat metric", "lams"): [
+            ("metric did not decrease on c-step R-MergeC: 7 -> 7", "(1 + 2)<id{Int}>"),
+            ("metric did not decrease on c-step R-Id: 7 -> 7", "3"),
+        ],
+        # the metric bounds the source calculus's composition steps only
+        ("flat metric", "lamsx"): [],
+        ("wrong delta", "lams"): [
+            ("preservation failed after R-Op: expected Int, found Bool", "true<id{Int}>"),
+        ],
+        ("wrong delta", "lamsx"): [
+            ("target preservation failed after R-Op: "
+             "expected (Bool ~> any), found (Int ~> Int)", "true<id{Int}>"),
+        ],
+        ("no canonical form", "lams"): [
+            ("non-canonical coercion id{Int} after R-MergeC", "(1 + 2)<id{Int}>"),
+            ("non-canonical coercion id{Int} after R-Op", "3<id{Int}>"),
+        ],
+        ("no canonical form", "lamsx"): [
+            ("non-canonical target coercion id{Int} after R-Cmp",
+             "let k0 = id{Int} in (1 + 2)<k0>"),
+            ("non-canonical target coercion id{Int} after R-Let", "(1 + 2)<id{Int}>"),
+            ("non-canonical target coercion id{Int} after R-Op", "3<id{Int}>"),
+        ],
+    }
+
+    @pytest.mark.parametrize("fault, dialect", list(EXPECTED))
+    def test_a_planted_fault_gives_its_message(self, monkeypatch, fault, dialect):
+        mod, fun_t = _SIDES[dialect]
+        oracle = mod.decompose_oracle
+        if fault == "empty oracle":
+            monkeypatch.setattr(mod, "decompose_oracle", lambda t, defs=None: [])
+        elif fault == "wrong rule":
+            monkeypatch.setattr(mod, "decompose_oracle", lambda t, defs=None: [
+                dataclasses.replace(d, rule="R-Bogus") for d in oracle(t, defs)])
+        elif fault == "stale oracle":
+            first = []
+
+            def stale(t, defs=None):
+                # answers the decomposition of the first state, at every state
+                if not first:
+                    first.append(oracle(t, defs))
+                return first[0]
+
+            monkeypatch.setattr(mod, "decompose_oracle", stale)
+        elif fault == "flat metric":
+            monkeypatch.setattr(mod, "metric_f", lambda t: 7)
+        elif fault == "wrong delta":
+            monkeypatch.setattr(mod, "delta", lambda op, a, b: True)
+        else:
+            monkeypatch.setattr(harness, "is_canonical", lambda c, f: f is not fun_t)
+        assert _violations() == self.EXPECTED[fault, dialect]
+
+    def test_an_ill_typed_source_stops_before_translating(self, monkeypatch):
+        def no_translation(p):
+            raise AssertionError("translated an ill-typed source")
+
+        monkeypatch.setattr(translate, "trans_program", no_translation)
+        p = S.ProgramS((), S.Op("+", S.Const(1), S.Const(True)))
+        (v,) = invariantSuite(p, seed=5)
+        assert v.to_json() == (
+            '{"kind": "invariant-violation", "detail": "source does not typecheck:'
+            ' expected Int, found Bool", "seed": 5, "witness": "1 + true"}')
+
+    def test_an_ill_typed_translation_follows_the_source_reports(self, monkeypatch):
+        bad = X.ProgramX((), X.Op("+", X.Const(1), X.Const(True)))
+        monkeypatch.setattr(translate, "trans_program", lambda p: bad)
+        monkeypatch.setattr(S, "metric_f", lambda t: 7)
+        assert _violations() == [
+            ("metric did not decrease on c-step R-MergeC: 7 -> 7", "(1 + 2)<id{Int}>"),
+            ("metric did not decrease on c-step R-Id: 7 -> 7", "3"),
+            ("translation does not typecheck: expected Int, found Bool", ""),
+        ]
 
 
 class TestSpaceBench:

@@ -127,3 +127,37 @@ def test_the_driver_loop_calls_the_stepper_bound_at_call_time(mod, monkeypatch):
     assert out.kind == "value" and out.term == mod.Const(9)
     assert len(calls) == out.steps + 1
 
+
+
+DEEP = 10**4
+
+
+def left_sum(mod, innermost=1):
+    """``innermost + 1 + ... + 1`` with ``DEEP`` additions, nested to the left.
+
+    It is built from nodes: the parser still recurses once per level.
+    """
+    t = mod.Const(innermost)
+    for _ in range(DEEP):
+        t = mod.Op("+", t, mod.Const(1))
+    return t
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_oracle_reaches_a_redex_nested_ten_thousand_deep(mod):
+    t = left_sum(mod)
+    decs = mod.decompose_oracle(t)
+    assert len(decs) == 1
+    (d,) = decs
+    assert (d.rule, d.kind) == ("R-Op", "e")
+    assert d.path == (0,) * (DEEP - 1)
+    # dataclass equality would recurse down the rebuilt spine
+    assert surface.alpha_eq(d.term, mod.step(t).term)
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_replace_follows_a_path_ten_thousand_long(mod):
+    t = terms.replace(left_sum(mod), (0,) * DEEP, mod.Const(2))
+    assert surface.alpha_eq(t, left_sum(mod, 2))
+    assert terms.subterm(t, (0,) * DEEP) == mod.Const(2)
+    assert not surface.alpha_eq(t, left_sum(mod))

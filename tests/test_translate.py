@@ -122,7 +122,7 @@ class TestPrograms:
     def test_recursive_program_renames_definitions(self):
         src = open("samples/evenodd.lams").read()
         p = surface.parse_program(src, "lams")
-        got = surface.print_program(trans_program(p), "lamsx")
+        got = surface.print_program(trans_program(p))
         assert got == (
             "letrec evenk (x:Int, k0:Dyn) = if (x = 0)<id{Bool}>"
             " then let k1 = Bool! ;; k0 in true<k1>"

@@ -16,7 +16,7 @@ from . import lam_s as S
 from . import lam_sx as X
 from . import surface, translate
 from .coercions import Coercion, Fun, Id, IdStar, InjSeq, ProjSeq, is_canonical
-from .terms import IsBlame, IsValue, walk
+from .terms import CoercedVal, Const, IsBlame, IsValue, walk
 from .types import BOOL, DYN, INT, Base, Dyn, FunT, Fun2T, Type, is_source_type
 
 
@@ -295,11 +295,10 @@ def _observe(out, dialect: str):
         return ("blame", term.label)
     if out.kind == "out_of_fuel":
         return ("out_of_fuel",)
-    mod = S if dialect == "lams" else X
     # the value's Python type is kept, since 1 == True
-    if isinstance(term, mod.Const):
+    if isinstance(term, Const):
         return ("const", type(term.val), term.val)
-    if isinstance(term, mod.CoercedVal) and isinstance(term.subject, mod.Const):
+    if isinstance(term, CoercedVal) and isinstance(term.subject, Const):
         d = term.crc if dialect == "lamsx" else translate.psi_crc(term.crc)
         v = term.subject.val
         return ("const", type(v), v, surface.print_coercion(d, "lamsx"))
@@ -423,12 +422,12 @@ def invariantSuite(
             Verdict("invariant-violation", detail, state_str, "", witness, seed)
         )
 
-    err = _check_run(S, "lams", FunT, (S.CrcApp, S.CoercedVal), p, max_states, bad)
+    err = _check_run(S, "lams", FunT, (S.CrcApp, CoercedVal), p, max_states, bad)
     if err is not None:
         bad(f"source does not typecheck: {err}", "")
         return violations
     px = translate.trans_program(p)
-    err = _check_run(X, "lamsx", Fun2T, (X.CrcLit, X.CoercedVal), px, max_states, bad)
+    err = _check_run(X, "lamsx", Fun2T, (X.CrcLit, CoercedVal), px, max_states, bad)
     if err is not None:
         bad(f"translation does not typecheck: {err}", "")
     return violations

@@ -1,5 +1,9 @@
 """The space-efficient source calculus.
 
+The formers it shares with the target calculus live in ``terms`` and are
+re-exported here; this module declares only its own formers (``Abs``,
+``App`` and the meta-level coercion application ``CrcApp``) and its rules.
+
 Terms keep at most one pending coercion per value: stacked coercion
 applications merge eagerly (composition steps, kind "c") before ordinary
 evaluation steps (kind "e") may look past them.  The two-sort context
@@ -30,22 +34,9 @@ from .coercions import (
     is_delayed,
     size,
 )
-from .terms import Variable, const_eq, const_hash, free_vars, node
+from .terms import FALSE, TRUE, Blame, CoercedVal, Const, GlobalRef, If, Op, Var, free_vars, node
 from . import terms
 from .types import ANY, BOOL, INT, AnyT, FunT, Type, matches, merge_types
-
-
-@node
-class Const:
-    val: object  # int or bool
-
-    __eq__ = const_eq
-    __hash__ = const_hash
-
-
-@node
-class Var(Variable):
-    name: str
 
 
 @node
@@ -55,13 +46,6 @@ class Abs:
     var: str
     var_ty: Type
     body: TermS
-
-
-@node
-class Op:
-    op: str
-    left: TermS
-    right: TermS
 
 
 @node
@@ -76,35 +60,7 @@ class CrcApp:
     crc: Coercion
 
 
-@node
-class CoercedVal:
-    """A value carrying its single delayed coercion (injection or arrow)."""
-
-    subject: TermS
-    crc: Coercion
-
-
-@node
-class Blame:
-    label: str
-
-
-@node
-class If:
-    cond: TermS
-    then: TermS
-    els: TermS
-
-
-@node
-class GlobalRef:
-    name: str
-
-
 TermS = Union[Const, Var, Abs, Op, App, CrcApp, CoercedVal, Blame, If, GlobalRef]
-
-TRUE = Const(True)
-FALSE = Const(False)
 
 # op name -> (left type, right type, result type)
 OPS: dict[str, tuple[Type, Type, Type]] = {
@@ -532,7 +488,7 @@ def decompose_oracle(
     term: TermS, defs: Optional[Mapping[str, TermS]] = None
 ) -> list[terms.Decomposition]:
     """Every (context, redex) split licensed by the two-sort context grammar."""
-    return terms.decompose(term, defs, _frame_ok, _local_redexes, Blame)
+    return terms.decompose(term, defs, _frame_ok, _local_redexes)
 
 
 # ---------------------------------------------------------------------------

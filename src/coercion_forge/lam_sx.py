@@ -5,6 +5,11 @@ apply to the result; coercions are first-class terms, composed by an
 object-level operator.  Evaluation contexts are the ordinary left-to-right
 call-by-value ones, so unlike the source calculus no context restriction is
 needed: composition steps can fire anywhere.
+
+The formers it shares with the source calculus live in ``terms`` and are
+re-exported here; this module declares only what it adds (``Abs2``,
+``App2``, ``Let``, ``Compose``, the object-level ``CrcApp`` and ``CrcLit``)
+and its rules.
 """
 
 from __future__ import annotations
@@ -39,21 +44,8 @@ from .types import (
     occurs,
 )
 from .lam_s import OPS, TypeCheckError, _done, const_type, delta, fresh_name
-from .terms import Variable, const_eq, const_hash, free_vars, node
+from .terms import FALSE, TRUE, Blame, CoercedVal, Const, GlobalRef, If, Op, Var, free_vars, node
 from . import terms
-
-
-@node
-class Const:
-    val: object
-
-    __eq__ = const_eq
-    __hash__ = const_hash
-
-
-@node
-class Var(Variable):
-    name: str
 
 
 @node
@@ -67,13 +59,6 @@ class Abs2:
     kvar: str
     k_src: Type  # the continuation converts from this type to the answer type
     body: TermX
-
-
-@node
-class Op:
-    op: str
-    left: TermX
-    right: TermX
 
 
 @node
@@ -105,40 +90,13 @@ class CrcApp:
 
 
 @node
-class CoercedVal:
-    subject: TermX
-    crc: Coercion
-
-
-@node
 class CrcLit:
     crc: Coercion
-
-
-@node
-class Blame:
-    label: str
-
-
-@node
-class If:
-    cond: TermX
-    then: TermX
-    els: TermX
-
-
-@node
-class GlobalRef:
-    name: str
 
 
 TermX = Union[
     Const, Var, Abs2, Op, App2, Let, Compose, CrcApp, CoercedVal, CrcLit, Blame, If, GlobalRef
 ]
-
-TRUE = Const(True)
-FALSE = Const(False)
-
 
 _UNCOERCED_CLASSES = frozenset((Const, Abs2, CrcLit, GlobalRef))
 _VALUE_CLASSES = frozenset((Const, Abs2, CrcLit, GlobalRef, Var, CoercedVal))
@@ -179,25 +137,6 @@ class ProgramX:
         return {d.name: d.ty for d in self.defs}
 
 
-def _ty_uid(a: Type) -> int:
-    match a:
-        case TyVar(u):
-            return u
-        case Fun2T(x, y) | CrcT(x, y):
-            return max(_ty_uid(x), _ty_uid(y))
-        case _:
-            return -1
-
-
-def _max_uid(t: TermX) -> int:
-    """Largest rigid-variable id mentioned in annotations, -1 if none."""
-    best = -1
-    for m in terms.walk(t):
-        if m.__class__ is Abs2:
-            best = max(best, _ty_uid(m.var_ty), _ty_uid(m.k_src))
-    return best
-
-
 def typecheck(
     term: TermX,
     env: Optional[Mapping[str, Type]] = None,
@@ -206,8 +145,7 @@ def typecheck(
 ) -> terms.Typed:
     env = dict(env) if env else {}
     defs = dict(defs) if defs else {}
-    counter = [_max_uid(term) + 1]
-    return _tc(term, env, defs, expected, counter)
+    return _tc(term, env, defs, expected, 0)
 
 
 def _as_crc_type(ty: Type, what: str) -> CrcT:
@@ -218,7 +156,7 @@ def _as_crc_type(ty: Type, what: str) -> CrcT:
     return ty
 
 
-def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> terms.Typed:
+def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int) -> terms.Typed:
     # dispatch on the node class: this runs on every node of every checked
     # state, where a ``match`` chain's tests add up
     cls = term.__class__
@@ -241,10 +179,11 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> terms.Type
                 raise TypeCheckError(
                     f"function annotated {a!r}/{b!r}, expected {expected!r}"
                 )
-        x_var = TyVar(counter[0])
-        counter[0] += 1
+        # the body answers in a rigid variable no annotation can name; sibling
+        # bodies share it, but it cannot leave one: a body's type must be it or any
+        x_var = TyVar(-1 - depth)
         body = _tc(
-            term.body, {**env, term.var: a, term.kvar: CrcT(b, x_var)}, defs, None, counter
+            term.body, {**env, term.var: a, term.kvar: CrcT(b, x_var)}, defs, None, depth + 1
         )
         if not (isinstance(body.ty, AnyT) or body.ty == x_var):
             if occurs(x_var, body.ty):
@@ -260,40 +199,40 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> terms.Type
         if op not in OPS:
             raise TypeCheckError(f"unknown operator {op}")
         t1, t2, res = OPS[op]
-        lt = _tc(term.left, env, defs, t1, counter)
-        rt = _tc(term.right, env, defs, t2, counter)
+        lt = _tc(term.left, env, defs, t1, depth)
+        rt = _tc(term.right, env, defs, t2, depth)
         return _done(term, res, expected, (lt, rt))
     if cls is App2:
         f, a, k = term.fun, term.arg, term.cont
         if isinstance(f, Blame):
-            at = _tc(a, env, defs, None, counter)
-            kt = _tc(k, env, defs, None, counter)
+            at = _tc(a, env, defs, None, depth)
+            kt = _tc(k, env, defs, None, depth)
             kty = _as_crc_type(kt.ty, "continuation argument")
-            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), counter)
+            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), depth)
             return _done(term, kty.tgt, expected, (ft, at, kt))
-        ft = _tc(f, env, defs, None, counter)
+        ft = _tc(f, env, defs, None, depth)
         fty = ft.ty
         if isinstance(fty, AnyT):
             fty = Fun2T(ANY, ANY)
         if not isinstance(fty, Fun2T):
             raise TypeCheckError(f"applied non-function of type {ft.ty!r}")
-        at = _tc(a, env, defs, fty.arg, counter)
-        kt = _tc(k, env, defs, CrcT(fty.res, ANY), counter)
+        at = _tc(a, env, defs, fty.arg, depth)
+        kt = _tc(k, env, defs, CrcT(fty.res, ANY), depth)
         kty = _as_crc_type(kt.ty, "continuation argument")
         return _done(term, kty.tgt, expected, (ft, at, kt))
     if cls is Let:
-        mt = _tc(term.bound, env, defs, None, counter)
-        nt = _tc(term.body, {**env, term.var: mt.ty}, defs, expected, counter)
+        mt = _tc(term.bound, env, defs, None, depth)
+        nt = _tc(term.body, {**env, term.var: mt.ty}, defs, expected, depth)
         return _done(term, nt.ty, expected, (mt, nt))
     if cls is Compose:
-        lt = _tc(term.left, env, defs, None, counter)
+        lt = _tc(term.left, env, defs, None, depth)
         lty = _as_crc_type(lt.ty, "composition operand")
-        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), counter)
+        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), depth)
         rty = _as_crc_type(rt.ty, "composition operand")
         return _done(term, CrcT(lty.src, rty.tgt), expected, (lt, rt))
     if cls is CrcApp:
-        mt = _tc(term.subject, env, defs, None, counter)
-        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), counter)
+        mt = _tc(term.subject, env, defs, None, depth)
+        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), depth)
         cty = _as_crc_type(ct.ty, "applied coercion")
         return _done(term, cty.tgt, expected, (mt, ct))
     if cls is CoercedVal:
@@ -302,7 +241,7 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> terms.Type
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
         if not is_delayed(d):
             raise TypeCheckError("coerced values carry injections or arrows only")
-        sub = _tc(u, env, defs, None, counter)
+        sub = _tc(u, env, defs, None, depth)
         try:
             tgt = check_crc(d, sub.ty, Fun2T)
         except CoercionTypeError as e:
@@ -321,9 +260,9 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], counter) -> terms.Type
     if cls is Blame:
         return _done(term, ANY if expected is None else expected, expected, ())
     if cls is If:
-        ct = _tc(term.cond, env, defs, BOOL, counter)
-        mt = _tc(term.then, env, defs, expected, counter)
-        nt = _tc(term.els, env, defs, expected, counter)
+        ct = _tc(term.cond, env, defs, BOOL, depth)
+        mt = _tc(term.then, env, defs, expected, depth)
+        nt = _tc(term.els, env, defs, expected, depth)
         if not matches(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
         return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt))
@@ -625,7 +564,7 @@ def decompose_oracle(
     term: TermX, defs: Optional[Mapping[str, TermX]] = None
 ) -> list[terms.Decomposition]:
     """Every (context, redex) split licensed by the call-by-value contexts."""
-    return terms.decompose(term, defs, _frame_ok, _local_redexes, Blame)
+    return terms.decompose(term, defs, _frame_ok, _local_redexes)
 
 
 # ---------------------------------------------------------------------------

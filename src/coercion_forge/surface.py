@@ -33,6 +33,7 @@ from .coercions import (
 from .types import BOOL, DYN, INT, Base, CrcT, Dyn, FunT, Fun2T, TyVar, Type, is_ground
 from . import lam_s as S
 from . import lam_sx as X
+from .terms import Blame, CoercedVal, Const, GlobalRef, If, Op, Var
 
 
 class ParseError(Exception):
@@ -128,7 +129,6 @@ class Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.dialect = dialect
-        self.mod = S if dialect == "lams" else X  # the node classes to build
 
     # -- token plumbing
 
@@ -340,7 +340,7 @@ class Parser:
             then = self.parse_expr()
             self.eat("else")
             els = self.parse_expr()
-            return self.mod.If(cond, then, els)
+            return If(cond, then, els)
         return self.parse_compose()
 
     def parse_lambda(self) -> TermAny:
@@ -381,7 +381,7 @@ class Parser:
             right, right_bare = sub()
             if right_bare:
                 self.fail("a parenthesized application as operator operand")
-            node = self.mod.Op(op, left, right)
+            node = Op(op, left, right)
             left, bare_app, first = node, False, False
         return left, bare_app
 
@@ -406,7 +406,7 @@ class Parser:
             except ParseError:
                 self.pos = saved
                 return None
-            return self.mod.CoercedVal(subject, c)
+            return CoercedVal(subject, c)
         if self.at("<"):
             saved = self.pos
             self.next()
@@ -419,7 +419,8 @@ class Parser:
             except ParseError:
                 self.pos = saved
                 return None
-            return self.mod.CrcApp(subject, inner)
+            crc_app = S.CrcApp if self.dialect == "lams" else X.CrcApp
+            return crc_app(subject, inner)
         return None
 
     def _at_atom_start(self) -> bool:
@@ -464,26 +465,24 @@ class Parser:
                 return lit
         if t.kind == "INT":
             self.next()
-            return self.mod.Const(int(t.value))
+            return Const(int(t.value))
         if t.kind == "-" and self.peek(1).kind == "INT":
             self.next()
             v = self.next()
-            return self.mod.Const(-int(v.value))
+            return Const(-int(v.value))
         if t.kind == "true":
             self.next()
-            return self.mod.Const(True)
+            return Const(True)
         if t.kind == "false":
             self.next()
-            return self.mod.Const(False)
+            return Const(False)
         if t.kind == "IDENT":
             self.next()
-            name = str(t.value)
-            return self.mod.Var(name)
+            return Var(str(t.value))
         if t.kind == "blame":
             self.next()
             lbl = self.eat("IDENT", "a blame label")
-            name = str(lbl.value)
-            return self.mod.Blame(name)
+            return Blame(str(lbl.value))
         if t.kind == "(":
             self.next()
             inner = self.parse_expr()
@@ -520,7 +519,7 @@ class Parser:
         if len(set(names)) != len(names):
             raise ParseError(1, 1, "distinct definition names", "a duplicate")
         # a definition name that no binder shadows refers to the definition
-        refs = {n: self.mod.GlobalRef(n) for n in names}
+        refs = {n: GlobalRef(n) for n in names}
         if self.dialect == "lams":
             defs = tuple(
                 S.DefS(n, FunT(a, r), S.substitute(S.Abs(x, a, body), refs))
@@ -671,7 +670,7 @@ _OP_LEVEL = {"*": _MUL, "+": _ADD, "-": _ADD, "=": _CMP, "<": _CMP}
 
 
 def _has_cmp_root(t) -> bool:
-    return isinstance(t, (S.Op, X.Op)) and t.op in ("=", "<")
+    return isinstance(t, Op) and t.op in ("=", "<")
 
 
 def _app_rooted(t) -> bool:
@@ -680,31 +679,28 @@ def _app_rooted(t) -> bool:
     match t:
         case S.App() | X.App2():
             return True
-        case S.CrcApp(sub, _) | X.CrcApp(sub, _) | S.CoercedVal(sub, _) | X.CoercedVal(sub, _):
+        case S.CrcApp(sub, _) | X.CrcApp(sub, _) | CoercedVal(sub, _):
             return _app_rooted(sub)
         case _:
             return False
 
 
-def print_term(t: TermAny, dialect: Optional[str] = None) -> str:
-    if dialect is None:
-        dialect = "lamsx" if _is_x_term(t) else "lams"
-
+def print_term(t: TermAny, dialect: str) -> str:
     def wrap(s: str, level: int, limit: int) -> str:
         return f"({s})" if level > limit else s
 
     def go(m, limit: int) -> str:
         match m:
-            case S.Const(v) | X.Const(v):
+            case Const(v):
                 if v is True:
                     return "true"
                 if v is False:
                     return "false"
                 s = str(v)
                 return wrap(s, _SUFFIX if s.startswith("-") else _ATOM, limit)
-            case S.Var(x) | X.Var(x) | S.GlobalRef(x) | X.GlobalRef(x):
+            case Var(x) | GlobalRef(x):
                 return x
-            case S.Blame(p) | X.Blame(p):
+            case Blame(p):
                 return wrap(f"blame {p}", _TOP, limit)
             case S.Abs(x, a, body):
                 s = f"\\{x}:{print_type(a)}. {go(body, _TOP)}"
@@ -712,7 +708,7 @@ def print_term(t: TermAny, dialect: Optional[str] = None) -> str:
             case X.Abs2(x, a, k, b, body):
                 s = f"\\ ({x}:{print_type(a)}, {k}:{print_type(b)}). {go(body, _TOP)}"
                 return wrap(s, _TOP, limit)
-            case S.Op(op, l, r) | X.Op(op, l, r):
+            case Op(op, l, r):
                 lvl = _OP_LEVEL[op]
                 llim = (lvl - 1 if lvl == _CMP else lvl) if not _app_rooted(l) else _ATOM
                 rlim = (lvl - 1) if not _app_rooted(r) else _ATOM
@@ -738,23 +734,19 @@ def print_term(t: TermAny, dialect: Optional[str] = None) -> str:
                 # closing '>', so cap the slot below the comparison level
                 s = f"{go(sub, _APP)}<{go(c, _COMPOSE if not _has_cmp_root(c) else _ADD)}>"
                 return wrap(s, _SUFFIX if not isinstance(sub, X.App2) else _APP, limit)
-            case S.CoercedVal(sub, c) | X.CoercedVal(sub, c):
+            case CoercedVal(sub, c):
                 s = f"{go(sub, _SUFFIX)}<<{print_coercion(c, dialect)}>>"
                 return wrap(s, _SUFFIX, limit)
             case X.CrcLit(c):
                 s = print_coercion(c, dialect)
                 # sequences and arrows contain spaces; keep them atomic
                 return wrap(s, _ATOM if " " not in s else _SUFFIX, limit)
-            case S.If(c, a, b) | X.If(c, a, b):
+            case If(c, a, b):
                 s = f"if {go(c, _TOP)} then {go(a, _TOP)} else {go(b, _TOP)}"
                 return wrap(s, _TOP, limit)
         raise AssertionError(m)
 
     return go(t, _TOP)
-
-
-def _is_x_term(t) -> bool:
-    return t.__class__.__module__.endswith("lam_sx")
 
 
 def print_program(p) -> str:
@@ -827,9 +819,9 @@ def _crc_eq(c: Coercion, d: Coercion, tymap: dict[int, int]) -> bool:
 
 
 # Nodes whose one subterm is ``subject`` and whose coercion is ``crc``.
-_COERCED = frozenset((S.CrcApp, S.CoercedVal, X.CoercedVal))
+_COERCED = frozenset((S.CrcApp, CoercedVal))
 # Nodes whose fields are all subterms.
-_PLAIN = frozenset((S.App, S.If, X.App2, X.Compose, X.CrcApp, X.If))
+_PLAIN = frozenset((S.App, If, X.App2, X.Compose, X.CrcApp))
 
 
 def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
@@ -849,7 +841,7 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
         cls = a.__class__
         if cls is not b.__class__:
             return False
-        if cls is S.Var or cls is X.Var:
+        if cls is Var:
             x, y = a.name, b.name
             # the innermost binder of either name decides
             while env is not None:
@@ -861,7 +853,7 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
             else:
                 if x != y:
                     return False
-        elif cls is S.Op or cls is X.Op:
+        elif cls is Op:
             if a.op != b.op:
                 return False
             push((a.right, b.right, env))
@@ -873,7 +865,7 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
             if not _crc_eq(a.crc, b.crc, tymap):
                 return False
             push((a.subject, b.subject, env))
-        elif cls is S.Const or cls is X.Const:
+        elif cls is Const:
             u, v = a.val, b.val
             if u != v or u.__class__ is not v.__class__:
                 return False
@@ -891,10 +883,10 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
         elif cls is X.CrcLit:
             if not _crc_eq(a.crc, b.crc, tymap):
                 return False
-        elif cls is S.GlobalRef or cls is X.GlobalRef:
+        elif cls is GlobalRef:
             if a.name != b.name:
                 return False
-        elif cls is S.Blame or cls is X.Blame:
+        elif cls is Blame:
             if a.label != b.label:
                 return False
         else:

@@ -1,10 +1,11 @@
-"""The node protocol and the driver loop that both calculi share.
+"""The node protocol, the term formers and the driver loop that both calculi share.
 
-A term class's children are its fields annotated with the calculus's term
-type (``TermS`` or ``TermX``); :func:`node` records their names in
-``_kids``.  A binder lists the fields holding its bound names in
-``_binds``, and they scope over its field ``body``.  The walks here follow
-those two declarations; each calculus's rules stay in its own module.
+A term class's children are its fields annotated with a term type (``Term``,
+``TermS`` or ``TermX``); :func:`node` records their names in ``_kids``.  A
+binder lists the fields holding its bound names in ``_binds``, and they
+scope over its field ``body``.  The walks here follow those two
+declarations.  The formers both calculi have are declared here, once; each
+calculus module adds its own formers and keeps its own rules.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
+from .coercions import Coercion
 from .types import Type
 
-# The calculus modules postpone annotations, so a field's type is its name.
-_TERM_TYPES = frozenset(("TermS", "TermX"))
+# Annotations are postponed, so a field's type is its name.
+_TERM_TYPES = frozenset(("Term", "TermS", "TermX"))
 
 
 def node(cls):
@@ -32,22 +34,69 @@ def node(cls):
     return cls
 
 
-class Variable:
-    """Base of each calculus's variable node; its field ``name`` is the variable."""
+# ---------------------------------------------------------------------------
+# The term formers of both calculi
+
+# A child of a shared former: a term of whichever calculus the node is in.
+Term = Any
 
 
-def const_eq(self, other) -> bool:
-    # Python has 1 == True, so dataclass equality would make the constants
-    # 1 and true one term; a constant equals only one of the same type.
-    return (
-        other.__class__ is self.__class__
-        and other.val.__class__ is self.val.__class__
-        and other.val == self.val
-    )
+@node
+class Const:
+    val: object  # int or bool
+
+    def __eq__(self, other) -> bool:
+        # Python has 1 == True, so dataclass equality would make the constants
+        # 1 and true one term; a constant equals only one of the same type.
+        return (
+            other.__class__ is self.__class__
+            and other.val.__class__ is self.val.__class__
+            and other.val == self.val
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.val.__class__, self.val))
 
 
-def const_hash(self) -> int:
-    return hash((self.val.__class__, self.val))
+@node
+class Var:
+    name: str
+
+
+@node
+class Op:
+    op: str
+    left: Term
+    right: Term
+
+
+@node
+class If:
+    cond: Term
+    then: Term
+    els: Term
+
+
+@node
+class Blame:
+    label: str
+
+
+@node
+class GlobalRef:
+    name: str
+
+
+@node
+class CoercedVal:
+    """A value carrying its single delayed coercion (injection or arrow)."""
+
+    subject: Term
+    crc: Coercion
+
+
+TRUE = Const(True)
+FALSE = Const(False)
 
 
 def children(t) -> tuple:
@@ -96,12 +145,12 @@ def free_vars(t) -> frozenset[str]:
     """The names of the variables of ``t`` that no binder in ``t`` scopes over."""
     if not t._kids:
         # substitution asks this of every value it substitutes
-        return frozenset((t.name,)) if isinstance(t, Variable) else _NO_NAMES
+        return frozenset((t.name,)) if t.__class__ is Var else _NO_NAMES
     out: set[str] = set()
     stack = [(t, _NO_NAMES)]
     while stack:
         t, bound = stack.pop()
-        if isinstance(t, Variable):
+        if t.__class__ is Var:
             if t.name not in bound:
                 out.add(t.name)
             continue
@@ -178,7 +227,7 @@ class Decomposition:
     term: Any  # the full term after firing this redex
 
 
-def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes, blame) -> list:
+def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes) -> list:
     """Every (context, redex) split of ``term`` that the context grammar licenses.
 
     ``frame_sort(node, i)`` answers the sort of the frame whose hole is
@@ -200,7 +249,7 @@ def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes
     push = stack.append
     while stack:
         sub, link, sort = pop()
-        if link is not None and sub.__class__ is blame:
+        if link is not None and sub.__class__ is Blame:
             out.append(Decomposition(_spell(link), "E-Abort", "e", sub))
         for rule, kind, red in local_redexes(sub, defs):
             if kind == "c" and sort == "crc":

@@ -20,7 +20,7 @@ from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_iden
 from .types import Dyn, FunT, Fun2T, Type
 from . import lam_s as S
 from . import lam_sx as X
-from .terms import Typed, keep_last, walk
+from .terms import Blame, CoercedVal, Const, GlobalRef, If, Op, Typed, Var, keep_last, walk
 
 
 def psi_type(a: Type) -> Type:
@@ -77,7 +77,7 @@ def _all_names(t: S.TermS) -> set[str]:
     return {
         m.var if m.__class__ is S.Abs else m.name
         for m in walk(t)
-        if m.__class__ in (S.Var, S.Abs, S.GlobalRef)
+        if m.__class__ in (Var, S.Abs, GlobalRef)
     }
 
 
@@ -89,18 +89,16 @@ class Translator:
 
     def value(self, v: Typed) -> X.TermX:
         match v.term:
-            case S.Const(c):
-                return X.Const(c)
-            case S.Var(x):
-                return X.Var(x)
-            case S.GlobalRef(f):
-                return X.GlobalRef(self.rename.get(f, f))
+            case Const() | Var():
+                return v.term
+            case GlobalRef(f):
+                return GlobalRef(self.rename.get(f, f))
             case S.Abs(x, a, _):
                 body = v.children[0]
                 kv = self.supply.fresh()
-                return X.Abs2(x, psi_type(a), kv, psi_type(body.ty), self.k(body, X.Var(kv)))
-            case S.CoercedVal(_, d):
-                return X.CoercedVal(self.value(v.children[0]), psi_crc(d))
+                return X.Abs2(x, psi_type(a), kv, psi_type(body.ty), self.k(body, Var(kv)))
+            case CoercedVal(_, d):
+                return CoercedVal(self.value(v.children[0]), psi_crc(d))
         raise AssertionError(v.term)
 
     def k(self, m: Typed, cont: X.TermX) -> X.TermX:
@@ -108,8 +106,8 @@ class Translator:
         if S.is_value(term):
             return X.CrcApp(self.value(m), cont)  # Tr-Val
         match term:
-            case S.Op(op, _, _):
-                body = X.Op(op, self.c(m.children[0]), self.c(m.children[1]))
+            case Op(op, _, _):
+                body = Op(op, self.c(m.children[0]), self.c(m.children[1]))
                 if self.optimize_op and _is_identity_lit(cont):
                     return body
                 return X.CrcApp(body, cont)  # Tr-Op
@@ -118,12 +116,12 @@ class Translator:
             case S.CrcApp(_, s):
                 kv = self.supply.fresh()
                 bound = X.Compose(X.CrcLit(psi_crc(s)), cont)
-                return X.Let(kv, bound, self.k(m.children[0], X.Var(kv)))  # Tr-Crc
-            case S.Blame(p):
-                return X.Blame(p)  # Tr-Blame
-            case S.If(_, _, _):
+                return X.Let(kv, bound, self.k(m.children[0], Var(kv)))  # Tr-Crc
+            case Blame():
+                return term  # Tr-Blame
+            case If(_, _, _):
                 ct, mt, nt = m.children
-                return X.If(self.c(ct), self.k(mt, cont), self.k(nt, cont))  # Tr-If
+                return If(self.c(ct), self.k(mt, cont), self.k(nt, cont))  # Tr-If
         raise AssertionError(term)
 
     def c(self, m: Typed) -> X.TermX:

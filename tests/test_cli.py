@@ -113,6 +113,14 @@ class TestCheck:
         assert run(capsys, "check", "-e", "\\x:Int. x + 1") == (
             0, "Int -> Int\n", "")
 
+    @pytest.mark.parametrize("uid", ["0", "7"])
+    def test_a_signature_variable_never_names_an_answer_type(self, capsys, uid):
+        # renaming a signature's rigid variable must not change the verdict
+        prog = f"letrec f (x:'X{uid}, k:Int) = 1<k> in \\ (y:Int, k:Int). f(y<k>, k)"
+        code, out, err = run(capsys, "check", "-e", prog, "--dialect", "lamsx")
+        assert (code, out) == (2, "")
+        assert f"expected 'X{uid}, found" in err
+
     def test_file_dialect_comes_from_the_extension(self, capsys, tmp_path):
         f = tmp_path / "prog.lamsx"
         f.write_text("(\\ (x:Int, k:Int). x<k>)(5, Int!)")

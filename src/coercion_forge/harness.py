@@ -357,15 +357,17 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     px = translate.trans_program(p)
     sdefs = p.def_terms()
     xdefs = px.def_terms()
+    # consecutive states share most of their nodes; their typings are reused
+    memo: dict = {}
 
-    cur_t = translate.trans_state(p, p.main)
+    cur_t = translate.trans_state(p, p.main, memo)
     cur_s = p.main
     for i in range(max_steps):
         r = S.step(cur_s, sdefs)
         if isinstance(r, (IsValue, IsBlame)):
             break
         nxt_s = r.term
-        expected = translate.trans_state(p, nxt_s)
+        expected = translate.trans_state(p, nxt_s, memo)
 
         t = cur_t
         e_budget = 1 if r.kind == "e" else 0
@@ -451,6 +453,8 @@ def _check_run(
         bad(detail, surface.print_term(state, dialect))
 
     state = p.main
+    # consecutive states share most of their nodes; their typings are reused
+    memo: dict = {}
     # the metric bounds the composition steps of the source calculus only
     check_metric = dialect == "lams"
     prev_metric = mod.metric_f(state) if check_metric else None
@@ -467,7 +471,7 @@ def _check_run(
             report(f"{side}oracle chose {oracle[0].rule}, stepper chose {r.rule}")
         state = r.term
         try:
-            mod.typecheck(state, {}, sigs, ty0)
+            mod.typecheck(state, {}, sigs, ty0, memo)
         except mod.TypeCheckError as e:
             report(f"{side}preservation failed after {r.rule}: {e}")
             break

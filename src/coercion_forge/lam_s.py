@@ -139,43 +139,65 @@ def typecheck(
     env: Optional[Mapping[str, Type]] = None,
     defs: Optional[Mapping[str, Type]] = None,
     expected: Optional[Type] = None,
+    memo: Optional[dict] = None,
 ) -> terms.Typed:
     """Build a typing derivation; ``expected`` constrains ambiguous terms.
 
     Blame and failure-targeted coercion applications can be given any type;
     without an expectation they type as a wildcard that later defaults to
     Dyn at reporting time.  Every answer is a derivable instance.
+
+    ``memo``, a dict kept across the checks of one run's states, reuses the
+    derivations of the subterms checked in the empty environment, keyed by
+    node identity and expected type.  Evaluation contexts never go under a
+    binder, so it answers for every subterm a step left in place.  The
+    answers are the same without it.  A memo serves one set of ``defs``;
+    see :func:`terms.claim_memo`.
     """
     env = dict(env) if env else {}
     defs = dict(defs) if defs else {}
-    return _tc(term, env, defs, expected)
+    if memo is not None:
+        terms.claim_memo(memo, defs)
+    return _tc(term, env, defs, expected, memo)
 
 
-def _done(term, ty: Type, expected: Optional[Type], children: tuple) -> terms.Typed:
+def _done(term, ty: Type, expected: Optional[Type], children: tuple, memo) -> terms.Typed:
     # a type matches itself, and merging it with itself gives it back
     if expected is not None and expected is not ty:
         if not matches(ty, expected):
             raise TypeCheckError(f"expected {expected!r}, found {ty!r}")
         ty = merge_types(ty, expected)
-    return terms.Typed(term, ty, children)
+    typed = terms.Typed(term, ty, children)
+    if memo is not None:
+        # ``typed`` keeps ``term`` alive, so its id names it while the memo lives
+        memo[id(term), expected] = typed
+    return typed
 
 
-def _tc(term: TermS, env, defs, expected: Optional[Type]) -> terms.Typed:
+def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
+    if memo is not None:
+        if env:
+            # under a binder; every subterm below is checked in an extended env
+            memo = None
+        else:
+            typed = memo.get((id(term), expected))
+            if typed is not None:
+                return typed
     # dispatch on the node class: this runs on every node of every checked
     # state, where a ``match`` chain's tests add up
     cls = term.__class__
     if cls is Const:
-        return _done(term, const_type(term.val), expected, ())
+        return _done(term, const_type(term.val), expected, (), memo)
     if cls is Var:
         x = term.name
         if x not in env:
             raise TypeCheckError(f"unbound variable {x}")
-        return _done(term, env[x], expected, ())
+        return _done(term, env[x], expected, (), memo)
     if cls is GlobalRef:
         f = term.name
         if f not in defs:
             raise TypeCheckError(f"unknown definition {f}")
-        return _done(term, defs[f], expected, ())
+        return _done(term, defs[f], expected, (), memo)
     if cls is Abs:
         x, a = term.var, term.var_ty
         body_exp = None
@@ -187,62 +209,62 @@ def _tc(term: TermS, env, defs, expected: Optional[Type]) -> terms.Typed:
             raise TypeCheckError(
                 f"function argument annotated {a!r}, expected {expected.arg!r}"
             )
-        body = _tc(term.body, {**env, x: a}, defs, body_exp)
-        return _done(term, FunT(a, body.ty), expected, (body,))
+        body = _tc(term.body, {**env, x: a}, defs, body_exp, memo)
+        return _done(term, FunT(a, body.ty), expected, (body,), memo)
     if cls is Op:
         op = term.op
         if op not in OPS:
             raise TypeCheckError(f"unknown operator {op}")
         t1, t2, res = OPS[op]
-        lt = _tc(term.left, env, defs, t1)
-        rt = _tc(term.right, env, defs, t2)
-        return _done(term, res, expected, (lt, rt))
+        lt = _tc(term.left, env, defs, t1, memo)
+        rt = _tc(term.right, env, defs, t2, memo)
+        return _done(term, res, expected, (lt, rt), memo)
     if cls is App:
         m, n = term.fun, term.arg
         if isinstance(m, Blame) or (isinstance(m, CrcApp) and isinstance(m.crc, Fail)):
             # the function side can take any type; pin it from the argument
-            nt = _tc(n, env, defs, None)
+            nt = _tc(n, env, defs, None, memo)
             res = expected if expected is not None else ANY
-            mt = _tc(m, env, defs, FunT(nt.ty, res))
-            return _done(term, res, expected, (mt, nt))
-        mt = _tc(m, env, defs, None)
+            mt = _tc(m, env, defs, FunT(nt.ty, res), memo)
+            return _done(term, res, expected, (mt, nt), memo)
+        mt = _tc(m, env, defs, None, memo)
         fty = mt.ty
         if isinstance(fty, AnyT):
             fty = FunT(ANY, ANY)
         if not isinstance(fty, FunT):
             raise TypeCheckError(f"applied non-function of type {mt.ty!r}")
-        nt = _tc(n, env, defs, fty.arg)
-        return _done(term, fty.res, expected, (mt, nt))
+        nt = _tc(n, env, defs, fty.arg, memo)
+        return _done(term, fty.res, expected, (mt, nt), memo)
     if cls is CrcApp:
         s = term.crc
         src = crc_source(s, FunT)
-        sub = _tc(term.subject, env, defs, None if isinstance(src, AnyT) else src)
+        sub = _tc(term.subject, env, defs, None if isinstance(src, AnyT) else src, memo)
         try:
             tgt = check_crc(s, sub.ty, FunT)
         except CoercionTypeError as e:
             raise TypeCheckError(str(e)) from None
-        return _done(term, tgt, expected, (sub,))
+        return _done(term, tgt, expected, (sub,), memo)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
         if not is_uncoerced(u):
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
         if not is_delayed(d):
             raise TypeCheckError("coerced values carry injections or arrows only")
-        sub = _tc(u, env, defs, None)
+        sub = _tc(u, env, defs, None, memo)
         try:
             tgt = check_crc(d, sub.ty, FunT)
         except CoercionTypeError as e:
             raise TypeCheckError(str(e)) from None
-        return _done(term, tgt, expected, (sub,))
+        return _done(term, tgt, expected, (sub,), memo)
     if cls is Blame:
-        return _done(term, ANY if expected is None else expected, expected, ())
+        return _done(term, ANY if expected is None else expected, expected, (), memo)
     if cls is If:
-        ct = _tc(term.cond, env, defs, BOOL)
-        mt = _tc(term.then, env, defs, expected)
-        nt = _tc(term.els, env, defs, expected)
+        ct = _tc(term.cond, env, defs, BOOL, memo)
+        mt = _tc(term.then, env, defs, expected, memo)
+        nt = _tc(term.els, env, defs, expected, memo)
         if not matches(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt))
+        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt), memo)
     raise AssertionError(term)
 
 

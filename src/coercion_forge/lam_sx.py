@@ -142,10 +142,18 @@ def typecheck(
     env: Optional[Mapping[str, Type]] = None,
     defs: Optional[Mapping[str, Type]] = None,
     expected: Optional[Type] = None,
+    memo: Optional[dict] = None,
 ) -> terms.Typed:
+    """Build a typing derivation; ``memo`` is as for :func:`lam_s.typecheck`.
+
+    In the empty environment the binder depth is 0, so a memoized
+    derivation's rigid answer variables are fixed.
+    """
     env = dict(env) if env else {}
     defs = dict(defs) if defs else {}
-    return _tc(term, env, defs, expected, 0)
+    if memo is not None:
+        terms.claim_memo(memo, defs)
+    return _tc(term, env, defs, expected, 0, memo)
 
 
 def _as_crc_type(ty: Type, what: str) -> CrcT:
@@ -156,22 +164,30 @@ def _as_crc_type(ty: Type, what: str) -> CrcT:
     return ty
 
 
-def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int) -> terms.Typed:
+def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo) -> terms.Typed:
+    if memo is not None:
+        if env:
+            # under a binder; every subterm below is checked in an extended env
+            memo = None
+        else:
+            typed = memo.get((id(term), expected))
+            if typed is not None:
+                return typed
     # dispatch on the node class: this runs on every node of every checked
     # state, where a ``match`` chain's tests add up
     cls = term.__class__
     if cls is Const:
-        return _done(term, const_type(term.val), expected, ())
+        return _done(term, const_type(term.val), expected, (), memo)
     if cls is Var:
         x = term.name
         if x not in env:
             raise TypeCheckError(f"unbound variable {x}")
-        return _done(term, env[x], expected, ())
+        return _done(term, env[x], expected, (), memo)
     if cls is GlobalRef:
         f = term.name
         if f not in defs:
             raise TypeCheckError(f"unknown definition {f}")
-        return _done(term, defs[f], expected, ())
+        return _done(term, defs[f], expected, (), memo)
     if cls is Abs2:
         a, b = term.var_ty, term.k_src
         if isinstance(expected, Fun2T):
@@ -183,7 +199,12 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int) -> terms.T
         # bodies share it, but it cannot leave one: a body's type must be it or any
         x_var = TyVar(-1 - depth)
         body = _tc(
-            term.body, {**env, term.var: a, term.kvar: CrcT(b, x_var)}, defs, None, depth + 1
+            term.body,
+            {**env, term.var: a, term.kvar: CrcT(b, x_var)},
+            defs,
+            None,
+            depth + 1,
+            memo,
         )
         if not (isinstance(body.ty, AnyT) or body.ty == x_var):
             if occurs(x_var, body.ty):
@@ -193,60 +214,60 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int) -> terms.T
             raise TypeCheckError(
                 f"body must produce the continuation's answer type, found {body.ty!r}"
             )
-        return _done(term, Fun2T(a, b), expected, (body,))
+        return _done(term, Fun2T(a, b), expected, (body,), memo)
     if cls is Op:
         op = term.op
         if op not in OPS:
             raise TypeCheckError(f"unknown operator {op}")
         t1, t2, res = OPS[op]
-        lt = _tc(term.left, env, defs, t1, depth)
-        rt = _tc(term.right, env, defs, t2, depth)
-        return _done(term, res, expected, (lt, rt))
+        lt = _tc(term.left, env, defs, t1, depth, memo)
+        rt = _tc(term.right, env, defs, t2, depth, memo)
+        return _done(term, res, expected, (lt, rt), memo)
     if cls is App2:
         f, a, k = term.fun, term.arg, term.cont
         if isinstance(f, Blame):
-            at = _tc(a, env, defs, None, depth)
-            kt = _tc(k, env, defs, None, depth)
+            at = _tc(a, env, defs, None, depth, memo)
+            kt = _tc(k, env, defs, None, depth, memo)
             kty = _as_crc_type(kt.ty, "continuation argument")
-            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), depth)
-            return _done(term, kty.tgt, expected, (ft, at, kt))
-        ft = _tc(f, env, defs, None, depth)
+            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), depth, memo)
+            return _done(term, kty.tgt, expected, (ft, at, kt), memo)
+        ft = _tc(f, env, defs, None, depth, memo)
         fty = ft.ty
         if isinstance(fty, AnyT):
             fty = Fun2T(ANY, ANY)
         if not isinstance(fty, Fun2T):
             raise TypeCheckError(f"applied non-function of type {ft.ty!r}")
-        at = _tc(a, env, defs, fty.arg, depth)
-        kt = _tc(k, env, defs, CrcT(fty.res, ANY), depth)
+        at = _tc(a, env, defs, fty.arg, depth, memo)
+        kt = _tc(k, env, defs, CrcT(fty.res, ANY), depth, memo)
         kty = _as_crc_type(kt.ty, "continuation argument")
-        return _done(term, kty.tgt, expected, (ft, at, kt))
+        return _done(term, kty.tgt, expected, (ft, at, kt), memo)
     if cls is Let:
-        mt = _tc(term.bound, env, defs, None, depth)
-        nt = _tc(term.body, {**env, term.var: mt.ty}, defs, expected, depth)
-        return _done(term, nt.ty, expected, (mt, nt))
+        mt = _tc(term.bound, env, defs, None, depth, memo)
+        nt = _tc(term.body, {**env, term.var: mt.ty}, defs, expected, depth, memo)
+        return _done(term, nt.ty, expected, (mt, nt), memo)
     if cls is Compose:
-        lt = _tc(term.left, env, defs, None, depth)
+        lt = _tc(term.left, env, defs, None, depth, memo)
         lty = _as_crc_type(lt.ty, "composition operand")
-        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), depth)
+        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), depth, memo)
         rty = _as_crc_type(rt.ty, "composition operand")
-        return _done(term, CrcT(lty.src, rty.tgt), expected, (lt, rt))
+        return _done(term, CrcT(lty.src, rty.tgt), expected, (lt, rt), memo)
     if cls is CrcApp:
-        mt = _tc(term.subject, env, defs, None, depth)
-        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), depth)
+        mt = _tc(term.subject, env, defs, None, depth, memo)
+        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), depth, memo)
         cty = _as_crc_type(ct.ty, "applied coercion")
-        return _done(term, cty.tgt, expected, (mt, ct))
+        return _done(term, cty.tgt, expected, (mt, ct), memo)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
         if not is_uncoerced(u):
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
         if not is_delayed(d):
             raise TypeCheckError("coerced values carry injections or arrows only")
-        sub = _tc(u, env, defs, None, depth)
+        sub = _tc(u, env, defs, None, depth, memo)
         try:
             tgt = check_crc(d, sub.ty, Fun2T)
         except CoercionTypeError as e:
             raise TypeCheckError(str(e)) from None
-        return _done(term, tgt, expected, (sub,))
+        return _done(term, tgt, expected, (sub,), memo)
     if cls is CrcLit:
         c = term.crc
         src = crc_source(c, Fun2T)
@@ -256,16 +277,16 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int) -> terms.T
             tgt = check_crc(c, src, Fun2T)
         except CoercionTypeError as e:
             raise TypeCheckError(str(e)) from None
-        return _done(term, CrcT(src, tgt), expected, ())
+        return _done(term, CrcT(src, tgt), expected, (), memo)
     if cls is Blame:
-        return _done(term, ANY if expected is None else expected, expected, ())
+        return _done(term, ANY if expected is None else expected, expected, (), memo)
     if cls is If:
-        ct = _tc(term.cond, env, defs, BOOL, depth)
-        mt = _tc(term.then, env, defs, expected, depth)
-        nt = _tc(term.els, env, defs, expected, depth)
+        ct = _tc(term.cond, env, defs, BOOL, depth, memo)
+        mt = _tc(term.then, env, defs, expected, depth, memo)
+        nt = _tc(term.els, env, defs, expected, depth, memo)
         if not matches(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt))
+        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt), memo)
     raise AssertionError(term)
 
 

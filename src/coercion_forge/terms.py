@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
@@ -26,12 +27,75 @@ def node(cls):
     """Make ``cls`` a frozen dataclass and record its term-valued fields in ``_kids``.
 
     ``_kids_rev`` holds them in reverse, the order a pre-order walk pushes
-    them on its stack.
+    them on its stack; ``_data`` holds the other fields.  Equality and
+    hashing walk the children with an explicit stack, so terms of any depth
+    compare and hash.  A class that defines its own ``__eq__`` keeps it, and
+    one that defines ``_hash_parts`` hashes what that reads.
     """
-    cls = dataclass(frozen=True)(cls)
-    cls._kids = tuple(f.name for f in dataclasses.fields(cls) if f.type in _TERM_TYPES)
+    own_eq = "__eq__" in cls.__dict__
+    cls = dataclass(frozen=True, eq=False)(cls)
+    fields = dataclasses.fields(cls)
+    cls._kids = tuple(f.name for f in fields if f.type in _TERM_TYPES)
     cls._kids_rev = cls._kids[::-1]
+    cls._data = tuple(f.name for f in fields if f.type not in _TERM_TYPES)
+    if not own_eq:
+        cls.__eq__ = _node_eq
+    cls.__hash__ = _node_hash
+    # a node keeps its hash in ``_hash`` once computed, from what
+    # ``_hash_parts`` reads: by default the class, the data fields and the
+    # children's hashes
+    cls._hash = None
+    if "_hash_parts" not in cls.__dict__:
+        cls._hash_parts = operator.attrgetter(
+            "__class__", *[f.name + "._hash" if f.name in cls._kids else f.name for f in fields]
+        )
     return cls
+
+
+def _node_eq(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    stack = [(a, b)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        a, b = pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if b.__class__ is not cls:
+            return False
+        if cls.__eq__ is not _node_eq:
+            # a leaf with its own equality: Const
+            if not a == b:
+                return False
+            continue
+        for k in cls._data:
+            if getattr(a, k) != getattr(b, k):
+                return False
+        for k in cls._kids:
+            push((getattr(a, k), getattr(b, k)))
+    return True
+
+
+def _node_hash(t) -> int:
+    h = t._hash
+    if h is not None:
+        return h
+    # every node below ``t`` not hashed yet, parents before children;
+    # hashing them in reverse finds each node's children hashed already
+    order = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        for k in t._kids:
+            kid = getattr(t, k)
+            if kid._hash is None:
+                stack.append(kid)
+    for t in reversed(order):
+        t.__dict__["_hash"] = h = hash(t._hash_parts(t))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +118,7 @@ class Const:
             and other.val == self.val
         )
 
-    def __hash__(self) -> int:
-        return hash((self.val.__class__, self.val))
+    _hash_parts = operator.attrgetter("val.__class__", "val")
 
 
 @node
@@ -210,13 +273,37 @@ class StuckTerm(Exception):
     """No rule applies to a non-value, non-blame term (ill-typed or open)."""
 
 
-@dataclass(frozen=True)
 class Typed:
-    """Typing derivation: the term, its type, and typed immediate subterms."""
+    """Typing derivation: the term, its type, and typed immediate subterms.
 
-    term: Any
-    ty: Type
-    children: tuple[Typed, ...] = ()
+    The typecheckers build one per node of every checked term, so it is a
+    plain slotted record; nothing changes one once it is built.
+    """
+
+    __slots__ = ("term", "ty", "children")
+
+    def __init__(self, term: Any, ty: Type, children: tuple[Typed, ...] = ()) -> None:
+        self.term = term
+        self.ty = ty
+        self.children = children
+
+    def __repr__(self) -> str:
+        return f"Typed({self.term!r}, {self.ty!r}, {self.children!r})"
+
+
+# The key under which a typing memo records the definitions it answers under.
+_MEMO_DEFS = "defs"
+
+
+def claim_memo(memo: dict, defs: dict) -> None:
+    """Tie ``memo`` to the ``defs`` it is first used under.
+
+    A typing memo maps (id(node), expected type) to the node's derivation in
+    the empty environment.  Those derivations hold only under the
+    definitions' signatures they were made with, so another set is refused.
+    """
+    if memo.setdefault(_MEMO_DEFS, defs) != defs:
+        raise ValueError("a typing memo was filled under other definitions")
 
 
 @dataclass(frozen=True)

@@ -185,13 +185,15 @@ def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
     return X.ProgramX(tuple(defs), tr.c(main_typed))
 
 
-def trans_state(p: S.ProgramS, state: S.TermS) -> X.TermX:
+def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X.TermX:
     """Translate an evaluation state of ``p``'s main expression.
 
     States stay closed and well typed as evaluation proceeds, so this is
     the same translation the program got, minted against fresh names.
+    ``memo`` is a typing memo for the states of one run of ``p`` (see
+    :func:`lam_s.typecheck`); the translation is the same without it.
     """
     rename, avoid = def_rename(p)
-    typed = S.typecheck(state, {}, p.def_types(), None)
+    typed = S.typecheck(state, {}, p.def_types(), None, memo)
     tr = _make_translator(avoid | _all_names(state), rename)
     return tr.c(typed)

@@ -239,6 +239,55 @@ class TestInvariantMessages:
             monkeypatch.setattr(harness, "is_canonical", lambda c, f: f is not fun_t)
         assert _violations() == self.EXPECTED[fault, dialect]
 
+    # R-Op rewrites 1 + 1 and leaves the function and true in place; the
+    # planted step swaps those two, reused by identity, so a typing memo
+    # keyed by node must not carry their old derivations over
+    _SWAP = r"(\x:Int. \y:Bool. x) (1 + 1) true"
+
+    @staticmethod
+    def _swap_after_r_op(monkeypatch, mod, swap):
+        """Make ``mod``'s stepper and oracle both apply ``swap`` to R-Op's result."""
+        step, oracle = mod.step, mod.decompose_oracle
+
+        def swapped_step(t, defs=None):
+            r = step(t, defs)
+            if getattr(r, "rule", None) != "R-Op":
+                return r
+            return dataclasses.replace(r, term=swap(r.term))
+
+        def swapped_oracle(t, defs=None):
+            return [dataclasses.replace(d, term=swap(d.term)) if d.rule == "R-Op" else d
+                    for d in oracle(t, defs)]
+
+        monkeypatch.setattr(mod, "step", swapped_step)
+        monkeypatch.setattr(mod, "decompose_oracle", swapped_oracle)
+
+    def test_swapped_off_spine_subterms_break_preservation(self, monkeypatch):
+        def swap(t):
+            # (f 2) b  becomes  (b 2) f
+            return S.App(S.App(t.arg, t.fun.arg), t.fun.fun)
+
+        self._swap_after_r_op(monkeypatch, S, swap)
+        p = surface.parse_program(self._SWAP, "lams")
+        assert _violations(p) == [
+            ("preservation failed after R-Op: applied non-function of type Bool",
+             "true 2 (\\x:Int. \\y:Bool. x)"),
+        ]
+
+    def test_swapped_off_spine_target_subterms_break_preservation(self, monkeypatch):
+        def swap(t):
+            # f(2<k>, k1)(b, k2)  becomes  b(2<k>, k1)(f, k2)
+            inner = t.fun
+            return X.App2(X.App2(t.arg, inner.arg, inner.cont), inner.fun, t.cont)
+
+        self._swap_after_r_op(monkeypatch, X, swap)
+        p = surface.parse_program(self._SWAP, "lams")
+        assert _violations(p) == [
+            ("target preservation failed after R-Op: applied non-function of type Bool",
+             "(true(2<id{Int}>, id{Bool => Int}))"
+             "(\\ (x:Int, k0:Bool => Int). (\\ (y:Bool, k1:Int). x<k1>)<k0>, id{Int})"),
+        ]
+
     def test_an_ill_typed_source_stops_before_translating(self, monkeypatch):
         def no_translation(p):
             raise AssertionError("translated an ill-typed source")
@@ -259,6 +308,90 @@ class TestInvariantMessages:
             ("metric did not decrease on c-step R-Id: 7 -> 7", "3"),
             ("translation does not typecheck: expected Int, found Bool", ""),
         ]
+
+
+def _derivation_pairs(a, b):
+    """Corresponding nodes of two typing derivations, shapes checked on the way."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        assert a.term is b.term and len(a.children) == len(b.children)
+        yield a, b
+        stack.extend(zip(a.children, b.children))
+
+
+def _walk_typed(d):
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        yield d
+        stack.extend(d.children)
+
+
+class TestTypingMemo:
+    def test_the_memo_changes_no_derivation_on_the_corpus(self, monkeypatch, corpus):
+        """At every state the two checks visit, the run's memo answers what a
+        from-scratch check does, and consecutive states reuse derivations."""
+        nodes = shared = 0
+        # id(memo) -> the memo's latest derivation, which stays alive, so no
+        # later derivation's nodes can take its ids
+        last = {}
+
+        def checking(typecheck):
+            def tc(term, env=None, defs=None, expected=None, memo=None):
+                nonlocal nodes, shared
+                # a type error on either side shows as a violation below
+                got = typecheck(term, env, defs, expected, memo)
+                if memo is None:
+                    return got
+                want = typecheck(term, env, defs, expected)
+                prev = last.get(id(memo))
+                before = {id(d) for d in _walk_typed(prev)} if prev else set()
+                last[id(memo)] = got
+                for g, w in _derivation_pairs(got, want):
+                    assert g.ty == w.ty
+                    nodes += 1
+                    shared += id(g) in before
+                return got
+            return tc
+
+        for mod in (S, X):
+            monkeypatch.setattr(mod, "typecheck", checking(mod.typecheck))
+        for s, p in enumerate(corpus[:100]):
+            assert simulationCheck(p, seed=s).kind == "agree"
+            assert invariantSuite(p, seed=s) == []
+        assert nodes > 100_000
+        assert shared > nodes // 2
+
+    def test_the_memo_never_answers_under_a_binder(self):
+        # one node checked in the bodies of two binders that type x differently
+        body = S.App(S.Var("x"), S.Const(1))
+        term = S.If(
+            S.TRUE,
+            S.App(S.Abs("x", FunT(INT, INT), body), S.Abs("z", INT, S.Var("z"))),
+            S.App(S.Abs("x", FunT(BOOL, INT), body), S.Abs("z", BOOL, S.Const(0))),
+        )
+        for memo in (None, {}):
+            with pytest.raises(S.TypeCheckError, match="expected Bool, found Int"):
+                S.typecheck(term, memo=memo)
+
+    def test_a_memo_refuses_other_definitions(self):
+        p = even_odd_program(3)
+        q = surface.parse_program(
+            "letrec even (x:Int) : Int = x\nin even 3", "lams")
+        memo = {}
+        S.typecheck(p.main, {}, p.def_types(), None, memo)
+        # equal definitions in another dict are the same definitions
+        S.typecheck(p.main, {}, dict(p.def_types()), None, memo)
+        with pytest.raises(ValueError, match="other definitions"):
+            S.typecheck(q.main, {}, q.def_types(), None, memo)
+        with pytest.raises(ValueError, match="other definitions"):
+            translate.trans_state(q, q.main, memo)
+        px, qx = translate.trans_program(p), translate.trans_program(q)
+        memo = {}
+        X.typecheck(px.main, {}, px.def_types(), None, memo)
+        with pytest.raises(ValueError, match="other definitions"):
+            X.typecheck(qx.main, {}, qx.def_types(), None, memo)
 
 
 class TestSpaceBench:

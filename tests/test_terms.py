@@ -214,8 +214,7 @@ def test_the_oracle_reaches_a_redex_nested_ten_thousand_deep(mod):
     (d,) = decs
     assert (d.rule, d.kind) == ("R-Op", "e")
     assert d.path == (0,) * (DEEP - 1)
-    # dataclass equality would recurse down the rebuilt spine
-    assert surface.alpha_eq(d.term, mod.step(t).term)
+    assert d.term == mod.step(t).term
 
 
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
@@ -224,3 +223,27 @@ def test_replace_follows_a_path_ten_thousand_long(mod):
     assert surface.alpha_eq(t, left_sum(mod, 2))
     assert terms.subterm(t, (0,) * DEEP) == mod.Const(2)
     assert not surface.alpha_eq(t, left_sum(mod))
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_terms_ten_thousand_deep_compare_and_hash(mod):
+    t, u = left_sum(mod), left_sum(mod)
+    assert t is not u
+    assert t == u and not t != u
+    assert hash(t) == hash(u)
+    # the two differ only in the innermost constant
+    assert t != left_sum(mod, 2)
+    assert len({t, u, left_sum(mod, 2)}) == 2
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_cycle_detection_hashes_states_ten_thousand_deep(mod):
+    # Each step re-descends from the root, so running the deep sum itself
+    # would take quadratic time.  It sits in the branch not taken, while
+    # 130 additions in the condition run past two sampled states.
+    cond = mod.Const(1)
+    for _ in range(130):
+        cond = mod.Op("+", cond, mod.Const(1))
+    t = mod.If(mod.Op("=", cond, mod.Const(131)), mod.Const(0), left_sum(mod))
+    out = mod.evaluate(t, detect_cycles=True)
+    assert (out.kind, out.term, out.steps) == ("value", mod.Const(0), 132)

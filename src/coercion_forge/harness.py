@@ -16,7 +16,7 @@ from . import lam_s as S
 from . import lam_sx as X
 from . import surface, translate
 from .coercions import Coercion, Fun, Id, IdStar, InjSeq, ProjSeq, is_canonical
-from .terms import CoercedVal, Const, IsBlame, IsValue, walk
+from .terms import CoercedVal, Const, IsBlame, IsValue, walk_unseen
 from .types import BOOL, DYN, INT, Base, Dyn, FunT, Fun2T, Type, is_source_type
 
 
@@ -455,6 +455,8 @@ def _check_run(
     state = p.main
     # consecutive states share most of their nodes; their typings are reused
     memo: dict = {}
+    # id -> node, for the nodes of earlier states whose coercion scan reported nothing
+    canonical: dict = {}
     # the metric bounds the composition steps of the source calculus only
     check_metric = dialect == "lams"
     prev_metric = mod.metric_f(state) if check_metric else None
@@ -475,10 +477,13 @@ def _check_run(
         except mod.TypeCheckError as e:
             report(f"{side}preservation failed after {r.rule}: {e}")
             break
-        for c in [m.crc for m in walk(state) if m.__class__ in carriers]:
-            if not is_canonical(c, fun_t):
-                crc = surface.print_coercion(c, dialect)
-                report(f"non-canonical {side}coercion {crc} after {r.rule}")
+        new = walk_unseen(state, canonical)
+        wrong = [m.crc for m in new if m.__class__ in carriers and not is_canonical(m.crc, fun_t)]
+        for c in wrong:
+            crc = surface.print_coercion(c, dialect)
+            report(f"non-canonical {side}coercion {crc} after {r.rule}")
+        if not wrong:
+            canonical.update([(id(m), m) for m in new])
         if check_metric:
             m = mod.metric_f(state)
             if r.kind == "c" and not m < prev_metric:

@@ -333,14 +333,11 @@ def step(term: TermS, defs: Optional[Mapping[str, TermS]] = None) -> terms.StepR
         return terms.IS_VALUE
     if isinstance(term, Blame):
         return terms.IS_BLAME
-    r = _find(term, defs or {})
-    if r is None:
-        raise terms.StuckTerm(repr(term))
-    return terms.Stepped(*r)
+    return terms.Stepped(*_find(term, defs or {}))
 
 
-def _find(t: TermS, defs) -> Optional[tuple[str, str, TermS]]:
-    """(kind, rule, whole term after the step), or None if no rule applies.
+def _find(t: TermS, defs) -> tuple[str, str, TermS]:
+    """(kind, rule, whole term after the step); raises StuckTerm if no rule applies.
 
     Walks down the evaluation context to the redex, keeping each frame it
     passes as (node, index of the hole), contracts the redex, and plugs the
@@ -359,7 +356,7 @@ def _find(t: TermS, defs) -> Optional[tuple[str, str, TermS]]:
                 fired = ("e", "R-Op", Const(delta(t.op, l.val, r.val)))
                 break
             else:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
         elif cls is App:
             f, a = t.fun, t.arg
             if f.__class__ not in _VALUE_CLASSES:
@@ -376,7 +373,7 @@ def _find(t: TermS, defs) -> Optional[tuple[str, str, TermS]]:
                 elif fc is GlobalRef and f.name in defs:
                     fired = ("e", "R-Unfold", App(defs[f.name], a))
                 else:
-                    return None
+                    raise terms.StuckTerm.at(t, len(frames))
                 break
         elif cls is If:
             c = t.cond
@@ -389,7 +386,7 @@ def _find(t: TermS, defs) -> Optional[tuple[str, str, TermS]]:
                 fired = ("e", "R-IfFalse", t.els)
                 break
             else:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
         elif cls is CrcApp:
             m, s = t.subject, t.crc
             mc = m.__class__
@@ -412,12 +409,12 @@ def _find(t: TermS, defs) -> Optional[tuple[str, str, TermS]]:
                 elif sc is InjSeq or sc is Fun:
                     fired = ("c", "R-Crc", CoercedVal(m, s))
                 else:
-                    return None
+                    raise terms.StuckTerm.at(t, len(frames))
                 break
             else:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
         else:
-            return None
+            raise terms.StuckTerm.at(t, len(frames))
         if sub.__class__ is Blame:
             # blame discards the whole context
             return ("e", "E-Abort", sub)

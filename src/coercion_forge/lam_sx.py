@@ -367,14 +367,11 @@ def step(term: TermX, defs: Optional[Mapping[str, TermX]] = None) -> terms.StepR
         return terms.IS_VALUE
     if isinstance(term, Blame):
         return terms.IS_BLAME
-    r = _find(term, defs or {})
-    if r is None:
-        raise terms.StuckTerm(repr(term))
-    return terms.Stepped(*r)
+    return terms.Stepped(*_find(term, defs or {}))
 
 
-def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
-    """(kind, rule, whole term after the step), or None if no rule applies.
+def _find(t: TermX, defs) -> tuple[str, str, TermX]:
+    """(kind, rule, whole term after the step); raises StuckTerm if no rule applies.
 
     Walks down the evaluation context to the redex, keeping each frame it
     passes as (node, index of the hole), contracts the redex, and plugs the
@@ -407,7 +404,7 @@ def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
                 elif fc is GlobalRef and f.name in defs:
                     fired = ("e", "R-Unfold", App2(defs[f.name], a, k))
                 else:
-                    return None
+                    raise terms.StuckTerm.at(t, len(frames))
                 break
         elif cls is CrcApp:
             m, c = t.subject, t.crc
@@ -416,7 +413,7 @@ def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
             elif c.__class__ not in _VALUE_CLASSES:
                 hole, sub = 1, c
             elif c.__class__ is not CrcLit:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
             elif m.__class__ is CoercedVal:
                 fired = ("c", "R-MergeV", CrcApp(m.subject, Compose(CrcLit(m.crc), c)))
                 break
@@ -430,10 +427,10 @@ def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
                 elif dc is InjSeq or dc is Fun:
                     fired = ("c", "R-Crc", CoercedVal(m, d))
                 else:
-                    return None
+                    raise terms.StuckTerm.at(t, len(frames))
                 break
             else:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
         elif cls is Op:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
@@ -444,7 +441,7 @@ def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
                 fired = ("e", "R-Op", Const(delta(t.op, l.val, r.val)))
                 break
             else:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
         elif cls is Let:
             m = t.bound
             if m.__class__ not in _VALUE_CLASSES:
@@ -462,7 +459,7 @@ def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
                 fired = ("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)))
                 break
             else:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
         elif cls is If:
             c = t.cond
             if c.__class__ not in _VALUE_CLASSES:
@@ -474,9 +471,9 @@ def _find(t: TermX, defs) -> Optional[tuple[str, str, TermX]]:
                 fired = ("e", "R-IfFalse", t.els)
                 break
             else:
-                return None
+                raise terms.StuckTerm.at(t, len(frames))
         else:
-            return None
+            raise terms.StuckTerm.at(t, len(frames))
         if sub.__class__ is Blame:
             # blame discards the whole context
             return ("e", "E-Abort", sub)

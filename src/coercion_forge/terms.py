@@ -201,6 +201,29 @@ def walk(t) -> list:
     return out
 
 
+def walk_unseen(t, seen: dict) -> list:
+    """The nodes of ``t`` whose ids are not keys of ``seen``, in pre-order.
+
+    The subtree of a seen node is skipped whole.  A caller that records
+    each node it has handled under its id (keeping the node, so the id
+    stays its own) walks only the new nodes of a term that shares
+    subtrees with the ones before it.
+    """
+    out = []
+    stack = [t]
+    pop = stack.pop
+    push = stack.append
+    add = out.append
+    while stack:
+        t = pop()
+        if id(t) in seen:
+            continue
+        add(t)
+        for k in t._kids_rev:
+            push(getattr(t, k))
+    return out
+
+
 _NO_NAMES: frozenset[str] = frozenset()
 
 
@@ -271,6 +294,16 @@ IS_BLAME = IsBlame()
 
 class StuckTerm(Exception):
     """No rule applies to a non-value, non-blame term (ill-typed or open)."""
+
+    @classmethod
+    def at(cls, sub, depth: int) -> StuckTerm:
+        """The error for the stuck subterm ``sub``, ``depth`` frames below the root.
+
+        The message names node classes only, so it costs the same at any
+        depth; printing the term would recurse once per level.
+        """
+        kids = ", ".join([getattr(sub, k).__class__.__name__ for k in sub._kids])
+        return cls(f"no rule applies to {sub.__class__.__name__}({kids}) at depth {depth}")
 
 
 class Typed:

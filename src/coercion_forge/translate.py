@@ -20,7 +20,19 @@ from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_iden
 from .types import Dyn, FunT, Fun2T, Type
 from . import lam_s as S
 from . import lam_sx as X
-from .terms import Blame, CoercedVal, Const, GlobalRef, If, Op, Typed, Var, keep_last, walk
+from .terms import (
+    Blame,
+    CoercedVal,
+    Const,
+    GlobalRef,
+    If,
+    Op,
+    Typed,
+    Var,
+    keep_last,
+    walk,
+    walk_unseen,
+)
 
 
 def psi_type(a: Type) -> Type:
@@ -72,13 +84,18 @@ class _NameSupply:
                 return name
 
 
-def _all_names(t: S.TermS) -> set[str]:
-    """Every variable, binder and definition name in ``t``."""
+def _names(nodes: list) -> set[str]:
+    """Every variable, binder and definition name of the ``nodes``."""
     return {
         m.var if m.__class__ is S.Abs else m.name
-        for m in walk(t)
+        for m in nodes
         if m.__class__ in (Var, S.Abs, GlobalRef)
     }
+
+
+def _all_names(t: S.TermS) -> set[str]:
+    """Every variable, binder and definition name in ``t``."""
+    return _names(walk(t))
 
 
 @dataclass
@@ -190,10 +207,78 @@ def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X
 
     States stay closed and well typed as evaluation proceeds, so this is
     the same translation the program got, minted against fresh names.
-    ``memo`` is a typing memo for the states of one run of ``p`` (see
-    :func:`lam_s.typecheck`); the translation is the same without it.
+
+    ``memo`` is a memo for the states of one run of ``p``.  It holds the
+    typing memo (see :func:`lam_s.typecheck`) and one translator for the
+    run, tied to ``p``: another program, even one with equal definitions,
+    raises ``ValueError``.  The translator reuses the translation of every
+    subterm whose derivation the typing memo reused, so only the spine and
+    the new nodes of a state are translated again.  Its continuation names
+    are minted once per run, fresh against the program and every state
+    translated so far.  So the answer is alpha-equivalent to a memo-less
+    call, but its names are not the same.
     """
     rename, avoid = def_rename(p)
     typed = S.typecheck(state, {}, p.def_types(), None, memo)
-    tr = _make_translator(avoid | _all_names(state), rename)
+    if memo is None:
+        return _make_translator(avoid | _all_names(state), rename).c(typed)
+    tr = memo.get(_RUN_TRANSLATOR)
+    if tr is None:
+        tr = memo[_RUN_TRANSLATOR] = _RunTranslator(p, _NameSupply(set(avoid)), rename)
+    elif tr.program is not p:
+        raise ValueError("a translation memo was filled for another program")
+    tr.avoid_names(state)
     return tr.c(typed)
+
+
+# The key under which a memo holds its run's translator.
+_RUN_TRANSLATOR = "translator"
+
+
+class _RunTranslator(Translator):
+    """The translator of one run's states, reusing what earlier states translated.
+
+    ``c`` and ``value`` keep their answers keyed by the identity of the
+    derivation, and each entry holds the derivation, so no id is reused
+    while the run lasts.  Only derivations outside every binder are kept:
+    those are the ones the typing memo hands out again at later states,
+    while the derivations under a binder are rebuilt at each state.  Such a
+    derivation types a closed term, so its translation has no free
+    continuation variable, and sharing it cannot capture a name.
+    """
+
+    def __init__(self, program: S.ProgramS, supply: _NameSupply, rename: dict[str, str]) -> None:
+        super().__init__(supply, rename)
+        self.program = program
+        # id(derivation) -> (derivation, its translation)
+        self.done: dict[int, tuple[Typed, X.TermX]] = {}
+        # a function's body is translated without reuse, minting from the same supply
+        self.under_binder = Translator(supply, rename)
+        # id(node) -> node, for the nodes whose names the supply already avoids
+        self.named: dict = {}
+
+    def avoid_names(self, state: S.TermS) -> None:
+        """Make the supply avoid the names of ``state``, walking only the nodes
+        no earlier state of the run had."""
+        new = walk_unseen(state, self.named)
+        self.supply.avoid |= _names(new)
+        self.named.update([(id(m), m) for m in new])
+
+    def value(self, v: Typed) -> X.TermX:
+        hit = self.done.get(id(v))
+        if hit is not None:
+            return hit[1]
+        if v.term.__class__ is S.Abs:
+            out = self.under_binder.value(v)
+        else:
+            out = super().value(v)
+        self.done[id(v)] = (v, out)
+        return out
+
+    def c(self, m: Typed) -> X.TermX:
+        hit = self.done.get(id(m))
+        if hit is not None:
+            return hit[1]
+        out = super().c(m)
+        self.done[id(m)] = (m, out)
+        return out

@@ -21,6 +21,7 @@ from coercion_forge.harness import (
     simulationCheck,
     spaceBench,
 )
+from coercion_forge.coercions import InjSeq
 from coercion_forge.types import BOOL, Fun2T, FunT, INT
 
 
@@ -288,6 +289,41 @@ class TestInvariantMessages:
              "(\\ (x:Int, k0:Bool => Int). (\\ (y:Bool, k1:Int). x<k1>)<k0>, id{Int})"),
         ]
 
+    # Int! stays off the spine while the left operand runs for three steps
+    _OFF_SPINE = "((1 + 2) + (3 + 4)) + 5<Int!><Int?^p>"
+    OFF_SPINE_EXPECTED = {
+        "lams": [
+            ("non-canonical coercion Int! after R-Op", "3 + (3 + 4) + 5<Int!><Int?^p>"),
+            ("non-canonical coercion Int! after R-Op", "3 + 7 + 5<Int!><Int?^p>"),
+            ("non-canonical coercion Int! after R-Op", "10 + 5<Int!><Int?^p>"),
+        ],
+        "lamsx": [
+            ("non-canonical target coercion Int! after R-Op",
+             "((3<id{Int}> + (3 + 4)<id{Int}>)<id{Int}> + (let k0 = Int! ;; Int?^p in 5<k0>))"
+             "<id{Int}>"),
+            ("non-canonical target coercion Int! after R-Id",
+             "((3 + (3 + 4)<id{Int}>)<id{Int}> + (let k0 = Int! ;; Int?^p in 5<k0>))<id{Int}>"),
+            ("non-canonical target coercion Int! after R-Op",
+             "((3 + 7<id{Int}>)<id{Int}> + (let k0 = Int! ;; Int?^p in 5<k0>))<id{Int}>"),
+            ("non-canonical target coercion Int! after R-Id",
+             "((3 + 7)<id{Int}> + (let k0 = Int! ;; Int?^p in 5<k0>))<id{Int}>"),
+            ("non-canonical target coercion Int! after R-Op",
+             "(10<id{Int}> + (let k0 = Int! ;; Int?^p in 5<k0>))<id{Int}>"),
+            ("non-canonical target coercion Int! after R-Id",
+             "(10 + (let k0 = Int! ;; Int?^p in 5<k0>))<id{Int}>"),
+        ],
+    }
+
+    @pytest.mark.parametrize("dialect", list(_SIDES))
+    def test_an_off_spine_fault_is_reported_at_every_state(self, monkeypatch, dialect):
+        # the scan skips the subtrees of earlier states that reported
+        # nothing, so a fault left in place is reported again at each state
+        _, fun_t = _SIDES[dialect]
+        monkeypatch.setattr(
+            harness, "is_canonical", lambda c, f: f is not fun_t or c.__class__ is not InjSeq)
+        p = surface.parse_program(self._OFF_SPINE, "lams")
+        assert _violations(p) == self.OFF_SPINE_EXPECTED[dialect]
+
     def test_an_ill_typed_source_stops_before_translating(self, monkeypatch):
         def no_translation(p):
             raise AssertionError("translated an ill-typed source")
@@ -392,6 +428,116 @@ class TestTypingMemo:
         X.typecheck(px.main, {}, px.def_types(), None, memo)
         with pytest.raises(ValueError, match="other definitions"):
             X.typecheck(qx.main, {}, qx.def_types(), None, memo)
+
+
+def _source_states(p, limit=250):
+    """The states of ``p``'s source run that ``simulationCheck`` visits."""
+    states = [p.main]
+    defs = p.def_terms()
+    while len(states) <= limit:
+        r = S.step(states[-1], defs)
+        if not hasattr(r, "term"):
+            break
+        states.append(r.term)
+    return states
+
+
+class TestTranslationMemo:
+    def test_the_memo_translates_each_state_alpha_equivalently(self, monkeypatch, corpus):
+        """At every source state ``simulationCheck`` visits, the run's memo
+        gives a translation alpha-equivalent to a from-scratch one, and
+        reuses most of the earlier states' translations."""
+        work = [0]
+
+        def counting(method):
+            def counted(self, m):
+                work[0] += 1
+                return method(self, m)
+            return counted
+
+        # a call the memo answers never reaches the plain translator's methods
+        for name in ("c", "value"):
+            monkeypatch.setattr(translate.Translator, name,
+                                counting(getattr(translate.Translator, name)))
+        trans_state = translate.trans_state
+        reused = scratch = states = 0
+
+        def checking(p, state, memo=None):
+            nonlocal reused, scratch, states
+            if memo is None:
+                return trans_state(p, state)
+            work[0] = 0
+            got = trans_state(p, state, memo)
+            done = work[0]
+            work[0] = 0
+            want = trans_state(p, state)
+            assert surface.alpha_eq(got, want), surface.print_term(state, "lams")
+            scratch += work[0]
+            reused += work[0] - done
+            states += 1
+            return got
+
+        monkeypatch.setattr(translate, "trans_state", checking)
+        for s, p in enumerate(corpus[:100]):
+            assert simulationCheck(p, seed=s).kind == "agree"
+        assert states > 2000
+        assert reused > scratch // 2
+
+    # a program whose own binders take the names the translation mints first
+    _K_NAMES = r"(\k0:Int. \k1:Bool. if k1 then k0 + 1<Int!><Int?^p> else 0) (2 + 3) true"
+
+    def test_names_are_minted_once_per_run_and_fresh_against_every_state(
+            self, monkeypatch, corpus):
+        minted = []
+        fresh = translate._NameSupply.fresh
+
+        def recording(supply):
+            name = fresh(supply)
+            minted.append(name)
+            return name
+
+        monkeypatch.setattr(translate._NameSupply, "fresh", recording)
+        k_names = surface.parse_program(self._K_NAMES, "lams")
+        assert {"k0", "k1"} <= translate._all_names(k_names.main)
+        total = 0
+        for p in [k_names, *corpus[:40]]:
+            minted.clear()
+            memo = {}
+            states = _source_states(p)
+            for state in states:
+                translate.trans_state(p, state, memo)
+            assert len(set(minted)) == len(minted), minted
+            names = set().union(*map(translate._all_names, states))
+            assert not names & set(minted), names & set(minted)
+            assert minted or p is not k_names
+            total += len(minted)
+        assert total > 100
+
+    def test_a_memo_refuses_another_program(self):
+        p = even_odd_program(3)
+        memo = {}
+        translate.trans_state(p, p.main, memo)
+        translate.trans_state(p, p.main, memo)
+        # the same definitions, but the names of another main term
+        q = S.ProgramS(p.defs, S.App(S.GlobalRef("even"), S.Const(2)))
+        with pytest.raises(ValueError, match="another program"):
+            translate.trans_state(q, q.main, memo)
+
+    def test_a_node_typed_at_two_types_is_translated_at_each(self):
+        # one Abs node, whose blame body takes the type each use expects:
+        # a memo keyed by the node would give both uses one translation
+        shared = S.Abs("x", INT, S.Blame("p"))
+
+        def use(ty):
+            return S.App(S.Abs("f", FunT(INT, ty), S.App(S.Var("f"), S.Const(1))), shared)
+
+        p = S.ProgramS((), S.Op("+", use(INT), S.If(use(BOOL), S.Const(1), S.Const(2))))
+        memo = {}
+        states = _source_states(p)
+        assert len(states) > 2
+        for state in states:
+            got = translate.trans_state(p, state, memo)
+            assert surface.alpha_eq(got, translate.trans_state(p, state))
 
 
 class TestSpaceBench:

@@ -155,6 +155,16 @@ class TestStep:
         with pytest.raises(StuckTerm):
             step(t)
 
+    def test_a_deeply_stuck_term_raises_stuck_term(self):
+        # the message names the stuck node and its depth; printing the
+        # whole term would recurse once per level
+        t = If(Const(1), Const(0), Const(0))
+        for _ in range(3000):
+            t = Op("+", t, Const(1))
+        want = r"^no rule applies to If\(Const, Const, Const\) at depth 3000$"
+        with pytest.raises(StuckTerm, match=want):
+            step(t)
+
 
 class TestEvaluate:
     def test_worked_reduction_sequence(self):

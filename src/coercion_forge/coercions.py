@@ -13,18 +13,18 @@ build or inspect function types takes that constructor as a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from .records import record
 from .types import ANY, DYN, AnyT, Type, consistent, is_ground, matches
 
 
-@dataclass(frozen=True)
+@record
 class IdStar:
     """Identity at the dynamic type."""
 
 
-@dataclass(frozen=True)
+@record
 class Id:
     """Identity at a non-dynamic type (function identities stay collapsed)."""
 
@@ -35,7 +35,7 @@ class Id:
             raise ValueError("identity at Dyn is IdStar")
 
 
-@dataclass(frozen=True)
+@record
 class ProjSeq:
     """Projection from Dyn followed by the rest: G?^p ; body."""
 
@@ -44,7 +44,7 @@ class ProjSeq:
     body: Coercion
 
 
-@dataclass(frozen=True)
+@record
 class InjSeq:
     """Ground part followed by injection into Dyn: body ; G!."""
 
@@ -52,7 +52,7 @@ class InjSeq:
     ground: Type
 
 
-@dataclass(frozen=True)
+@record
 class Fun:
     """Function coercion; contravariant argument, covariant result."""
 
@@ -60,7 +60,7 @@ class Fun:
     res: Coercion
 
 
-@dataclass(frozen=True)
+@record
 class Fail:
     """Failure pending a value: blames label when applied.
 

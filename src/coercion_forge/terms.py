@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
 from .coercions import Coercion
+from .records import record
 from .types import Type
 
 # Annotations are postponed, so a field's type is its name.
@@ -24,27 +25,29 @@ _TERM_TYPES = frozenset(("Term", "TermS", "TermX"))
 
 
 def node(cls):
-    """Make ``cls`` a frozen dataclass and record its term-valued fields in ``_kids``.
+    """Make ``cls`` a :func:`record` and record its term-valued fields in ``_kids``.
 
     ``_kids_rev`` holds them in reverse, the order a pre-order walk pushes
-    them on its stack; ``_data`` holds the other fields.  Equality and
-    hashing walk the children with an explicit stack, so terms of any depth
-    compare and hash.  A class that defines its own ``__eq__`` keeps it, and
-    one that defines ``_hash_parts`` hashes what that reads.
+    them on its stack; ``_data`` holds the other fields and ``_fields``
+    all of them, in order.  Equality, hashing and ``repr`` walk the
+    children with an explicit stack, so terms of any depth compare, hash
+    and print.  A class that defines its own ``__eq__`` keeps it, and one
+    that defines ``_hash_parts`` hashes what that reads.
     """
     own_eq = "__eq__" in cls.__dict__
-    cls = dataclass(frozen=True, eq=False)(cls)
+    # a node keeps its hash in the slot ``_hash`` once computed, from what
+    # ``_hash_parts`` reads: by default the class, the data fields and the
+    # children's hashes
+    cls = record(cls, eq=False, extra_slots=("_hash",))
     fields = dataclasses.fields(cls)
+    cls._fields = tuple(f.name for f in fields)
     cls._kids = tuple(f.name for f in fields if f.type in _TERM_TYPES)
     cls._kids_rev = cls._kids[::-1]
     cls._data = tuple(f.name for f in fields if f.type not in _TERM_TYPES)
     if not own_eq:
         cls.__eq__ = _node_eq
     cls.__hash__ = _node_hash
-    # a node keeps its hash in ``_hash`` once computed, from what
-    # ``_hash_parts`` reads: by default the class, the data fields and the
-    # children's hashes
-    cls._hash = None
+    cls.__repr__ = _stack_repr
     if "_hash_parts" not in cls.__dict__:
         cls._hash_parts = operator.attrgetter(
             "__class__", *[f.name + "._hash" if f.name in cls._kids else f.name for f in fields]
@@ -94,8 +97,46 @@ def _node_hash(t) -> int:
             if kid._hash is None:
                 stack.append(kid)
     for t in reversed(order):
-        t.__dict__["_hash"] = h = hash(t._hash_parts(t))
+        h = hash(t._hash_parts(t))
+        _setattr(t, "_hash", h)
     return h
+
+
+_setattr = object.__setattr__
+
+
+def _stack_repr(t) -> str:
+    """The dataclass ``repr`` of the node or ``Typed`` ``t``, built without recursion.
+
+    The text is the one the recursive ``repr`` gives: each node as
+    ``Class(field=value, ...)`` and each ``Typed`` as ``Typed(term, type,
+    children)``.
+    """
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is str:
+            out.append(t)
+            continue
+        if cls is Typed:
+            parts = ["Typed(", _pushed(t.term), f", {t.ty!r}, ("]
+            for i, kid in enumerate(t.children):
+                parts += (", ", _pushed(kid)) if i else (_pushed(kid),)
+            parts.append(",))" if len(t.children) == 1 else "))")
+        else:
+            parts = [cls.__qualname__ + "("]
+            for i, k in enumerate(cls._fields):
+                parts += (f", {k}=" if i else f"{k}=", _pushed(getattr(t, k)))
+            parts.append(")")
+        stack.extend(reversed(parts))
+    return "".join(out)
+
+
+def _pushed(v):
+    """``v`` itself where :func:`_stack_repr` expands it, else its ``repr``."""
+    return v if v.__class__.__repr__ is _stack_repr else repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +223,7 @@ def replace(t, path: tuple[int, ...], new):
         spine.append((t, k))
         t = getattr(t, k)
     for t, k in reversed(spine):
-        new = dataclasses.replace(t, **{k: new})
+        new = t.__class__(*[new if f == k else getattr(t, f) for f in t._fields])
     return new
 
 
@@ -270,7 +311,7 @@ def keep_last(fn):
 # Outcomes and the driver loop
 
 
-@dataclass(frozen=True)
+@record
 class Stepped:
     kind: str  # "e" or "c"
     rule: str
@@ -320,8 +361,7 @@ class Typed:
         self.ty = ty
         self.children = children
 
-    def __repr__(self) -> str:
-        return f"Typed({self.term!r}, {self.ty!r}, {self.children!r})"
+    __repr__ = _stack_repr
 
 
 # The key under which a typing memo records the definitions it answers under.

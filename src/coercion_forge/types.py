@@ -8,17 +8,18 @@ and rigid type variables ``TyVar`` used as abstract answer types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from .records import record
 
-@dataclass(frozen=True)
+
+@record
 class Dyn:
     def __repr__(self) -> str:
         return "Dyn"
 
 
-@dataclass(frozen=True)
+@record
 class Base:
     name: str  # "Int" or "Bool"
 
@@ -26,7 +27,7 @@ class Base:
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class FunT:
     arg: Type
     res: Type
@@ -35,7 +36,7 @@ class FunT:
         return f"({self.arg!r} -> {self.res!r})"
 
 
-@dataclass(frozen=True)
+@record
 class Fun2T:
     arg: Type
     res: Type  # the type handed to the continuation, not the answer type
@@ -44,7 +45,7 @@ class Fun2T:
         return f"({self.arg!r} => {self.res!r})"
 
 
-@dataclass(frozen=True)
+@record
 class CrcT:
     src: Type
     tgt: Type
@@ -53,7 +54,7 @@ class CrcT:
         return f"({self.src!r} ~> {self.tgt!r})"
 
 
-@dataclass(frozen=True)
+@record
 class TyVar:
     uid: int  # globally unique; minted by the typechecker and never reused
 
@@ -61,7 +62,7 @@ class TyVar:
         return f"'X{self.uid}"
 
 
-@dataclass(frozen=True)
+@record
 class AnyT:
     """Internal wildcard for positions whose type is unconstrained.
 

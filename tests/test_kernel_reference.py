@@ -195,9 +195,14 @@ def derivations(p, mod):
         yield mod.typecheck(d.fun, {}, sigs, d.ty)
 
 
+def field_values(r) -> list:
+    """The field values of the record ``r``: records have no ``__dict__``."""
+    return [getattr(r, f.name) for f in dataclasses.fields(r)]
+
+
 def type_parts(t):
     yield t
-    for v in vars(t).values():
+    for v in field_values(t):
         if not isinstance(v, (str, int)):
             yield from type_parts(v)
 
@@ -262,7 +267,7 @@ def corpus_coercions() -> list:
     while stack:
         c = stack.pop()
         found.add(c)
-        stack.extend(v for v in vars(c).values() if isinstance(v, COERCIONS))
+        stack.extend(v for v in field_values(c) if isinstance(v, COERCIONS))
     found |= {
         Id(TyVar(0)),
         Id(TyVar(1)),

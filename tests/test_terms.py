@@ -1,8 +1,11 @@
 """The node protocol both calculi share: children, binders and the walks
-derived from them, constant equality, and the shared driver loop."""
+derived from them, constant equality, the shared driver loop, and the
+records that terms, coercions, types and step results are."""
 
+import copy
 import dataclasses
 import functools
+import pickle
 import typing
 
 import pytest
@@ -10,7 +13,9 @@ import pytest
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import surface, terms, translate
+from coercion_forge.coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq
 from coercion_forge.harness import GenConfig, genWellTyped
+from coercion_forge.types import ANY, BOOL, DYN, INT, AnyT, Base, CrcT, Dyn, Fun2T, FunT, TyVar, Type
 
 CALCULI = [(S, S.TermS), (X, X.TermX)]
 
@@ -247,3 +252,149 @@ def test_cycle_detection_hashes_states_ten_thousand_deep(mod):
     t = mod.If(mod.Op("=", cond, mod.Const(131)), mod.Const(0), left_sum(mod))
     out = mod.evaluate(t, detect_cycles=True)
     assert (out.kind, out.term, out.steps) == ("value", mod.Const(0), 132)
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_repr_of_a_ten_thousand_deep_sum(mod):
+    text = repr(left_sum(mod))
+    assert text == "Op(op='+', left=" * DEEP + "Const(val=1)" + ", right=Const(val=1))" * DEEP
+
+
+def test_repr_of_a_ten_thousand_deep_derivation():
+    d = terms.Typed(S.Const(1), INT)
+    for _ in range(DEEP):
+        d = terms.Typed(S.Const(1), INT, (d,))
+    want = "Typed(Const(val=1), Int, (" * DEEP + "Typed(Const(val=1), Int, ())" + ",))" * DEEP
+    assert repr(d) == want
+
+
+def reference_repr(x) -> str:
+    """The recursive ``repr`` that the dataclasses and ``Typed`` gave."""
+    if isinstance(x, terms.Typed):
+        kids = [reference_repr(k) for k in x.children]
+        tail = "," if len(kids) == 1 else ""
+        return f"Typed({reference_repr(x.term)}, {x.ty!r}, ({', '.join(kids)}{tail}))"
+    if not hasattr(type(x), "_kids"):
+        return repr(x)
+    fields = [f"{f.name}={reference_repr(getattr(x, f.name))}" for f in dataclasses.fields(x)]
+    return f"{type(x).__qualname__}({', '.join(fields)})"
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_repr_is_the_recursive_repr_on_corpus_states_and_derivations(mod):
+    for seed in range(10):
+        p = genWellTyped(GenConfig(seed=seed, maxDepth=8))
+        if mod is X:
+            p = translate.trans_program(p)
+        sigs, defs, t = p.def_types(), p.def_terms(), p.main
+        for _ in range(20):
+            d = mod.typecheck(t, {}, sigs)
+            assert repr(t) == reference_repr(t)
+            assert repr(d) == reference_repr(d)
+            r = mod.step(t, defs)
+            if not isinstance(r, terms.Stepped):
+                break
+            t = r.term
+
+
+# ---------------------------------------------------------------------------
+# Records: every term, coercion and type class and the step result
+
+ONE = S.Const(1)
+
+# one instance of each record class, and the field names each had as a
+# frozen dataclass
+RECORDS = {
+    S.Const: (ONE, ("val",)),
+    S.Var: (S.Var("x"), ("name",)),
+    S.Op: (S.Op("+", ONE, ONE), ("op", "left", "right")),
+    S.If: (S.If(S.TRUE, ONE, ONE), ("cond", "then", "els")),
+    S.Blame: (S.Blame("p"), ("label",)),
+    S.GlobalRef: (S.GlobalRef("f"), ("name",)),
+    S.CoercedVal: (S.CoercedVal(ONE, InjSeq(Id(INT), INT)), ("subject", "crc")),
+    S.Abs: (S.Abs("x", INT, ONE), ("var", "var_ty", "body")),
+    S.App: (S.App(ONE, ONE), ("fun", "arg")),
+    S.CrcApp: (S.CrcApp(ONE, Id(INT)), ("subject", "crc")),
+    X.Abs2: (X.Abs2("x", INT, "k", INT, ONE), ("var", "var_ty", "kvar", "k_src", "body")),
+    X.App2: (X.App2(ONE, ONE, ONE), ("fun", "arg", "cont")),
+    X.Let: (X.Let("x", ONE, ONE), ("var", "bound", "body")),
+    X.Compose: (X.Compose(X.CrcLit(IdStar()), X.CrcLit(IdStar())), ("left", "right")),
+    X.CrcApp: (X.CrcApp(ONE, X.CrcLit(Id(INT))), ("subject", "crc")),
+    X.CrcLit: (X.CrcLit(IdStar()), ("crc",)),
+    IdStar: (IdStar(), ()),
+    Id: (Id(INT), ("ty",)),
+    ProjSeq: (ProjSeq(INT, "p", Id(INT)), ("ground", "label", "body")),
+    InjSeq: (InjSeq(Id(INT), INT), ("body", "ground")),
+    Fun: (Fun(Id(INT), IdStar()), ("arg", "res")),
+    Fail: (Fail(INT, "p", BOOL), ("src_tag", "label", "tgt_tag")),
+    Dyn: (DYN, ()),
+    Base: (INT, ("name",)),
+    FunT: (FunT(INT, DYN), ("arg", "res")),
+    Fun2T: (Fun2T(INT, DYN), ("arg", "res")),
+    CrcT: (CrcT(INT, DYN), ("src", "tgt")),
+    TyVar: (TyVar(0), ("uid",)),
+    AnyT: (ANY, ()),
+    terms.Stepped: (terms.Stepped("e", "R-Op", ONE), ("kind", "rule", "term")),
+}
+SAMPLES = [sample for sample, _ in RECORDS.values()]
+SAMPLE_IDS = [cls.__qualname__ for cls in RECORDS]
+
+
+def test_the_records_are_every_term_coercion_and_type_class():
+    want = {terms.Stepped}
+    for union in (S.TermS, X.TermX, Coercion, Type):
+        want.update(typing.get_args(union))
+    assert set(RECORDS) == want
+    assert all(type(sample) is cls for cls, (sample, _) in RECORDS.items())
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=SAMPLE_IDS)
+def test_a_record_has_no_dict_and_refuses_assignment(sample):
+    assert not hasattr(sample, "__dict__")
+    for name in [f.name for f in dataclasses.fields(sample)] + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sample, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(sample, name)
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=SAMPLE_IDS)
+def test_a_record_keeps_its_fields_and_match_args(sample):
+    cls = type(sample)
+    names = RECORDS[cls][1]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert cls.__match_args__ == names
+    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=SAMPLE_IDS)
+def test_replace_copy_and_pickle_round_trip_a_record(sample):
+    assert dataclasses.replace(sample) == sample
+    for f in dataclasses.fields(sample):
+        assert dataclasses.replace(sample, **{f.name: getattr(sample, f.name)}) == sample
+    assert copy.deepcopy(sample) == sample
+    assert pickle.loads(pickle.dumps(sample)) == sample
+    assert hash(copy.copy(sample)) == hash(sample)
+
+
+@pytest.mark.parametrize("sample", [s for s in SAMPLES if hasattr(type(s), "_kids")],
+                         ids=[i for s, i in zip(SAMPLES, SAMPLE_IDS) if hasattr(type(s), "_kids")])
+def test_a_node_keeps_its_hash_out_of_fields_replace_repr_and_equality(sample):
+    fresh = dataclasses.replace(sample)
+    h = hash(sample)
+    assert sample._hash == h and fresh._hash is None
+    assert "_hash" not in [f.name for f in dataclasses.fields(sample)]
+    assert "_hash" not in type(sample).__match_args__
+    with pytest.raises(TypeError):
+        dataclasses.replace(sample, _hash=0)
+    assert "_hash" not in repr(sample) and repr(fresh) == repr(sample)
+    assert fresh == sample and hash(fresh) == h
+
+
+def test_the_records_still_check_what_they_are_built_from():
+    with pytest.raises(ValueError):
+        Id(DYN)
+    with pytest.raises(ValueError):
+        Fail(INT, "p", INT)
+    assert S.Const(1) != S.Const(True)
+    assert hash(S.Const(1)) != hash(S.Const(True))

@@ -7,6 +7,7 @@ and every check reports a replayable witness in surface syntax.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -113,6 +114,15 @@ and odd (x:Int) : Bool = if x = 0 then false else even (x - 1)<Bool?^p>
 in odd {N}"""
 
 _LOOP_TEXT = "letrec loop (x:Int) : Int = loop x\nin 0"
+
+
+@functools.cache
+def _base_defs(text: str) -> tuple[S.DefS, ...]:
+    """The definitions of the program ``text``, parsed on first use and then shared.
+
+    Only the definitions are kept, so the even/odd argument may be any number.
+    """
+    return surface.parse_program(text.replace("{N}", "0"), "lams").defs
 
 
 def even_odd_program(n: int) -> S.ProgramS:
@@ -261,11 +271,9 @@ def genWellTyped(config: GenConfig) -> S.ProgramS:
     rng = random.Random(config.seed)
     roll = rng.random()
     if roll < 0.25:
-        base = even_odd_program(0)
-        defs = base.defs
+        defs = _base_defs(_EVEN_ODD_TEXT)
     elif roll < 0.31:
-        base = surface.parse_program(_LOOP_TEXT, "lams")
-        defs = base.defs
+        defs = _base_defs(_LOOP_TEXT)
     else:
         defs = ()
     if target is None:

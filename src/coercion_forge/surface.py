@@ -822,22 +822,44 @@ def _crc_eq(c: Coercion, d: Coercion, tymap: dict[int, int]) -> bool:
 _COERCED = frozenset((S.CrcApp, CoercedVal))
 # Nodes whose fields are all subterms.
 _PLAIN = frozenset((S.App, If, X.App2, X.Compose, X.CrcApp))
+# The type-valued fields of the binders.
+_ANNOTATED = {S.Abs: ("var_ty",), X.Abs2: ("var_ty", "k_src")}
+_COERCIONS = frozenset((IdStar, Id, ProjSeq, InjSeq, Fun, Fail))
 
 
 def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
     """Whether two terms of one dialect differ only in bound names and rigid type variables.
 
     Rigid type variables must correspond one to one throughout the pair.
-    The walk keeps an explicit stack, so deep terms need no recursion.
+    The walk keeps an explicit stack, so deep terms need no recursion.  A
+    subtree both sides hold as one object, with no binder in scope, is
+    not walked pair by pair; its rigid variables are checked at the end,
+    and only when the rest of the pair maps some variable.
     """
     tymap: dict[int, int] = {}
+    shared: list = []
+    return _alpha_walk(m1, m2, tymap, shared) and _shared_fit(shared, tymap)
+
+
+def _alpha_walk(m1: TermAny, m2: TermAny, tymap: dict[int, int], shared: list) -> bool:
+    """:func:`alpha_eq` of ``m1`` and ``m2`` under ``tymap``, apart from their shared parts.
+
+    Each subtree (or coercion) both sides hold as one object, outside
+    every binder, is put on ``shared`` and not walked: its free names are
+    the same names on both sides, and whether its rigid variables fit the
+    bijection is left to :func:`_shared_fit`, once the bijection is final.
+    """
     # Each entry is a pair of subterms and the binders in scope, innermost
     # first, as a linked list of (left name, right name, outer binders).
     stack: list = [(m1, m2, None)]
     pop = stack.pop
     push = stack.append
+    defer = shared.append
     while stack:
         a, b, env = pop()
+        if a is b and env is None:
+            defer(a)
+            continue
         cls = a.__class__
         if cls is not b.__class__:
             return False
@@ -862,7 +884,10 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
             for k in cls._kids_rev:
                 push((getattr(a, k), getattr(b, k), env))
         elif cls in _COERCED:
-            if not _crc_eq(a.crc, b.crc, tymap):
+            c, d = a.crc, b.crc
+            if c is d:
+                defer(c)
+            elif not _crc_eq(c, d, tymap):
                 return False
             push((a.subject, b.subject, env))
         elif cls is Const:
@@ -881,7 +906,10 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
             push((a.body, b.body, (a.var, b.var, env)))
             push((a.bound, b.bound, env))
         elif cls is X.CrcLit:
-            if not _crc_eq(a.crc, b.crc, tymap):
+            c, d = a.crc, b.crc
+            if c is d:
+                defer(c)
+            elif not _crc_eq(c, d, tymap):
                 return False
         elif cls is GlobalRef:
             if a.name != b.name:
@@ -894,12 +922,59 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
     return True
 
 
+def _shared_fit(shared: list, tymap: dict[int, int]) -> bool:
+    """Whether the rigid variables of the ``shared`` subtrees and coercions fit ``tymap``.
+
+    Both sides of a shared part hold the same variables, so each must map
+    to itself.  With ``tymap`` empty nothing else is mapped, and the
+    identity fits.  Otherwise each variable is checked against ``tymap``,
+    which grows as :func:`_ty_eq` meets new ones; the answer is whether
+    all the pairs form one bijection, so the order does not matter.
+    ``shared`` is used up.
+    """
+    if not tymap:
+        return True
+    seen: set[int] = set()
+    stack = shared
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        t = pop()
+        cls = t.__class__
+        if cls in _COERCIONS:
+            if not _crc_eq(t, t, tymap):
+                return False
+            continue
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        for k in _ANNOTATED.get(cls, ()):
+            if not _ty_eq(getattr(t, k), getattr(t, k), tymap):
+                return False
+        if cls in _COERCED or cls is X.CrcLit:
+            push(t.crc)
+        for k in cls._kids:
+            push(getattr(t, k))
+    return True
+
+
 def alpha_eq_program(p1, p2) -> bool:
+    """:func:`alpha_eq` of two programs, definition by definition, then ``main``.
+
+    Rigid type variables are global to a program, so one bijection spans
+    the signatures, the definitions and ``main``.
+    """
     if isinstance(p1, S.ProgramS) != isinstance(p2, S.ProgramS):
         return False
     if len(p1.defs) != len(p2.defs):
         return False
+    tymap: dict[int, int] = {}
+    shared: list = []
     for a, b in zip(p1.defs, p2.defs):
-        if a.name != b.name or a.ty != b.ty or not alpha_eq(a.fun, b.fun):
+        if (
+            a.name != b.name
+            or not _ty_eq(a.ty, b.ty, tymap)
+            or not _alpha_walk(a.fun, b.fun, tymap, shared)
+        ):
             return False
-    return alpha_eq(p1.main, p2.main)
+    return _alpha_walk(p1.main, p2.main, tymap, shared) and _shared_fit(shared, tymap)

@@ -17,6 +17,7 @@ give the same answers on:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import random
@@ -301,8 +302,18 @@ def simulation_pairs() -> list:
 # Variants of the simulation pairs
 
 
-def relabel(t, tyvars: dict[Type, int]):
-    """``t`` with each base type in its binder annotations replaced by a rigid variable."""
+def relabel(t, tyvars: dict[Type, int], done: dict | None = None):
+    """``t`` with each base type in its binder annotations replaced by a rigid variable.
+
+    A node met before, by identity, in ``done`` (from this call or an
+    earlier one given the same dict) gives the same new node as then, so
+    the subtrees two terms share stay shared.
+    """
+    if done is None:
+        done = {}
+    hit = done.get(id(t))
+    if hit is not None:
+        return hit[1]
 
     def ty(a):
         if a in tyvars:
@@ -313,10 +324,12 @@ def relabel(t, tyvars: dict[Type, int]):
             return CrcT(ty(a.src), ty(a.tgt))
         return a
 
-    changes = {k: relabel(getattr(t, k), tyvars) for k in t._kids}
+    changes = {k: relabel(getattr(t, k), tyvars, done) for k in t._kids}
     if t.__class__ is X.Abs2:
         changes.update(var_ty=ty(t.var_ty), k_src=ty(t.k_src))
-    return dataclasses.replace(t, **changes) if changes else t
+    new = dataclasses.replace(t, **changes) if changes else t
+    done[id(t)] = (t, new)
+    return new
 
 
 def mutant(t, rng: random.Random, crcs: list):
@@ -424,6 +437,46 @@ def test_alpha_eq_agrees_on_simulation_pairs_with_rigid_variables():
             assert surface.alpha_eq(a2, b2) == want
             outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def shares_a_binder(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold one ``Abs2`` object in common."""
+    mine = {id(t) for t in terms.walk(a) if t.__class__ is X.Abs2}
+    return any(id(t) in mine for t in terms.walk(b))
+
+
+def test_alpha_eq_agrees_on_simulation_pairs_without_sharing():
+    # the two sides of a pair share most of their subtrees by identity; a
+    # deep copy of one side shares none, so the whole pair is walked
+    pairs = simulation_pairs()
+    assert sum(shares_a_binder(a, b) for a, b in pairs) > len(pairs) // 2
+    for a, b in pairs:
+        b2 = copy.deepcopy(b)
+        assert not shares_a_binder(a, b2)
+        want = ref_alpha_eq(a, b2)
+        assert surface.alpha_eq(a, b2) == want
+        assert surface.alpha_eq(a, b) == want
+
+
+def test_alpha_eq_agrees_on_shared_simulation_pairs_with_rigid_variables():
+    # both sides relabelled through one memo: the subtrees they share stay
+    # shared and hold the left side's rigid variables, while the rest of
+    # the right side gets its own, renamed one to one, merged or swapped
+    left = {INT: 0, BOOL: 1, DYN: 2}
+    outcomes = set()
+    fallbacks = 0
+    for a, b in simulation_pairs()[::4]:
+        for right in (left, {INT: 7, BOOL: 3, DYN: 5}, {INT: 4, BOOL: 4, DYN: 5}, {INT: 1, BOOL: 0}):
+            done: dict = {}
+            a2 = relabel(a, left, done)
+            b2 = relabel(b, right, done)
+            want = ref_alpha_eq(a2, b2)
+            assert surface.alpha_eq(a2, b2) == want
+            assert surface.alpha_eq(b2, a2) == ref_alpha_eq(b2, a2)
+            outcomes.add(want)
+            fallbacks += shares_a_binder(a2, b2) and "'X" in repr(b2)
+    assert outcomes == {True, False}
+    assert fallbacks > 0
 
 
 def test_alpha_eq_agrees_on_mutated_simulation_pairs():

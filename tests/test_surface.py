@@ -4,6 +4,7 @@ import pytest
 
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
+from coercion_forge import surface
 from coercion_forge.coercions import Fun, Id, InjSeq, ProjSeq
 from coercion_forge.surface import (
     ParseError,
@@ -295,3 +296,92 @@ class TestAlphaEquivalence:
         assert not alpha_eq(op_chain(1), op_chain(2))
         assert alpha_eq(let_chain("x", 0), let_chain("y", 0))
         assert not alpha_eq(let_chain("x", 0), let_chain("y", 1))
+
+
+class TestSharedSubtrees:
+    """``alpha_eq`` skips a subtree both sides hold as one object, outside every binder."""
+
+    @staticmethod
+    def annotated(uid):
+        return parse_term(f"\\ (x:'X{uid}, k:Int). x<k>", "lamsx")
+
+    @pytest.mark.parametrize("shared_first", [False, True])
+    def test_a_shared_rigid_variable_maps_to_itself(self, shared_first):
+        def pair(shared_uid, left_uid, right_uid):
+            shared = self.annotated(shared_uid)
+            left, right = self.annotated(left_uid), self.annotated(right_uid)
+            if shared_first:
+                return X.Compose(shared, left), X.Compose(shared, right)
+            return X.Compose(left, shared), X.Compose(right, shared)
+
+        # the shared 'X1 stands for itself, so 'X1 cannot stand for 'X2 ...
+        assert not alpha_eq(*pair(1, 1, 2))
+        # ... and 'X2 cannot stand for both itself and 'X1
+        assert not alpha_eq(*pair(2, 1, 2))
+        assert alpha_eq(*pair(3, 1, 2))
+        assert alpha_eq(*pair(1, 1, 1))
+        assert alpha_eq(*pair(1, 2, 2))
+
+    def test_a_shared_node_under_binders_is_still_compared(self):
+        v = S.Var("x")
+        assert not alpha_eq(S.Abs("x", INT, v), S.Abs("y", INT, v))
+        assert alpha_eq(S.Abs("x", INT, v), S.Abs("x", INT, v))
+
+    def test_a_shared_subtree_makes_no_coercion_comparison(self, monkeypatch):
+        shared = X.CrcLit(Id(INT))
+        for g in (INT, BOOL, INT):
+            shared = X.Compose(X.CrcLit(inj(g)), X.Compose(shared, X.CrcLit(Fun(Id(INT), inj(g)))))
+        in_shared = set()
+        stack = [shared]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, X.CrcLit):
+                in_shared.add(id(t.crc))
+            else:
+                stack += (t.left, t.right)
+
+        calls = []
+        original = surface._crc_eq
+
+        def counting(c, d, tymap):
+            calls.append((c, d))
+            return original(c, d, tymap)
+
+        monkeypatch.setattr(surface, "_crc_eq", counting)
+        a = X.Compose(X.CrcLit(Id(BOOL)), shared)
+        b = X.Compose(X.CrcLit(Id(BOOL)), shared)
+        assert alpha_eq(a, b)
+        assert calls and not any(id(c) in in_shared or id(d) in in_shared for c, d in calls)
+        assert not alpha_eq(X.Compose(X.CrcLit(Id(INT)), shared), b)
+
+
+class TestProgramAlphaEquivalence:
+    """One rigid-variable bijection spans a whole program."""
+
+    DEF = "{f} (x:{a}, k:Int) = (\\ (y:{b}, j:Int). x<j>)(x, k)"
+
+    def program(self, f_vars, g_vars, main="1"):
+        defs = " and ".join(
+            self.DEF.format(f=name, a=a, b=b) for name, (a, b) in (("f", f_vars), ("g", g_vars))
+        )
+        return parse_program(f"letrec {defs} in {main}", "lamsx")
+
+    def test_each_definition_may_not_rename_on_its_own(self):
+        p1 = self.program(("Int", "'X0"), ("Int", "'X0"))
+        p2 = self.program(("Int", "'X1"), ("Int", "'X0"))
+        assert not alpha_eq_program(p1, p2)
+        assert not alpha_eq_program(p2, p1)
+        # the same definitions side by side in one term do not compare either
+        pair1 = X.App2(p1.defs[0].fun, p1.defs[1].fun, X.Var("q"))
+        pair2 = X.App2(p2.defs[0].fun, p2.defs[1].fun, X.Var("q"))
+        assert not alpha_eq(pair1, pair2)
+
+    def test_a_consistent_renaming_across_signatures_bodies_and_main_is_accepted(self):
+        main = "(\\ (z:{}, q:Int). 1)(1, 1)"
+        p1 = self.program(("'X0", "'X1"), ("'X1", "'X0"), main.format("'X0"))
+        p2 = self.program(("'X5", "'X7"), ("'X7", "'X5"), main.format("'X5"))
+        assert alpha_eq_program(p1, p2)
+        assert alpha_eq_program(p2, p1)
+        # main must keep the renaming the signatures made
+        p3 = self.program(("'X5", "'X7"), ("'X7", "'X5"), main.format("'X7"))
+        assert not alpha_eq_program(p1, p3)

@@ -32,13 +32,33 @@ class GenConfig:
     targetType: Optional[Type] = None
 
 
+class _Witness:
+    """The ``witness`` field of a :class:`Verdict`: the text it was given, or,
+    when it was given a program, that program printed when first read.
+
+    Most verdicts agree, and an agreeing verdict's JSON leaves the witness
+    out, so the checks pass the program and no one prints it.
+    """
+
+    def __get__(self, v, owner=None):
+        if v is None:
+            return ""  # the field's default
+        w = v.__dict__["_witness"]
+        if w.__class__ is not str:
+            w = v.__dict__["_witness"] = surface.print_program(w)
+        return w
+
+    def __set__(self, v, w) -> None:
+        v.__dict__["_witness"] = w
+
+
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # "agree", "disagree", or "invariant-violation"
     detail: str
     source: str = ""
     target: str = ""
-    witness: str = ""
+    witness: str = _Witness()  # or the program, printed when first read
     seed: Optional[int] = None
 
     def to_json(self) -> str:
@@ -334,7 +354,6 @@ def differentialRun(p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None
     finer.  Fuel exhaustion on either side never counts as disagreement;
     a detected state cycle counts as exhaustion since no fuel would do.
     """
-    witness = surface.print_program(p)
     src = S.evaluate_program(p, fuel, detect_cycles=True)
     px = translate.trans_program(p)
     tgt = X.evaluate_program(px, fuel * 10, detect_cycles=True)
@@ -344,10 +363,10 @@ def differentialRun(p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None
     if src.kind in _FUELISH or tgt.kind in _FUELISH:
         both = src.kind in _FUELISH and tgt.kind in _FUELISH
         detail = "both ran out of fuel" if both else "one side ran out of fuel"
-        return Verdict("agree", detail, s_str, t_str, witness, seed)
+        return Verdict("agree", detail, s_str, t_str, p, seed)
     if _observe(src, "lams") == _observe(tgt, "lamsx"):
-        return Verdict("agree", "same observable outcome", s_str, t_str, witness, seed)
-    return Verdict("disagree", "observable outcomes differ", s_str, t_str, witness, seed)
+        return Verdict("agree", "same observable outcome", s_str, t_str, p, seed)
+    return Verdict("disagree", "observable outcomes differ", s_str, t_str, p, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +380,6 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     administrative c-steps, and each source c-step by c-steps only, in
     both cases landing on the translation of the next source state.
     """
-    witness = surface.print_program(p)
     px = translate.trans_program(p)
     sdefs = p.def_terms()
     xdefs = px.def_terms()
@@ -403,11 +421,11 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
                 detail,
                 surface.print_term(nxt_s, "lams"),
                 surface.print_term(t, "lamsx"),
-                witness,
+                p,
                 seed,
             )
         cur_s, cur_t = nxt_s, expected
-    return Verdict("agree", "simulation held on every checked step", "", "", witness, seed)
+    return Verdict("agree", "simulation held on every checked step", "", "", p, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +442,11 @@ def invariantSuite(
     are unique), closure of canonical coercion forms, and strict descent
     of the termination metric on source c-steps.
     """
-    witness = surface.print_program(p)
     violations: list[Verdict] = []
 
     def bad(detail: str, state_str: str) -> None:
         violations.append(
-            Verdict("invariant-violation", detail, state_str, "", witness, seed)
+            Verdict("invariant-violation", detail, state_str, "", p, seed)
         )
 
     err = _check_run(S, "lams", FunT, (S.CrcApp, CoercedVal), p, max_states, bad)

@@ -10,7 +10,8 @@ evaluation steps (kind "e") may look past them.  The two-sort context
 grammar says that a composition step may not fire directly under a pending
 coercion frame, and that coercion frames never nest.  The stepper needs no
 flag for it: a coercion applied to a pending coercion merges before the
-search could descend under it.  The decomposition oracle states the grammar:
+search could descend under it, and a search that goes on from a contractum
+looks at the frame above it first.  The decomposition oracle states the grammar:
 ``_frame_ok`` answers each frame's sort, "plain" or "crc", and the shared
 search ``terms.decompose`` applies the two rules.
 """
@@ -34,7 +35,22 @@ from .coercions import (
     is_delayed,
     size,
 )
-from .terms import FALSE, TRUE, Blame, CoercedVal, Const, GlobalRef, If, Op, Var, free_vars, node
+from .terms import (
+    FALSE,
+    TRUE,
+    Blame,
+    CoercedVal,
+    Const,
+    GlobalRef,
+    If,
+    Op,
+    Var,
+    free_vars,
+    if_cond,
+    node,
+    op_left,
+    op_right,
+)
 from . import terms
 from .types import ANY, BOOL, INT, AnyT, FunT, Type, matches, merge_types
 
@@ -328,111 +344,130 @@ def substitute(t: TermS, sub: Mapping[str, TermS]) -> TermS:
 # Small-step semantics
 
 
-def step(term: TermS, defs: Optional[Mapping[str, TermS]] = None) -> terms.StepResult:
-    if is_value(term):
-        return terms.IS_VALUE
-    if isinstance(term, Blame):
-        return terms.IS_BLAME
-    return terms.Stepped(*_find(term, defs or {}))
+def step(term, defs: Optional[Mapping[str, TermS]] = None) -> terms.StepResult:
+    """The step from ``term``: a :class:`terms.Stepped`, ``IS_VALUE`` or ``IS_BLAME``.
 
-
-def _find(t: TermS, defs) -> tuple[str, str, TermS]:
-    """(kind, rule, whole term after the step); raises StuckTerm if no rule applies.
-
-    Walks down the evaluation context to the redex, keeping each frame it
-    passes as (node, index of the hole), contracts the redex, and plugs the
-    result back into the frames, innermost first.
+    ``term`` may also be the ``Stepped`` of the step before, as the driver
+    loop passes it.  The search then goes on from that step's contractum
+    and context, and the result's term is built only when it is read.  On
+    a term the result's term is built before it returns.
     """
-    frames: list[tuple[TermS, int]] = []
+    if term.__class__ is terms.Stepped:
+        if term._focus is None:
+            return _find(term.term, None, defs or {})
+        return _find(term._focus, term._ctx, defs or {})
+    r = _find(term, None, defs or {})
+    if r.__class__ is terms.Stepped:
+        r.term  # noqa: B018 (builds the whole term)
+    return r
+
+
+# The frames this calculus adds to the evaluation contexts ``terms`` describes.
+
+
+def _app_fun(n, t):
+    return App(t, n.arg)
+
+
+def _app_arg(n, t):
+    return App(n.fun, t)
+
+
+def _crc_subject(n, t):
+    return CrcApp(t, n.crc)
+
+
+def _find(t: TermS, k, defs) -> terms.StepResult:
+    """The next step from the focus ``t`` in the context ``k``; raises StuckTerm
+    if no rule applies.
+
+    A value in the focus fills the hole of the innermost frame, and the
+    search goes on from that frame's node.  Otherwise the search goes down
+    the evaluation context to the redex, pushing a frame at each node it
+    passes, and returns the contractum with the context: the first step's
+    search starts at the root, and each later one at the contractum of the
+    step before, which refocuses.  One pending coercion frame never holds
+    another, so R-MergeC or R-MergeV fires at the parent of a pending or
+    delayed coercion in the focus under one: the first by the top-frame
+    check, the second as a value fills the frame's hole.
+    """
     while True:
         cls = t.__class__
         if cls is Op:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, l
+                k, t = (op_left, t, k), l
             elif r.__class__ not in _VALUE_CLASSES:
-                hole, sub = 1, r
+                k, t = (op_right, t, k), r
             elif l.__class__ is Const and r.__class__ is Const:
-                fired = ("e", "R-Op", Const(delta(t.op, l.val, r.val)))
-                break
+                return _stepped("e", "R-Op", Const(delta(t.op, l.val, r.val)), k)
             else:
-                raise terms.StuckTerm.at(t, len(frames))
+                raise terms.StuckTerm.at(t, k)
         elif cls is App:
             f, a = t.fun, t.arg
             if f.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, f
+                k, t = (_app_fun, t, k), f
             elif a.__class__ not in _VALUE_CLASSES:
-                hole, sub = 1, a
+                k, t = (_app_arg, t, k), a
             else:
                 fc = f.__class__
                 if fc is Abs:
-                    fired = ("e", "R-Beta", substitute(f.body, {f.var: a}))
-                elif fc is CoercedVal and f.crc.__class__ is Fun:
+                    return _stepped("e", "R-Beta", substitute(f.body, {f.var: a}), k)
+                if fc is CoercedVal and f.crc.__class__ is Fun:
                     s, c2 = f.crc.arg, f.crc.res
-                    fired = ("e", "R-Wrap", CrcApp(App(f.subject, CrcApp(a, s)), c2))
-                elif fc is GlobalRef and f.name in defs:
-                    fired = ("e", "R-Unfold", App(defs[f.name], a))
-                else:
-                    raise terms.StuckTerm.at(t, len(frames))
-                break
-        elif cls is If:
-            c = t.cond
-            if c.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, c
-            elif c == TRUE:
-                fired = ("e", "R-IfTrue", t.then)
-                break
-            elif c == FALSE:
-                fired = ("e", "R-IfFalse", t.els)
-                break
-            else:
-                raise terms.StuckTerm.at(t, len(frames))
+                    return _stepped("e", "R-Wrap", CrcApp(App(f.subject, CrcApp(a, s)), c2), k)
+                if fc is GlobalRef and f.name in defs:
+                    return _stepped("e", "R-Unfold", App(defs[f.name], a), k)
+                raise terms.StuckTerm.at(t, k)
         elif cls is CrcApp:
             m, s = t.subject, t.crc
             mc = m.__class__
+            if k is not None and k[0] is _crc_subject:
+                # the top-frame check: R-MergeC fires at the parent
+                _, n, k = k
+                return _stepped("c", "R-MergeC", CrcApp(m, compose(s, n.crc, FunT)), k)
             if mc is CrcApp:
-                fired = ("c", "R-MergeC", CrcApp(m.subject, compose(m.crc, s, FunT)))
-                break
+                return _stepped("c", "R-MergeC", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
             if mc is CoercedVal:
-                fired = ("c", "R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)))
-                break
-            if mc is Blame:
-                return ("e", "E-Abort", m)
+                return _stepped("c", "R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
             if mc not in _VALUE_CLASSES:
-                hole, sub = 0, m
+                k, t = (_crc_subject, t, k), m
             elif mc in _UNCOERCED_CLASSES:
                 sc = s.__class__
                 if sc is Id or sc is IdStar:
-                    fired = ("c", "R-Id", m)
-                elif sc is Fail:
-                    fired = ("c", "R-Fail", Blame(s.label))
-                elif sc is InjSeq or sc is Fun:
-                    fired = ("c", "R-Crc", CoercedVal(m, s))
-                else:
-                    raise terms.StuckTerm.at(t, len(frames))
-                break
+                    return _stepped("c", "R-Id", m, k)
+                if sc is Fail:
+                    return _stepped("c", "R-Fail", Blame(s.label), k)
+                if sc is InjSeq or sc is Fun:
+                    return _stepped("c", "R-Crc", CoercedVal(m, s), k)
+                raise terms.StuckTerm.at(t, k)
             else:
-                raise terms.StuckTerm.at(t, len(frames))
-        else:
-            raise terms.StuckTerm.at(t, len(frames))
-        if sub.__class__ is Blame:
-            # blame discards the whole context
-            return ("e", "E-Abort", sub)
-        frames.append((t, hole))
-        t = sub
-
-    kind, rule, new = fired
-    for node, hole in reversed(frames):
-        cls = node.__class__
-        if cls is Op:
-            new = Op(node.op, new, node.right) if hole == 0 else Op(node.op, node.left, new)
-        elif cls is App:
-            new = App(new, node.arg) if hole == 0 else App(node.fun, new)
+                raise terms.StuckTerm.at(t, k)
         elif cls is If:
-            new = If(new, node.then, node.els)
+            c = t.cond
+            if c.__class__ not in _VALUE_CLASSES:
+                k, t = (if_cond, t, k), c
+            elif c == TRUE:
+                return _stepped("e", "R-IfTrue", t.then, k)
+            elif c == FALSE:
+                return _stepped("e", "R-IfFalse", t.els, k)
+            else:
+                raise terms.StuckTerm.at(t, k)
+        elif cls in _VALUE_CLASSES:
+            if k is None:
+                return terms.IS_VALUE
+            refill, n, k = k
+            t = refill(n, t)
+        elif cls is Blame:
+            if k is None:
+                return terms.IS_BLAME
+            # blame discards the whole context
+            return _stepped("e", "E-Abort", t, None)
         else:
-            new = CrcApp(new, node.crc)
-    return (kind, rule, new)
+            raise terms.StuckTerm.at(t, k)
+
+
+_stepped = terms.refocused
 
 
 def evaluate(

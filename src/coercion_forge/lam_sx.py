@@ -44,7 +44,22 @@ from .types import (
     occurs,
 )
 from .lam_s import OPS, TypeCheckError, _done, const_type, delta, fresh_name
-from .terms import FALSE, TRUE, Blame, CoercedVal, Const, GlobalRef, If, Op, Var, free_vars, node
+from .terms import (
+    FALSE,
+    TRUE,
+    Blame,
+    CoercedVal,
+    Const,
+    GlobalRef,
+    If,
+    Op,
+    Var,
+    free_vars,
+    if_cond,
+    node,
+    op_left,
+    op_right,
+)
 from . import terms
 
 
@@ -362,145 +377,159 @@ def substitute(t: TermX, sub: Mapping[str, TermX]) -> TermX:
 # Small-step semantics
 
 
-def step(term: TermX, defs: Optional[Mapping[str, TermX]] = None) -> terms.StepResult:
-    if is_value(term):
-        return terms.IS_VALUE
-    if isinstance(term, Blame):
-        return terms.IS_BLAME
-    return terms.Stepped(*_find(term, defs or {}))
+def step(term, defs: Optional[Mapping[str, TermX]] = None) -> terms.StepResult:
+    """The step from ``term``; a ``Stepped`` is taken as :func:`lam_s.step` takes it."""
+    if term.__class__ is terms.Stepped:
+        if term._focus is None:
+            return _find(term.term, None, defs or {})
+        return _find(term._focus, term._ctx, defs or {})
+    r = _find(term, None, defs or {})
+    if r.__class__ is terms.Stepped:
+        r.term  # noqa: B018 (builds the whole term)
+    return r
 
 
-def _find(t: TermX, defs) -> tuple[str, str, TermX]:
-    """(kind, rule, whole term after the step); raises StuckTerm if no rule applies.
+# The frames this calculus adds to the evaluation contexts ``terms`` describes.
 
-    Walks down the evaluation context to the redex, keeping each frame it
-    passes as (node, index of the hole), contracts the redex, and plugs the
-    result back into the frames, innermost first.
+
+def _app2_fun(n, t):
+    return App2(t, n.arg, n.cont)
+
+
+def _app2_arg(n, t):
+    return App2(n.fun, t, n.cont)
+
+
+def _app2_cont(n, t):
+    return App2(n.fun, n.arg, t)
+
+
+def _crc_subject(n, t):
+    return CrcApp(t, n.crc)
+
+
+def _crc_crc(n, t):
+    return CrcApp(n.subject, t)
+
+
+def _let_bound(n, t):
+    return Let(n.var, t, n.body)
+
+
+def _compose_left(n, t):
+    return Compose(t, n.right)
+
+
+def _compose_right(n, t):
+    return Compose(n.left, t)
+
+
+def _find(t: TermX, k, defs) -> terms.StepResult:
+    """The next step from the focus ``t`` in the context ``k``; raises StuckTerm
+    if no rule applies.
+
+    The search of :func:`lam_s._find`, over plain call-by-value frames
+    only: no rule looks at the frame above the focus.
     """
-    frames: list[tuple[TermX, int]] = []
     while True:
         cls = t.__class__
         if cls is App2:
-            f, a, k = t.fun, t.arg, t.cont
+            f, a, c = t.fun, t.arg, t.cont
             if f.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, f
+                k, t = (_app2_fun, t, k), f
             elif a.__class__ not in _VALUE_CLASSES:
-                hole, sub = 1, a
-            elif k.__class__ not in _VALUE_CLASSES:
-                hole, sub = 2, k
+                k, t = (_app2_arg, t, k), a
+            elif c.__class__ not in _VALUE_CLASSES:
+                k, t = (_app2_cont, t, k), c
             else:
                 fc = f.__class__
                 if fc is Abs2:
-                    fired = ("e", "R-Beta", substitute(f.body, {f.var: a, f.kvar: k}))
-                elif fc is CoercedVal and f.crc.__class__ is Fun:
+                    return _stepped("e", "R-Beta", substitute(f.body, {f.var: a, f.kvar: c}), k)
+                if fc is CoercedVal and f.crc.__class__ is Fun:
                     u, s, c2 = f.subject, f.crc.arg, f.crc.res
-                    kn = fresh_name("k", free_vars(u) | free_vars(a) | free_vars(k))
+                    kn = fresh_name("k", free_vars(u) | free_vars(a) | free_vars(c))
                     wrapped = Let(
                         kn,
-                        Compose(CrcLit(c2), k),
+                        Compose(CrcLit(c2), c),
                         App2(u, CrcApp(a, CrcLit(s)), Var(kn)),
                     )
-                    fired = ("e", "R-Wrap", wrapped)
-                elif fc is GlobalRef and f.name in defs:
-                    fired = ("e", "R-Unfold", App2(defs[f.name], a, k))
-                else:
-                    raise terms.StuckTerm.at(t, len(frames))
-                break
+                    return _stepped("e", "R-Wrap", wrapped, k)
+                if fc is GlobalRef and f.name in defs:
+                    return _stepped("e", "R-Unfold", App2(defs[f.name], a, c), k)
+                raise terms.StuckTerm.at(t, k)
         elif cls is CrcApp:
             m, c = t.subject, t.crc
             if m.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, m
+                k, t = (_crc_subject, t, k), m
             elif c.__class__ not in _VALUE_CLASSES:
-                hole, sub = 1, c
+                k, t = (_crc_crc, t, k), c
             elif c.__class__ is not CrcLit:
-                raise terms.StuckTerm.at(t, len(frames))
+                raise terms.StuckTerm.at(t, k)
             elif m.__class__ is CoercedVal:
-                fired = ("c", "R-MergeV", CrcApp(m.subject, Compose(CrcLit(m.crc), c)))
-                break
+                return _stepped("c", "R-MergeV", CrcApp(m.subject, Compose(CrcLit(m.crc), c)), k)
             elif m.__class__ in _UNCOERCED_CLASSES:
                 d = c.crc
                 dc = d.__class__
                 if dc is Id or dc is IdStar:
-                    fired = ("c", "R-Id", m)
-                elif dc is Fail:
-                    fired = ("c", "R-Fail", Blame(d.label))
-                elif dc is InjSeq or dc is Fun:
-                    fired = ("c", "R-Crc", CoercedVal(m, d))
-                else:
-                    raise terms.StuckTerm.at(t, len(frames))
-                break
+                    return _stepped("c", "R-Id", m, k)
+                if dc is Fail:
+                    return _stepped("c", "R-Fail", Blame(d.label), k)
+                if dc is InjSeq or dc is Fun:
+                    return _stepped("c", "R-Crc", CoercedVal(m, d), k)
+                raise terms.StuckTerm.at(t, k)
             else:
-                raise terms.StuckTerm.at(t, len(frames))
+                raise terms.StuckTerm.at(t, k)
         elif cls is Op:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, l
+                k, t = (op_left, t, k), l
             elif r.__class__ not in _VALUE_CLASSES:
-                hole, sub = 1, r
+                k, t = (op_right, t, k), r
             elif l.__class__ is Const and r.__class__ is Const:
-                fired = ("e", "R-Op", Const(delta(t.op, l.val, r.val)))
-                break
+                return _stepped("e", "R-Op", Const(delta(t.op, l.val, r.val)), k)
             else:
-                raise terms.StuckTerm.at(t, len(frames))
+                raise terms.StuckTerm.at(t, k)
         elif cls is Let:
             m = t.bound
             if m.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, m
+                k, t = (_let_bound, t, k), m
             else:
-                fired = ("c", "R-Let", substitute(t.body, {t.var: m}))
-                break
+                return _stepped("c", "R-Let", substitute(t.body, {t.var: m}), k)
         elif cls is Compose:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, l
+                k, t = (_compose_left, t, k), l
             elif r.__class__ not in _VALUE_CLASSES:
-                hole, sub = 1, r
+                k, t = (_compose_right, t, k), r
             elif l.__class__ is CrcLit and r.__class__ is CrcLit:
-                fired = ("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)))
-                break
+                return _stepped("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), k)
             else:
-                raise terms.StuckTerm.at(t, len(frames))
+                raise terms.StuckTerm.at(t, k)
         elif cls is If:
             c = t.cond
             if c.__class__ not in _VALUE_CLASSES:
-                hole, sub = 0, c
+                k, t = (if_cond, t, k), c
             elif c == TRUE:
-                fired = ("e", "R-IfTrue", t.then)
-                break
+                return _stepped("e", "R-IfTrue", t.then, k)
             elif c == FALSE:
-                fired = ("e", "R-IfFalse", t.els)
-                break
+                return _stepped("e", "R-IfFalse", t.els, k)
             else:
-                raise terms.StuckTerm.at(t, len(frames))
-        else:
-            raise terms.StuckTerm.at(t, len(frames))
-        if sub.__class__ is Blame:
+                raise terms.StuckTerm.at(t, k)
+        elif cls in _VALUE_CLASSES:
+            if k is None:
+                return terms.IS_VALUE
+            refill, n, k = k
+            t = refill(n, t)
+        elif cls is Blame:
+            if k is None:
+                return terms.IS_BLAME
             # blame discards the whole context
-            return ("e", "E-Abort", sub)
-        frames.append((t, hole))
-        t = sub
-
-    kind, rule, new = fired
-    for node, hole in reversed(frames):
-        cls = node.__class__
-        if cls is App2:
-            if hole == 0:
-                new = App2(new, node.arg, node.cont)
-            elif hole == 1:
-                new = App2(node.fun, new, node.cont)
-            else:
-                new = App2(node.fun, node.arg, new)
-        elif cls is CrcApp:
-            new = CrcApp(new, node.crc) if hole == 0 else CrcApp(node.subject, new)
-        elif cls is Op:
-            new = Op(node.op, new, node.right) if hole == 0 else Op(node.op, node.left, new)
-        elif cls is Let:
-            new = Let(node.var, new, node.body)
-        elif cls is Compose:
-            new = Compose(new, node.right) if hole == 0 else Compose(node.left, new)
+            return _stepped("e", "E-Abort", t, None)
         else:
-            new = If(new, node.then, node.els)
-    return (kind, rule, new)
+            raise terms.StuckTerm.at(t, k)
+
+
+_stepped = terms.refocused
 
 
 def evaluate(

@@ -311,11 +311,88 @@ def keep_last(fn):
 # Outcomes and the driver loop
 
 
-@record
 class Stepped:
+    """One step: its kind ("e" or "c"), its rule, and the whole term after it.
+
+    A stepper can leave ``term`` unbuilt: it keeps the contractum in
+    ``_focus`` and its evaluation context in ``_ctx``, and ``term`` is
+    plugged from them when it is first read.  The context is immutable, so
+    a late read gives the term an early one would.
+    """
+
     kind: str  # "e" or "c"
     rule: str
     term: Any
+
+
+Stepped = record(Stepped, extra_slots=("_focus", "_ctx"))
+
+
+_get_term = Stepped.term.__get__
+_set_kind, _set_rule, _set_term, _set_focus, _set_ctx = [
+    getattr(Stepped, k).__set__ for k in ("kind", "rule", "term", "_focus", "_ctx")
+]
+_new = object.__new__
+
+
+def _plugged(s):
+    """The ``term`` of the :class:`Stepped` ``s``: its slot, or, while that
+    holds None, the focus plugged into the context, kept in the slot."""
+    t = _get_term(s)
+    if t is None and s._focus is not None:
+        t = s._focus
+        k = s._ctx
+        if k is not None:
+            refill, n, k = k
+            t = refill(n, t)
+            # The next search may start at the parent just built: the
+            # frame's earlier children are values, so it reaches the old
+            # focus again, and a value there no longer costs a rebuild.
+            _set_focus(s, t)
+            _set_ctx(s, k)
+        while k is not None:
+            refill, n, k = k
+            t = refill(n, t)
+        _set_term(s, t)
+    return t
+
+
+Stepped.term = property(_plugged)
+
+
+def refocused(kind: str, rule: str, focus, ctx) -> Stepped:
+    """The step that leaves ``focus`` in the context ``ctx``, its term not built yet."""
+    s = _new(Stepped)
+    _set_kind(s, kind)
+    _set_rule(s, rule)
+    _set_term(s, None)
+    _set_focus(s, focus)
+    _set_ctx(s, ctx)
+    return s
+
+
+# ---------------------------------------------------------------------------
+# Evaluation contexts
+#
+# A context is an immutable linked list of frames, innermost first: a frame
+# is (refill, node, rest), where ``node`` is the node a descent passed,
+# ``refill(node, t)`` is that node with ``t`` in the hole the descent went
+# down, and ``rest`` is the context outside it (None when empty).  The
+# node's own child at the hole is stale.  Reading a ``Stepped``'s ``term``
+# plugs its focus into its context.  The frames of the formers both
+# calculi share are these.
+
+
+def op_left(n, t):
+    return Op(n.op, t, n.right)
+
+
+def op_right(n, t):
+    return Op(n.op, n.left, t)
+
+
+def if_cond(n, t):
+    return If(t, n.then, n.els)
 
 
 @dataclass(frozen=True)
@@ -337,12 +414,17 @@ class StuckTerm(Exception):
     """No rule applies to a non-value, non-blame term (ill-typed or open)."""
 
     @classmethod
-    def at(cls, sub, depth: int) -> StuckTerm:
-        """The error for the stuck subterm ``sub``, ``depth`` frames below the root.
+    def at(cls, sub, ctx) -> StuckTerm:
+        """The error for the stuck subterm ``sub`` in the evaluation context ``ctx``.
 
-        The message names node classes only, so it costs the same at any
-        depth; printing the term would recurse once per level.
+        The message names node classes only, and the number of frames above
+        ``sub``, so it costs the same at any depth; printing the term would
+        recurse once per level.
         """
+        depth = 0
+        while ctx is not None:
+            ctx = ctx[2]
+            depth += 1
         kids = ", ".join([getattr(sub, k).__class__.__name__ for k in sub._kids])
         return cls(f"no rule applies to {sub.__class__.__name__}({kids}) at depth {depth}")
 
@@ -448,25 +530,34 @@ def evaluate(
     """Run ``term`` with ``step`` to a value or blame; ``on_step`` sees every state.
 
     Each calculus passes its own ``step`` at every call, so a rebinding of
-    that name is seen here.
+    that name is seen here.  After the first step, ``step`` is given the
+    :class:`Stepped` before instead of its term, so it goes on from the
+    focus and context that step left.  A state's term is built only when
+    something reads it: ``on_step``, the cycle check at every 64th state,
+    and the outcome's final state.
     """
     defs = dict(defs) if defs else {}
     seen: set = set()
     n = 0
+    state = term
     while n < fuel:
-        r = step(term, defs)
-        if isinstance(r, IsValue):
-            return EvalOutcome("value", term, n)
-        if isinstance(r, IsBlame):
-            return EvalOutcome("blame", term, n)
-        term = r.term
+        r = step(state, defs)
+        if r.__class__ is not Stepped:
+            kind = "value" if isinstance(r, IsValue) else "blame"
+            return EvalOutcome(kind, _term_of(state), n)
+        state = r
         n += 1
         if on_step is not None:
             on_step(n, r)
         # A repeated state proves divergence, so any fuel would run out.
         # Sampling every 64th state keeps the hashing cost negligible.
         if detect_cycles and n % 64 == 0:
-            if term in seen:
-                return EvalOutcome("diverges", term, n)
-            seen.add(term)
-    return EvalOutcome("out_of_fuel", term, n)
+            t = r.term
+            if t in seen:
+                return EvalOutcome("diverges", t, n)
+            seen.add(t)
+    return EvalOutcome("out_of_fuel", _term_of(state), n)
+
+
+def _term_of(state):
+    return state.term if state.__class__ is Stepped else state

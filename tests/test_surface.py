@@ -96,6 +96,19 @@ class TestCoercionSyntax:
         c = parse_coercion("id{Int -> Int}", "lams")
         assert c == Id(FunT(INT, INT))
 
+    @pytest.mark.parametrize("dialect", ["lams", "lamsx"])
+    @pytest.mark.parametrize("text, col, why", [
+        ("Int?^p ; Int?^q", 1, "a projection followed by a non-intermediate coercion"),
+        ("Int?^p ; Int! ; Int!", 1, "an injection preceded by a non-ground coercion"),
+        ("Int! ; Int?^p", 1, "a sequence that is neither projection-first nor injection-last"),
+        ("(id{Int} ; id{Int})", 2, "a sequence that is neither projection-first nor injection-last"),
+    ])
+    def test_a_sequence_that_is_not_canonical_is_rejected_where_it_starts(
+            self, dialect, text, col, why):
+        with pytest.raises(ParseError) as e:
+            parse_coercion(text, dialect)
+        assert str(e.value) == f"line 1:{col}: expected a canonical coercion, found {why}"
+
     def test_dialect_selects_the_arrow(self):
         c = parse_coercion("Int! => Int?^p", "lamsx")
         assert c == Fun(inj(INT), ProjSeq(INT, "p", Id(INT)))

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import functools
 import pickle
+import time
 import typing
 
 import pytest
@@ -197,6 +198,42 @@ def test_the_driver_loop_calls_the_stepper_bound_at_call_time(mod, monkeypatch):
 
 
 
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_driver_loop_shows_the_states_of_the_public_stepper(mod, corpus):
+    """The states ``evaluate`` shows are the chain of ``step(t)`` calls from
+    the root, whether they are read at once or after the run."""
+    for p in corpus[:200]:
+        if mod is X:
+            p = translate.trans_program(p)
+        defs = p.def_terms()
+        at_once, kept = [], []
+        out = mod.evaluate(p.main, defs, 300, lambda n, r: at_once.append((r.kind, r.rule, r.term)))
+        later = mod.evaluate(p.main, defs, 300, lambda n, r: kept.append(r))
+        assert (later.kind, later.steps) == (out.kind, out.steps)
+        assert [(r.kind, r.rule, r.term) for r in kept] == at_once
+
+        chain, t = [], p.main
+        for _ in range(out.steps):
+            r = mod.step(t, defs)
+            chain.append((r.kind, r.rule, r.term))
+            t = r.term
+        assert chain == at_once
+        assert out.term == later.term == t
+        if out.kind != "out_of_fuel":
+            assert mod.step(t, defs) == (terms.IS_VALUE if out.kind == "value" else terms.IS_BLAME)
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_a_run_reports_a_stuck_state_at_the_depth_a_step_from_the_root_does(mod):
+    # the value 1 + 2 steps to fills its frame's hole, and that frame's node is stuck
+    t = mod.Op("+", mod.Const(0), mod.Op("+", mod.Op("+", mod.Const(1), mod.Const(2)), mod.Var("x")))
+    want = r"^no rule applies to Op\(Const, Var\) at depth 1$"
+    with pytest.raises(terms.StuckTerm, match=want):
+        mod.evaluate(t)
+    with pytest.raises(terms.StuckTerm, match=want):
+        mod.step(mod.step(t).term)
+
+
 DEEP = 10**4
 
 
@@ -243,15 +280,27 @@ def test_terms_ten_thousand_deep_compare_and_hash(mod):
 
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
 def test_cycle_detection_hashes_states_ten_thousand_deep(mod):
-    # Each step re-descends from the root, so running the deep sum itself
-    # would take quadratic time.  It sits in the branch not taken, while
-    # 130 additions in the condition run past two sampled states.
+    # The cycle check builds every 64th state whole and hashes its new
+    # spine, so running the deep sum itself under it would cost about its
+    # depth squared over 64.  It sits in the branch not taken, while 130
+    # additions in the condition run past two sampled states.
     cond = mod.Const(1)
     for _ in range(130):
         cond = mod.Op("+", cond, mod.Const(1))
     t = mod.If(mod.Op("=", cond, mod.Const(131)), mod.Const(0), left_sum(mod))
     out = mod.evaluate(t, detect_cycles=True)
     assert (out.kind, out.term, out.steps) == ("value", mod.Const(0), 132)
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_a_ten_thousand_deep_sum_runs_in_linear_time(mod):
+    # Each step goes on from the contractum of the one before; a stepper
+    # that searched from the root at every step would take about a minute.
+    start = time.perf_counter()
+    out = mod.evaluate(left_sum(mod))
+    elapsed = time.perf_counter() - start
+    assert (out.kind, out.term, out.steps) == ("value", mod.Const(DEEP + 1), DEEP)
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])

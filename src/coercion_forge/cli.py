@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from . import harness, lam_s, lam_sx, surface, terms, translate
 from .coercions import CoercionTypeError
 from .surface import ParseError
+from .types import default_wildcards
 
 EXIT_OK = 0
 EXIT_BLAME = 1
@@ -99,7 +100,7 @@ def _typecheck(p, dialect: str):
 def cmd_check(args: argparse.Namespace) -> int:
     p, dialect = _load(args)
     typed = _typecheck(p, dialect)
-    print(surface.print_type(typed.ty))
+    print(surface.print_type(default_wildcards(typed.ty)))
     return EXIT_OK
 
 
@@ -129,7 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"out of fuel after {out.steps} steps", file=sys.stderr)
     if peaks is not None:
         # n=0 marks a direct run; the field is the benchmark parameter otherwise.
-        print(peaks.report(0, out.steps).to_json())
+        print(peaks.report(0, out.steps, out.kind).to_json())
     return _OUTCOME_EXIT[out.kind]
 
 
@@ -207,8 +208,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(surface.format_trace_line(n, r.kind, r.rule, r.term, dialect))
 
     report = harness.spaceBench(args.n, dialect=dialect, fuel=_fuel(args, 10**7), on_step=on_step)
+    if report.outcome == "out_of_fuel":
+        print(f"out of fuel after {report.steps} steps", file=sys.stderr)
     print(report.to_json())
-    return EXIT_OK
+    return _OUTCOME_EXIT[report.outcome]
 
 
 def _nonneg(text: str) -> int:

@@ -81,6 +81,8 @@ class SpaceReport:
     maxCoercionSize: int
     maxTermSize: int
     maxMetricF: int
+    # how the run ended, as :class:`terms.EvalOutcome` says; not in the JSON
+    outcome: str = "value"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -121,8 +123,8 @@ class PeakSizes:
         if f > self.metric:
             self.metric = f
 
-    def report(self, n: int, steps: int) -> SpaceReport:
-        return SpaceReport(n, steps, self.crc, self.term, self.metric)
+    def report(self, n: int, steps: int, outcome: str) -> SpaceReport:
+        return SpaceReport(n, steps, self.crc, self.term, self.metric, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,6 @@ def _from_dyn(b: Type, lbl: str) -> Coercion:
 @dataclass
 class _Gen:
     rng: random.Random
-    cfg: GenConfig
     defs: dict[str, FunT] = field(default_factory=dict)
 
     def term(self, ty: Type, env: dict[str, Type], depth: int) -> S.TermS:
@@ -301,7 +302,7 @@ def genWellTyped(config: GenConfig) -> S.ProgramS:
         # saturates the interiors through the coercion productions.
         target = rng.choice((INT, BOOL))
 
-    gen = _Gen(rng, config, {d.name: d.ty for d in defs})
+    gen = _Gen(rng, {d.name: d.ty for d in defs})
     for _ in range(5):
         main = gen.term(target, {}, config.maxDepth)
         p = S.ProgramS(defs, main)
@@ -321,8 +322,6 @@ def _observe(out, dialect: str):
     term = out.term
     if out.kind == "blame":
         return ("blame", term.label)
-    if out.kind == "out_of_fuel":
-        return ("out_of_fuel",)
     # the value's Python type is kept, since 1 == True
     if isinstance(term, Const):
         return ("const", type(term.val), term.val)
@@ -555,4 +554,4 @@ def spaceBench(
 
     out = mod.evaluate_program(p, fuel, observe)
     peaks.see(out.term)
-    return peaks.report(n, out.steps)
+    return peaks.report(n, out.steps, out.kind)

@@ -45,14 +45,14 @@ from .terms import (
     If,
     Op,
     Var,
-    free_vars,
     if_cond,
     node,
     op_left,
     op_right,
+    under_binder,
 )
 from . import terms
-from .types import ANY, BOOL, INT, AnyT, FunT, Type, matches, merge_types
+from .types import ANY, BOOL, INT, AnyT, FunT, Type, default_wildcards, matches, merge_types
 
 
 @node
@@ -160,8 +160,9 @@ def typecheck(
     """Build a typing derivation; ``expected`` constrains ambiguous terms.
 
     Blame and failure-targeted coercion applications can be given any type;
-    without an expectation they type as a wildcard that later defaults to
-    Dyn at reporting time.  Every answer is a derivable instance.
+    without an expectation they type as a wildcard, which whatever reports
+    or translates the type reads as Dyn (:func:`types.default_wildcards`).
+    Every answer is a derivable instance.
 
     ``memo``, a dict kept across the checks of one run's states, reuses the
     derivations of the subterms checked in the empty environment, keyed by
@@ -245,6 +246,12 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
             return _done(term, res, expected, (mt, nt), memo)
         mt = _tc(m, env, defs, None, memo)
         fty = mt.ty
+        if m.__class__ is Abs and expected is not None and default_wildcards(fty.res) is not fty.res:
+            # a function literal whose body left a wildcard answers at the
+            # application's type; any other function keeps its own type, so
+            # an error names that type
+            mt = _tc(m, env, defs, FunT(ANY, expected), memo)
+            fty = mt.ty
         if isinstance(fty, AnyT):
             fty = FunT(ANY, ANY)
         if not isinstance(fty, FunT):
@@ -298,15 +305,6 @@ def typecheck_program(p: ProgramS) -> terms.Typed:
 # Substitution
 
 
-def fresh_name(base: str, avoid: frozenset[str]) -> str:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
-
-
 def substitute(t: TermS, sub: Mapping[str, TermS]) -> TermS:
     """Simultaneous capture-avoiding substitution."""
     if not sub:
@@ -327,16 +325,8 @@ def substitute(t: TermS, sub: Mapping[str, TermS]) -> TermS:
     if cls is If:
         return If(substitute(t.cond, sub), substitute(t.then, sub), substitute(t.els, sub))
     if cls is Abs:
-        x, m = t.var, t.body
-        inner = {k: v for k, v in sub.items() if k != x}
-        if not inner:
-            return t
-        clash = frozenset().union(*(free_vars(v) for v in inner.values()))
-        if x in clash:
-            x2 = fresh_name(x, clash | free_vars(m) | set(inner))
-            m = substitute(m, {x: Var(x2)})
-            x = x2
-        return Abs(x, t.var_ty, substitute(m, inner))
+        under = under_binder(t, sub, substitute)
+        return t if under is None else Abs(under[0], t.var_ty, under[1])
     return t
 
 

@@ -43,7 +43,7 @@ from .types import (
     merge_types,
     occurs,
 )
-from .lam_s import OPS, TypeCheckError, _done, const_type, delta, fresh_name
+from .lam_s import OPS, TypeCheckError, _done, const_type, delta
 from .terms import (
     FALSE,
     TRUE,
@@ -55,10 +55,12 @@ from .terms import (
     Op,
     Var,
     free_vars,
+    fresh_name,
     if_cond,
     node,
     op_left,
     op_right,
+    under_binder,
 )
 from . import terms
 
@@ -339,37 +341,11 @@ def substitute(t: TermX, sub: Mapping[str, TermX]) -> TermX:
     if cls is CoercedVal:
         return CoercedVal(substitute(t.subject, sub), t.crc)
     if cls is Let:
-        x, n = t.var, t.body
-        m2 = substitute(t.bound, sub)
-        inner = {k: v for k, v in sub.items() if k != x}
-        if not inner:
-            return Let(x, m2, n)
-        clash = frozenset().union(*(free_vars(v) for v in inner.values()))
-        if x in clash:
-            x2 = fresh_name(x, clash | free_vars(n) | set(inner))
-            n = substitute(n, {x: Var(x2)})
-            x = x2
-        return Let(x, m2, substitute(n, inner))
+        x, n = under_binder(t, sub, substitute) or (t.var, t.body)
+        return Let(x, substitute(t.bound, sub), n)
     if cls is Abs2:
-        x, kv, m = t.var, t.kvar, t.body
-        inner = {k: v for k, v in sub.items() if k not in (x, kv)}
-        if not inner:
-            return t
-        clash = frozenset().union(*(free_vars(v) for v in inner.values()))
-        ren: dict[str, TermX] = {}
-        avoid = clash | free_vars(m) | set(inner)
-        if x in clash:
-            x2 = fresh_name(x, avoid)
-            ren[x] = Var(x2)
-            avoid |= {x2}
-            x = x2
-        if kv in clash:
-            k2 = fresh_name(kv, avoid)
-            ren[kv] = Var(k2)
-            kv = k2
-        if ren:
-            m = substitute(m, ren)
-        return Abs2(x, t.var_ty, kv, t.k_src, substitute(m, inner))
+        under = under_binder(t, sub, substitute)
+        return t if under is None else Abs2(under[0], t.var_ty, under[1], t.k_src, under[2])
     return t
 
 

@@ -822,8 +822,8 @@ def _crc_eq(c: Coercion, d: Coercion, tymap: dict[int, int]) -> bool:
 _COERCED = frozenset((S.CrcApp, CoercedVal))
 # Nodes whose fields are all subterms.
 _PLAIN = frozenset((S.App, If, X.App2, X.Compose, X.CrcApp))
-# The type-valued fields of the binders.
-_ANNOTATED = {S.Abs: ("var_ty",), X.Abs2: ("var_ty", "k_src")}
+# The binders, each with its type-valued fields.
+_BINDERS = {S.Abs: ("var_ty",), X.Abs2: ("var_ty", "k_src"), X.Let: ()}
 _COERCIONS = frozenset((IdStar, Id, ProjSeq, InjSeq, Fun, Fail))
 
 
@@ -894,17 +894,16 @@ def _alpha_walk(m1: TermAny, m2: TermAny, tymap: dict[int, int], shared: list) -
             u, v = a.val, b.val
             if u != v or u.__class__ is not v.__class__:
                 return False
-        elif cls is S.Abs:
-            if not _ty_eq(a.var_ty, b.var_ty, tymap):
-                return False
-            push((a.body, b.body, (a.var, b.var, env)))
-        elif cls is X.Abs2:
-            if not (_ty_eq(a.var_ty, b.var_ty, tymap) and _ty_eq(a.k_src, b.k_src, tymap)):
-                return False
-            push((a.body, b.body, (a.kvar, b.kvar, (a.var, b.var, env))))
-        elif cls is X.Let:
-            push((a.body, b.body, (a.var, b.var, env)))
-            push((a.bound, b.bound, env))
+        elif cls in _BINDERS:
+            for k in _BINDERS[cls]:
+                if not _ty_eq(getattr(a, k), getattr(b, k), tymap):
+                    return False
+            # the body sees the bound names, the later of ``_binds`` innermost
+            inner = env
+            for k in cls._binds:
+                inner = (getattr(a, k), getattr(b, k), inner)
+            for k in cls._kids_rev:
+                push((getattr(a, k), getattr(b, k), inner if k == "body" else env))
         elif cls is X.CrcLit:
             c, d = a.crc, b.crc
             if c is d:
@@ -948,7 +947,7 @@ def _shared_fit(shared: list, tymap: dict[int, int]) -> bool:
         if id(t) in seen:
             continue
         seen.add(id(t))
-        for k in _ANNOTATED.get(cls, ()):
+        for k in _BINDERS.get(cls, ()):
             if not _ty_eq(getattr(t, k), getattr(t, k), tymap):
                 return False
         if cls in _COERCED or cls is X.CrcLit:

@@ -290,6 +290,45 @@ def free_vars(t) -> frozenset[str]:
     return frozenset(out)
 
 
+def fresh_name(base: str, avoid) -> str:
+    """``base``, or else ``base`` with the least number appended, not in ``avoid``."""
+    if base not in avoid:
+        return base
+    i = 1
+    while f"{base}{i}" in avoid:
+        i += 1
+    return f"{base}{i}"
+
+
+def under_binder(t, sub: Mapping, substitute) -> Optional[list]:
+    """The names the binder ``t`` binds, then its body with ``sub`` applied,
+    avoiding capture; None if ``sub`` names only names ``t`` binds.
+
+    The body takes ``sub`` less the names ``t`` binds.  A bound name free in
+    a term substituted into the body is first renamed, in the order of
+    ``_binds``, to one free nowhere in the body or those terms.  The
+    children other than ``body`` lie outside the scope, and ``substitute``,
+    the calculus's own substitution, is left to apply ``sub`` to them.
+    """
+    names = [getattr(t, b) for b in t._binds]
+    inner = {k: v for k, v in sub.items() if k not in names}
+    if not inner:
+        return None
+    body = t.body
+    clash = frozenset().union(*[free_vars(v) for v in inner.values()])
+    if not clash.isdisjoint(names):
+        avoid = clash | free_vars(body) | set(inner)
+        ren = {}
+        for i, x in enumerate(names):
+            if x in clash:
+                names[i] = fresh_name(x, avoid)
+                avoid |= {names[i]}
+                ren[x] = Var(names[i])
+        body = substitute(body, ren)
+    names.append(substitute(body, inner))
+    return names
+
+
 def keep_last(fn):
     """``fn`` keeping its last answer, keyed by the identity of its argument.
 
@@ -527,7 +566,8 @@ DEFAULT_FUEL = 10**6
 def evaluate(
     step, term, defs: Optional[Mapping[str, Any]], fuel: int, on_step, detect_cycles: bool
 ) -> EvalOutcome:
-    """Run ``term`` with ``step`` to a value or blame; ``on_step`` sees every state.
+    """Run ``term`` with ``step`` to a value or blame in at most ``fuel`` steps;
+    ``on_step`` sees every state.
 
     Each calculus passes its own ``step`` at every call, so a rebinding of
     that name is seen here.  After the first step, ``step`` is given the
@@ -540,11 +580,15 @@ def evaluate(
     seen: set = set()
     n = 0
     state = term
-    while n < fuel:
+    while True:
         r = step(state, defs)
         if r.__class__ is not Stepped:
             kind = "value" if isinstance(r, IsValue) else "blame"
             return EvalOutcome(kind, _term_of(state), n)
+        # a run that ends in ``fuel`` steps is not out of fuel, so the fuel
+        # is checked only once the state after the last step is seen to step
+        if n >= fuel:
+            return EvalOutcome("out_of_fuel", _term_of(state), n)
         state = r
         n += 1
         if on_step is not None:
@@ -556,7 +600,6 @@ def evaluate(
             if t in seen:
                 return EvalOutcome("diverges", t, n)
             seen.add(t)
-    return EvalOutcome("out_of_fuel", _term_of(state), n)
 
 
 def _term_of(state):

@@ -13,11 +13,11 @@ at the translated term's type), so it consumes typing derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_identity
-from .types import Dyn, FunT, Fun2T, Type
+from .types import Dyn, FunT, Fun2T, Type, default_wildcards
 from . import lam_s as S
 from . import lam_sx as X
 from .terms import (
@@ -29,7 +29,6 @@ from .terms import (
     Op,
     Typed,
     Var,
-    keep_last,
     walk,
     walk_unseen,
 )
@@ -98,25 +97,55 @@ def _all_names(t: S.TermS) -> set[str]:
     return _names(walk(t))
 
 
-@dataclass
 class Translator:
-    supply: _NameSupply
-    rename: dict[str, str] = field(default_factory=dict)
-    optimize_op: bool = False
+    """The Tr-rules, over typing derivations of the source calculus.
+
+    ``c`` and ``value`` keep their answers keyed by the derivation, which
+    hashes and compares by identity.  A translator serves one program, or
+    one run of a program's states: a run's typing memo hands out again the
+    derivations of the subterms a step left in place, so only the spine
+    and the new nodes of a state are translated again.  A kept answer
+    binds every continuation variable it mints, so sharing it cannot
+    capture a name.
+    """
+
+    def __init__(
+        self, avoid: set[str], rename: Optional[dict[str, str]] = None, optimize_op: bool = False
+    ) -> None:
+        self.supply = _NameSupply(set(avoid))
+        self.rename = rename or {}
+        self.optimize_op = optimize_op
+        # derivation -> its translation
+        self.done: dict[Typed, X.TermX] = {}
+        # id(node) -> node, for the nodes whose names the supply already avoids
+        self.named: dict = {}
+
+    def avoid_names(self, t: S.TermS) -> None:
+        """Make the supply avoid the names of ``t``, walking only the nodes
+        that no term given before had."""
+        new = walk_unseen(t, self.named)
+        self.supply.avoid |= _names(new)
+        self.named.update([(id(m), m) for m in new])
 
     def value(self, v: Typed) -> X.TermX:
+        out = self.done.get(v)
+        if out is not None:
+            return out
         match v.term:
             case Const() | Var():
-                return v.term
+                out = v.term
             case GlobalRef(f):
-                return GlobalRef(self.rename.get(f, f))
+                out = GlobalRef(self.rename.get(f, f))
             case S.Abs(x, a, _):
                 body = v.children[0]
                 kv = self.supply.fresh()
-                return X.Abs2(x, psi_type(a), kv, psi_type(body.ty), self.k(body, Var(kv)))
+                out = X.Abs2(x, psi_type(a), kv, psi_type(body.ty), self.k(body, Var(kv)))
             case CoercedVal(_, d):
-                return CoercedVal(self.value(v.children[0]), psi_crc(d))
-        raise AssertionError(v.term)
+                out = CoercedVal(self.value(v.children[0]), psi_crc(d))
+            case _:
+                raise AssertionError(v.term)
+        self.done[v] = out
+        return out
 
     def k(self, m: Typed, cont: X.TermX) -> X.TermX:
         term = m.term
@@ -142,37 +171,33 @@ class Translator:
         raise AssertionError(term)
 
     def c(self, m: Typed) -> X.TermX:
+        out = self.done.get(m)
+        if out is not None:
+            return out
         if S.is_value(m.term):
-            return self.value(m)  # TrC-Val
-        if isinstance(m.term, S.CrcApp):
-            return self.k(m.children[0], X.CrcLit(psi_crc(m.term.crc)))  # TrC-Crc
-        return self.k(m, X.CrcLit(identity_at(psi_type(m.ty))))  # TrC-Else
+            out = self.value(m)  # TrC-Val
+        elif isinstance(m.term, S.CrcApp):
+            out = self.k(m.children[0], X.CrcLit(psi_crc(m.term.crc)))  # TrC-Crc
+        else:
+            out = self.k(m, X.CrcLit(identity_at(psi_type(m.ty))))  # TrC-Else
+        self.done[m] = out
+        return out
 
 
 def _is_identity_lit(t: X.TermX) -> bool:
     return isinstance(t, X.CrcLit) and is_identity(t.crc)
 
 
-def _make_translator(
-    avoid: set[str], rename: Optional[dict[str, str]] = None, optimize_op: bool = False
-) -> Translator:
-    return Translator(_NameSupply(set(avoid)), rename or {}, optimize_op)
-
-
 def trans_term(typed: Typed, cont: Optional[X.TermX] = None) -> X.TermX:
     """Translate one typed term; with no continuation, the top level stays bare."""
-    tr = _make_translator(_all_names(typed.term))
+    tr = Translator(_all_names(typed.term))
     if cont is None:
         return tr.c(typed)
     return tr.k(typed, cont)
 
 
-@keep_last
 def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
-    """Continuation-style names for the definitions, plus every name in use.
-
-    The answer is kept for the next call; no caller changes the dict or set.
-    """
+    """Continuation-style names for the definitions, plus every name in use."""
     avoid = _all_names(p.main) | set(p.def_types())
     for d in p.defs:
         avoid |= _all_names(d.fun)
@@ -186,10 +211,24 @@ def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
     return rename, avoid
 
 
+def _typed_main(p: S.ProgramS) -> Typed:
+    """The derivation of ``p``'s main term, its wildcards read as Dyn.
+
+    The main term is checked once more, at the defaulted type, only if
+    a wildcard is left in its type.
+    """
+    sigs = p.def_types()
+    typed = S.typecheck(p.main, {}, sigs, None)
+    ty = default_wildcards(typed.ty)
+    if ty is not typed.ty:
+        typed = S.typecheck(p.main, {}, sigs, ty)
+    return typed
+
+
 def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
     sigs = p.def_types()
     rename, avoid = def_rename(p)
-    tr = _make_translator(avoid, rename, optimize_op)
+    tr = Translator(avoid, rename, optimize_op)
     defs: list[X.DefX] = []
     for d in p.defs:
         typed_fun = S.typecheck(d.fun, {}, sigs, d.ty)
@@ -198,8 +237,7 @@ def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
         ty2 = psi_type(d.ty)
         assert isinstance(ty2, Fun2T)
         defs.append(X.DefX(rename[d.name], ty2, fun2))
-    main_typed = S.typecheck(p.main, {}, sigs, None)
-    return X.ProgramX(tuple(defs), tr.c(main_typed))
+    return X.ProgramX(tuple(defs), tr.c(_typed_main(p)))
 
 
 def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X.TermX:
@@ -207,78 +245,31 @@ def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X
 
     States stay closed and well typed as evaluation proceeds, so this is
     the same translation the program got, minted against fresh names.
+    Each state is checked at the type the main term gets in
+    :func:`trans_program`.
 
     ``memo`` is a memo for the states of one run of ``p``.  It holds the
     typing memo (see :func:`lam_s.typecheck`) and one translator for the
     run, tied to ``p``: another program, even one with equal definitions,
     raises ``ValueError``.  The translator reuses the translation of every
-    subterm whose derivation the typing memo reused, so only the spine and
-    the new nodes of a state are translated again.  Its continuation names
-    are minted once per run, fresh against the program and every state
-    translated so far.  So the answer is alpha-equivalent to a memo-less
-    call, but its names are not the same.
+    subterm whose derivation the typing memo reused.  Its continuation
+    names are minted once per run, fresh against the program and every
+    state translated so far.  So the answer is alpha-equivalent to a
+    memo-less call, but its names are not the same.
     """
-    rename, avoid = def_rename(p)
-    typed = S.typecheck(state, {}, p.def_types(), None, memo)
-    if memo is None:
-        return _make_translator(avoid | _all_names(state), rename).c(typed)
-    tr = memo.get(_RUN_TRANSLATOR)
-    if tr is None:
-        tr = memo[_RUN_TRANSLATOR] = _RunTranslator(p, _NameSupply(set(avoid)), rename)
-    elif tr.program is not p:
+    run = None if memo is None else memo.get(_RUN)
+    if run is None:
+        rename, avoid = def_rename(p)
+        run = (p, Translator(avoid, rename), _typed_main(p).ty)
+        if memo is not None:
+            memo[_RUN] = run
+    elif run[0] is not p:
         raise ValueError("a translation memo was filled for another program")
+    _, tr, ty = run
+    typed = S.typecheck(state, {}, p.def_types(), ty, memo)
     tr.avoid_names(state)
     return tr.c(typed)
 
 
-# The key under which a memo holds its run's translator.
-_RUN_TRANSLATOR = "translator"
-
-
-class _RunTranslator(Translator):
-    """The translator of one run's states, reusing what earlier states translated.
-
-    ``c`` and ``value`` keep their answers keyed by the identity of the
-    derivation, and each entry holds the derivation, so no id is reused
-    while the run lasts.  Only derivations outside every binder are kept:
-    those are the ones the typing memo hands out again at later states,
-    while the derivations under a binder are rebuilt at each state.  Such a
-    derivation types a closed term, so its translation has no free
-    continuation variable, and sharing it cannot capture a name.
-    """
-
-    def __init__(self, program: S.ProgramS, supply: _NameSupply, rename: dict[str, str]) -> None:
-        super().__init__(supply, rename)
-        self.program = program
-        # id(derivation) -> (derivation, its translation)
-        self.done: dict[int, tuple[Typed, X.TermX]] = {}
-        # a function's body is translated without reuse, minting from the same supply
-        self.under_binder = Translator(supply, rename)
-        # id(node) -> node, for the nodes whose names the supply already avoids
-        self.named: dict = {}
-
-    def avoid_names(self, state: S.TermS) -> None:
-        """Make the supply avoid the names of ``state``, walking only the nodes
-        no earlier state of the run had."""
-        new = walk_unseen(state, self.named)
-        self.supply.avoid |= _names(new)
-        self.named.update([(id(m), m) for m in new])
-
-    def value(self, v: Typed) -> X.TermX:
-        hit = self.done.get(id(v))
-        if hit is not None:
-            return hit[1]
-        if v.term.__class__ is S.Abs:
-            out = self.under_binder.value(v)
-        else:
-            out = super().value(v)
-        self.done[id(v)] = (v, out)
-        return out
-
-    def c(self, m: Typed) -> X.TermX:
-        hit = self.done.get(id(m))
-        if hit is not None:
-            return hit[1]
-        out = super().c(m)
-        self.done[id(m)] = (m, out)
-        return out
+# The key under which a memo holds its run: (program, translator, main's type).
+_RUN = "translator"

@@ -119,6 +119,19 @@ def merge_types(a: Type, b: Type) -> Type:
     return a
 
 
+def default_wildcards(t: Type) -> Type:
+    """``t`` with each ``AnyT`` wildcard read as ``Dyn``, the type reported
+    for a position nothing constrains; ``t`` itself if it has no wildcard."""
+    match t:
+        case AnyT():
+            return DYN
+        case FunT(a, b) | Fun2T(a, b) | CrcT(a, b):
+            a2, b2 = default_wildcards(a), default_wildcards(b)
+            return t if a2 is a and b2 is b else t.__class__(a2, b2)
+        case _:
+            return t
+
+
 def is_source_type(t: Type) -> bool:
     """Whether ``t`` belongs to the plain-function calculus."""
     match t:

@@ -1,10 +1,14 @@
 """End-to-end tests for the command line, driven in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coercion_forge import cli
+from coercion_forge import cli, lam_s, lam_sx
 from coercion_forge.harness import Verdict
 from coercion_forge.surface import parse_program
 
@@ -58,6 +62,9 @@ class TestEval:
         assert out == ""
         assert "out of fuel after 100 steps" in err
 
+    def test_a_run_may_take_all_its_fuel(self, capsys):
+        assert run(capsys, "eval", "--fuel", "1", "-e", "1 + 2") == (0, "3\n", "")
+
     def test_fuel_env_var(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "loop.lams"
         f.write_text(LOOP)
@@ -100,6 +107,12 @@ class TestEval:
             '{"n": 0, "steps": 0, "maxCoercionSize": 0,'
             ' "maxTermSize": 1, "maxMetricF": 0}',
         ]
+
+    def test_metrics_report_the_peak_sizes(self, capsys):
+        code, out, _ = run(capsys, "eval", "--metrics", "samples/evenodd.lams")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            '{"n": 0, "steps": 28, "maxCoercionSize": 2, "maxTermSize": 22, "maxMetricF": 30}')
 
     def test_lamsx_dialect_expression(self, capsys):
         code, out, _ = run(capsys, "eval", "-e",
@@ -161,6 +174,27 @@ class TestTranslate:
         assert e.value.code == 2
 
 
+class TestWildcards:
+    """A type nothing constrains is reported and translated as Dyn."""
+
+    def test_check_reports_dyn(self, capsys):
+        assert run(capsys, "check", "-e", "blame p") == (0, "Dyn\n", "")
+        assert run(capsys, "check", "-e", "\\x:Int. blame p") == (0, "Int -> Dyn\n", "")
+
+    @pytest.mark.parametrize("text, want", [
+        ("\\x:Int. blame p", "\\ (x:Int, k0:Dyn). blame p"),
+        ("((\\x:Int. blame p) 1) + 2",
+         "(((\\ (x:Int, k0:Int). blame p)(1, id{Int})) + 2)<id{Int}>"),
+    ])
+    def test_translate_passes_its_recheck(self, capsys, text, want):
+        assert run(capsys, "translate", "-e", text) == (0, want + "\n", "")
+
+    def test_simcheck_agrees(self, capsys):
+        code, out, _ = run(capsys, "simcheck", "-e", "(\\f:Int -> Int. f 1) (\\x:Int. blame p)")
+        assert code == 0
+        assert json.loads(out)["kind"] == "agree"
+
+
 class TestSimcheck:
     def test_passing_program(self, capsys):
         code, out, _ = run(capsys, "simcheck", "samples/example1.lams")
@@ -174,6 +208,14 @@ class TestSimcheck:
         code, out, _ = run(capsys, "simcheck", "samples/example1.lams")
         assert code == 3
         assert json.loads(out)["kind"] == "invariant-violation"
+
+
+    def test_a_faulty_target_stepper_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(lam_sx, "delta", lambda op, a, b: lam_s.delta(op, a, b) + 1)
+        code, out, _ = run(capsys, "simcheck", "-e", "1 + 2")
+        assert code == 3
+        assert json.loads(out)["detail"] == (
+            "source step 1 (e R-Op) not simulated within 8 target steps")
 
 
 class TestFuzz:
@@ -212,6 +254,12 @@ class TestBench:
         assert report["n"] == 4
         assert report["steps"] == 28
 
+    def test_an_unfinished_run_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setenv("COERCION_FORGE_FUEL", "10")
+        code, out, err = run(capsys, "bench", "evenodd", "100")
+        assert (code, err) == (4, "out of fuel after 10 steps\n")
+        assert json.loads(out)["steps"] == 10
+
     def test_trace_layout(self, capsys):
         code, out, _ = run(capsys, "bench", "evenodd", "2", "--trace")
         assert code == 0
@@ -231,6 +279,15 @@ class TestBench:
         with pytest.raises(SystemExit) as e:
             cli.main(["bench", "evenodd", "-1"])
         assert e.value.code == 2
+
+
+def test_the_module_runs_as_a_command():
+    # ``python -m`` runs the module's last line, which exits with main()'s code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run(
+        [sys.executable, "-m", "coercion_forge.cli", "eval", "-e", "5<Int!><Bool?^p>"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (r.returncode, r.stdout, r.stderr) == (1, "blame p\n", "")
 
 
 class TestInternalErrors:

@@ -97,6 +97,15 @@ class TestDifferentialRun:
         v = differentialRun(surface.parse_program(src, "lams"))
         assert v.kind == "disagree", v
 
+    @pytest.mark.parametrize("fuel, detail, source", [
+        (603, "one side ran out of fuel", "out_of_fuel after 603 steps"),
+        (604, "same observable outcome", "value false"),
+    ])
+    def test_a_run_that_ends_at_its_fuel_is_not_out_of_fuel(self, fuel, detail, source):
+        # odd 100 takes 6n+4 = 604 source steps
+        v = differentialRun(even_odd_program(100), fuel=fuel)
+        assert (v.kind, v.detail, v.source, v.target) == ("agree", detail, source, "value false")
+
     def test_witness_replays(self):
         p = genWellTyped(GenConfig(seed=3))
         v = differentialRun(p, seed=3)
@@ -127,6 +136,25 @@ class TestSimulationAndInvariants:
 
     def test_invariants_hold_on_the_benchmark(self):
         assert invariantSuite(even_odd_program(4)) == []
+
+    def test_a_target_step_that_computes_wrongly_is_not_simulated(self, monkeypatch):
+        # a planted fault in the target stepper's arithmetic only
+        monkeypatch.setattr(X, "delta", lambda op, a, b: S.delta(op, a, b) + 1)
+        v = simulationCheck(surface.parse_program("1 + 2", "lams"), seed=5)
+        assert (v.kind, v.detail, v.source, v.target) == (
+            "invariant-violation",
+            "source step 1 (e R-Op) not simulated within 8 target steps", "3", "4")
+        assert v.to_json() == (
+            '{"kind": "invariant-violation", "detail": "source step 1 (e R-Op) not'
+            ' simulated within 8 target steps", "seed": 5, "source": "3", "target": "4",'
+            ' "witness": "1 + 2"}')
+
+    def test_simulation_follows_a_function_literal_whose_answer_is_open(self):
+        # each state is translated at the main term's type, so the literal's
+        # continuation takes Int at every state, as in the program
+        p = surface.parse_program("(\\f:Int -> Int. f 1) (\\x:Int. blame p)", "lams")
+        assert simulationCheck(p).kind == "agree"
+        assert invariantSuite(p) == []
 
     def test_invariants_hold_on_a_blame_run(self):
         p = surface.parse_program(
@@ -455,7 +483,7 @@ class TestTranslationMemo:
                 return method(self, m)
             return counted
 
-        # a call the memo answers never reaches the plain translator's methods
+        # a call the memo answers is counted, but goes no deeper
         for name in ("c", "value"):
             monkeypatch.setattr(translate.Translator, name,
                                 counting(getattr(translate.Translator, name)))

@@ -3,6 +3,7 @@
 import pytest
 
 from coercion_forge import lam_s as S
+from coercion_forge import lam_sx as X
 from coercion_forge import surface
 from coercion_forge.coercions import Fail, Id, IdStar, InjSeq, ProjSeq
 from coercion_forge.lam_s import (
@@ -29,7 +30,7 @@ from coercion_forge.lam_s import (
     typecheck_program,
 )
 from coercion_forge.terms import Stepped, StuckTerm
-from coercion_forge.types import BOOL, DYN, INT, FunT
+from coercion_forge.types import ANY, BOOL, DYN, INT, FunT
 
 
 def parse(text):
@@ -46,6 +47,11 @@ def inj(g):
 
 def proj(g, label="p"):
     return ProjSeq(g, label, Id(g))
+
+
+def evaluate_in(mod, text, fuel):
+    out = mod.evaluate(surface.parse_term(text, "lams" if mod is S else "lamsx"), fuel=fuel)
+    return out.kind, out.term, out.steps
 
 
 class TestTyping:
@@ -66,6 +72,17 @@ class TestTyping:
 
     def test_conditional_merges_branches(self):
         assert typecheck(parse("if true then 1 else 2")).ty == INT
+
+    def test_blame_in_function_position_takes_the_type_its_argument_pins(self):
+        typed = typecheck(parse("(blame p) 5"), expected=BOOL)
+        assert typed.ty == BOOL
+        assert typed.children[0].ty == FunT(INT, BOOL)
+
+    def test_a_function_literal_whose_answer_is_open_answers_at_the_expected_type(self):
+        typed = typecheck(parse("(\\x:Int. blame p) 1"), expected=INT)
+        assert typed.children[0].ty == FunT(INT, INT)
+        # with no expectation, the wildcard is left for the reader to default
+        assert typecheck(parse("(\\x:Int. blame p) 1")).children[0].ty == FunT(INT, ANY)
 
     def test_rejects_operand_mismatch(self):
         with pytest.raises(TypeCheckError):
@@ -198,6 +215,18 @@ class TestEvaluate:
         out = evaluate_program(p, fuel=50)
         assert out.kind == "out_of_fuel"
         assert out.steps == 50
+
+    @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+    def test_a_run_may_take_all_its_fuel(self, mod):
+        # fuel bounds the steps; a run that ends in exactly that many is not
+        # out of fuel
+        assert evaluate_in(mod, "5", 0) == ("value", mod.Const(5), 0)
+        assert evaluate_in(mod, "1 + 2", 1) == ("value", mod.Const(3), 1)
+        assert evaluate_in(mod, "1 + 2", 0) == ("out_of_fuel", parse("1 + 2"), 0)
+        blames = "5<Int!><Bool?^p>"
+        steps = evaluate_in(mod, blames, 100)[2]
+        assert evaluate_in(mod, blames, steps) == ("blame", Blame("p"), steps)
+        assert evaluate_in(mod, blames, steps - 1)[::2] == ("out_of_fuel", steps - 1)
 
     def test_cycle_detection_reports_divergence(self):
         p = surface.parse_program(

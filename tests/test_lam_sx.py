@@ -74,6 +74,11 @@ class TestTyping:
         with pytest.raises(EscapedTyVar):
             typecheck(parse("\\ (x:Int, k:Int). k"))
 
+    def test_blame_in_function_position_takes_the_type_its_arguments_pin(self):
+        typed = typecheck(parse("(blame p)(5, Int!)"))
+        assert typed.ty == DYN
+        assert typed.children[0].ty == Fun2T(INT, INT)
+
     def test_let_binds_first_class_coercions(self):
         t = parse("let k = Int! ;; Int?^p in 5<k>")
         assert typecheck(t).ty == INT
@@ -148,6 +153,18 @@ class TestStep:
             step(App2(Const(1), Const(2), CrcLit(Id(INT))))
 
 
+class TestSubstitution:
+    # each binder binds a name free in the substituted term, so it is renamed
+    @pytest.mark.parametrize("text, sub, want", [
+        ("let k = Int! in x<k>", {"x": "k"}, "let k1 = Int! in k<k1>"),
+        ("\\ (y:Int, k:Int). x<k>", {"x": "k"}, "\\ (y:Int, k1:Int). k<k1>"),
+        ("\\ (y:Int, k:Int). x + y", {"x": "y + k"}, "\\ (y1:Int, k1:Int). (y + k) + y1"),
+    ], ids=["let", "continuation", "both-binders"])
+    def test_capture_is_avoided_by_renaming(self, text, sub, want):
+        got = X.substitute(parse(text), {x: parse(m) for x, m in sub.items()})
+        assert got == parse(want), show(got)
+
+
 class TestEvaluate:
     def test_worked_reduction_sequence(self):
         text = ("(\\ (x:Dyn, k:Dyn). let k1 = Int! ;; k in"
@@ -203,6 +220,24 @@ class TestDecomposeOracle:
         r = step(t)
         assert decs[0].rule == r.rule
         assert decs[0].term == r.term
+
+    @pytest.mark.parametrize("text, rules", [
+        ("5<(Int! ;; Int?^p) ;; id{Int}>", ["R-Cmp", "R-Cmp", "R-Id"]),
+        ("5<id{Int} ;; (Int! ;; Int?^p)>", ["R-Cmp", "R-Cmp", "R-Id"]),
+        ("(\\ (x:Int, k:Int). x<k>)(5, Int! ;; Int?^p)", ["R-Cmp", "R-Beta", "R-Id"]),
+    ], ids=["compose-left", "compose-right", "continuation-argument"])
+    def test_steps_in_every_frame_agree_with_the_oracle_and_keep_the_type(self, text, rules):
+        t = parse(text)
+        ty = typecheck(t).ty
+        fired = []
+        while isinstance(r := step(t), Stepped):
+            assert [(d.rule, d.kind, d.term) for d in decompose_oracle(t)] == [
+                (r.rule, r.kind, r.term)]
+            t = r.term
+            assert typecheck(t, expected=ty).ty == ty
+            fired.append(r.rule)
+        assert decompose_oracle(t) == []
+        assert (fired, t) == (rules, Const(5))
 
     def test_values_have_no_decomposition(self):
         assert decompose_oracle(Const(5)) == []

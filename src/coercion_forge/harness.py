@@ -378,6 +378,8 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     Each source e-step must be matched by at most one target e-step plus
     administrative c-steps, and each source c-step by c-steps only, in
     both cases landing on the translation of the next source state.
+    Each step is given the step before, as :func:`terms.evaluate` gives
+    it, so the check runs the steppers the way every run does.
     """
     px = translate.trans_program(p)
     sdefs = p.def_terms()
@@ -394,19 +396,19 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
         nxt_s = r.term
         expected = translate.trans_state(p, nxt_s, memo)
 
-        t = cur_t
+        t = at = cur_t
         e_budget = 1 if r.kind == "e" else 0
         matched = r.kind == "e" and surface.alpha_eq(t, expected)
         used = 0
         while not matched and used < _INNER_CAP:
-            rx = X.step(t, xdefs)
+            rx = X.step(at, xdefs)
             if isinstance(rx, (IsValue, IsBlame)):
                 break
             if rx.kind == "e":
                 if e_budget == 0:
                     break
                 e_budget -= 1
-            t = rx.term
+            at, t = rx, rx.term
             used += 1
             if surface.alpha_eq(t, expected):
                 matched = True
@@ -423,7 +425,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
                 p,
                 seed,
             )
-        cur_s, cur_t = nxt_s, expected
+        cur_s, cur_t = r, expected
     return Verdict("agree", "simulation held on every checked step", "", "", p, seed)
 
 
@@ -476,7 +478,7 @@ def _check_run(
     def report(detail: str) -> None:
         bad(detail, surface.print_term(state, dialect))
 
-    state = p.main
+    state = at = p.main
     # consecutive states share most of their nodes; their typings are reused
     memo: dict = {}
     # id -> node, for the nodes of earlier states whose coercion scan reported nothing
@@ -486,7 +488,8 @@ def _check_run(
     prev_metric = mod.metric_f(state) if check_metric else None
     for _ in range(max_states):
         oracle = mod.decompose_oracle(state, defs)
-        r = mod.step(state, defs)
+        # given the step before, as every run gives it
+        r = mod.step(at, defs)
         if isinstance(r, (IsValue, IsBlame)):
             if oracle:
                 report(f"oracle found a redex in a terminal {side}state")
@@ -495,7 +498,7 @@ def _check_run(
             report(f"{side}oracle found {len(oracle)} redexes, want exactly 1")
         elif oracle[0].rule != r.rule or oracle[0].term != r.term or oracle[0].kind != r.kind:
             report(f"{side}oracle chose {oracle[0].rule}, stepper chose {r.rule}")
-        state = r.term
+        at, state = r, r.term
         try:
             mod.typecheck(state, {}, sigs, ty0, memo)
         except mod.TypeCheckError as e:

@@ -9,8 +9,10 @@ applications merge eagerly (composition steps, kind "c") before ordinary
 evaluation steps (kind "e") may look past them.  The two-sort context
 grammar says that a composition step may not fire directly under a pending
 coercion frame, and that coercion frames never nest.  The stepper needs no
-flag for it: a coercion applied to a pending coercion merges before the
-search could descend under it, and a search that goes on from a contractum
+flag for it: R-MergeC fires from one place, the check of the frame above a
+pending coercion in the focus.  A search that reaches a coercion applied to
+a pending coercion goes down one frame and merges the pair there, before
+anything under them fires, and a search that goes on from a contractum
 looks at the frame above it first.  The decomposition oracle states the grammar:
 ``_frame_ok`` answers each frame's sort, "plain" or "crc", and the shared
 search ``terms.decompose`` applies the two rules.
@@ -246,8 +248,8 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
             return _done(term, res, expected, (mt, nt), memo)
         mt = _tc(m, env, defs, None, memo)
         fty = mt.ty
-        if m.__class__ is Abs and expected is not None and default_wildcards(fty.res) is not fty.res:
-            # a function literal whose body left a wildcard answers at the
+        if fty.__class__ is FunT and expected is not None and default_wildcards(fty.res) is not fty.res:
+            # a function whose answer left a wildcard answers at the
             # application's type; any other function keeps its own type, so
             # an error names that type
             mt = _tc(m, env, defs, FunT(ANY, expected), memo)
@@ -287,7 +289,14 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
         nt = _tc(term.els, env, defs, expected, memo)
         if not matches(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt), memo)
+        ty = merge_types(mt.ty, nt.ty)
+        # a branch that left a wildcard its sibling fixes answers at the
+        # merged type, so no wildcard stays in its derivation
+        if mt.ty != ty and default_wildcards(mt.ty) is not mt.ty:
+            mt = _tc(term.then, env, defs, ty, memo)
+        if nt.ty != ty and default_wildcards(nt.ty) is not nt.ty:
+            nt = _tc(term.els, env, defs, ty, memo)
+        return _done(term, ty, expected, (ct, mt, nt), memo)
     raise AssertionError(term)
 
 
@@ -416,8 +425,6 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
                 # the top-frame check: R-MergeC fires at the parent
                 _, n, k = k
                 return _stepped("c", "R-MergeC", CrcApp(m, compose(s, n.crc, FunT)), k)
-            if mc is CrcApp:
-                return _stepped("c", "R-MergeC", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
             if mc is CoercedVal:
                 return _stepped("c", "R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
             if mc not in _VALUE_CLASSES:
@@ -540,38 +547,32 @@ def decompose_oracle(
 
 
 def _measure(t: TermS) -> tuple[int, int, int]:
-    """(term_size, max_coercion_size, metric_f) of ``t``, in one walk."""
-    cls = t.__class__
-    if cls is CrcApp or cls is CoercedVal:
-        n, c, f = _measure(t.subject)
-        k = size(t.crc)
-        return (1 + n + k, k if k > c else c, f + 4 * k + (2 if cls is CrcApp else 1))
-    if cls is Op:
-        kids = (t.left, t.right)
-    elif cls is App:
-        kids = (t.fun, t.arg)
-    elif cls is If:
-        kids = (t.cond, t.then, t.els)
-    elif cls is Abs:
-        n, c, f = _measure(t.body)
-        return (1 + n, c, f)
-    else:
-        return _LEAF
-    n, c, f = 1, 0, 0
-    for k in kids:
-        if k.__class__ in _LEAF_CLASSES:
-            n += 1
-            continue
-        kn, kc, kf = _measure(k)
-        n += kn
-        if kc > c:
-            c = kc
-        f += kf
+    """(term_size, max_coercion_size, metric_f) of ``t``, in one loop that
+    adds up each node's own share: 1, and the size and the metric term of
+    the coercion it carries."""
+    n = c = f = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        n += 1
+        cls = t.__class__
+        if cls is CrcApp or cls is CoercedVal:
+            k = size(t.crc)
+            n += k
+            c = k if k > c else c
+            f += 4 * k + (2 if cls is CrcApp else 1)
+            stack.append(t.subject)
+        elif cls is Op:
+            stack += t.left, t.right
+        elif cls is App:
+            stack += t.fun, t.arg
+        elif cls is If:
+            stack += t.cond, t.then, t.els
+        elif cls is Abs:
+            stack.append(t.body)
     return (n, c, f)
 
 
-_LEAF = (1, 0, 0)
-_LEAF_CLASSES = frozenset((Const, Var, GlobalRef, Blame))
 # Asking for the three sizes of one state one after the other walks it once.
 measure = terms.keep_last(_measure)
 

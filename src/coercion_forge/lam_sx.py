@@ -595,49 +595,50 @@ def decompose_oracle(
 
 
 def _measure(t: TermX) -> tuple[int, int, int]:
-    """(term_size, max_coercion_size, metric_f) of ``t``, in one walk."""
-    cls = t.__class__
-    if cls is CrcLit:
-        k = size(t.crc)
-        return (k, k, 0)
-    if cls is CoercedVal:
-        n, c, f = _measure(t.subject)
-        k = size(t.crc)
-        return (1 + n + k, k if k > c else c, f + 4 * k + 1)
-    if cls is CrcApp:
-        n, c, f = _measure(t.subject)
-        kn, kc, kf = _measure(t.crc)
-        if t.crc.__class__ is CrcLit:
-            f += 4 * kn + 2  # kn is the literal's coercion size
-        return (1 + n + kn, kc if kc > c else c, f + kf)
-    if cls is Op or cls is Compose:
-        kids = (t.left, t.right)
-    elif cls is App2:
-        kids = (t.fun, t.arg, t.cont)
-    elif cls is Let:
-        kids = (t.bound, t.body)
-    elif cls is If:
-        kids = (t.cond, t.then, t.els)
-    elif cls is Abs2:
-        n, c, f = _measure(t.body)
-        return (1 + n, c, f)
-    else:
-        return _LEAF
-    n, c, f = 1, 0, 0
-    for k in kids:
-        if k.__class__ in _LEAF_CLASSES:
-            n += 1
+    """(term_size, max_coercion_size, metric_f) of ``t``, in one loop that
+    adds up each node's own share: 1, and the size and the metric term of
+    the coercion it carries.  A coercion literal counts as its coercion
+    alone, and an application of one carries it."""
+    n = c = f = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is CrcLit:
+            k = size(t.crc)
+            n += k
+            c = k if k > c else c
             continue
-        kn, kc, kf = _measure(k)
-        n += kn
-        if kc > c:
-            c = kc
-        f += kf
+        n += 1
+        if cls is CrcApp:
+            d = t.crc
+            if d.__class__ is CrcLit:
+                k = size(d.crc)
+                n += k
+                c = k if k > c else c
+                f += 4 * k + 2
+            else:
+                stack.append(d)
+            stack.append(t.subject)
+        elif cls is CoercedVal:
+            k = size(t.crc)
+            n += k
+            c = k if k > c else c
+            f += 4 * k + 1
+            stack.append(t.subject)
+        elif cls is Op or cls is Compose:
+            stack += t.left, t.right
+        elif cls is App2:
+            stack += t.fun, t.arg, t.cont
+        elif cls is Let:
+            stack += t.bound, t.body
+        elif cls is If:
+            stack += t.cond, t.then, t.els
+        elif cls is Abs2:
+            stack.append(t.body)
     return (n, c, f)
 
 
-_LEAF = (1, 0, 0)
-_LEAF_CLASSES = frozenset((Const, Var, GlobalRef, Blame))
 # Asking for the three sizes of one state one after the other walks it once.
 measure = terms.keep_last(_measure)
 

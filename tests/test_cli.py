@@ -174,23 +174,41 @@ class TestTranslate:
         assert e.value.code == 2
 
 
+_BRANCH_FIXES = "if true then (\\x:Int. blame p) 1 else 3"
+_APPLIED_TWICE = "(((\\y:Int. \\x:Int. blame p) 1) 2) + 1"
+_BRANCHES_OPEN = "(if true then \\x:Int. blame p else \\x:Int. blame q) 1"
+
+
 class TestWildcards:
     """A type nothing constrains is reported and translated as Dyn."""
 
     def test_check_reports_dyn(self, capsys):
         assert run(capsys, "check", "-e", "blame p") == (0, "Dyn\n", "")
         assert run(capsys, "check", "-e", "\\x:Int. blame p") == (0, "Int -> Dyn\n", "")
+        assert run(capsys, "check", "-e", _BRANCH_FIXES) == (0, "Int\n", "")
+        assert run(capsys, "check", "-e", _BRANCHES_OPEN) == (0, "Dyn\n", "")
 
     @pytest.mark.parametrize("text, want", [
         ("\\x:Int. blame p", "\\ (x:Int, k0:Dyn). blame p"),
         ("((\\x:Int. blame p) 1) + 2",
          "(((\\ (x:Int, k0:Int). blame p)(1, id{Int})) + 2)<id{Int}>"),
+        # the other branch fixes the type of the one left open
+        (_BRANCH_FIXES, "if true then (\\ (x:Int, k0:Int). blame p)(1, id{Int}) else 3<id{Int}>"),
+        # a function that is not a literal answers at the application's type
+        (_APPLIED_TWICE,
+         "((((\\ (y:Int, k0:Int => Int). (\\ (x:Int, k1:Int). blame p)<k0>)(1, id{Int => Int}))"
+         "(2, id{Int})) + 1)<id{Int}>"),
+        (_BRANCHES_OPEN,
+         "(if true then (\\ (x:Int, k0:Dyn). blame p)<id{Int => Dyn}>"
+         " else (\\ (x:Int, k1:Dyn). blame q)<id{Int => Dyn}>)(1, id{Dyn})"),
     ])
     def test_translate_passes_its_recheck(self, capsys, text, want):
         assert run(capsys, "translate", "-e", text) == (0, want + "\n", "")
 
-    def test_simcheck_agrees(self, capsys):
-        code, out, _ = run(capsys, "simcheck", "-e", "(\\f:Int -> Int. f 1) (\\x:Int. blame p)")
+    @pytest.mark.parametrize("text", [
+        "(\\f:Int -> Int. f 1) (\\x:Int. blame p)", _APPLIED_TWICE, _BRANCHES_OPEN])
+    def test_simcheck_agrees(self, capsys, text):
+        code, out, _ = run(capsys, "simcheck", "-e", text)
         assert code == 0
         assert json.loads(out)["kind"] == "agree"
 

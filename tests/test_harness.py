@@ -8,7 +8,7 @@ import pytest
 from coercion_forge import harness
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
-from coercion_forge import surface, translate
+from coercion_forge import surface, terms, translate
 from coercion_forge.harness import (
     GenConfig,
     GenerationExhausted,
@@ -160,6 +160,39 @@ class TestSimulationAndInvariants:
         p = surface.parse_program(
             "(if 5<Int!><Bool?^p> then 1 else 2) + 3", "lams")
         assert invariantSuite(p) == []
+
+    def test_a_fault_in_the_refocusing_search_is_caught(self, monkeypatch, corpus):
+        # Reading a step's term plugs it right but leaves the next search a
+        # context without its outermost frame.  Only a check that gives each
+        # step the step before, as every run does, reaches that context.
+        plugged = terms.Stepped.term.fget
+
+        def drops_the_outermost_frame(s):
+            fresh = s._focus is not None and terms._get_term(s) is None
+            t = plugged(s)
+            if fresh and s._ctx is not None:
+                frames = []
+                k = s._ctx
+                while k[2] is not None:
+                    frames.append(k[:2])
+                    k = k[2]
+                k = None
+                for refill, n in reversed(frames):
+                    k = (refill, n, k)
+                terms._set_ctx(s, k)
+            return t
+
+        def simulation_fails(p):
+            try:
+                return simulationCheck(p).kind != "agree"
+            except S.TypeCheckError:
+                # the faulty step left a state that does not translate
+                return True
+
+        monkeypatch.setattr(terms.Stepped, "term", property(drops_the_outermost_frame))
+        programs = corpus[:100]
+        assert sum(invariantSuite(p) != [] for p in programs) > 0
+        assert sum(simulation_fails(p) for p in programs) > 0
 
 
 # One program whose runs take e- and c-steps on both sides: the source
@@ -568,7 +601,38 @@ class TestTranslationMemo:
             assert surface.alpha_eq(got, translate.trans_state(p, state))
 
 
+def _step_without_merging(state, defs=None):
+    """Naive λS, stepped by the decomposition oracle: a pending coercion
+    frame may hold another, and R-MergeC never fires, so coercions applied
+    in tail position pile up on the context (Herman, Tomb & Flanagan,
+    "Space-efficient gradual typing", 2007)."""
+    t = state.term if state.__class__ is terms.Stepped else state
+    splits = terms.decompose(
+        t, defs,
+        lambda n, i: S._frame_ok(n, i) and "plain",
+        lambda n, d: [r for r in S._local_redexes(n, d) if r[0] != "R-MergeC"])
+    if not splits:
+        return terms.IS_BLAME if t.__class__ is S.Blame else terms.IS_VALUE
+    (d,) = splits
+    return terms.Stepped(d.kind, d.rule, d.term)
+
+
 class TestSpaceBench:
+    def test_criterion_4_fails_on_a_stepper_that_does_not_merge(self, monkeypatch):
+        # the negative control of criterion 4: the term grows as 3n + 16
+        # and the metric as 10n + 10
+        monkeypatch.setattr(S, "step", _step_without_merging)
+        reports = {n: spaceBench(n, "lams", sample_stride=1) for n in (10, 30, 100)}
+        assert [(r.steps, r.maxCoercionSize, r.maxTermSize, r.maxMetricF)
+                for r in reports.values()] == [
+            (69, 2, 46, 110), (199, 2, 106, 310), (654, 2, 316, 1010)]
+        # criterion 4's two term-size assertions fail on these reports
+        assert len({r.maxTermSize for r in reports.values()}) != 1
+        assert not reports[100].maxTermSize <= reports[10].maxTermSize
+        # and its coercion-size assertion alone cannot see the leak: each
+        # pending coercion stays small, there are only more of them
+        assert len({r.maxCoercionSize for r in reports.values()}) == 1
+
     def test_source_benchmark_report(self):
         assert spaceBench(10, "lams") == SpaceReport(10, 64, 2, 22, 30)
         assert spaceBench(2, "lams") == SpaceReport(2, 16, 2, 22, 30)

@@ -12,9 +12,10 @@ import pytest
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import translate
-from coercion_forge.coercions import size
+from coercion_forge.coercions import Id, size
 from coercion_forge.harness import even_odd_program, even_odd_target, spaceBench
-from coercion_forge.terms import children
+from coercion_forge.terms import Const, children
+from coercion_forge.types import INT
 
 
 def term_size_s(t):
@@ -97,3 +98,13 @@ def test_measure_matches_the_three_sizes_on_corpus_traces(corpus):
     for p in corpus[:50]:
         check_states(S, trace(S, p))
         check_states(X, trace(X, translate.trans_program(p)))
+
+
+@pytest.mark.parametrize("mod", [S, X])
+def test_measure_walks_a_term_of_any_depth(mod):
+    # 10^5 pending identities, each a node and a coercion of size 1
+    crc = Id(INT) if mod is S else X.CrcLit(Id(INT))
+    t = Const(1)
+    for _ in range(10**5):
+        t = mod.CrcApp(t, crc)
+    assert mod.measure(t) == (200001, 1, 600000)

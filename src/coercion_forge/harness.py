@@ -379,7 +379,9 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     administrative c-steps, and each source c-step by c-steps only, in
     both cases landing on the translation of the next source state.
     Each step is given the step before, as :func:`terms.evaluate` gives
-    it, so the check runs the steppers the way every run does.
+    it, so the check runs the steppers the way every run does.  A source
+    state that does not typecheck has no translation to land on, and is
+    reported as a failure of preservation.
     """
     px = translate.trans_program(p)
     sdefs = p.def_terms()
@@ -394,7 +396,12 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
         if isinstance(r, (IsValue, IsBlame)):
             break
         nxt_s = r.term
-        expected = translate.trans_state(p, nxt_s, memo)
+        try:
+            expected = translate.trans_state(p, nxt_s, memo)
+        except S.TypeCheckError as e:
+            detail = f"source preservation failed after {r.rule}: {e}"
+            source = surface.print_term(nxt_s, "lams")
+            return Verdict("invariant-violation", detail, source, "", p, seed)
 
         t = at = cur_t
         e_budget = 1 if r.kind == "e" else 0

@@ -9,7 +9,8 @@ needed: composition steps can fire anywhere.
 The formers it shares with the source calculus live in ``terms`` and are
 re-exported here; this module declares only what it adds (``Abs2``,
 ``App2``, ``Let``, ``Compose``, the object-level ``CrcApp`` and ``CrcLit``)
-and its rules.
+and its rules.  Its stepper is an environment machine: a call goes on into
+the function body without copying it.
 """
 
 from __future__ import annotations
@@ -350,77 +351,148 @@ def substitute(t: TermX, sub: Mapping[str, TermX]) -> TermX:
 
 
 # ---------------------------------------------------------------------------
-# Small-step semantics
+# Small-step semantics: an environment machine
+#
+# The search carries an environment, a dict from bound names to closed
+# values (the CEK machine of Biernacka and Danvy, "A concrete framework for
+# environment machines", 2007).  A term under an environment stands for the
+# term ``substitute`` makes of the two, so R-Beta and R-Let go on into the
+# body under one instead of copying it.  A variable is looked up, and a
+# function or coerced-value literal substituted, only where a rule takes
+# its value.  A binder step on an open value substitutes at once, as the
+# rules do, so an environment never holds a free name that a binder could
+# capture.  Reading a step's term applies the environments still pending.
+
+# The empty environment.  No environment is changed once built.
+_EMPTY: dict = {}
+
+
+# The leaves other than a variable, which stand for themselves under any environment.
+_CLOSED_LEAVES = frozenset((Const, CrcLit, GlobalRef, Blame))
+
+
+def _close(env, t):
+    """The refill of the innermost frame of a step whose contractum is under ``env``."""
+    return t if t.__class__ in _CLOSED_LEAVES else substitute(t, env)
 
 
 def step(term, defs: Optional[Mapping[str, TermX]] = None) -> terms.StepResult:
     """The step from ``term``; a ``Stepped`` is taken as :func:`lam_s.step` takes it."""
     if term.__class__ is terms.Stepped:
-        if term._focus is None:
-            return _find(term.term, None, defs or {})
-        return _find(term._focus, term._ctx, defs or {})
-    r = _find(term, None, defs or {})
+        t = term._focus
+        if t is None:
+            return _find(term.term, _EMPTY, None, defs or {})
+        k = term._ctx
+        if k is not None and k[0] is _close:
+            return _find(t, k[1], k[2], defs or {})
+        return _find(t, _EMPTY, k, defs or {})
+    r = _find(term, _EMPTY, None, defs or {})
     if r.__class__ is terms.Stepped:
         r.term  # noqa: B018 (builds the whole term)
     return r
 
 
-# The frames this calculus adds to the evaluation contexts ``terms`` describes.
+def _stepped(kind: str, rule: str, focus: TermX, env, k) -> terms.Stepped:
+    return terms.refocused(kind, rule, focus, (_close, env, k) if env else k)
 
 
-def _app2_fun(n, t):
-    return App2(t, n.arg, n.cont)
+def _closed(v: TermX, env) -> bool:
+    """Whether the value ``v`` under ``env`` stands for a closed term."""
+    cls = v.__class__
+    if cls is Var:
+        return v.name in env
+    if cls is Abs2 or cls is CoercedVal:
+        return env.keys() >= free_vars(v)
+    return True
 
 
-def _app2_arg(n, t):
-    return App2(n.fun, t, n.cont)
+def _value(v: TermX, env) -> TermX:
+    """The value ``v`` under the non-empty ``env`` stands for."""
+    cls = v.__class__
+    if cls is Var:
+        return env.get(v.name, v)
+    if cls is Abs2 or cls is CoercedVal:
+        return substitute(v, env)
+    return v
 
 
-def _app2_cont(n, t):
-    return App2(n.fun, n.arg, t)
+def _stuck(t: TermX, env, k) -> terms.StuckTerm:
+    return terms.StuckTerm.at(substitute(t, env) if env else t, k)
 
 
-def _crc_subject(n, t):
-    return CrcApp(t, n.crc)
+# A frame's node slot holds the list [node, env], where env is what the
+# node's children but the hole are under.  The search rebuilds the node
+# bare (``_BARE``) and goes on under env.  A read's refill applies env to
+# those children and keeps the node it built in the list, under the empty
+# environment, so no frame is substituted twice.
+
+# What a node built by a refill holds in its hole, which no refill reads.
+_HOLE = Blame("")
+
+_BARE: dict = {}
 
 
-def _crc_crc(n, t):
-    return CrcApp(n.subject, t)
+def _frame(bare):
+    """The refill of the frames whose node ``bare(node, t)`` rebuilds."""
+
+    def refill(p, t):
+        n, e = p
+        if e:
+            n = substitute(bare(n, _HOLE), e)
+            p[:] = n, _EMPTY
+        return bare(n, t)
+
+    _BARE[refill] = bare
+    return refill
 
 
-def _let_bound(n, t):
-    return Let(n.var, t, n.body)
+_APP2_FUN = _frame(lambda n, t: App2(t, n.arg, n.cont))
+_APP2_ARG = _frame(lambda n, t: App2(n.fun, t, n.cont))
+_APP2_CONT = _frame(lambda n, t: App2(n.fun, n.arg, t))
+_CRC_SUBJECT = _frame(lambda n, t: CrcApp(t, n.crc))
+_CRC_CRC = _frame(lambda n, t: CrcApp(n.subject, t))
+_LET_BOUND = _frame(lambda n, t: Let(n.var, t, n.body))
+_COMPOSE_LEFT = _frame(lambda n, t: Compose(t, n.right))
+_COMPOSE_RIGHT = _frame(lambda n, t: Compose(n.left, t))
+_OP_LEFT = _frame(op_left)
+_OP_RIGHT = _frame(op_right)
+_IF_COND = _frame(if_cond)
 
 
-def _compose_left(n, t):
-    return Compose(t, n.right)
-
-
-def _compose_right(n, t):
-    return Compose(n.left, t)
-
-
-def _find(t: TermX, k, defs) -> terms.StepResult:
-    """The next step from the focus ``t`` in the context ``k``; raises StuckTerm
-    if no rule applies.
+def _find(t: TermX, env, k, defs) -> terms.StepResult:
+    """The next step from the focus ``t`` under ``env`` in the context ``k``;
+    raises StuckTerm if no rule applies.
 
     The search of :func:`lam_s._find`, over plain call-by-value frames
-    only: no rule looks at the frame above the focus.
+    only: no rule looks at the frame above the focus.  A contractum stays
+    under the focus's environment, but R-Beta's and R-Let's go under a
+    new one, and R-Unfold's, E-Abort's and those of a binder step on an
+    open value are under none.
     """
     while True:
         cls = t.__class__
         if cls is App2:
             f, a, c = t.fun, t.arg, t.cont
             if f.__class__ not in _VALUE_CLASSES:
-                k, t = (_app2_fun, t, k), f
+                k, t = (_APP2_FUN, [t, env], k), f
             elif a.__class__ not in _VALUE_CLASSES:
-                k, t = (_app2_arg, t, k), a
+                k, t = (_APP2_ARG, [t, env], k), a
             elif c.__class__ not in _VALUE_CLASSES:
-                k, t = (_app2_cont, t, k), c
+                k, t = (_APP2_CONT, [t, env], k), c
             else:
+                if env:
+                    f = _value(f, env)
                 fc = f.__class__
                 if fc is Abs2:
-                    return _stepped("e", "R-Beta", substitute(f.body, {f.var: a, f.kvar: c}), k)
+                    closed = _closed(a, env) and _closed(c, env)
+                    if env:
+                        a, c = _value(a, env), _value(c, env)
+                    sub = {f.var: a, f.kvar: c}
+                    if closed:
+                        return _stepped("e", "R-Beta", f.body, sub, k)
+                    return _stepped("e", "R-Beta", substitute(f.body, sub), _EMPTY, k)
+                if env:
+                    a, c = _value(a, env), _value(c, env)
                 if fc is CoercedVal and f.crc.__class__ is Fun:
                     u, s, c2 = f.subject, f.crc.arg, f.crc.res
                     kn = fresh_name("k", free_vars(u) | free_vars(a) | free_vars(c))
@@ -429,83 +501,109 @@ def _find(t: TermX, k, defs) -> terms.StepResult:
                         Compose(CrcLit(c2), c),
                         App2(u, CrcApp(a, CrcLit(s)), Var(kn)),
                     )
-                    return _stepped("e", "R-Wrap", wrapped, k)
+                    return _stepped("e", "R-Wrap", wrapped, env, k)
                 if fc is GlobalRef and f.name in defs:
-                    return _stepped("e", "R-Unfold", App2(defs[f.name], a, c), k)
-                raise terms.StuckTerm.at(t, k)
+                    return _stepped("e", "R-Unfold", App2(defs[f.name], a, c), _EMPTY, k)
+                raise _stuck(t, env, k)
         elif cls is CrcApp:
             m, c = t.subject, t.crc
             if m.__class__ not in _VALUE_CLASSES:
-                k, t = (_crc_subject, t, k), m
+                k, t = (_CRC_SUBJECT, [t, env], k), m
             elif c.__class__ not in _VALUE_CLASSES:
-                k, t = (_crc_crc, t, k), c
-            elif c.__class__ is not CrcLit:
-                raise terms.StuckTerm.at(t, k)
-            elif m.__class__ is CoercedVal:
-                return _stepped("c", "R-MergeV", CrcApp(m.subject, Compose(CrcLit(m.crc), c)), k)
-            elif m.__class__ in _UNCOERCED_CLASSES:
+                k, t = (_CRC_CRC, [t, env], k), c
+            else:
+                if env:
+                    m, c = _value(m, env), _value(c, env)
+                if c.__class__ is not CrcLit:
+                    raise _stuck(t, env, k)
+                if m.__class__ is CoercedVal:
+                    merged = CrcApp(m.subject, Compose(CrcLit(m.crc), c))
+                    return _stepped("c", "R-MergeV", merged, env, k)
+                if m.__class__ not in _UNCOERCED_CLASSES:
+                    raise _stuck(t, env, k)
                 d = c.crc
                 dc = d.__class__
                 if dc is Id or dc is IdStar:
-                    return _stepped("c", "R-Id", m, k)
+                    return _stepped("c", "R-Id", m, env, k)
                 if dc is Fail:
-                    return _stepped("c", "R-Fail", Blame(d.label), k)
+                    return _stepped("c", "R-Fail", Blame(d.label), env, k)
                 if dc is InjSeq or dc is Fun:
-                    return _stepped("c", "R-Crc", CoercedVal(m, d), k)
-                raise terms.StuckTerm.at(t, k)
-            else:
-                raise terms.StuckTerm.at(t, k)
+                    return _stepped("c", "R-Crc", CoercedVal(m, d), env, k)
+                raise _stuck(t, env, k)
         elif cls is Op:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
-                k, t = (op_left, t, k), l
+                k, t = (_OP_LEFT, [t, env], k), l
             elif r.__class__ not in _VALUE_CLASSES:
-                k, t = (op_right, t, k), r
-            elif l.__class__ is Const and r.__class__ is Const:
-                return _stepped("e", "R-Op", Const(delta(t.op, l.val, r.val)), k)
+                k, t = (_OP_RIGHT, [t, env], k), r
             else:
-                raise terms.StuckTerm.at(t, k)
+                if env:
+                    l, r = _value(l, env), _value(r, env)
+                if l.__class__ is not Const or r.__class__ is not Const:
+                    raise _stuck(t, env, k)
+                return _stepped("e", "R-Op", Const(delta(t.op, l.val, r.val)), env, k)
         elif cls is Let:
             m = t.bound
             if m.__class__ not in _VALUE_CLASSES:
-                k, t = (_let_bound, t, k), m
+                k, t = (_LET_BOUND, [t, env], k), m
             else:
-                return _stepped("c", "R-Let", substitute(t.body, {t.var: m}), k)
+                x, n = t.var, t.body
+                closed = _closed(m, env)
+                if env:
+                    m = _value(m, env)
+                if closed:
+                    return _stepped("c", "R-Let", n, {**env, x: m}, k)
+                # the body as the Let under ``env`` holds it
+                outer = {y: v for y, v in env.items() if y != x}
+                if outer:
+                    n = substitute(n, outer)
+                return _stepped("c", "R-Let", substitute(n, {x: m}), _EMPTY, k)
         elif cls is Compose:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
-                k, t = (_compose_left, t, k), l
+                k, t = (_COMPOSE_LEFT, [t, env], k), l
             elif r.__class__ not in _VALUE_CLASSES:
-                k, t = (_compose_right, t, k), r
-            elif l.__class__ is CrcLit and r.__class__ is CrcLit:
-                return _stepped("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), k)
+                k, t = (_COMPOSE_RIGHT, [t, env], k), r
             else:
-                raise terms.StuckTerm.at(t, k)
+                if env:
+                    l, r = _value(l, env), _value(r, env)
+                if l.__class__ is not CrcLit or r.__class__ is not CrcLit:
+                    raise _stuck(t, env, k)
+                return _stepped("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), env, k)
         elif cls is If:
             c = t.cond
             if c.__class__ not in _VALUE_CLASSES:
-                k, t = (if_cond, t, k), c
-            elif c == TRUE:
-                return _stepped("e", "R-IfTrue", t.then, k)
-            elif c == FALSE:
-                return _stepped("e", "R-IfFalse", t.els, k)
+                k, t = (_IF_COND, [t, env], k), c
             else:
-                raise terms.StuckTerm.at(t, k)
+                if env:
+                    c = _value(c, env)
+                if c == TRUE:
+                    return _stepped("e", "R-IfTrue", t.then, env, k)
+                if c == FALSE:
+                    return _stepped("e", "R-IfFalse", t.els, env, k)
+                raise _stuck(t, env, k)
         elif cls in _VALUE_CLASSES:
             if k is None:
                 return terms.IS_VALUE
-            refill, n, k = k
-            t = refill(n, t)
+            refill, p, k = k
+            n, e = p
+            if e is env:
+                t = _BARE[refill](n, t)
+            elif not e or _closed(t, env):
+                t = _BARE[refill](n, _value(t, env) if env else t)
+                env = e
+            else:
+                # an open value does not go under another environment: the
+                # parent is built with its own applied
+                t = refill(p, _value(t, env) if env else t)
+                env = _EMPTY
         elif cls is Blame:
             if k is None:
                 return terms.IS_BLAME
             # blame discards the whole context
-            return _stepped("e", "E-Abort", t, None)
+            return _stepped("e", "E-Abort", t, _EMPTY, None)
         else:
-            raise terms.StuckTerm.at(t, k)
-
-
-_stepped = terms.refocused
+            raise _stuck(t, env, k)
 
 
 def evaluate(

@@ -384,9 +384,11 @@ def _plugged(s):
         if k is not None:
             refill, n, k = k
             t = refill(n, t)
-            # The next search may start at the parent just built: the
-            # frame's earlier children are values, so it reaches the old
-            # focus again, and a value there no longer costs a rebuild.
+            # The next search may start at the term just built, the
+            # focus's parent (or, in ``lam_sx``, the focus with its
+            # environment applied): the parent's earlier children are
+            # values, so it reaches the old focus again, and a value there
+            # no longer costs a rebuild.
             _set_focus(s, t)
             _set_ctx(s, k)
         while k is not None:
@@ -419,7 +421,10 @@ def refocused(kind: str, rule: str, focus, ctx) -> Stepped:
 # down, and ``rest`` is the context outside it (None when empty).  The
 # node's own child at the hole is stale.  Reading a ``Stepped``'s ``term``
 # plugs its focus into its context.  The frames of the formers both
-# calculi share are these.
+# calculi share are these.  A calculus may put in the node slot whatever
+# its refill reads: ``lam_sx`` keeps there the node with the environment
+# its other children are under, and its innermost frame may apply an
+# environment to the focus alone.
 
 
 def op_left(n, t):

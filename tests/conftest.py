@@ -2,10 +2,38 @@
 
 import pytest
 
-from coercion_forge import GenConfig, genWellTyped
+from coercion_forge import GenConfig, genWellTyped, terms
 
 
 @pytest.fixture(scope="session")
 def corpus():
     """500 deterministic well-typed programs, seeds 0 through 499."""
     return [genWellTyped(GenConfig(seed=s, maxDepth=8)) for s in range(500)]
+
+
+@pytest.fixture
+def refocus_fault(monkeypatch):
+    """Plant a fault in the refocusing search of both calculi.
+
+    Reading a step's term plugs it right but leaves the next search a
+    context without its outermost frame.  Only a check that gives each
+    step the step before, as every run does, reaches that context.
+    """
+    plugged = terms.Stepped.term.fget
+
+    def drops_the_outermost_frame(s):
+        fresh = s._focus is not None and terms._get_term(s) is None
+        t = plugged(s)
+        if fresh and s._ctx is not None:
+            frames = []
+            k = s._ctx
+            while k[2] is not None:
+                frames.append(k[:2])
+                k = k[2]
+            k = None
+            for refill, n in reversed(frames):
+                k = (refill, n, k)
+            terms._set_ctx(s, k)
+        return t
+
+    monkeypatch.setattr(terms.Stepped, "term", property(drops_the_outermost_frame))

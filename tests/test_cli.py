@@ -235,6 +235,12 @@ class TestSimcheck:
         assert json.loads(out)["detail"] == (
             "source step 1 (e R-Op) not simulated within 8 target steps")
 
+    def test_a_source_state_that_does_not_typecheck_exits_three(self, capsys, refocus_fault):
+        code, out, _ = run(capsys, "simcheck", "-e", "0 = ((\\x0:Dyn. 9) (2<Int!>))")
+        assert code == 3
+        assert json.loads(out)["detail"] == (
+            "source preservation failed after R-Beta: expected Bool, found Int")
+
 
 class TestFuzz:
     def test_seed_range(self, capsys):

@@ -161,38 +161,14 @@ class TestSimulationAndInvariants:
             "(if 5<Int!><Bool?^p> then 1 else 2) + 3", "lams")
         assert invariantSuite(p) == []
 
-    def test_a_fault_in_the_refocusing_search_is_caught(self, monkeypatch, corpus):
-        # Reading a step's term plugs it right but leaves the next search a
-        # context without its outermost frame.  Only a check that gives each
-        # step the step before, as every run does, reaches that context.
-        plugged = terms.Stepped.term.fget
-
-        def drops_the_outermost_frame(s):
-            fresh = s._focus is not None and terms._get_term(s) is None
-            t = plugged(s)
-            if fresh and s._ctx is not None:
-                frames = []
-                k = s._ctx
-                while k[2] is not None:
-                    frames.append(k[:2])
-                    k = k[2]
-                k = None
-                for refill, n in reversed(frames):
-                    k = (refill, n, k)
-                terms._set_ctx(s, k)
-            return t
-
-        def simulation_fails(p):
-            try:
-                return simulationCheck(p).kind != "agree"
-            except S.TypeCheckError:
-                # the faulty step left a state that does not translate
-                return True
-
-        monkeypatch.setattr(terms.Stepped, "term", property(drops_the_outermost_frame))
+    def test_a_fault_in_the_refocusing_search_is_caught(self, refocus_fault, corpus):
         programs = corpus[:100]
         assert sum(invariantSuite(p) != [] for p in programs) > 0
-        assert sum(simulation_fails(p) for p in programs) > 0
+        verdicts = [simulationCheck(p) for p in programs]
+        assert sum(v.kind != "agree" for v in verdicts) > 0
+        # the faulty step leaves states that do not typecheck; each is reported
+        preservation = [v for v in verdicts if "source preservation failed" in v.detail]
+        assert preservation and all(v.kind == "invariant-violation" for v in preservation)
 
 
 # One program whose runs take e- and c-steps on both sides: the source

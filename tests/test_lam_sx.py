@@ -5,7 +5,9 @@ import pytest
 from coercion_forge import lam_sx as X
 from coercion_forge import surface
 from coercion_forge.coercions import Fail, Id, IdStar, InjSeq, ProjSeq
+from coercion_forge.harness import even_odd_target
 from coercion_forge.lam_sx import (
+    Abs2,
     App2,
     Blame,
     Compose,
@@ -13,6 +15,7 @@ from coercion_forge.lam_sx import (
     CrcApp,
     CrcLit,
     EscapedTyVar,
+    GlobalRef,
     Let,
     Op,
     TypeCheckError,
@@ -242,3 +245,107 @@ class TestDecomposeOracle:
     def test_values_have_no_decomposition(self):
         assert decompose_oracle(Const(5)) == []
         assert decompose_oracle(CrcLit(inj(INT))) == []
+
+
+class TestEnvironmentMachine:
+    """The search carries an environment: R-Beta and R-Let go on into the
+    body under one, and a state's term is built only when it is read."""
+
+    @pytest.fixture
+    def substitutions(self, monkeypatch):
+        calls = []
+        substitute = X.substitute
+
+        def counted(t, sub):
+            calls.append(t)
+            return substitute(t, sub)
+
+        monkeypatch.setattr(X, "substitute", counted)
+        return calls
+
+    def test_an_unread_run_substitutes_nothing(self, substitutions):
+        out = X.evaluate_program(even_odd_target(200))
+        assert (out.kind, out.term, out.steps) == ("value", Const(False), 1806)
+        assert substitutions == []
+
+    def test_a_deep_body_steps_without_recursion(self):
+        # x + 1 + ... + 1, left-nested 10^4 deep: the search goes down it
+        # under the environment R-Beta starts, and the state is never read
+        body = Var("x")
+        for _ in range(10**4):
+            body = Op("+", body, Const(1))
+        f = Abs2("x", INT, "k", INT, body)
+        try:
+            out = evaluate(App2(GlobalRef("f"), Const(1), CrcLit(Id(INT))), {"f": f})
+        except RecursionError:
+            # reported outside the handler: pytest's search of a traceback
+            # for recursion compares the frames' locals, here deep terms,
+            # and takes minutes
+            out = None
+        assert out is not None, "R-Beta copied the body recursively"
+        assert (out.kind, out.term, out.steps) == ("value", Const(10001), 10002)
+
+    # A value with the free name y goes into a body where a binder binds y,
+    # so the step renames that binder, as the oracle's substitution does.
+    @pytest.mark.parametrize("text, renamed", [
+        ("(\\ (x:Int, k:Int). let y = 1 in (x + y)<k>)(y, id{Int})",
+         "let y1 = 1 in (y + y1)<id{Int}>"),
+        ("(\\ (x:Int, k:Int). (\\ (y:Int, k:Int). (x + y)<k>)(1, k))(y, id{Int})",
+         "(\\ (y1:Int, k:Int). (y + y1)<k>)(1, id{Int})"),
+        ("(\\ (x:Int -> Int, k:Int -> Int). let y = 1 in x<k>)"
+         "(\\ (w:Int, k2:Int). y<k2>, id{Int -> Int})",
+         "let y1 = 1 in (\\ (w:Int, k2:Int). y<k2>)<id{Int -> Int}>"),
+        ("let x = y in let y = 1 in x + y", "let y1 = 1 in y + y1"),
+    ], ids=["beta-under-let", "beta-under-abstraction", "beta-then-id", "let-under-let"])
+    def test_a_binder_step_on_an_open_value_renames_as_the_oracle(self, text, renamed):
+        t = parse(text)
+        assert step(t).term == decompose_oracle(t)[0].term == parse(renamed)
+        # The same run in the body of a call, under the environment
+        # {y1: 0, kz: id{Int}}, whose name y1 a renaming must not avoid.
+        # Each state is built after the steps up to it were taken unread.
+        defs = {"h": Abs2("y1", INT, "kz", INT, t)}
+        want = [App2(GlobalRef("h"), Const(0), CrcLit(Id(INT)))]
+        while d := decompose_oracle(want[-1], defs):
+            want.append(d[0].term)
+        assert parse(renamed) in want
+        for n in range(1, len(want)):
+            r = want[0]
+            for _ in range(n):
+                r = step(r, defs)
+            assert r.term == want[n]
+
+    def test_an_open_value_keeps_its_free_name_in_a_frame_under_another_environment(self):
+        # g returns its free y to the frame (_ + y), which f's call put under
+        # {y: 5, k: id{Int}}; f is a definition, so that call's state is unread
+        defs = {"f": parse("\\ (y:Int, k:Int). ((g(1, id{Int})) + y)<k>"),
+                "g": parse("\\ (z:Int, k2:Int). y")}
+        defs["f"] = X.substitute(defs["f"], {"g": GlobalRef("g")})
+        r, rules = App2(GlobalRef("f"), Const(5), CrcLit(Id(INT))), []
+        with pytest.raises(StuckTerm, match=r"^no rule applies to Op\(Var, Const\) at depth 1$"):
+            while True:
+                r = step(r, defs)
+                rules.append(r.rule)
+        assert rules == ["R-Unfold", "R-Beta", "R-Unfold", "R-Beta"]
+        assert r.term == parse("(y + 5)<id{Int}>")
+
+    def test_if_false_drops_the_then_branch_unsubstituted(self, substitutions):
+        f = parse("\\ (x:Int, k:Int). if (x = 0)<id{Bool}>"
+                  " then let k1 = k in (x + x + x + x)<k1> else (x + 1)<k>")
+        defs = {"f": f}
+        t = App2(GlobalRef("f"), Const(4), CrcLit(Id(INT)))
+        # the oracle's run, every state built whole
+        want = [t]
+        while d := decompose_oracle(want[-1], defs):
+            want.append(d[0].term)
+        r = step(t, defs)  # R-Unfold; read, as its state is built from a term
+        del substitutions[:]
+        rules = []
+        while (r := step(r, defs)).rule != "R-IfFalse":
+            rules.append(r.rule)
+        assert rules == ["R-Beta", "R-Op", "R-Id"]
+        assert substitutions == []
+        assert r._focus is f.body.els
+        assert r.term == want[5]
+        # the read applies the environment to the branch kept, and only to it
+        assert substitutions[0] is f.body.els
+        assert not any(m is f.body.then for m in substitutions)

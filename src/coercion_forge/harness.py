@@ -17,7 +17,7 @@ from . import lam_s as S
 from . import lam_sx as X
 from . import surface, translate
 from .coercions import Coercion, Fun, Id, IdStar, InjSeq, ProjSeq, is_canonical
-from .terms import CoercedVal, Const, IsBlame, IsValue, walk_unseen
+from .terms import CoercedVal, Const, IsBlame, IsValue, unread, walk_unseen
 from .types import BOOL, DYN, INT, Base, Dyn, FunT, Fun2T, Type, is_source_type
 
 
@@ -372,6 +372,20 @@ def differentialRun(p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None
 # Simulation checking
 
 
+def _given(r, i: int, is_value):
+    """What the step after ``r``, the ``i``-th step of its run, is given.
+
+    A run whose observer reads every state gives the next step a read
+    step, whose search starts at the parent the read built; a run with no
+    observer gives it an unread one, and a value in its focus returns to
+    its frame.  The checks read every state, so after odd ``i`` a step
+    that left a value (``is_value``, the calculus's own) is given unread,
+    and the checks take both searches by turns.  Call it before reading
+    ``r``.
+    """
+    return unread(r) if i % 2 and is_value(r._focus) else r
+
+
 def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = None) -> Verdict:
     """Check the step-for-step simulation of a source run by its translation.
 
@@ -379,9 +393,10 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     administrative c-steps, and each source c-step by c-steps only, in
     both cases landing on the translation of the next source state.
     Each step is given the step before, as :func:`terms.evaluate` gives
-    it, so the check runs the steppers the way every run does.  A source
-    state that does not typecheck has no translation to land on, and is
-    reported as a failure of preservation.
+    it, so the check runs the steppers the way every run does: read, as
+    an observer of every state leaves it, or unread (:func:`_given`).  A
+    source state that does not typecheck has no translation to land on,
+    and is reported as a failure of preservation.
     """
     px = translate.trans_program(p)
     sdefs = p.def_terms()
@@ -395,6 +410,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
         r = S.step(cur_s, sdefs)
         if isinstance(r, (IsValue, IsBlame)):
             break
+        given = _given(r, i, S.is_value)
         nxt_s = r.term
         try:
             expected = translate.trans_state(p, nxt_s, memo)
@@ -415,7 +431,8 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
                 if e_budget == 0:
                     break
                 e_budget -= 1
-            at, t = rx, rx.term
+            at = _given(rx, used, X.is_value)
+            t = rx.term
             used += 1
             if surface.alpha_eq(t, expected):
                 matched = True
@@ -432,7 +449,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
                 p,
                 seed,
             )
-        cur_s, cur_t = r, expected
+        cur_s, cur_t = given, expected
     return Verdict("agree", "simulation held on every checked step", "", "", p, seed)
 
 
@@ -493,7 +510,7 @@ def _check_run(
     # the metric bounds the composition steps of the source calculus only
     check_metric = dialect == "lams"
     prev_metric = mod.metric_f(state) if check_metric else None
-    for _ in range(max_states):
+    for i in range(max_states):
         oracle = mod.decompose_oracle(state, defs)
         # given the step before, as every run gives it
         r = mod.step(at, defs)
@@ -501,11 +518,12 @@ def _check_run(
             if oracle:
                 report(f"oracle found a redex in a terminal {side}state")
             break
+        at = _given(r, i, mod.is_value)
         if len(oracle) != 1:
             report(f"{side}oracle found {len(oracle)} redexes, want exactly 1")
         elif oracle[0].rule != r.rule or oracle[0].term != r.term or oracle[0].kind != r.kind:
             report(f"{side}oracle chose {oracle[0].rule}, stepper chose {r.rule}")
-        at, state = r, r.term
+        state = r.term
         try:
             mod.typecheck(state, {}, sigs, ty0, memo)
         except mod.TypeCheckError as e:

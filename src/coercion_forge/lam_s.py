@@ -380,15 +380,18 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
     """The next step from the focus ``t`` in the context ``k``; raises StuckTerm
     if no rule applies.
 
-    A value in the focus fills the hole of the innermost frame, and the
-    search goes on from that frame's node.  Otherwise the search goes down
-    the evaluation context to the redex, pushing a frame at each node it
-    passes, and returns the contractum with the context: the first step's
-    search starts at the root, and each later one at the contractum of the
-    step before, which refocuses.  One pending coercion frame never holds
-    another, so R-MergeC or R-MergeV fires at the parent of a pending or
-    delayed coercion in the focus under one: the first by the top-frame
-    check, the second as a value fills the frame's hole.
+    The search goes down the evaluation context to the redex, pushing a
+    frame at each node it passes, and returns the contractum with the
+    context: the first step's search starts at the root, and each later
+    one at the contractum of the step before, which refocuses.  A value in
+    the focus returns to the innermost frame.  If a later child of that
+    frame's node is not a value yet, the search builds the node with the
+    value in its hole and goes on down; otherwise the node's rule fires
+    from its other children and the value, and the node is built only if
+    it is stuck.  One pending coercion frame never holds another, so
+    R-MergeC or R-MergeV fires at the parent of a pending or delayed
+    coercion in the focus under one: the first by the top-frame check, the
+    second as a value returns to the frame.
     """
     while True:
         cls = t.__class__
@@ -398,10 +401,8 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
                 k, t = (op_left, t, k), l
             elif r.__class__ not in _VALUE_CLASSES:
                 k, t = (op_right, t, k), r
-            elif l.__class__ is Const and r.__class__ is Const:
-                return _stepped("e", "R-Op", Const(delta(t.op, l.val, r.val)), k)
             else:
-                raise terms.StuckTerm.at(t, k)
+                return _op(t, l, r, k)
         elif cls is App:
             f, a = t.fun, t.arg
             if f.__class__ not in _VALUE_CLASSES:
@@ -409,51 +410,44 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
             elif a.__class__ not in _VALUE_CLASSES:
                 k, t = (_app_arg, t, k), a
             else:
-                fc = f.__class__
-                if fc is Abs:
-                    return _stepped("e", "R-Beta", substitute(f.body, {f.var: a}), k)
-                if fc is CoercedVal and f.crc.__class__ is Fun:
-                    s, c2 = f.crc.arg, f.crc.res
-                    return _stepped("e", "R-Wrap", CrcApp(App(f.subject, CrcApp(a, s)), c2), k)
-                if fc is GlobalRef and f.name in defs:
-                    return _stepped("e", "R-Unfold", App(defs[f.name], a), k)
-                raise terms.StuckTerm.at(t, k)
+                return _app(f, a, k, defs)
         elif cls is CrcApp:
-            m, s = t.subject, t.crc
-            mc = m.__class__
+            m = t.subject
             if k is not None and k[0] is _crc_subject:
                 # the top-frame check: R-MergeC fires at the parent
                 _, n, k = k
-                return _stepped("c", "R-MergeC", CrcApp(m, compose(s, n.crc, FunT)), k)
-            if mc is CoercedVal:
-                return _stepped("c", "R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
-            if mc not in _VALUE_CLASSES:
+                return _stepped("c", "R-MergeC", CrcApp(m, compose(t.crc, n.crc, FunT)), k)
+            if m.__class__ not in _VALUE_CLASSES:
                 k, t = (_crc_subject, t, k), m
-            elif mc in _UNCOERCED_CLASSES:
-                sc = s.__class__
-                if sc is Id or sc is IdStar:
-                    return _stepped("c", "R-Id", m, k)
-                if sc is Fail:
-                    return _stepped("c", "R-Fail", Blame(s.label), k)
-                if sc is InjSeq or sc is Fun:
-                    return _stepped("c", "R-Crc", CoercedVal(m, s), k)
-                raise terms.StuckTerm.at(t, k)
             else:
-                raise terms.StuckTerm.at(t, k)
+                return _crc(t, m, k)
         elif cls is If:
             c = t.cond
             if c.__class__ not in _VALUE_CLASSES:
                 k, t = (if_cond, t, k), c
-            elif c == TRUE:
-                return _stepped("e", "R-IfTrue", t.then, k)
-            elif c == FALSE:
-                return _stepped("e", "R-IfFalse", t.els, k)
             else:
-                raise terms.StuckTerm.at(t, k)
+                return _if(t, c, k)
         elif cls in _VALUE_CLASSES:
             if k is None:
                 return terms.IS_VALUE
             refill, n, k = k
+            # the frames in the order of how often a value returns to them
+            if refill is if_cond:
+                return _if(n, t, k)
+            if refill is _app_arg:
+                return _app(n.fun, t, k, defs)
+            if refill is _crc_subject:
+                # the frame was pushed after the top-frame check found no
+                # pending coercion frame above it, so none is above it now
+                return _crc(n, t, k)
+            if refill is op_right:
+                return _op(n, n.left, t, k)
+            if refill is op_left:
+                if n.right.__class__ in _VALUE_CLASSES:
+                    return _op(n, t, n.right, k)
+            elif n.arg.__class__ in _VALUE_CLASSES:  # refill is _app_fun
+                return _app(t, n.arg, k, defs)
+            # a later child is not a value yet: the search goes on from the node
             t = refill(n, t)
         elif cls is Blame:
             if k is None:
@@ -462,6 +456,56 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
             return _stepped("e", "E-Abort", t, None)
         else:
             raise terms.StuckTerm.at(t, k)
+
+
+# The rules of each former, fired at a node whose children the search has
+# found to be values, in the context ``k`` of that node.  The node ``n``
+# gives the data fields; its children are given apart, since a value
+# returned to a frame fills a hole that ``n``'s own child does not.
+
+
+def _op(n, l, r, k) -> terms.Stepped:
+    if l.__class__ is Const and r.__class__ is Const:
+        return _stepped("e", "R-Op", Const(delta(n.op, l.val, r.val)), k)
+    raise terms.StuckTerm.at(Op(n.op, l, r), k)
+
+
+def _app(f, a, k, defs) -> terms.Stepped:
+    fc = f.__class__
+    if fc is Abs:
+        return _stepped("e", "R-Beta", substitute(f.body, {f.var: a}), k)
+    if fc is CoercedVal and f.crc.__class__ is Fun:
+        s, c2 = f.crc.arg, f.crc.res
+        return _stepped("e", "R-Wrap", CrcApp(App(f.subject, CrcApp(a, s)), c2), k)
+    if fc is GlobalRef and f.name in defs:
+        return _stepped("e", "R-Unfold", App(defs[f.name], a), k)
+    raise terms.StuckTerm.at(App(f, a), k)
+
+
+def _crc(n, m, k) -> terms.Stepped:
+    """The rules of a pending coercion ``n.crc`` on the value ``m``, under no
+    pending coercion frame."""
+    s = n.crc
+    mc = m.__class__
+    if mc is CoercedVal:
+        return _stepped("c", "R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
+    if mc in _UNCOERCED_CLASSES:
+        sc = s.__class__
+        if sc is Id or sc is IdStar:
+            return _stepped("c", "R-Id", m, k)
+        if sc is Fail:
+            return _stepped("c", "R-Fail", Blame(s.label), k)
+        if sc is InjSeq or sc is Fun:
+            return _stepped("c", "R-Crc", CoercedVal(m, s), k)
+    raise terms.StuckTerm.at(CrcApp(m, s), k)
+
+
+def _if(n, c, k) -> terms.Stepped:
+    if c == TRUE:
+        return _stepped("e", "R-IfTrue", n.then, k)
+    if c == FALSE:
+        return _stepped("e", "R-IfFalse", n.els, k)
+    raise terms.StuckTerm.at(If(c, n.then, n.els), k)
 
 
 _stepped = terms.refocused

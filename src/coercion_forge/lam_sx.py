@@ -421,10 +421,12 @@ def _stuck(t: TermX, env, k) -> terms.StuckTerm:
 
 
 # A frame's node slot holds the list [node, env], where env is what the
-# node's children but the hole are under.  The search rebuilds the node
-# bare (``_BARE``) and goes on under env.  A read's refill applies env to
-# those children and keeps the node it built in the list, under the empty
-# environment, so no frame is substituted twice.
+# node's children but the hole are under.  A value returned to the frame
+# fires the node's rule from the list without building the node; the
+# search rebuilds it bare (``_BARE``), and goes on under env, only to go
+# down a later child that is not a value yet.  A read's refill applies env
+# to those children and keeps the node it built in the list, under the
+# empty environment, so no frame is substituted twice.
 
 # What a node built by a refill holds in its hole, which no refill reads.
 _HOLE = Blame("")
@@ -480,31 +482,7 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
             elif c.__class__ not in _VALUE_CLASSES:
                 k, t = (_APP2_CONT, [t, env], k), c
             else:
-                if env:
-                    f = _value(f, env)
-                fc = f.__class__
-                if fc is Abs2:
-                    closed = _closed(a, env) and _closed(c, env)
-                    if env:
-                        a, c = _value(a, env), _value(c, env)
-                    sub = {f.var: a, f.kvar: c}
-                    if closed:
-                        return _stepped("e", "R-Beta", f.body, sub, k)
-                    return _stepped("e", "R-Beta", substitute(f.body, sub), _EMPTY, k)
-                if env:
-                    a, c = _value(a, env), _value(c, env)
-                if fc is CoercedVal and f.crc.__class__ is Fun:
-                    u, s, c2 = f.subject, f.crc.arg, f.crc.res
-                    kn = fresh_name("k", free_vars(u) | free_vars(a) | free_vars(c))
-                    wrapped = Let(
-                        kn,
-                        Compose(CrcLit(c2), c),
-                        App2(u, CrcApp(a, CrcLit(s)), Var(kn)),
-                    )
-                    return _stepped("e", "R-Wrap", wrapped, env, k)
-                if fc is GlobalRef and f.name in defs:
-                    return _stepped("e", "R-Unfold", App2(defs[f.name], a, c), _EMPTY, k)
-                raise _stuck(t, env, k)
+                return _app2(f, a, c, env, k, defs)
         elif cls is CrcApp:
             m, c = t.subject, t.crc
             if m.__class__ not in _VALUE_CLASSES:
@@ -512,24 +490,7 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
             elif c.__class__ not in _VALUE_CLASSES:
                 k, t = (_CRC_CRC, [t, env], k), c
             else:
-                if env:
-                    m, c = _value(m, env), _value(c, env)
-                if c.__class__ is not CrcLit:
-                    raise _stuck(t, env, k)
-                if m.__class__ is CoercedVal:
-                    merged = CrcApp(m.subject, Compose(CrcLit(m.crc), c))
-                    return _stepped("c", "R-MergeV", merged, env, k)
-                if m.__class__ not in _UNCOERCED_CLASSES:
-                    raise _stuck(t, env, k)
-                d = c.crc
-                dc = d.__class__
-                if dc is Id or dc is IdStar:
-                    return _stepped("c", "R-Id", m, env, k)
-                if dc is Fail:
-                    return _stepped("c", "R-Fail", Blame(d.label), env, k)
-                if dc is InjSeq or dc is Fun:
-                    return _stepped("c", "R-Crc", CoercedVal(m, d), env, k)
-                raise _stuck(t, env, k)
+                return _crc(m, c, env, k)
         elif cls is Op:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
@@ -537,27 +498,13 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
             elif r.__class__ not in _VALUE_CLASSES:
                 k, t = (_OP_RIGHT, [t, env], k), r
             else:
-                if env:
-                    l, r = _value(l, env), _value(r, env)
-                if l.__class__ is not Const or r.__class__ is not Const:
-                    raise _stuck(t, env, k)
-                return _stepped("e", "R-Op", Const(delta(t.op, l.val, r.val)), env, k)
+                return _op(t, l, r, env, k)
         elif cls is Let:
             m = t.bound
             if m.__class__ not in _VALUE_CLASSES:
                 k, t = (_LET_BOUND, [t, env], k), m
             else:
-                x, n = t.var, t.body
-                closed = _closed(m, env)
-                if env:
-                    m = _value(m, env)
-                if closed:
-                    return _stepped("c", "R-Let", n, {**env, x: m}, k)
-                # the body as the Let under ``env`` holds it
-                outer = {y: v for y, v in env.items() if y != x}
-                if outer:
-                    n = substitute(n, outer)
-                return _stepped("c", "R-Let", substitute(n, {x: m}), _EMPTY, k)
+                return _let(t, m, env, k)
         elif cls is Compose:
             l, r = t.left, t.right
             if l.__class__ not in _VALUE_CLASSES:
@@ -565,38 +512,60 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
             elif r.__class__ not in _VALUE_CLASSES:
                 k, t = (_COMPOSE_RIGHT, [t, env], k), r
             else:
-                if env:
-                    l, r = _value(l, env), _value(r, env)
-                if l.__class__ is not CrcLit or r.__class__ is not CrcLit:
-                    raise _stuck(t, env, k)
-                return _stepped("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), env, k)
+                return _compose(l, r, env, k)
         elif cls is If:
             c = t.cond
             if c.__class__ not in _VALUE_CLASSES:
                 k, t = (_IF_COND, [t, env], k), c
             else:
-                if env:
-                    c = _value(c, env)
-                if c == TRUE:
-                    return _stepped("e", "R-IfTrue", t.then, env, k)
-                if c == FALSE:
-                    return _stepped("e", "R-IfFalse", t.els, env, k)
-                raise _stuck(t, env, k)
+                return _if(t, c, env, k)
         elif cls in _VALUE_CLASSES:
             if k is None:
                 return terms.IS_VALUE
             refill, p, k = k
             n, e = p
-            if e is env:
-                t = _BARE[refill](n, t)
-            elif not e or _closed(t, env):
-                t = _BARE[refill](n, _value(t, env) if env else t)
+            if e is not env:
+                if e and not _closed(t, env):
+                    # an open value does not go under another environment:
+                    # the parent is built with its own applied
+                    t = refill(p, _value(t, env) if env else t)
+                    env = _EMPTY
+                    continue
+                if env:
+                    t = _value(t, env)
                 env = e
-            else:
-                # an open value does not go under another environment: the
-                # parent is built with its own applied
-                t = refill(p, _value(t, env) if env else t)
-                env = _EMPTY
+            # The value ``t`` under ``env`` fills the hole of ``n``, whose
+            # other children are under ``env`` too; the frames in the order
+            # of how often a value returns to them.
+            if refill is _CRC_SUBJECT:
+                if n.crc.__class__ in _VALUE_CLASSES:
+                    return _crc(t, n.crc, env, k)
+            elif refill is _IF_COND:
+                return _if(n, t, env, k)
+            elif refill is _LET_BOUND:
+                return _let(n, t, env, k)
+            elif refill is _APP2_ARG:
+                if n.cont.__class__ in _VALUE_CLASSES:
+                    return _app2(n.fun, t, n.cont, env, k, defs)
+            elif refill is _APP2_CONT:
+                return _app2(n.fun, n.arg, t, env, k, defs)
+            elif refill is _OP_RIGHT:
+                return _op(n, n.left, t, env, k)
+            elif refill is _OP_LEFT:
+                if n.right.__class__ in _VALUE_CLASSES:
+                    return _op(n, t, n.right, env, k)
+            elif refill is _COMPOSE_RIGHT:
+                return _compose(n.left, t, env, k)
+            elif refill is _COMPOSE_LEFT:
+                if n.right.__class__ in _VALUE_CLASSES:
+                    return _compose(t, n.right, env, k)
+            elif refill is _CRC_CRC:
+                return _crc(n.subject, t, env, k)
+            elif n.arg.__class__ in _VALUE_CLASSES and n.cont.__class__ in _VALUE_CLASSES:
+                # refill is _APP2_FUN
+                return _app2(t, n.arg, n.cont, env, k, defs)
+            # a later child is not a value yet: the search goes on from the node
+            t = _BARE[refill](n, t)
         elif cls is Blame:
             if k is None:
                 return terms.IS_BLAME
@@ -604,6 +573,105 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
             return _stepped("e", "E-Abort", t, _EMPTY, None)
         else:
             raise _stuck(t, env, k)
+
+
+# The rules of each former, fired at a node whose children the search has
+# found to be values, under ``env`` in the context ``k`` of that node.  The
+# node ``n`` gives the data fields and the children no rule takes the value
+# of; the other children are given apart, since a value returned to a frame
+# fills a hole that ``n``'s own child does not.
+
+
+def _app2(f, a, c, env, k, defs) -> terms.Stepped:
+    f0, a0, c0 = f, a, c
+    if env:
+        f = _value(f, env)
+    fc = f.__class__
+    if fc is Abs2:
+        closed = _closed(a, env) and _closed(c, env)
+        if env:
+            a, c = _value(a, env), _value(c, env)
+        sub = {f.var: a, f.kvar: c}
+        if closed:
+            return _stepped("e", "R-Beta", f.body, sub, k)
+        return _stepped("e", "R-Beta", substitute(f.body, sub), _EMPTY, k)
+    if env:
+        a, c = _value(a, env), _value(c, env)
+    if fc is CoercedVal and f.crc.__class__ is Fun:
+        u, s, c2 = f.subject, f.crc.arg, f.crc.res
+        kn = fresh_name("k", free_vars(u) | free_vars(a) | free_vars(c))
+        wrapped = Let(
+            kn,
+            Compose(CrcLit(c2), c),
+            App2(u, CrcApp(a, CrcLit(s)), Var(kn)),
+        )
+        return _stepped("e", "R-Wrap", wrapped, env, k)
+    if fc is GlobalRef and f.name in defs:
+        return _stepped("e", "R-Unfold", App2(defs[f.name], a, c), _EMPTY, k)
+    raise _stuck(App2(f0, a0, c0), env, k)
+
+
+def _crc(m, c, env, k) -> terms.Stepped:
+    m0, c0 = m, c
+    if env:
+        m, c = _value(m, env), _value(c, env)
+    if c.__class__ is CrcLit:
+        if m.__class__ is CoercedVal:
+            merged = CrcApp(m.subject, Compose(CrcLit(m.crc), c))
+            return _stepped("c", "R-MergeV", merged, env, k)
+        if m.__class__ in _UNCOERCED_CLASSES:
+            d = c.crc
+            dc = d.__class__
+            if dc is Id or dc is IdStar:
+                return _stepped("c", "R-Id", m, env, k)
+            if dc is Fail:
+                return _stepped("c", "R-Fail", Blame(d.label), env, k)
+            if dc is InjSeq or dc is Fun:
+                return _stepped("c", "R-Crc", CoercedVal(m, d), env, k)
+    raise _stuck(CrcApp(m0, c0), env, k)
+
+
+def _op(n, l, r, env, k) -> terms.Stepped:
+    l0, r0 = l, r
+    if env:
+        l, r = _value(l, env), _value(r, env)
+    if l.__class__ is Const and r.__class__ is Const:
+        return _stepped("e", "R-Op", Const(delta(n.op, l.val, r.val)), env, k)
+    raise _stuck(Op(n.op, l0, r0), env, k)
+
+
+def _let(n, m, env, k) -> terms.Stepped:
+    x, body = n.var, n.body
+    closed = _closed(m, env)
+    if env:
+        m = _value(m, env)
+    if closed:
+        return _stepped("c", "R-Let", body, {**env, x: m}, k)
+    # the body as the Let under ``env`` holds it
+    outer = {y: v for y, v in env.items() if y != x}
+    if outer:
+        body = substitute(body, outer)
+    return _stepped("c", "R-Let", substitute(body, {x: m}), _EMPTY, k)
+
+
+def _compose(l, r, env, k) -> terms.Stepped:
+    l0, r0 = l, r
+    if env:
+        l, r = _value(l, env), _value(r, env)
+    if l.__class__ is CrcLit and r.__class__ is CrcLit:
+        return _stepped("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), env, k)
+    raise _stuck(Compose(l0, r0), env, k)
+
+
+def _if(n, c, env, k) -> terms.Stepped:
+    c0 = c
+    if env:
+        c = _value(c, env)
+    if c == TRUE:
+        return _stepped("e", "R-IfTrue", n.then, env, k)
+    if c == FALSE:
+        return _stepped("e", "R-IfFalse", n.els, env, k)
+    raise _stuck(If(c0, n.then, n.els), env, k)
 
 
 def evaluate(

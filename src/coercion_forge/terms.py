@@ -384,11 +384,12 @@ def _plugged(s):
         if k is not None:
             refill, n, k = k
             t = refill(n, t)
-            # The next search may start at the term just built, the
-            # focus's parent (or, in ``lam_sx``, the focus with its
-            # environment applied): the parent's earlier children are
-            # values, so it reaches the old focus again, and a value there
-            # no longer costs a rebuild.
+            # The next search starts at the term just built: the
+            # focus's parent, or, in ``lam_sx``, the focus with its
+            # environment applied, which the search then need not apply
+            # again.  The parent's earlier children are values, so the
+            # search fires there or goes down to the old focus again,
+            # the step a return to the frame would give.
             _set_focus(s, t)
             _set_ctx(s, k)
         while k is not None:
@@ -410,6 +411,18 @@ def refocused(kind: str, rule: str, focus, ctx) -> Stepped:
     _set_focus(s, focus)
     _set_ctx(s, ctx)
     return s
+
+
+def unread(s: Stepped) -> Stepped:
+    """A twin of the step ``s``, made before ``s``'s term is read, that keeps
+    the focus and context ``s`` left.
+
+    Reading a step's term moves its focus to the parent the plug built, so
+    the step after it starts there.  The step after the twin starts where
+    the step after an unread ``s`` would: a value in the focus returns to
+    its frame.
+    """
+    return refocused(s.kind, s.rule, s._focus, s._ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coercion_forge import GenConfig, genWellTyped, terms
+from coercion_forge import GenConfig, genWellTyped, lam_s, lam_sx, terms
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +37,26 @@ def refocus_fault(monkeypatch):
         return t
 
     monkeypatch.setattr(terms.Stepped, "term", property(drops_the_outermost_frame))
+
+
+@pytest.fixture
+def pop_fault(monkeypatch):
+    """Plant a fault in the pop of both calculi: R-IfTrue fired as the
+    condition's value returns to its frame keeps the ``else`` branch.
+
+    The same rule fired as the search reaches the ``if`` node keeps the
+    right branch, so only a run in which a value returns to the frame, and
+    a check of the step the stepper took there, sees the fault.
+    """
+    for mod in (lam_s, lam_sx):
+        fire = mod._if
+
+        def keeps_else(n, c, *rest, fire=fire):
+            r = fire(n, c, *rest)
+            # from a pop, the frame's node still holds the condition the
+            # search went down, not its value
+            if c is not n.cond and r.rule == "R-IfTrue":
+                terms._set_focus(r, n.els)
+            return r
+
+        monkeypatch.setattr(mod, "_if", keeps_else)

@@ -170,6 +170,19 @@ class TestSimulationAndInvariants:
         preservation = [v for v in verdicts if "source preservation failed" in v.detail]
         assert preservation and all(v.kind == "invariant-violation" for v in preservation)
 
+    def test_a_fault_in_the_pop_is_caught(self, pop_fault, corpus):
+        # the checks read every state; a step given a read step never
+        # returns a value to a frame, so they give every other step the
+        # one before unread
+        programs = corpus[:100]
+        reports = [v for p in programs for v in invariantSuite(p)]
+        assert reports
+        assert all(v.detail.endswith("oracle chose R-IfTrue, stepper chose R-IfTrue")
+                   for v in reports)
+        verdicts = [simulationCheck(p) for p in programs]
+        failed = [v for v in verdicts if v.kind != "agree"]
+        assert failed and all("(e R-IfTrue) not simulated" in v.detail for v in failed)
+
 
 # One program whose runs take e- and c-steps on both sides: the source
 # merges, adds and drops an identity; the target also composes and binds.

@@ -29,7 +29,7 @@ from coercion_forge.lam_s import (
     typecheck,
     typecheck_program,
 )
-from coercion_forge.terms import Stepped, StuckTerm
+from coercion_forge.terms import Stepped, StuckTerm, refocused
 from coercion_forge.types import ANY, BOOL, DYN, INT, FunT
 
 
@@ -302,3 +302,106 @@ class TestDecomposeOracle:
     def test_values_have_no_decomposition(self):
         assert decompose_oracle(Const(5)) == []
         assert decompose_oracle(parse("\\x:Int. x")) == []
+
+
+def unread_run(t, defs=None):
+    """Step ``t`` as ``evaluate`` does, each step given the step before unread.
+
+    The run starts from a step that left ``t`` in the empty context, so
+    no step is taken from a read one; ``step`` on a term reads its result.
+    Returns the steps, the frame each step's search started by returning a
+    value to (None where it did not), and the StuckTerm that ended the run,
+    if one did.  The terms are read only once the run is over.
+    """
+    steps, pops, stuck = [], [], None
+    r = refocused("e", "start", t, None)
+    while True:
+        pops.append(
+            r._ctx[0]
+            if r.__class__ is Stepped and S.is_value(r._focus) and r._ctx is not None
+            else None
+        )
+        try:
+            r = step(r, defs)
+        except StuckTerm as e:
+            stuck = e
+            break
+        if r.__class__ is not Stepped:
+            break
+        steps.append(r)
+    return steps, pops, stuck
+
+
+class TestPop:
+    """A value in the focus returns to the innermost frame.  Its node's rule
+    fires from the frame's node and the value, without building the node,
+    unless a later child is not a value yet; each run below takes such a
+    step from an unread step, as ``evaluate`` does, and is checked against
+    the oracle step by step."""
+
+    FRAMES = {
+        S.op_left: "op-left",
+        S.op_right: "op-right",
+        S._app_fun: "app-fun",
+        S._app_arg: "app-arg",
+        S._crc_subject: "crc-subject",
+        S.if_cond: "if-cond",
+    }
+
+    # text, the frames a value returns to in its run, the rules it fires
+    CASES = [
+        ("(1 + 2) + 3", {"op-left"}, ["R-Op", "R-Op"]),
+        ("(1 + 2) + (3 + 4)", {"op-left", "op-right"}, ["R-Op", "R-Op", "R-Op"]),
+        ("1 + (2 + 3)", {"op-right"}, ["R-Op", "R-Op"]),
+        ("((\\x:Int. \\y:Int. x) 1) 2", {"app-fun"}, ["R-Beta", "R-Beta"]),
+        ("(if true then \\x:Int. x else \\x:Int. x) (1 + 2)",
+         {"app-fun", "app-arg"}, ["R-IfTrue", "R-Op", "R-Beta"]),
+        ("(\\x:Int. x) (1 + 2)", {"app-arg"}, ["R-Op", "R-Beta"]),
+        ("((\\x:Int. x)<Int! -> Int?^p>) (if true then 1 else 2)",
+         {"app-fun", "app-arg", "crc-subject"},
+         ["R-Crc", "R-IfTrue", "R-Wrap", "R-Crc", "R-Beta", "R-MergeV", "R-Id"]),
+        ("(1 + 2)<Int!>", {"crc-subject"}, ["R-Op", "R-Crc"]),
+        ("(if true then 1<<Int!>> else 2<<Int!>>)<Int?^p>",
+         {"crc-subject"}, ["R-IfTrue", "R-MergeV", "R-Id"]),
+        ("(if true then 1 else 2)<Int?^p -> Int!>", {"crc-subject"}, ["R-IfTrue", "R-Crc"]),
+        ("(1 < 2)<Bool!><Bool?^p>", {"crc-subject"}, ["R-MergeC", "R-Op", "R-Id"]),
+        ("if 1 < 2 then 3 else 4", {"if-cond"}, ["R-Op", "R-IfTrue"]),
+        ("if 2 < 1 then 3 else 4", {"if-cond"}, ["R-Op", "R-IfFalse"]),
+    ]
+
+    @pytest.mark.parametrize("text, frames, rules", CASES, ids=[c[0] for c in CASES])
+    def test_a_value_returned_to_a_frame_steps_as_the_oracle(self, text, frames, rules):
+        t = parse(text)
+        steps, pops, stuck = unread_run(t)
+        assert {self.FRAMES[f] for f in pops if f is not None} == frames
+        assert [r.rule for r in steps] == rules
+        assert stuck is None
+        prev = t
+        for r in steps:
+            assert [(d.kind, d.rule, d.term) for d in decompose_oracle(prev)] == [
+                (r.kind, r.rule, r.term)]
+            prev = r.term
+        assert decompose_oracle(prev) == []
+
+    def test_the_cases_cover_every_frame(self):
+        assert len(self.FRAMES) == 6
+        assert set().union(*[c[1] for c in self.CASES]) == set(self.FRAMES.values())
+
+    # a stuck node reached by a pop: stepping the state whose focus it is
+    # from the root names the same node at the same depth
+    @pytest.mark.parametrize("text, want", [
+        ("if 0 + 1 then 2 else 3", "If(Const, Const, Const) at depth 0"),
+        ("(if 0 + 1 then 2 else 3) + 4", "If(Const, Const, Const) at depth 1"),
+        ("(if true then 1 else 2) 3", "App(Const, Const) at depth 0"),
+        ("((\\x:Int. x) 1) + (\\y:Int. y)", "Op(Const, Abs) at depth 0"),
+        ("(\\y:Int. y) + ((\\x:Int. x) 1)", "Op(Abs, Const) at depth 0"),
+        ("(if true then 1 else 2)<Int?^p>", "CrcApp(Const) at depth 0"),
+        ("(if true then y else 2)<Int!> + 1", "CrcApp(Var) at depth 1"),
+    ])
+    def test_a_stuck_parent_reached_by_a_pop_is_reported_as_from_the_root(self, text, want):
+        steps, pops, stuck = unread_run(parse(text))
+        assert pops[-1] is not None
+        assert str(stuck) == f"no rule applies to {want}"
+        with pytest.raises(StuckTerm) as e:
+            step(steps[-1].term)
+        assert str(e.value) == str(stuck)

@@ -27,7 +27,7 @@ from coercion_forge.lam_sx import (
     term_size,
     typecheck,
 )
-from coercion_forge.terms import Stepped, StuckTerm
+from coercion_forge.terms import Stepped, StuckTerm, free_vars, refocused
 from coercion_forge.types import BOOL, CrcT, DYN, INT, Fun2T
 
 
@@ -349,3 +349,179 @@ class TestEnvironmentMachine:
         # the read applies the environment to the branch kept, and only to it
         assert substitutions[0] is f.body.els
         assert not any(m is f.body.then for m in substitutions)
+
+
+def unread_run(t, defs=None):
+    """Step ``t`` as ``evaluate`` does, each step given the step before unread.
+
+    The run starts from a step that left ``t`` in the empty context, so
+    no step is taken from a read one; ``step`` on a term reads its result.
+    Returns the steps; for each step whose search started by returning a
+    value to a frame, that frame and whether the value came from the same
+    environment as the frame's node ("same"), or from another and was
+    closed ("closed") or open ("open"), else None; and the StuckTerm that
+    ended the run, if one did.  The terms are read only once the run is
+    over, since a read applies the frames' environments.
+    """
+    steps, pops, stuck = [], [], None
+    r = refocused("e", "start", t, None)
+    while True:
+        pop = None
+        if r.__class__ is Stepped and X.is_value(r._focus) and r._ctx is not None:
+            env, k = X._EMPTY, r._ctx
+            if k[0] is X._close:
+                _, env, k = k
+            if k is not None:
+                e = k[1][1]
+                if e is env:
+                    pop = k[0], "same"
+                elif e and not free_vars(r._focus) <= env.keys():
+                    pop = k[0], "open"
+                else:
+                    pop = k[0], "closed"
+        pops.append(pop)
+        try:
+            r = step(r, defs)
+        except StuckTerm as e:
+            stuck = e
+            break
+        if r.__class__ is not Stepped:
+            break
+        steps.append(r)
+    return steps, pops, stuck
+
+
+class TestPop:
+    """A value in the focus returns to the innermost frame.  Its node's rule
+    fires from the frame's node and the value, without building the node,
+    unless a later child is not a value yet; each run below takes such a
+    step from an unread step, as ``evaluate`` does, and is checked against
+    the oracle step by step."""
+
+    FRAMES = {
+        X._APP2_FUN: "app2-fun",
+        X._APP2_ARG: "app2-arg",
+        X._APP2_CONT: "app2-cont",
+        X._CRC_SUBJECT: "crc-subject",
+        X._CRC_CRC: "crc-crc",
+        X._LET_BOUND: "let-bound",
+        X._COMPOSE_LEFT: "compose-left",
+        X._COMPOSE_RIGHT: "compose-right",
+        X._OP_LEFT: "op-left",
+        X._OP_RIGHT: "op-right",
+        X._IF_COND: "if-cond",
+    }
+
+    ID = "\\ (x:Int, k:Int). x<k>"
+
+    # text, the (frame, environment case) of each value returned in its
+    # run, the rules it fires
+    CASES = [
+        (f"(if true then {ID} else {ID})(1, id{{Int}})",
+         {("app2-fun", "same")}, ["R-IfTrue", "R-Beta", "R-Id"]),
+        (f"(if true then {ID} else {ID})(1 + 2, id{{Int}})",
+         {("app2-fun", "same"), ("app2-arg", "same")},
+         ["R-IfTrue", "R-Op", "R-Beta", "R-Id"]),
+        (f"({ID})(1 + 2, id{{Int}})", {("app2-arg", "same")}, ["R-Op", "R-Beta", "R-Id"]),
+        (f"({ID})(1 + 2, Int! ;; Int?^p)", {("app2-arg", "same"), ("app2-cont", "same")},
+         ["R-Op", "R-Cmp", "R-Beta", "R-Id"]),
+        (f"({ID})<Int?^p => Int!>(2<Int!>, id{{Dyn}})",
+         {("app2-fun", "same"), ("app2-arg", "same"), ("crc-crc", "same"),
+          ("let-bound", "same")},
+         ["R-Crc", "R-Crc", "R-Wrap", "R-Cmp", "R-Let", "R-MergeV", "R-Cmp", "R-Id",
+          "R-Beta", "R-Crc"]),
+        ("(1 + 2)<id{Int}>", {("crc-subject", "same")}, ["R-Op", "R-Id"]),
+        ("(if true then 1<<Int!>> else 2<<Int!>>)<Int?^p>",
+         {("crc-subject", "same"), ("crc-crc", "same")},
+         ["R-IfTrue", "R-MergeV", "R-Cmp", "R-Id"]),
+        ("(1 + 2)<Int! ;; Int?^p>", {("crc-subject", "same"), ("crc-crc", "same")},
+         ["R-Op", "R-Cmp", "R-Id"]),
+        ("5<Int! ;; Int?^p>", {("crc-crc", "same")}, ["R-Cmp", "R-Id"]),
+        ("let k = Int! ;; Int?^p in 5<k>", {("let-bound", "same")},
+         ["R-Cmp", "R-Let", "R-Id"]),
+        ("5<(Int! ;; Int?^p) ;; id{Int}>",
+         {("compose-left", "same"), ("crc-crc", "same")}, ["R-Cmp", "R-Cmp", "R-Id"]),
+        ("5<(Int! ;; Int?^p) ;; (id{Int} ;; id{Int})>",
+         {("compose-left", "same"), ("compose-right", "same"), ("crc-crc", "same")},
+         ["R-Cmp", "R-Cmp", "R-Cmp", "R-Id"]),
+        ("5<id{Int} ;; (Int! ;; Int?^p)>",
+         {("compose-right", "same"), ("crc-crc", "same")}, ["R-Cmp", "R-Cmp", "R-Id"]),
+        ("(1 + 2) + 3", {("op-left", "same")}, ["R-Op", "R-Op"]),
+        ("(1 + 2) + (3 + 4)", {("op-left", "same"), ("op-right", "same")},
+         ["R-Op", "R-Op", "R-Op"]),
+        ("1 + (2 + 3)", {("op-right", "same")}, ["R-Op", "R-Op"]),
+        ("if 1 < 2 then 3 else 4", {("if-cond", "same")}, ["R-Op", "R-IfTrue"]),
+        ("if 2 < 1 then 3 else 4", {("if-cond", "same")}, ["R-Op", "R-IfFalse"]),
+        # the body's condition returns to a frame under the body's environment
+        ("(\\ (x:Int, k:Int). (if x < 2 then 3 else 4)<k>)(1, id{Int})",
+         {("if-cond", "same"), ("crc-subject", "same")},
+         ["R-Beta", "R-Op", "R-IfTrue", "R-Id"]),
+        # the body's answer returns to a frame under no environment
+        (f"(({ID})(1, id{{Int}})) + 2", {("op-left", "closed")}, ["R-Beta", "R-Id", "R-Op"]),
+        # an inner call's answer returns to a frame under the outer call's environment
+        ("(\\ (x:Int, k:Int). (((\\ (y:Int, k2:Int). y<k2>)(x, id{Int})) + x)<k>)"
+         "(1, id{Int})",
+         {("op-left", "closed"), ("crc-subject", "same")},
+         ["R-Beta", "R-Beta", "R-Id", "R-Op", "R-Id"]),
+    ]
+
+    @pytest.mark.parametrize("text, pops, rules", CASES, ids=[c[0] for c in CASES])
+    def test_a_value_returned_to_a_frame_steps_as_the_oracle(self, text, pops, rules):
+        t = parse(text)
+        steps, got, stuck = unread_run(t)
+        assert {(self.FRAMES[f], case) for f, case in filter(None, got)} == pops
+        assert [r.rule for r in steps] == rules
+        assert stuck is None
+        prev = t
+        for r in steps:
+            assert [(d.kind, d.rule, d.term) for d in decompose_oracle(prev)] == [
+                (r.kind, r.rule, r.term)]
+            prev = r.term
+        assert decompose_oracle(prev) == []
+
+    def test_the_cases_cover_every_frame(self):
+        assert len(self.FRAMES) == 11
+        covered = {f for c in self.CASES for f, _ in c[1]}
+        assert covered == set(self.FRAMES.values())
+
+    def test_an_open_value_returned_to_a_frame_under_another_environment_is_substituted(self):
+        # g returns its free y to the frame (_ + y), which f's call put
+        # under {y: 5, k: id{Int}}: the frame's node is built with that
+        # environment applied, and the free y is not looked up in it
+        defs = {"f": parse("\\ (y:Int, k:Int). ((g(1, id{Int})) + y)<k>"),
+                "g": parse("\\ (z:Int, k2:Int). y")}
+        defs["f"] = X.substitute(defs["f"], {"g": GlobalRef("g")})
+        t = App2(GlobalRef("f"), Const(5), CrcLit(Id(INT)))
+        steps, pops, stuck = unread_run(t, defs)
+        assert [(self.FRAMES[p[0]], p[1]) for p in pops if p] == [("op-left", "open")]
+        assert str(stuck) == "no rule applies to Op(Var, Const) at depth 1"
+        prev = t
+        for r in steps:
+            assert [(d.kind, d.rule, d.term) for d in decompose_oracle(prev, defs)] == [
+                (r.kind, r.rule, r.term)]
+            prev = r.term
+        assert prev == parse("(y + 5)<id{Int}>")
+
+    # a stuck node reached by a pop: stepping the state whose focus it is
+    # from the root names the same node at the same depth
+    @pytest.mark.parametrize("text, want", [
+        ("if 0 + 1 then 2 else 3", "If(Const, Const, Const) at depth 0"),
+        ("(if 0 + 1 then 2 else 3) + 4", "If(Const, Const, Const) at depth 1"),
+        ("(if true then 1 else 2)(3, id{Int})", "App2(Const, Const, CrcLit) at depth 0"),
+        (f"(({ID})(1, id{{Int}})) + (if true then Int! else Int!)",
+         "Op(Const, CrcLit) at depth 0"),
+        ("(if true then Int! else Int!) + 1", "Op(CrcLit, Const) at depth 0"),
+        ("(if true then 1 else 2)<Int?^p>", "CrcApp(Const, CrcLit) at depth 0"),
+        ("5<if true then 1 else 2>", "CrcApp(Const, Const) at depth 0"),
+        ("5<(if true then 1 else 2) ;; Int!>", "Compose(Const, CrcLit) at depth 1"),
+        ("5<Int! ;; (if true then 1 else 2)>", "Compose(CrcLit, Const) at depth 1"),
+        ("(\\ (x:Int, k:Int). (if x + 1 then 2 else 3)<k>)(1, id{Int})",
+         "If(Const, Const, Const) at depth 1"),
+    ])
+    def test_a_stuck_parent_reached_by_a_pop_is_reported_as_from_the_root(self, text, want):
+        steps, pops, stuck = unread_run(parse(text))
+        assert pops[-1] is not None
+        assert str(stuck) == f"no rule applies to {want}"
+        with pytest.raises(StuckTerm) as e:
+            step(steps[-1].term)
+        assert str(e.value) == str(stuck)

@@ -11,12 +11,28 @@ suffixes on atoms.  A coercion suffix after an application chain applies
 to the whole chain (`f x <c>` is `(f x)<c>`), so coercing an argument
 needs parentheses.  A bare application used as an operand of a binary
 operator is a parse error; parenthesize it.
+
+The parser decides each choice where it meets it and never backs up.
+`<<` always opens a suffix.  In lams, `<` opens a suffix if `id`, `bot`,
+`Dyn`, `Int` or `Bool` follows, perhaps behind a run of `(` (no term
+starts so), and is a comparison otherwise.  In lamsx both readings of `<`
+go on with a term, read once: `>` after it makes a suffix, anything else
+a comparison, with a `;;` chain read meanwhile re-associated onto its
+first operand (`x < a ;; b` is `(x < a) ;; b`, `x < a ;; b>` is
+`x<a ;; b>`).  A `(` whose `)` is followed by `!` or `?` opens a type
+tag, as in `(Dyn => Dyn)!`.  In lamsx a coercion literal starts at such
+a tag or at `id`, `bot`, `Dyn`, `Int` or `Bool`; another `(` opens a
+term, which goes on as a coercion if it held a coercion literal and `;`
+or `=>` follows (`((id{Int}) ; Int!)`), and a `(` after a function
+opens its `(argument, continuation)` pair.  Open forms wait on an
+explicit stack, so nesting costs no Python recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import partial
+from typing import Optional, Union
 
 from .coercions import (
     Coercion,
@@ -64,6 +80,14 @@ KEYWORDS = {
 
 _SYMBOLS = ["<<", ">>", "->", "=>", "~>", ";;"]
 _SINGLES = "(){}<>;:,.+-*=!?^\\'"
+_DIGITS = "0123456789"
+
+
+def _int(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(line, col, "a shorter integer literal", f"{len(digits)} digits") from None
 
 
 def tokenize(text: str) -> list[Token]:
@@ -72,20 +96,16 @@ def tokenize(text: str) -> list[Token]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+        if ch in " \t\r\n":
+            i, col = i + 1, col + 1
+            if ch == "\n":
+                line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(Token("INT", int(text[i:j]), line, col))
+            toks.append(Token("INT", _int(text[i:j], line, col), line, col))
             col += j - i
             i = j
             continue
@@ -121,6 +141,24 @@ def tokenize(text: str) -> list[Token]:
 
 TermAny = Union[S.TermS, X.TermX]
 
+_BASES = {"Dyn": DYN, "Int": INT, "Bool": BOOL}
+# the lamsx-only type arrows, with what each builds
+_ARROWS = {"=>": (Fun2T, "continuation function types"), "~>": (CrcT, "coercion types")}
+# tokens that start a coercion and no term
+_CRC_START = ("id", "bot", "Dyn", "Int", "Bool")
+# binding levels, tightest first, for both parsing and printing; ';;' is lamsx only
+_ATOM, _SUFFIX, _APP, _MUL, _ADD, _CMP, _COMPOSE, _TOP = range(8)
+_OP_LEVEL = {"*": _MUL, "+": _ADD, "-": _ADD, "=": _CMP, "<": _CMP, ";;": _COMPOSE}
+# the token that ends each open form's first expression
+_CLOSER = {"(": ")", "pair": ",", "pair2": ")", "let": "in", "if": "then", "then": "else"}
+_BARE = "a parenthesized application as operator operand"
+_CHAINED = "a parenthesized comparison as comparison operand"
+
+
+def _error(t: Token, expected: str) -> ParseError:
+    found = "end of input" if t.kind == "EOF" else repr(str(t.value))
+    return ParseError(t.line, t.col, expected, found)
+
 
 class Parser:
     def __init__(self, text: str, dialect: str):
@@ -129,6 +167,12 @@ class Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.dialect = dialect
+        self.closing, opened = {}, []  # the index of each '(' token's matching ')'
+        for i, t in enumerate(self.toks):
+            if t.kind == "(":
+                opened.append(i)
+            elif t.kind == ")" and opened:
+                self.closing[opened.pop()] = i
 
     # -- token plumbing
 
@@ -150,58 +194,39 @@ class Parser:
             self.fail(expected or repr(kind))
         return self.next()
 
-    def fail(self, expected: str) -> None:
-        t = self.peek()
-        found = "end of input" if t.kind == "EOF" else repr(str(t.value))
-        raise ParseError(t.line, t.col, expected, found)
-
-    def _try(self, fn: Callable):
-        saved = self.pos
-        try:
-            return fn()
-        except ParseError:
-            self.pos = saved
-            return None
+    def fail(self, expected: str, t: Optional[Token] = None) -> None:
+        raise _error(t or self.peek(), expected)
 
     # -- types
 
     def parse_type(self) -> Type:
         left = self.type_atom()
-        if self.at("->"):
+        k = self.peek().kind
+        if k == "->":
             self.next()
             return FunT(left, self.parse_type())
-        if self.at("=>"):
+        if k in _ARROWS:
+            ctor, what = _ARROWS[k]
             if self.dialect != "lamsx":
-                self.fail("'->' (continuation function types need the lamsx dialect)")
+                self.fail(f"'->' ({what} need the lamsx dialect)")
             self.next()
-            return Fun2T(left, self.parse_type())
-        if self.at("~>"):
-            if self.dialect != "lamsx":
-                self.fail("'->' (coercion types need the lamsx dialect)")
-            self.next()
-            return CrcT(left, self.parse_type())
+            return ctor(left, self.parse_type())
         return left
 
     def type_atom(self) -> Type:
         t = self.peek()
-        if t.kind == "Dyn":
+        if t.kind in _BASES:
             self.next()
-            return DYN
-        if t.kind == "Int":
-            self.next()
-            return INT
-        if t.kind == "Bool":
-            self.next()
-            return BOOL
+            return _BASES[t.kind]
         if t.kind == "'":
             if self.dialect != "lamsx":
                 self.fail("a type")
             self.next()
             name = self.eat("IDENT", "a rigid type variable like 'X0")
             word = str(name.value)
-            if not (word.startswith("X") and word[1:].isdigit()):
+            if not (word[:1] == "X" and word[1:].isascii() and word[1:].isdigit()):
                 raise ParseError(name.line, name.col, "a rigid type variable like 'X0", word)
-            return TyVar(int(word[1:]))
+            return TyVar(_int(word[1:], name.line, name.col))
         if t.kind == "(":
             self.next()
             ty = self.parse_type()
@@ -215,27 +240,28 @@ class Parser:
     def _fun_ctor(self):
         return FunT if self.dialect == "lams" else Fun2T
 
-    def parse_coercion(self) -> Coercion:
-        t = self.peek()
-        left = self.crc_seq()
-        arrow = "->" if self.dialect == "lams" else "=>"
-        if self.at(arrow):
-            self.next()
-            right = self.parse_coercion()
-            if is_identity(left) and is_identity(right):
-                raise ParseError(
-                    t.line, t.col, "a canonical coercion", "an identity arrow coercion"
-                )
-            return Fun(left, right)
-        return left
+    def _at_tag(self) -> bool:
+        """Whether a ``(`` here opens a type tag: ``!`` or ``?`` follows its ``)``,
+        as it follows no parenthesized coercion or term."""
+        close = self.closing.get(self.pos)
+        return close is not None and self.peek(close + 1 - self.pos).kind in ("!", "?")
 
-    def crc_seq(self) -> Coercion:
-        t = self.peek()
-        units = [self.crc_unit()]
+    def parse_coercion(self, first=None) -> Coercion:
+        """A coercion; ``first``, when given, is its first unit, already read."""
+        units = [first or self.crc_unit()]
         while self.at(";"):
             self.next()
             units.append(self.crc_unit())
-        return self._canon(units, t)
+        t = units[0][-1]
+        left = self._canon(units, t)
+        if self.at("->" if self.dialect == "lams" else "=>"):
+            self.next()
+            right = self.parse_coercion()
+            if is_identity(left) and is_identity(right):
+                why = "an identity arrow coercion"
+                raise ParseError(t.line, t.col, "a canonical coercion", why)
+            return Fun(left, right)
+        return left
 
     def crc_unit(self):
         t = self.peek()
@@ -259,19 +285,13 @@ class Parser:
             if g == h:
                 raise ParseError(t.line, t.col, "distinct type tags in bot{...}", "equal tags")
             return ("bot", Fail(g, str(lbl.value), h), t)
-        ground = self._try(self._ground_inj_or_proj)
-        if ground is not None:
-            return ground
-        if t.kind == "(":
+        if t.kind == "(" and not self._at_tag():
             self.next()
             c = self.parse_coercion()
             self.eat(")")
             return ("crc", c, t)
-        self.fail("a coercion")
-        raise AssertionError
-
-    def _ground_inj_or_proj(self):
-        t = self.peek()
+        if t.kind not in _BASES and t.kind not in ("'", "("):
+            self.fail("a coercion")
         g = self.type_atom()
         if not is_ground(g, self._fun_ctor()):
             raise ParseError(t.line, t.col, "a ground type tag", "non-ground type")
@@ -287,272 +307,264 @@ class Parser:
         raise AssertionError
 
     def _canon(self, units: list, start: Token) -> Coercion:
+        """The canonical coercion ``units`` spell: projections come off the front, else
+        injections off the back, down to one unit, then layers go on it, each checked."""
         def bad(why: str):
             raise ParseError(start.line, start.col, "a canonical coercion", why)
 
-        def one(u) -> Coercion:
-            match u[0]:
-                case "id":
-                    return IdStar() if isinstance(u[1], Dyn) else Id(u[1])
-                case "inj":
-                    return InjSeq(Id(u[1]), u[1])
-                case "proj":
-                    return ProjSeq(u[1], u[2], Id(u[1]))
-                case "bot" | "crc":
-                    return u[1]
-            raise AssertionError(u)
-
-        if len(units) == 1:
-            return one(units[0])
-        if units[0][0] == "proj":
-            body = self._canon(units[1:], start)
-            if not is_intermediate(body, self._fun_ctor()):
-                bad("a projection followed by a non-intermediate coercion")
-            return ProjSeq(units[0][1], units[0][2], body)
-        if units[-1][0] == "inj":
-            g = self._canon(units[:-1], start)
-            if not is_ground_crc(g, self._fun_ctor()):
-                bad("an injection preceded by a non-ground coercion")
-            return InjSeq(g, units[-1][1])
-        bad("a sequence that is neither projection-first nor injection-last")
-        raise AssertionError
+        i, j = 0, len(units)
+        layers = []
+        while j - i > 1:
+            if units[i][0] == "proj":
+                layers.append(units[i])
+                i += 1
+            elif units[j - 1][0] == "inj":
+                j -= 1
+                layers.append(units[j])
+            else:
+                bad("a sequence that is neither projection-first nor injection-last")
+        kind, g, *_ = units[i]
+        if kind in ("inj", "proj"):  # a layer on the identity at its tag
+            c = Id(g)
+            layers.append(units[i])
+        else:  # for "bot" and "crc", g is the coercion
+            c = (IdStar() if isinstance(g, Dyn) else Id(g)) if kind == "id" else g
+        for kind, g, *rest in reversed(layers):
+            if kind == "proj":
+                if not is_intermediate(c, self._fun_ctor()):
+                    bad("a projection followed by a non-intermediate coercion")
+                c = ProjSeq(g, rest[0], c)
+            else:
+                if not is_ground_crc(c, self._fun_ctor()):
+                    bad("an injection preceded by a non-ground coercion")
+                c = InjSeq(c, g)
+        return c
 
     # -- terms
 
     def parse_expr(self) -> TermAny:
-        t = self.peek()
-        if t.kind == "\\":
-            return self.parse_lambda()
+        """One expression, read with an explicit stack of the forms still open.  A frame is
+        ``(kind, ops, subject, bare, token, data)``: a key of ``_CLOSER`` or ``wrap`` (which
+        ends with its expression), the enclosing expression's pending operators, the term
+        the form applies to and its bareness, the opening token, and what is read so far."""
+        lamsx = self.dialect == "lamsx"
+        frames: list = []
+        # the current expression's pending (left operand, operator, token); an
+        # undecided lamsx '<' is ``(subject, "<?", [token, bare, fault])``
+        ops: list = []
+        cur, bare = None, False  # its last operand, None while one is due, and bareness
+        while True:
+            t = self.peek()
+            k = t.kind
+            if cur is None:
+                if (not ops or ops[-1][1] == "<?") and k in ("\\", "let", "if"):
+                    self._note(ops, t, "a term")
+                    frames.append(self._open(t, ops))
+                    ops = []
+                elif k == "(" and not (lamsx and self._at_tag()):
+                    self.next()
+                    frames.append(("(", ops, None, False, t, None))
+                    ops = []
+                else:
+                    cur, bare = self._atom(), False
+                continue
+            if k == "(":  # a lams argument in parentheses, or a lamsx argument pair
+                self.next()
+                frames.append(("pair" if lamsx else "(", ops, cur, bare, t, None))
+                ops, cur = [], None
+            elif not lamsx and k in ("INT", "IDENT", "true", "false", "blame"):
+                cur, bare = S.App(cur, self._atom()), True
+            elif k == "<<":
+                self.next()
+                cur = CoercedVal(cur, self.parse_coercion())
+                self.eat(">>")
+            elif k == "<" and lamsx:
+                self.next()
+                ops.append((cur, "<?", [t, bare, None]))
+                cur = None
+            elif k == "<" and self._crc_follows():
+                self.next()
+                cur = S.CrcApp(cur, self.parse_coercion())
+                self.eat(">")
+            elif k in _OP_LEVEL and (lamsx or k != ";;"):
+                self._operator(ops, cur, bare, k, t)
+                self.next()
+                cur = None
+            else:
+                m = self._reduce(ops, cur, bare, t, k == ">")
+                if ops:  # the '>' ends what followed an undecided '<': a suffix
+                    subject, _, (_, bare, _) = ops.pop()
+                    self.next()
+                    cur = X.CrcApp(subject, m)
+                elif not frames:
+                    return m
+                else:
+                    ops, cur, bare = self._close(frames, m)
+
+    def _close(self, frames, m):
+        """Hand the expression ``m`` to the top open form.  Returns the pending operators,
+        operand (None if the form reads another expression) and bareness to go on with."""
+        kind, ops, subject, bare, tok, data = frames.pop()
+        if kind == "wrap":
+            return ops, data(m), False
+        self.eat(_CLOSER[kind])
+        if kind == "(":
+            if subject is not None:
+                return ops, S.App(subject, m), True
+            if isinstance(m, X.CrcLit) and self.at(";", "=>"):
+                return ops, X.CrcLit(self.parse_coercion(("crc", m.crc, tok))), False
+            return ops, m, False
+        if kind == "pair2":
+            return ops, X.App2(subject, data, m), True
+        if kind in ("pair", "if"):
+            frames.append(("pair2" if kind == "pair" else "then", ops, subject, bare, tok, m))
+        else:
+            make = partial(X.Let, data, m) if kind == "let" else partial(If, data, m)
+            frames.append(("wrap", ops, None, False, tok, make))
+        return [], None, False
+
+    def _open(self, t: Token, ops: list):
+        """The frame of the ``\\``, ``let`` or ``if`` at ``t``, with its head read."""
+        if t.kind == "let" and self.dialect != "lamsx":
+            self.fail("a term (let is a lamsx form)")
+        self.next()
+        if t.kind == "if":
+            return ("if", ops, None, False, t, None)
         if t.kind == "let":
-            if self.dialect != "lamsx":
-                self.fail("a term (let is a lamsx form)")
-            self.next()
             name = self.eat("IDENT", "a variable")
             self.eat("=")
-            bound = self.parse_expr()
-            self.eat("in")
-            body = self.parse_expr()
-            return X.Let(str(name.value), bound, body)
-        if t.kind == "if":
-            self.next()
-            cond = self.parse_expr()
-            self.eat("then")
-            then = self.parse_expr()
-            self.eat("else")
-            els = self.parse_expr()
-            return If(cond, then, els)
-        return self.parse_compose()
-
-    def parse_lambda(self) -> TermAny:
-        self.eat("\\")
-        if self.dialect == "lamsx":
+            return ("let", ops, None, False, t, str(name.value))
+        if self.dialect == "lams":
+            x, a = self._binding("a variable")
+            make = partial(S.Abs, x, a)
+        else:
             self.eat("(")
-            x = self.eat("IDENT", "a variable")
-            self.eat(":")
-            a = self.parse_type()
+            x, a = self._binding("a variable")
             self.eat(",")
-            k = self.eat("IDENT", "a continuation variable")
-            self.eat(":")
-            b = self.parse_type()
+            make = partial(X.Abs2, x, a, *self._binding("a continuation variable"))
             self.eat(")")
-            self.eat(".")
-            return X.Abs2(str(x.value), a, str(k.value), b, self.parse_expr())
-        x = self.eat("IDENT", "a variable")
-        self.eat(":")
-        a = self.parse_type()
         self.eat(".")
-        return S.Abs(str(x.value), a, self.parse_expr())
+        return ("wrap", ops, None, False, t, make)
 
-    def parse_compose(self) -> TermAny:
-        left, _ = self.parse_cmp()
-        while self.dialect == "lamsx" and self.at(";;"):
-            self.next()
-            right, _ = self.parse_cmp()
-            left = X.Compose(left, right)
-        return left
+    def _binding(self, what: str) -> tuple[str, Type]:
+        x = self.eat("IDENT", what)
+        self.eat(":")
+        return str(x.value), self.parse_type()
 
-    def _binary(self, sub: Callable, ops: tuple[str, ...], assoc: bool):
-        left, bare_app = sub()
-        first = True
-        while self.at(*ops) and (assoc or first):
-            if bare_app:
-                self.fail("a parenthesized application as operator operand")
-            op = self.next().kind
-            right, right_bare = sub()
-            if right_bare:
-                self.fail("a parenthesized application as operator operand")
-            node = Op(op, left, right)
-            left, bare_app, first = node, False, False
-        return left, bare_app
-
-    def parse_cmp(self):
-        return self._binary(self.parse_add, ("=", "<"), assoc=False)
-
-    def parse_add(self):
-        return self._binary(self.parse_mul, ("+", "-"), assoc=True)
-
-    def parse_mul(self):
-        return self._binary(self.parse_appchain, ("*",), assoc=True)
-
-    def _try_suffix(self, subject: TermAny) -> Optional[TermAny]:
-        # A '<' opens a coercion suffix only if a coercion (lams) or a term
-        # (lamsx) followed by '>' parses; otherwise it is left for comparison.
-        if self.at("<<"):
-            saved = self.pos
-            self.next()
-            try:
-                c = self.parse_coercion()
-                self.eat(">>")
-            except ParseError:
-                self.pos = saved
-                return None
-            return CoercedVal(subject, c)
-        if self.at("<"):
-            saved = self.pos
-            self.next()
-            try:
-                if self.dialect == "lams":
-                    inner: object = self.parse_coercion()
-                else:
-                    inner = self.parse_expr()
-                self.eat(">")
-            except ParseError:
-                self.pos = saved
-                return None
-            crc_app = S.CrcApp if self.dialect == "lams" else X.CrcApp
-            return crc_app(subject, inner)
-        return None
-
-    def _at_atom_start(self) -> bool:
-        return self.at("INT", "IDENT", "true", "false", "blame", "(")
-
-    def parse_appchain(self):
-        # Arguments are bare atoms: a suffix after the chain coerces the
-        # whole chain, so a coerced argument must be parenthesized.
-        chain = self.parse_atom()
-        bare_app = False
-        while True:
-            if self.dialect == "lams" and self._at_atom_start():
-                chain = S.App(chain, self.parse_atom())
-                bare_app = True
-                continue
-            if self.dialect == "lamsx" and self.at("("):
-                pair = self._try(self._parse_arg_pair)
-                if pair is None:
-                    self.fail("'(argument, continuation)' after a function")
-                chain = X.App2(chain, pair[0], pair[1])
-                bare_app = True
-                continue
-            suffixed = self._try_suffix(chain)
-            if suffixed is not None:
-                chain = suffixed
-                continue
-            return chain, bare_app
-
-    def _parse_arg_pair(self):
-        self.eat("(")
-        a = self.parse_expr()
-        self.eat(",")
-        k = self.parse_expr()
-        self.eat(")")
-        return (a, k)
-
-    def parse_atom(self) -> TermAny:
+    def _atom(self) -> TermAny:
+        """An operand that opens no form: a constant, name, blame or coercion literal."""
         t = self.peek()
-        if self.dialect == "lamsx":
-            lit = self._try(self._parse_crc_lit)
-            if lit is not None:
-                return lit
-        if t.kind == "INT":
+        k = t.kind
+        if self.dialect == "lamsx" and (k in _CRC_START or self._at_tag()):
+            return X.CrcLit(self.parse_coercion())
+        if k == "-" and self.peek(1).kind == "INT":
             self.next()
-            return Const(int(t.value))
-        if t.kind == "-" and self.peek(1).kind == "INT":
-            self.next()
-            v = self.next()
-            return Const(-int(v.value))
-        if t.kind == "true":
-            self.next()
-            return Const(True)
-        if t.kind == "false":
-            self.next()
-            return Const(False)
-        if t.kind == "IDENT":
-            self.next()
+            return Const(-self.next().value)
+        if k not in ("INT", "true", "false", "IDENT", "blame"):
+            self.fail("a term")
+        self.next()
+        if k == "IDENT":
             return Var(str(t.value))
-        if t.kind == "blame":
-            self.next()
-            lbl = self.eat("IDENT", "a blame label")
-            return Blame(str(lbl.value))
-        if t.kind == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.eat(")")
-            return inner
-        self.fail("a term")
-        raise AssertionError
+        if k == "blame":
+            return Blame(str(self.eat("IDENT", "a blame label").value))
+        return Const(t.value if k == "INT" else k == "true")
 
-    def _parse_crc_lit(self) -> X.TermX:
-        c = self.parse_coercion()
-        return X.CrcLit(c)
+    def _crc_follows(self) -> bool:
+        """Whether a coercion, perhaps behind a run of ``(``, follows the ``<`` here."""
+        i = 1
+        while self.peek(i).kind == "(":
+            i += 1
+        return self.peek(i).kind in _CRC_START
+
+    def _operator(self, ops, cur, bare, kind, t) -> None:
+        """Push the operator ``kind`` at ``t`` after ``cur``, once pending ones that bind as
+        tightly take their right operands; ``;;`` runs stay flat, and nothing passes a ``<?``."""
+        p = _OP_LEVEL[kind]
+        if bare and (p < _COMPOSE or ops and _OP_LEVEL.get(ops[-1][1], _TOP) < _COMPOSE):
+            self.fail(_BARE, t)
+        while ops and ops[-1][1] not in (";;", "<?") and _OP_LEVEL[ops[-1][1]] <= p:
+            left, op, _ = ops.pop()
+            if p == _CMP == _OP_LEVEL[op]:
+                self.fail(_CHAINED, t)
+            cur, bare = Op(op, left, cur), False
+        # the first operand after an undecided '<' grows a comparison, or ends
+        # bare: either rules out reading that '<' as a comparison
+        if p == _CMP or bare:
+            self._note(ops, t, _CHAINED if p == _CMP else _BARE)
+        ops.append((cur, kind, t))
+
+    def _reduce(self, ops, cur, bare, t, stop: bool):
+        """End the expression at ``t``: apply the pending operators to ``cur``.  An undecided
+        ``<`` is a comparison with the first operand after it, unless ``stop`` keeps the top."""
+        if bare and ops and _OP_LEVEL.get(ops[-1][1], _TOP) < _COMPOSE:
+            self.fail(_BARE, t)
+        if bare:
+            self._note(ops, t, _BARE)
+        run = [cur]  # the operands of the ';;' run being read, the last first
+        while ops and not (stop and ops[-1][1] == "<?"):
+            left, op, info = ops.pop()
+            if op == ";;":
+                run.append(left)
+            elif op != "<?":
+                run[-1] = Op(op, left, run[-1])
+            else:
+                tok, left_bare, fault = info
+                while ops and _OP_LEVEL.get(ops[-1][1], _TOP) < _CMP:
+                    below, op, _ = ops.pop()
+                    left = Op(op, below, left)
+                if left_bare:
+                    self.fail(_BARE, tok)
+                if ops and ops[-1][1] in ("=", "<"):
+                    self.fail(_CHAINED, tok)
+                if fault:
+                    raise fault
+                self._note(ops, tok, _CHAINED)
+                run[-1] = Op("<", left, run[-1])
+        m = run.pop()
+        while run:
+            m = X.Compose(m, run.pop())
+        return m
+
+    @staticmethod
+    def _note(ops, t: Token, expected: str) -> None:
+        """Keep a fault at ``t`` for reading an undecided ``<`` atop ``ops`` as a comparison."""
+        if ops and ops[-1][1] == "<?" and ops[-1][2][2] is None:
+            ops[-1][2][2] = _error(t, expected)
 
     # -- programs
 
     def parse_program(self):
-        if not self.at("letrec"):
-            main = self.parse_expr()
-            self.eat("EOF", "end of input")
-            if self.dialect == "lams":
-                return S.ProgramS((), main)
-            return X.ProgramX((), main)
-        self.next()
+        lams = self.dialect == "lams"
         raw_defs = []
-        while True:
-            raw_defs.append(self._parse_def())
-            if self.at("and"):
+        if self.at("letrec"):
+            # the first pass reads 'letrec', each later one 'and'
+            while not raw_defs or self.at("and"):
                 self.next()
-                continue
-            break
-        self.eat("in")
+                f = self.eat("IDENT", "a definition name")
+                if any(d[0] == f.value for d in raw_defs):
+                    raise ParseError(f.line, f.col, "distinct definition names", "a duplicate")
+                self.eat("(")
+                x, a = self._binding("a parameter")
+                if lams:
+                    self.eat(")")
+                    self.eat(":")
+                    r = self.parse_type()
+                    ty, make = FunT(a, r), partial(S.Abs, x, a)
+                else:
+                    self.eat(",")
+                    k, r = self._binding("a continuation parameter")
+                    self.eat(")")
+                    ty, make = Fun2T(a, r), partial(X.Abs2, x, a, k, r)
+                self.eat("=")
+                raw_defs.append((str(f.value), ty, make(self.parse_expr())))
+            self.eat("in")
         main = self.parse_expr()
         self.eat("EOF", "end of input")
-        names = [d[0] for d in raw_defs]
-        if len(set(names)) != len(names):
-            raise ParseError(1, 1, "distinct definition names", "a duplicate")
+        mod, def_cls, program = (S, S.DefS, S.ProgramS) if lams else (X, X.DefX, X.ProgramX)
         # a definition name that no binder shadows refers to the definition
-        refs = {n: GlobalRef(n) for n in names}
-        if self.dialect == "lams":
-            defs = tuple(
-                S.DefS(n, FunT(a, r), S.substitute(S.Abs(x, a, body), refs))
-                for n, x, a, r, body in raw_defs
-            )
-            return S.ProgramS(defs, S.substitute(main, refs))
-        defs = tuple(
-            X.DefX(n, Fun2T(a, r), X.substitute(X.Abs2(x, a, k, r, body), refs))
-            for n, x, a, k, r, body in raw_defs
-        )
-        return X.ProgramX(defs, X.substitute(main, refs))
-
-    def _parse_def(self):
-        f = self.eat("IDENT", "a definition name")
-        self.eat("(")
-        x = self.eat("IDENT", "a parameter")
-        self.eat(":")
-        a = self.parse_type()
-        if self.dialect == "lamsx":
-            self.eat(",")
-            k = self.eat("IDENT", "a continuation parameter")
-            self.eat(":")
-            r = self.parse_type()
-            self.eat(")")
-            self.eat("=")
-            body = self.parse_expr()
-            return (str(f.value), str(x.value), a, str(k.value), r, body)
-        self.eat(")")
-        self.eat(":")
-        r = self.parse_type()
-        self.eat("=")
-        body = self.parse_expr()
-        return (str(f.value), str(x.value), a, r, body)
+        refs = {d[0]: GlobalRef(d[0]) for d in raw_defs}
+        defs = tuple(def_cls(n, ty, mod.substitute(fun, refs)) for n, ty, fun in raw_defs)
+        return program(defs, mod.substitute(main, refs) if refs else main)
 
 
 def parse_term(text: str, dialect: str) -> TermAny:
@@ -657,22 +669,6 @@ def print_coercion(c: Coercion, dialect: str = "lams", sugar: bool = True) -> st
     return go(c)
 
 
-_ATOM = 0
-_SUFFIX = 1
-_APP = 2
-_MUL = 3
-_ADD = 4
-_CMP = 5
-_COMPOSE = 6
-_TOP = 7
-
-_OP_LEVEL = {"*": _MUL, "+": _ADD, "-": _ADD, "=": _CMP, "<": _CMP}
-
-
-def _has_cmp_root(t) -> bool:
-    return isinstance(t, Op) and t.op in ("=", "<")
-
-
 def _app_rooted(t) -> bool:
     # Chains rooted in an application stay "applications" through suffixes,
     # and those cannot appear bare as operator operands.
@@ -732,7 +728,8 @@ def print_term(t: TermAny, dialect: str) -> str:
             case X.CrcApp(sub, c):
                 # comparisons inside the angle brackets would swallow the
                 # closing '>', so cap the slot below the comparison level
-                s = f"{go(sub, _APP)}<{go(c, _COMPOSE if not _has_cmp_root(c) else _ADD)}>"
+                cmp_root = isinstance(c, Op) and c.op in ("=", "<")
+                s = f"{go(sub, _APP)}<{go(c, _ADD if cmp_root else _COMPOSE)}>"
                 return wrap(s, _SUFFIX if not isinstance(sub, X.App2) else _APP, limit)
             case CoercedVal(sub, c):
                 s = f"{go(sub, _SUFFIX)}<<{print_coercion(c, dialect)}>>"

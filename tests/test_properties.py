@@ -22,7 +22,7 @@ from coercion_forge.coercions import (
     is_canonical,
 )
 from coercion_forge.harness import GenConfig, differentialRun, genWellTyped
-from coercion_forge.translate import psi_crc, psi_type
+from coercion_forge.translate import psi_crc, psi_type, trans_program
 from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT, matches
 
 STAR_FUN = FunT(DYN, DYN)
@@ -164,10 +164,12 @@ class TestRoundTrips:
     @settings(max_examples=40, deadline=None)
     def test_printed_programs_reparse(self, seed):
         p = genWellTyped(GenConfig(seed=seed, maxDepth=5))
-        text = surface.print_program(p)
-        again = surface.parse_program(text, "lams")
-        assert surface.alpha_eq_program(again, p)
-        assert surface.print_program(again) == text
+        # the program, and its translation, whose terms hold coercions
+        for prog, dialect in ((p, "lams"), (trans_program(p), "lamsx")):
+            text = surface.print_program(prog)
+            again = surface.parse_program(text, dialect)
+            assert surface.alpha_eq_program(again, prog)
+            assert surface.print_program(again) == text
 
 
 class TestGeneratedPrograms:

@@ -1,5 +1,8 @@
 """Tests for the concrete syntax: parsing, printing, and alpha-equivalence."""
 
+import gc
+import time
+
 import pytest
 
 from coercion_forge import lam_s as S
@@ -70,6 +73,46 @@ class TestPrecedence:
         assert parse_term("1 - -3", "lams") == S.Op("-", S.Const(1), S.Const(-3))
 
 
+class TestDecisions:
+    """Each choice is made where the parser meets it, with no second try."""
+
+    def test_a_lamsx_comparison_takes_the_first_operand_of_a_composition_after_it(self):
+        x, a, b, c = (X.Var(n) for n in "xabc")
+        assert parse_term("x < a ;; b", "lamsx") == X.Compose(X.Op("<", x, a), b)
+        assert parse_term("x < a ;; b >", "lamsx") == X.CrcApp(x, X.Compose(a, b))
+        assert parse_term("c ;; x < a ;; b", "lamsx") == X.Compose(
+            X.Compose(c, X.Op("<", x, a)), b)
+        one = X.Const(1)
+        assert parse_term("1 + x < a ;; b ;; c", "lamsx") == X.Compose(
+            X.Compose(X.Op("<", X.Op("+", one, x), a), b), c)
+        assert parse_term("x < a < b > >", "lamsx") == X.CrcApp(x, X.CrcApp(a, b))
+        assert parse_term("x < a < b >", "lamsx") == X.Op("<", x, X.CrcApp(a, b))
+
+    def test_a_lamsx_suffix_may_hold_any_term(self):
+        x, a, b = (X.Var(n) for n in "xab")
+        assert parse_term("x < a = b >", "lamsx") == X.CrcApp(x, X.Op("=", a, b))
+        assert parse_term("y = x < a >", "lamsx") == X.Op("=", X.Var("y"), X.CrcApp(x, a))
+        assert parse_term("f(a, b) < x >", "lamsx") == X.CrcApp(X.App2(X.Var("f"), a, b), x)
+        assert parse_term("x < let a = 1 in a >", "lamsx") == X.CrcApp(
+            x, X.Let("a", X.Const(1), a))
+
+    def test_a_parenthesized_coercion_literal_goes_on_as_a_coercion(self):
+        assert parse_term("((id{Int}) ; Int!)", "lamsx") == X.CrcLit(inj(INT))
+        arrow = Fun(inj(INT), ProjSeq(INT, "p", Id(INT)))
+        assert parse_term("(Int! => Int?^p) ; (Dyn => Dyn)!", "lamsx") == X.CrcLit(
+            InjSeq(arrow, Fun2T(DYN, DYN)))
+        assert parse_term("(Int!) => Int?^p", "lamsx") == X.CrcLit(
+            Fun(inj(INT), ProjSeq(INT, "p", Id(INT))))
+        assert parse_term("(Int!) ;; x", "lamsx") == X.Compose(X.CrcLit(inj(INT)), X.Var("x"))
+        assert parse_term("(Dyn => Dyn)!", "lamsx") == X.CrcLit(inj(Fun2T(DYN, DYN)))
+        assert parse_term("(Int)!", "lamsx") == X.CrcLit(inj(INT))
+
+    def test_a_lams_suffix_is_a_coercion_behind_any_run_of_parentheses(self):
+        x = S.Var("x")
+        assert parse_term("x < ((Int!))>", "lams") == S.CrcApp(x, inj(INT))
+        assert parse_term("x < ((1))", "lams") == S.Op("<", x, S.Const(1))
+
+
 class TestCoercionSyntax:
     def test_sugar_forms_round_trip(self):
         for text in ("Int!", "Bool?^p", "id{Int}", "id{Dyn}",
@@ -102,9 +145,12 @@ class TestCoercionSyntax:
         ("Int?^p ; Int! ; Int!", 1, "an injection preceded by a non-ground coercion"),
         ("Int! ; Int?^p", 1, "a sequence that is neither projection-first nor injection-last"),
         ("(id{Int} ; id{Int})", 2, "a sequence that is neither projection-first nor injection-last"),
+        pytest.param(" ; ".join(["Int?^p"] * 1200), 1,
+                     "a projection followed by a non-intermediate coercion", id="1200-units"),
     ])
     def test_a_sequence_that_is_not_canonical_is_rejected_where_it_starts(
             self, dialect, text, col, why):
+        # 1200 units once overflowed the stack
         with pytest.raises(ParseError) as e:
             parse_coercion(text, dialect)
         assert str(e.value) == f"line 1:{col}: expected a canonical coercion, found {why}"
@@ -202,10 +248,12 @@ class TestPrograms:
         assert parse_term("f 1", "lams") == S.App(S.Var("f"), S.Const(1))
 
     def test_duplicate_definition_names_are_rejected(self):
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError, match="duplicate") as e:
             parse_program(
-                "letrec f (x:Int) : Int = x and f (y:Int) : Int = y in f 1",
+                "letrec f (x:Int) : Int = x\nand f (y:Int) : Int = y in f 1",
                 "lams")
+        # the second f
+        assert (e.value.line, e.value.col) == (2, 5)
 
 
 class TestDiagnostics:
@@ -215,9 +263,111 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match=r"line 1:1: expected a term, found '='"):
             parse_term("=banana", "lams")
 
+    @pytest.mark.parametrize("dialect", ["lams", "lamsx"])
+    @pytest.mark.parametrize("text, message", [
+        ("5<Int?^p ; Int?^p ; Int?^p>",
+         "line 1:3: expected a canonical coercion, found a projection followed by a non-intermediate coercion"),
+        ("5<<Int?^p ; Int?^p>>",
+         "line 1:4: expected a canonical coercion, found a projection followed by a non-intermediate coercion"),
+        ("5<Int -> Int>", "line 1:7: expected '!' or '?^label' after a ground type tag, found '->'"),
+        ("1 < 2 = true", "line 1:7: expected a parenthesized comparison as comparison operand, found '='"),
+        ("y = x < 1", "line 1:7: expected a parenthesized comparison as comparison operand, found '<'"),
+    ])
+    def test_a_fault_is_reported_where_it_is(self, dialect, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_term(text, dialect)
+        assert str(e.value) == message
+
+    def test_an_argument_pair_is_reported_where_it_goes_wrong(self):
+        with pytest.raises(ParseError) as e:
+            parse_term("f(1)", "lamsx")
+        assert str(e.value) == "line 1:4: expected ',', found ')'"
+        with pytest.raises(ParseError) as e:
+            parse_term("x < f(a, k) ;; b", "lamsx")
+        assert str(e.value) == (
+            "line 1:13: expected a parenthesized application as operator operand, found ';;'")
+
+    @pytest.mark.parametrize("dialect", ["lams", "lamsx"])
+    def test_only_ascii_digits_make_a_literal(self, dialect):
+        # int("²") raises ValueError, which once escaped the parser
+        with pytest.raises(ParseError) as e:
+            parse_program("1 + ²", dialect)
+        assert str(e.value) == "line 1:5: expected a token, found '²'"
+        assert parse_term("x²", dialect) == S.Var("x²")
+
+    @pytest.mark.parametrize("dialect", ["lams", "lamsx"])
+    def test_a_literal_too_long_to_convert_is_a_parse_error(self, dialect):
+        # past the interpreter's limit on digits in int() (4300 by default)
+        with pytest.raises(ParseError) as e:
+            parse_program("1 +\n  " + "9" * 5000, dialect)
+        assert str(e.value) == "line 2:3: expected a shorter integer literal, found 5000 digits"
+
+    @pytest.mark.parametrize("index", ["²", "9" * 5000], ids=["superscript", "5000-digits"])
+    def test_a_rigid_type_variable_takes_a_convertible_ascii_index(self, index):
+        with pytest.raises(ParseError, match="rigid type variable|shorter integer"):
+            parse_type(f"'X{index}", "lamsx")
+
     def test_trace_line_format(self):
         line = format_trace_line(3, "c", "R-Id", S.Const(5), "lams")
         assert line == "step 3 c R-Id: 5"
+
+
+class TestDepth:
+    """Open forms wait on an explicit stack: parse time grows linearly with
+    the input, and no depth reaches Python's recursion limit."""
+
+    @staticmethod
+    def text(shape, n):
+        if shape == "parentheses":
+            return "(" * n + "1" + ")" * n
+        if shape == "comparisons":
+            return "x < (" * n + "x" + ")" * n
+        # every '<' stays undecided until the end of the chain
+        return " ;; ".join(["x < q"] * n) + " ;; a"
+
+    @staticmethod
+    def expected(shape, n):
+        if shape == "parentheses":
+            return S.Const(1)
+        if shape == "comparisons":
+            t = S.Var("x")
+            for _ in range(n):
+                t = S.Op("<", S.Var("x"), t)
+            return t
+        t = X.Op("<", X.Var("x"), X.Var("q"))
+        for _ in range(n - 1):
+            t = X.Compose(t, X.Op("<", X.Var("x"), X.Var("q")))
+        return X.Compose(t, X.Var("a"))
+
+    @staticmethod
+    def parse(text, dialect):
+        try:
+            return parse_term(text, dialect)
+        except RecursionError:  # caught here: pytest's report of it takes minutes
+            pytest.fail("the parser recursed")
+
+    @pytest.mark.parametrize("shape, dialect", [
+        ("parentheses", "lams"), ("parentheses", "lamsx"),
+        ("comparisons", "lams"), ("comparisons", "lamsx"), ("compositions", "lamsx"),
+    ])
+    def test_ten_thousand_levels_parse_in_linear_time(self, shape, dialect):
+        texts = {n: self.text(shape, n) for n in (10**4, 2 * 10**4)}
+        assert alpha_eq(self.parse(texts[10**4], dialect), self.expected(shape, 10**4))
+        # the fastest of interleaved runs, in CPU time and with the collector
+        # off, keeps other load and the scans of a large heap out
+        best = dict.fromkeys(texts, float("inf"))
+        for rounds in range(1, 6):
+            for n, text in texts.items():
+                gc.disable()
+                try:
+                    start = time.process_time()
+                    self.parse(text, dialect)
+                    best[n] = min(best[n], time.process_time() - start)
+                finally:
+                    gc.enable()
+            if rounds >= 2 and best[2 * 10**4] <= 3 * best[10**4]:
+                break
+        assert best[2 * 10**4] <= 3 * best[10**4], best
 
 
 class TestAlphaEquivalence:

@@ -13,6 +13,7 @@ import argparse
 import os
 import re
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import harness, lam_s, lam_sx, surface, terms, translate
@@ -177,6 +178,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     fuel = _fuel(args, 10**5)
 
     agree = disagree = 0
+    # (side, first word of its outcome): "out_of_fuel", "diverges", "value" or "blame"
+    ended: Counter = Counter()
     for seed in range(lo, hi + 1):
         try:
             p = harness.genWellTyped(harness.GenConfig(seed=seed, maxDepth=args.depth))
@@ -189,7 +192,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             agree += 1
         else:
             disagree += 1
-    print(f"{agree + disagree} runs: {agree} agree, {disagree} disagree", file=sys.stderr)
+        ended["source", v.source.split(" ", 1)[0]] += 1
+        ended["target", v.target.split(" ", 1)[0]] += 1
+    print(
+        f"{agree + disagree} runs: {agree} agree, {disagree} disagree; "
+        f"out of fuel: {ended['source', 'out_of_fuel']} source, "
+        f"{ended['target', 'out_of_fuel']} target; "
+        f"diverged: {ended['source', 'diverges']} source, {ended['target', 'diverges']} target",
+        file=sys.stderr,
+    )
     return EXIT_VIOLATION if disagree else EXIT_OK
 
 

@@ -397,27 +397,36 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     an observer of every state leaves it, or unread (:func:`_given`).  A
     source state that does not typecheck has no translation to land on,
     and is reported as a failure of preservation.
+
+    Each distinct source state is translated once per run: a state the run
+    comes back to, as a diverging run does, reuses its translation.  The
+    source step, the target steps and their comparison with the
+    translation run at every source step.
     """
     px = translate.trans_program(p)
     sdefs = p.def_terms()
     xdefs = px.def_terms()
     # consecutive states share most of their nodes; their typings are reused
     memo: dict = {}
-
-    cur_t = translate.trans_state(p, p.main, memo)
     cur_s = p.main
+    cur_t = translate.trans_state(p, cur_s, memo)
+    # state -> its translation, so a diverging run translates each state of
+    # its cycle once
+    translated = {cur_s: cur_t}
     for i in range(max_steps):
         r = S.step(cur_s, sdefs)
         if isinstance(r, (IsValue, IsBlame)):
             break
         given = _given(r, i, S.is_value)
         nxt_s = r.term
-        try:
-            expected = translate.trans_state(p, nxt_s, memo)
-        except S.TypeCheckError as e:
-            detail = f"source preservation failed after {r.rule}: {e}"
-            source = surface.print_term(nxt_s, "lams")
-            return Verdict("invariant-violation", detail, source, "", p, seed)
+        expected = translated.get(nxt_s)
+        if expected is None:
+            try:
+                expected = translated[nxt_s] = translate.trans_state(p, nxt_s, memo)
+            except S.TypeCheckError as e:
+                detail = f"source preservation failed after {r.rule}: {e}"
+                source = surface.print_term(nxt_s, "lams")
+                return Verdict("invariant-violation", detail, source, "", p, seed)
 
         t = at = cur_t
         e_budget = 1 if r.kind == "e" else 0
@@ -466,6 +475,12 @@ def invariantSuite(
     with the decomposition oracle (which also establishes that redexes
     are unique), closure of canonical coercion forms, and strict descent
     of the termination metric on source c-steps.
+
+    The checks of a state (typing, the coercion scan, the metric and the
+    oracle's splits) depend on the state alone, so each distinct state's
+    are made once per run and replayed, in the same order, whenever the
+    run comes back to it.  The step itself, its comparison with the
+    oracle's split and the metric's descent run at every step.
     """
     violations: list[Verdict] = []
 
@@ -502,16 +517,48 @@ def _check_run(
     def report(detail: str) -> None:
         bad(detail, surface.print_term(state, dialect))
 
-    state = at = p.main
     # consecutive states share most of their nodes; their typings are reused
     memo: dict = {}
-    # id -> node, for the nodes of earlier states whose coercion scan reported nothing
+    # id -> node, for the nodes of earlier states whose coercion scan
+    # reported nothing; the subtree of each is canonical, so a scan that
+    # skips it finds what a full one would
     canonical: dict = {}
     # the metric bounds the composition steps of the source calculus only
     check_metric = dialect == "lams"
-    prev_metric = mod.metric_f(state) if check_metric else None
+    # state -> (type error, printed non-canonical coercions, oracle splits,
+    # metric): what the checks of a state found, worked out at its first
+    # visit and replayed at every later one, so a diverging run checks each
+    # state of its cycle once
+    found: dict = {}
+
+    def check(t) -> tuple:
+        f = found.get(t)
+        if f is not None:
+            return f
+        try:
+            mod.typecheck(t, {}, sigs, ty0, memo)
+        except mod.TypeCheckError as e:
+            f = found[t] = (str(e), (), None, None)
+            return f
+        new = walk_unseen(t, canonical)
+        wrong = [
+            surface.print_coercion(m.crc, dialect)
+            for m in new
+            if m.__class__ in carriers and not is_canonical(m.crc, fun_t)
+        ]
+        if not wrong:
+            canonical.update([(id(m), m) for m in new])
+        metric = mod.metric_f(t) if check_metric else None
+        f = found[t] = (None, wrong, mod.decompose_oracle(t, defs), metric)
+        return f
+
+    state = at = p.main
+    # a coercion of the start state is not reported there, only stored for
+    # a run that comes back to it
+    err, _, oracle, prev_metric = check(state)
+    if err is not None:
+        return err
     for i in range(max_states):
-        oracle = mod.decompose_oracle(state, defs)
         # given the step before, as every run gives it
         r = mod.step(at, defs)
         if isinstance(r, (IsValue, IsBlame)):
@@ -524,20 +571,13 @@ def _check_run(
         elif oracle[0].rule != r.rule or oracle[0].term != r.term or oracle[0].kind != r.kind:
             report(f"{side}oracle chose {oracle[0].rule}, stepper chose {r.rule}")
         state = r.term
-        try:
-            mod.typecheck(state, {}, sigs, ty0, memo)
-        except mod.TypeCheckError as e:
-            report(f"{side}preservation failed after {r.rule}: {e}")
+        err, wrong, oracle, m = check(state)
+        if err is not None:
+            report(f"{side}preservation failed after {r.rule}: {err}")
             break
-        new = walk_unseen(state, canonical)
-        wrong = [m.crc for m in new if m.__class__ in carriers and not is_canonical(m.crc, fun_t)]
-        for c in wrong:
-            crc = surface.print_coercion(c, dialect)
+        for crc in wrong:
             report(f"non-canonical {side}coercion {crc} after {r.rule}")
-        if not wrong:
-            canonical.update([(id(m), m) for m in new])
         if check_metric:
-            m = mod.metric_f(state)
             if r.kind == "c" and not m < prev_metric:
                 report(f"metric did not decrease on c-step {r.rule}: {prev_metric} -> {m}")
             prev_metric = m

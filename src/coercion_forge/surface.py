@@ -30,7 +30,6 @@ explicit stack, so nesting costs no Python recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
@@ -49,6 +48,7 @@ from .coercions import (
 from .types import BOOL, DYN, INT, Base, CrcT, Dyn, FunT, Fun2T, TyVar, Type, is_ground
 from . import lam_s as S
 from . import lam_sx as X
+from .records import record
 from .terms import Blame, CoercedVal, Const, GlobalRef, If, Op, Var
 
 
@@ -65,7 +65,7 @@ class ParseError(Exception):
 # Lexer
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str
     value: object
@@ -727,9 +727,14 @@ def print_term(t: TermAny, dialect: str) -> str:
                 return wrap(s, _SUFFIX if not isinstance(sub, S.App) else _APP, limit)
             case X.CrcApp(sub, c):
                 # comparisons inside the angle brackets would swallow the
-                # closing '>', so cap the slot below the comparison level
+                # closing '>', so cap the slot below the comparison level;
+                # '>>' lexes as one token, so a slot that ends in '>' is
+                # parenthesized
                 cmp_root = isinstance(c, Op) and c.op in ("=", "<")
-                s = f"{go(sub, _APP)}<{go(c, _ADD if cmp_root else _COMPOSE)}>"
+                k = go(c, _ADD if cmp_root else _COMPOSE)
+                if k.endswith(">"):
+                    k = f"({k})"
+                s = f"{go(sub, _APP)}<{k}>"
                 return wrap(s, _SUFFIX if not isinstance(sub, X.App2) else _APP, limit)
             case CoercedVal(sub, c):
                 s = f"{go(sub, _SUFFIX)}<<{print_coercion(c, dialect)}>>"

@@ -254,6 +254,22 @@ class TestFuzz:
             assert v["seed"] == i
         assert "4 runs: 4 agree, 0 disagree" in err
 
+    def test_summary_counts_the_runs_that_never_finished(self, capsys, monkeypatch):
+        # seed 13 loops; at fuel 50 the source runs out before its cycle
+        # check, while the target's ten times the fuel reaches it
+        monkeypatch.setenv("COERCION_FORGE_FUEL", "50")
+        code, out, err = run(capsys, "fuzz", "--seeds", "12..13")
+        assert code == 0
+        assert [json.loads(line)["kind"] for line in out.splitlines()] == ["agree", "agree"]
+        assert err.splitlines()[-1] == (
+            "2 runs: 2 agree, 0 disagree; out of fuel: 1 source, 0 target; "
+            "diverged: 0 source, 1 target")
+        monkeypatch.delenv("COERCION_FORGE_FUEL")
+        code, _, err = run(capsys, "fuzz", "--seeds", "13")
+        assert err.splitlines()[-1] == (
+            "1 runs: 1 agree, 0 disagree; out of fuel: 0 source, 0 target; "
+            "diverged: 1 source, 1 target")
+
     def test_single_seed(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seeds", "7")
         assert code == 0

@@ -2,6 +2,7 @@
 simulation and invariant checks, and the space benchmark."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -182,6 +183,124 @@ class TestSimulationAndInvariants:
         verdicts = [simulationCheck(p) for p in programs]
         failed = [v for v in verdicts if v.kind != "agree"]
         assert failed and all("(e R-IfTrue) not simulated" in v.detail for v in failed)
+
+
+# A run that never ends: from the third state on, the source and its
+# translation each come back to their states with period 2.
+_LOOP = r"letrec loop (x:Int) : Int = loop x in (\x0:Int. 4<Int!>) (loop 2)<Int?^r>"
+
+
+def _record_steps(monkeypatch, mod) -> list:
+    """Record every ``Stepped`` that ``mod.step`` returns from now on.
+
+    The steps are kept unread: the check reads each one after ``_given``
+    has decided what the next step is given.
+    """
+    steps = []
+    step = mod.step
+
+    def recording(t, defs=None):
+        r = step(t, defs)
+        if r.__class__ is terms.Stepped:
+            steps.append(r)
+        return r
+
+    monkeypatch.setattr(mod, "step", recording)
+    return steps
+
+
+def _count_calls(monkeypatch, owner, name, state_of) -> Counter:
+    """Count the calls of ``owner.name`` from now on per state, the state
+    being what ``state_of`` picks from a call's arguments; a call for which
+    it gives None is not counted."""
+    counts = Counter()
+    fn = getattr(owner, name)
+
+    def counting(*args):
+        state = state_of(*args)
+        if state is not None:
+            counts[state] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def _mislabel_revisits(monkeypatch, mods) -> None:
+    """Plant a stepper fault in each of ``mods`` that strikes only at a state
+    the run has been at before: there an e-step comes back labelled a c-step."""
+    for mod in mods:
+        step = mod.step
+        seen = set()
+
+        def mislabels(t, defs=None, step=step, seen=seen):
+            r = step(t, defs)
+            if r.__class__ is not terms.Stepped:
+                return r
+            # read only after the step, so the search it took is the same
+            state = t.term if t.__class__ is terms.Stepped else t
+            if state in seen and r.kind == "e":
+                return terms.Stepped("c", r.rule, r.term)
+            seen.add(state)
+            return r
+
+        monkeypatch.setattr(mod, "step", mislabels)
+
+
+class TestEachStateCheckedOnce:
+    """A run's checks of a state are made at its first visit and replayed at
+    the later ones; the stepper is run, and checked, at every step."""
+
+    def test_the_invariant_checks_run_once_per_distinct_state(self, monkeypatch):
+        p = surface.parse_program(_LOOP, "lams")
+        starts = {S: p.main, X: translate.trans_program(p).main}
+        steps, oracle, typed = {}, {}, {}
+        for mod in (S, X):
+            steps[mod] = _record_steps(monkeypatch, mod)
+            oracle[mod] = _count_calls(monkeypatch, mod, "decompose_oracle", lambda t, defs: t)
+            # the checks give the typechecker the run's typing memo; the
+            # checks of the whole program give it none
+            typed[mod] = _count_calls(
+                monkeypatch, mod, "typecheck",
+                lambda t, env=None, defs=None, ty=None, memo=None: None if memo is None else t)
+        assert invariantSuite(p) == []
+        for mod in (S, X):
+            states = [starts[mod], *(r.term for r in steps[mod])]
+            assert len(steps[mod]) == 300 and len(states) == 301
+            distinct = Counter(set(states))
+            assert len(distinct) < 10
+            assert oracle[mod] == distinct
+            assert typed[mod] == distinct
+
+    def test_simulation_translates_each_distinct_state_once(self, monkeypatch):
+        p = surface.parse_program(_LOOP, "lams")
+        steps = _record_steps(monkeypatch, S)
+        translated = _count_calls(monkeypatch, translate, "trans_state", lambda p, t, memo: t)
+        assert simulationCheck(p).kind == "agree"
+        states = [p.main, *(r.term for r in steps)]
+        assert len(steps) == 250
+        assert len(translated) < 10
+        assert translated == Counter(set(states))
+
+    def test_a_fault_only_at_revisited_states_is_reported(self, monkeypatch):
+        p = surface.parse_program(_LOOP, "lams")
+        _mislabel_revisits(monkeypatch, (S, X))
+        # each of the 298 steps from a state seen before, on each side
+        assert Counter(v.detail for v in invariantSuite(p)) == {
+            "oracle chose R-Unfold, stepper chose R-Unfold": 149,
+            "metric did not decrease on c-step R-Unfold: 20 -> 20": 149,
+            "oracle chose R-Beta, stepper chose R-Beta": 149,
+            "metric did not decrease on c-step R-Beta: 20 -> 20": 149,
+            "target oracle chose R-Unfold, stepper chose R-Unfold": 149,
+            "target oracle chose R-Beta, stepper chose R-Beta": 149,
+        }
+        # the simulation takes the target's labels on trust, so the fault
+        # is planted in the source stepper alone
+        monkeypatch.undo()
+        _mislabel_revisits(monkeypatch, (S,))
+        v = simulationCheck(p)
+        assert v.kind == "invariant-violation"
+        assert v.detail == "source step 3 (c R-Unfold) not simulated within 8 target steps"
 
 
 # One program whose runs take e- and c-steps on both sides: the source
@@ -494,9 +613,10 @@ def _source_states(p, limit=250):
 
 class TestTranslationMemo:
     def test_the_memo_translates_each_state_alpha_equivalently(self, monkeypatch, corpus):
-        """At every source state ``simulationCheck`` visits, the run's memo
-        gives a translation alpha-equivalent to a from-scratch one, and
-        reuses most of the earlier states' translations."""
+        """At every distinct source state ``simulationCheck`` visits, the
+        run's memo gives a translation alpha-equivalent to a from-scratch
+        one, and reuses most of the earlier states' translations.  A state
+        the run comes back to is not translated again."""
         work = [0]
 
         def counting(method):
@@ -528,9 +648,14 @@ class TestTranslationMemo:
             return got
 
         monkeypatch.setattr(translate, "trans_state", checking)
+        steps = _record_steps(monkeypatch, S)
         for s, p in enumerate(corpus[:100]):
             assert simulationCheck(p, seed=s).kind == "agree"
-        assert states > 2000
+        # the states visited are each run's start and one per source step;
+        # those not translated, the per-run memo of translations served
+        served = 100 + len(steps) - states
+        assert served > 0
+        assert states + served > 2000
         assert reused > scratch // 2
 
     # a program whose own binders take the names the translation mints first

@@ -1,5 +1,6 @@
 """Tests for the concrete syntax: parsing, printing, and alpha-equivalence."""
 
+import dataclasses
 import gc
 import time
 
@@ -11,6 +12,7 @@ from coercion_forge import surface
 from coercion_forge.coercions import Fun, Id, InjSeq, ProjSeq
 from coercion_forge.surface import (
     ParseError,
+    Token,
     alpha_eq,
     alpha_eq_program,
     dialect_of_path,
@@ -23,7 +25,9 @@ from coercion_forge.surface import (
     print_program,
     print_term,
     print_type,
+    tokenize,
 )
+from coercion_forge.terms import CoercedVal
 from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT
 
 
@@ -212,6 +216,35 @@ class TestRoundTrips:
             assert print_term(t, "lamsx") == text
             assert parse_term(print_term(t, "lamsx"), "lamsx") == t
 
+    @staticmethod
+    def _slots(depth: int) -> list:
+        """Every term of the coercion slot built from ``k`` and ``Int!`` by at
+        most ``depth`` suffixes, coerced values and compositions."""
+        y, k = X.Var("y"), X.Var("k")
+        slots = [k, X.CrcLit(inj(INT))]
+        for _ in range(depth):
+            slots = [k, X.CrcLit(inj(INT))] + [
+                t
+                for s in slots
+                for t in (X.CrcApp(y, s), X.CrcApp(s, k), X.Compose(s, k), X.Compose(k, s),
+                          CoercedVal(s, inj(INT)))
+            ]
+        return slots
+
+    def test_nested_target_suffixes_print_back(self):
+        # '>>' is one token, so a slot that ends in '>' must not meet the
+        # closing '>' bare
+        assert print_term(X.CrcApp(X.Var("x"), X.CrcApp(X.Var("y"), X.Var("k"))),
+                          "lamsx") == "x<(y<k>)>"
+        slots = self._slots(3)
+        assert len(slots) == 312
+        for s in slots:
+            t = X.CrcApp(X.Var("x"), s)
+            text = print_term(t, "lamsx")
+            back = parse_term(text, "lamsx")
+            assert back == t, text
+            assert print_term(back, "lamsx") == text
+
     def test_programs_round_trip(self):
         src = open("samples/evenodd.lams").read().strip()
         p = parse_program(src, "lams")
@@ -306,6 +339,14 @@ class TestDiagnostics:
     def test_a_rigid_type_variable_takes_a_convertible_ascii_index(self, index):
         with pytest.raises(ParseError, match="rigid type variable|shorter integer"):
             parse_type(f"'X{index}", "lamsx")
+
+    def test_tokens_are_frozen_records_compared_by_value(self):
+        one, plus = tokenize("1 +")[:2]
+        assert one == Token("INT", 1, 1, 1) and hash(one) == hash(Token("INT", 1, 1, 1))
+        assert plus != Token("+", "+", 1, 2)
+        assert repr(plus) == "Token(kind='+', value='+', line=1, col=3)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.kind = "IDENT"
 
     def test_trace_line_format(self):
         line = format_trace_line(3, "c", "R-Id", S.Const(5), "lams")

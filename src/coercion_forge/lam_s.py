@@ -416,7 +416,7 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
             if k is not None and k[0] is _crc_subject:
                 # the top-frame check: R-MergeC fires at the parent
                 _, n, k = k
-                return _stepped("c", "R-MergeC", CrcApp(m, compose(t.crc, n.crc, FunT)), k)
+                return _stepped("R-MergeC", CrcApp(m, compose(t.crc, n.crc, FunT)), k)
             if m.__class__ not in _VALUE_CLASSES:
                 k, t = (_crc_subject, t, k), m
             else:
@@ -453,7 +453,7 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
             if k is None:
                 return terms.IS_BLAME
             # blame discards the whole context
-            return _stepped("e", "E-Abort", t, None)
+            return _stepped("E-Abort", t, None)
         else:
             raise terms.StuckTerm.at(t, k)
 
@@ -466,19 +466,19 @@ def _find(t: TermS, k, defs) -> terms.StepResult:
 
 def _op(n, l, r, k) -> terms.Stepped:
     if l.__class__ is Const and r.__class__ is Const:
-        return _stepped("e", "R-Op", Const(delta(n.op, l.val, r.val)), k)
+        return _stepped("R-Op", Const(delta(n.op, l.val, r.val)), k)
     raise terms.StuckTerm.at(Op(n.op, l, r), k)
 
 
 def _app(f, a, k, defs) -> terms.Stepped:
     fc = f.__class__
     if fc is Abs:
-        return _stepped("e", "R-Beta", substitute(f.body, {f.var: a}), k)
+        return _stepped("R-Beta", substitute(f.body, {f.var: a}), k)
     if fc is CoercedVal and f.crc.__class__ is Fun:
         s, c2 = f.crc.arg, f.crc.res
-        return _stepped("e", "R-Wrap", CrcApp(App(f.subject, CrcApp(a, s)), c2), k)
+        return _stepped("R-Wrap", CrcApp(App(f.subject, CrcApp(a, s)), c2), k)
     if fc is GlobalRef and f.name in defs:
-        return _stepped("e", "R-Unfold", App(defs[f.name], a), k)
+        return _stepped("R-Unfold", App(defs[f.name], a), k)
     raise terms.StuckTerm.at(App(f, a), k)
 
 
@@ -488,23 +488,23 @@ def _crc(n, m, k) -> terms.Stepped:
     s = n.crc
     mc = m.__class__
     if mc is CoercedVal:
-        return _stepped("c", "R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
+        return _stepped("R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)), k)
     if mc in _UNCOERCED_CLASSES:
         sc = s.__class__
         if sc is Id or sc is IdStar:
-            return _stepped("c", "R-Id", m, k)
+            return _stepped("R-Id", m, k)
         if sc is Fail:
-            return _stepped("c", "R-Fail", Blame(s.label), k)
+            return _stepped("R-Fail", Blame(s.label), k)
         if sc is InjSeq or sc is Fun:
-            return _stepped("c", "R-Crc", CoercedVal(m, s), k)
+            return _stepped("R-Crc", CoercedVal(m, s), k)
     raise terms.StuckTerm.at(CrcApp(m, s), k)
 
 
 def _if(n, c, k) -> terms.Stepped:
     if c == TRUE:
-        return _stepped("e", "R-IfTrue", n.then, k)
+        return _stepped("R-IfTrue", n.then, k)
     if c == FALSE:
-        return _stepped("e", "R-IfFalse", n.els, k)
+        return _stepped("R-IfFalse", n.els, k)
     raise terms.StuckTerm.at(If(c, n.then, n.els), k)
 
 
@@ -551,32 +551,32 @@ def _frame_ok(t: TermS, i: int) -> Optional[str]:
             return None
 
 
-def _local_redexes(t: TermS, defs) -> Iterator[tuple[str, str, TermS]]:
+def _local_redexes(t: TermS, defs) -> Iterator[tuple[str, TermS]]:
     match t:
         case Op(op, Const(a), Const(b)):
-            yield ("R-Op", "e", Const(delta(op, a, b)))
+            yield ("R-Op", Const(delta(op, a, b)))
         case App(Abs(x, _, m), a) if is_value(a):
-            yield ("R-Beta", "e", substitute(m, {x: a}))
+            yield ("R-Beta", substitute(m, {x: a}))
         case App(CoercedVal(u, Fun(s, c2)), a) if is_value(a):
-            yield ("R-Wrap", "e", CrcApp(App(u, CrcApp(a, s)), c2))
+            yield ("R-Wrap", CrcApp(App(u, CrcApp(a, s)), c2))
         case App(GlobalRef(g), a) if is_value(a) and g in defs:
-            yield ("R-Unfold", "e", App(defs[g], a))
+            yield ("R-Unfold", App(defs[g], a))
         case If(Const(True), m, _):
-            yield ("R-IfTrue", "e", m)
+            yield ("R-IfTrue", m)
         case If(Const(False), _, n):
-            yield ("R-IfFalse", "e", n)
+            yield ("R-IfFalse", n)
         case CrcApp(CrcApp(m, s), s2):
-            yield ("R-MergeC", "c", CrcApp(m, compose(s, s2, FunT)))
+            yield ("R-MergeC", CrcApp(m, compose(s, s2, FunT)))
         case CrcApp(CoercedVal(u, d), s2):
-            yield ("R-MergeV", "c", CrcApp(u, compose(d, s2, FunT)))
+            yield ("R-MergeV", CrcApp(u, compose(d, s2, FunT)))
         case CrcApp(u, s) if is_uncoerced(u):
             match s:
                 case Id() | IdStar():
-                    yield ("R-Id", "c", u)
+                    yield ("R-Id", u)
                 case Fail(_, p, _):
-                    yield ("R-Fail", "c", Blame(p))
+                    yield ("R-Fail", Blame(p))
                 case InjSeq() | Fun():
-                    yield ("R-Crc", "c", CoercedVal(u, s))
+                    yield ("R-Crc", CoercedVal(u, s))
 
 
 def decompose_oracle(

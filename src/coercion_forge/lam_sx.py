@@ -392,8 +392,8 @@ def step(term, defs: Optional[Mapping[str, TermX]] = None) -> terms.StepResult:
     return r
 
 
-def _stepped(kind: str, rule: str, focus: TermX, env, k) -> terms.Stepped:
-    return terms.refocused(kind, rule, focus, (_close, env, k) if env else k)
+def _stepped(rule: str, focus: TermX, env, k) -> terms.Stepped:
+    return terms.refocused(rule, focus, (_close, env, k) if env else k)
 
 
 def _closed(v: TermX, env) -> bool:
@@ -570,7 +570,7 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
             if k is None:
                 return terms.IS_BLAME
             # blame discards the whole context
-            return _stepped("e", "E-Abort", t, _EMPTY, None)
+            return _stepped("E-Abort", t, _EMPTY, None)
         else:
             raise _stuck(t, env, k)
 
@@ -593,8 +593,8 @@ def _app2(f, a, c, env, k, defs) -> terms.Stepped:
             a, c = _value(a, env), _value(c, env)
         sub = {f.var: a, f.kvar: c}
         if closed:
-            return _stepped("e", "R-Beta", f.body, sub, k)
-        return _stepped("e", "R-Beta", substitute(f.body, sub), _EMPTY, k)
+            return _stepped("R-Beta", f.body, sub, k)
+        return _stepped("R-Beta", substitute(f.body, sub), _EMPTY, k)
     if env:
         a, c = _value(a, env), _value(c, env)
     if fc is CoercedVal and f.crc.__class__ is Fun:
@@ -605,9 +605,9 @@ def _app2(f, a, c, env, k, defs) -> terms.Stepped:
             Compose(CrcLit(c2), c),
             App2(u, CrcApp(a, CrcLit(s)), Var(kn)),
         )
-        return _stepped("e", "R-Wrap", wrapped, env, k)
+        return _stepped("R-Wrap", wrapped, env, k)
     if fc is GlobalRef and f.name in defs:
-        return _stepped("e", "R-Unfold", App2(defs[f.name], a, c), _EMPTY, k)
+        return _stepped("R-Unfold", App2(defs[f.name], a, c), _EMPTY, k)
     raise _stuck(App2(f0, a0, c0), env, k)
 
 
@@ -618,16 +618,16 @@ def _crc(m, c, env, k) -> terms.Stepped:
     if c.__class__ is CrcLit:
         if m.__class__ is CoercedVal:
             merged = CrcApp(m.subject, Compose(CrcLit(m.crc), c))
-            return _stepped("c", "R-MergeV", merged, env, k)
+            return _stepped("R-MergeV", merged, env, k)
         if m.__class__ in _UNCOERCED_CLASSES:
             d = c.crc
             dc = d.__class__
             if dc is Id or dc is IdStar:
-                return _stepped("c", "R-Id", m, env, k)
+                return _stepped("R-Id", m, env, k)
             if dc is Fail:
-                return _stepped("c", "R-Fail", Blame(d.label), env, k)
+                return _stepped("R-Fail", Blame(d.label), env, k)
             if dc is InjSeq or dc is Fun:
-                return _stepped("c", "R-Crc", CoercedVal(m, d), env, k)
+                return _stepped("R-Crc", CoercedVal(m, d), env, k)
     raise _stuck(CrcApp(m0, c0), env, k)
 
 
@@ -636,7 +636,7 @@ def _op(n, l, r, env, k) -> terms.Stepped:
     if env:
         l, r = _value(l, env), _value(r, env)
     if l.__class__ is Const and r.__class__ is Const:
-        return _stepped("e", "R-Op", Const(delta(n.op, l.val, r.val)), env, k)
+        return _stepped("R-Op", Const(delta(n.op, l.val, r.val)), env, k)
     raise _stuck(Op(n.op, l0, r0), env, k)
 
 
@@ -646,12 +646,12 @@ def _let(n, m, env, k) -> terms.Stepped:
     if env:
         m = _value(m, env)
     if closed:
-        return _stepped("c", "R-Let", body, {**env, x: m}, k)
+        return _stepped("R-Let", body, {**env, x: m}, k)
     # the body as the Let under ``env`` holds it
     outer = {y: v for y, v in env.items() if y != x}
     if outer:
         body = substitute(body, outer)
-    return _stepped("c", "R-Let", substitute(body, {x: m}), _EMPTY, k)
+    return _stepped("R-Let", substitute(body, {x: m}), _EMPTY, k)
 
 
 def _compose(l, r, env, k) -> terms.Stepped:
@@ -659,7 +659,7 @@ def _compose(l, r, env, k) -> terms.Stepped:
     if env:
         l, r = _value(l, env), _value(r, env)
     if l.__class__ is CrcLit and r.__class__ is CrcLit:
-        return _stepped("c", "R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), env, k)
+        return _stepped("R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), env, k)
     raise _stuck(Compose(l0, r0), env, k)
 
 
@@ -668,9 +668,9 @@ def _if(n, c, env, k) -> terms.Stepped:
     if env:
         c = _value(c, env)
     if c == TRUE:
-        return _stepped("e", "R-IfTrue", n.then, env, k)
+        return _stepped("R-IfTrue", n.then, env, k)
     if c == FALSE:
-        return _stepped("e", "R-IfFalse", n.els, env, k)
+        return _stepped("R-IfFalse", n.els, env, k)
     raise _stuck(If(c0, n.then, n.els), env, k)
 
 
@@ -714,39 +714,36 @@ def _frame_ok(t: TermX, i: int) -> Optional[str]:
     return "plain" if ok else None
 
 
-def _local_redexes(t: TermX, defs) -> Iterator[tuple[str, str, TermX]]:
+def _local_redexes(t: TermX, defs) -> Iterator[tuple[str, TermX]]:
     match t:
         case Op(op, Const(a), Const(b)):
-            yield ("R-Op", "e", Const(delta(op, a, b)))
+            yield ("R-Op", Const(delta(op, a, b)))
         case App2(Abs2(x, _, kv, _, m), a, k) if is_value(a) and is_value(k):
-            yield ("R-Beta", "e", substitute(m, {x: a, kv: k}))
+            yield ("R-Beta", substitute(m, {x: a, kv: k}))
         case App2(CoercedVal(u, Fun(s, c2)), a, k) if is_value(a) and is_value(k):
             kn = fresh_name("k", free_vars(u) | free_vars(a) | free_vars(k))
-            yield (
-                "R-Wrap",
-                "e",
-                Let(kn, Compose(CrcLit(c2), k), App2(u, CrcApp(a, CrcLit(s)), Var(kn))),
-            )
+            wrapped = App2(u, CrcApp(a, CrcLit(s)), Var(kn))
+            yield ("R-Wrap", Let(kn, Compose(CrcLit(c2), k), wrapped))
         case App2(GlobalRef(g), a, k) if is_value(a) and is_value(k) and g in defs:
-            yield ("R-Unfold", "e", App2(defs[g], a, k))
+            yield ("R-Unfold", App2(defs[g], a, k))
         case Let(x, m, n) if is_value(m):
-            yield ("R-Let", "c", substitute(n, {x: m}))
+            yield ("R-Let", substitute(n, {x: m}))
         case Compose(CrcLit(a), CrcLit(b)):
-            yield ("R-Cmp", "c", CrcLit(compose(a, b, Fun2T)))
+            yield ("R-Cmp", CrcLit(compose(a, b, Fun2T)))
         case CrcApp(CoercedVal(u, d), CrcLit(c)):
-            yield ("R-MergeV", "c", CrcApp(u, Compose(CrcLit(d), CrcLit(c))))
+            yield ("R-MergeV", CrcApp(u, Compose(CrcLit(d), CrcLit(c))))
         case CrcApp(u, CrcLit(c)) if is_uncoerced(u):
             match c:
                 case Id() | IdStar():
-                    yield ("R-Id", "c", u)
+                    yield ("R-Id", u)
                 case Fail(_, p, _):
-                    yield ("R-Fail", "c", Blame(p))
+                    yield ("R-Fail", Blame(p))
                 case InjSeq() | Fun():
-                    yield ("R-Crc", "c", CoercedVal(u, c))
+                    yield ("R-Crc", CoercedVal(u, c))
         case If(Const(True), m, _):
-            yield ("R-IfTrue", "e", m)
+            yield ("R-IfTrue", m)
         case If(Const(False), _, n):
-            yield ("R-IfFalse", "e", n)
+            yield ("R-IfFalse", n)
 
 
 def decompose_oracle(

@@ -826,7 +826,6 @@ _COERCED = frozenset((S.CrcApp, CoercedVal))
 _PLAIN = frozenset((S.App, If, X.App2, X.Compose, X.CrcApp))
 # The binders, each with its type-valued fields.
 _BINDERS = {S.Abs: ("var_ty",), X.Abs2: ("var_ty", "k_src"), X.Let: ()}
-_COERCIONS = frozenset((IdStar, Id, ProjSeq, InjSeq, Fun, Fail))
 
 
 def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
@@ -835,32 +834,32 @@ def alpha_eq(m1: TermAny, m2: TermAny) -> bool:
     Rigid type variables must correspond one to one throughout the pair.
     The walk keeps an explicit stack, so deep terms need no recursion.  A
     subtree both sides hold as one object, with no binder in scope, is
-    not walked pair by pair; its rigid variables are checked at the end,
-    and only when the rest of the pair maps some variable.
+    first not walked pair by pair; if that walk maps a rigid variable, the
+    pair is walked again, whole.
     """
     tymap: dict[int, int] = {}
-    shared: list = []
-    return _alpha_walk(m1, m2, tymap, shared) and _shared_fit(shared, tymap)
+    if not _alpha_walk(m1, m2, tymap, True):
+        return False
+    return not tymap or _alpha_walk(m1, m2, {}, False)
 
 
-def _alpha_walk(m1: TermAny, m2: TermAny, tymap: dict[int, int], shared: list) -> bool:
-    """:func:`alpha_eq` of ``m1`` and ``m2`` under ``tymap``, apart from their shared parts.
+def _alpha_walk(m1: TermAny, m2: TermAny, tymap: dict[int, int], skip: bool) -> bool:
+    """:func:`alpha_eq` of ``m1`` and ``m2`` under ``tymap``, which it extends.
 
-    Each subtree (or coercion) both sides hold as one object, outside
-    every binder, is put on ``shared`` and not walked: its free names are
-    the same names on both sides, and whether its rigid variables fit the
-    bijection is left to :func:`_shared_fit`, once the bijection is final.
+    With ``skip``, each subtree (or coercion) both sides hold as one
+    object, outside every binder, is not walked: its free names are the
+    same names on both sides, and its rigid variables, the same variables.
+    So a False stands, and a True holds if ``tymap`` maps no variable, for
+    then the identity on the skipped parts' variables extends it.
     """
     # Each entry is a pair of subterms and the binders in scope, innermost
     # first, as a linked list of (left name, right name, outer binders).
     stack: list = [(m1, m2, None)]
     pop = stack.pop
     push = stack.append
-    defer = shared.append
     while stack:
         a, b, env = pop()
-        if a is b and env is None:
-            defer(a)
+        if a is b and env is None and skip:
             continue
         cls = a.__class__
         if cls is not b.__class__:
@@ -887,9 +886,7 @@ def _alpha_walk(m1: TermAny, m2: TermAny, tymap: dict[int, int], shared: list) -
                 push((getattr(a, k), getattr(b, k), env))
         elif cls in _COERCED:
             c, d = a.crc, b.crc
-            if c is d:
-                defer(c)
-            elif not _crc_eq(c, d, tymap):
+            if not (c is d and skip) and not _crc_eq(c, d, tymap):
                 return False
             push((a.subject, b.subject, env))
         elif cls is Const:
@@ -908,9 +905,7 @@ def _alpha_walk(m1: TermAny, m2: TermAny, tymap: dict[int, int], shared: list) -
                 push((getattr(a, k), getattr(b, k), inner if k == "body" else env))
         elif cls is X.CrcLit:
             c, d = a.crc, b.crc
-            if c is d:
-                defer(c)
-            elif not _crc_eq(c, d, tymap):
+            if not (c is d and skip) and not _crc_eq(c, d, tymap):
                 return False
         elif cls is GlobalRef:
             if a.name != b.name:
@@ -920,42 +915,6 @@ def _alpha_walk(m1: TermAny, m2: TermAny, tymap: dict[int, int], shared: list) -
                 return False
         else:
             return False
-    return True
-
-
-def _shared_fit(shared: list, tymap: dict[int, int]) -> bool:
-    """Whether the rigid variables of the ``shared`` subtrees and coercions fit ``tymap``.
-
-    Both sides of a shared part hold the same variables, so each must map
-    to itself.  With ``tymap`` empty nothing else is mapped, and the
-    identity fits.  Otherwise each variable is checked against ``tymap``,
-    which grows as :func:`_ty_eq` meets new ones; the answer is whether
-    all the pairs form one bijection, so the order does not matter.
-    ``shared`` is used up.
-    """
-    if not tymap:
-        return True
-    seen: set[int] = set()
-    stack = shared
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        t = pop()
-        cls = t.__class__
-        if cls in _COERCIONS:
-            if not _crc_eq(t, t, tymap):
-                return False
-            continue
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        for k in _BINDERS.get(cls, ()):
-            if not _ty_eq(getattr(t, k), getattr(t, k), tymap):
-                return False
-        if cls in _COERCED or cls is X.CrcLit:
-            push(t.crc)
-        for k in cls._kids:
-            push(getattr(t, k))
     return True
 
 
@@ -969,13 +928,18 @@ def alpha_eq_program(p1, p2) -> bool:
         return False
     if len(p1.defs) != len(p2.defs):
         return False
-    tymap: dict[int, int] = {}
-    shared: list = []
-    for a, b in zip(p1.defs, p2.defs):
-        if (
-            a.name != b.name
-            or not _ty_eq(a.ty, b.ty, tymap)
-            or not _alpha_walk(a.fun, b.fun, tymap, shared)
-        ):
+    # as in ``alpha_eq``, a walk that maps a rigid variable is made again, whole
+    for skip in (True, False):
+        tymap: dict[int, int] = {}
+        for a, b in zip(p1.defs, p2.defs):
+            if (
+                a.name != b.name
+                or not _ty_eq(a.ty, b.ty, tymap)
+                or not _alpha_walk(a.fun, b.fun, tymap, skip)
+            ):
+                return False
+        if not _alpha_walk(p1.main, p2.main, tymap, skip):
             return False
-    return _alpha_walk(p1.main, p2.main, tymap, shared) and _shared_fit(shared, tymap)
+        if not tymap:
+            break
+    return True

@@ -350,8 +350,20 @@ def keep_last(fn):
 # Outcomes and the driver loop
 
 
+# The composition rules.  The paper splits reductions into coercion steps
+# ("c"), the steps by these rules, and evaluation steps ("e"), the steps by
+# every other rule: R-Op, R-Beta, R-Wrap, R-Unfold, R-IfTrue, R-IfFalse and
+# E-Abort.  A step's kind is read off its rule, here and nowhere else.
+C_RULES = frozenset(("R-MergeC", "R-MergeV", "R-Id", "R-Fail", "R-Crc", "R-Let", "R-Cmp"))
+
+
+def kind_of(rule: str) -> str:
+    """The kind of a step by ``rule``: "c" for a composition rule, else "e"."""
+    return "c" if rule in C_RULES else "e"
+
+
 class Stepped:
-    """One step: its kind ("e" or "c"), its rule, and the whole term after it.
+    """One step: its rule and the whole term after it; its kind is its rule's.
 
     A stepper can leave ``term`` unbuilt: it keeps the contractum in
     ``_focus`` and its evaluation context in ``_ctx``, and ``term`` is
@@ -359,17 +371,20 @@ class Stepped:
     a late read gives the term an early one would.
     """
 
-    kind: str  # "e" or "c"
     rule: str
     term: Any
+
+    @property
+    def kind(self) -> str:
+        return kind_of(self.rule)
 
 
 Stepped = record(Stepped, extra_slots=("_focus", "_ctx"))
 
 
 _get_term = Stepped.term.__get__
-_set_kind, _set_rule, _set_term, _set_focus, _set_ctx = [
-    getattr(Stepped, k).__set__ for k in ("kind", "rule", "term", "_focus", "_ctx")
+_set_rule, _set_term, _set_focus, _set_ctx = [
+    getattr(Stepped, k).__set__ for k in ("rule", "term", "_focus", "_ctx")
 ]
 _new = object.__new__
 
@@ -402,10 +417,9 @@ def _plugged(s):
 Stepped.term = property(_plugged)
 
 
-def refocused(kind: str, rule: str, focus, ctx) -> Stepped:
+def refocused(rule: str, focus, ctx) -> Stepped:
     """The step that leaves ``focus`` in the context ``ctx``, its term not built yet."""
     s = _new(Stepped)
-    _set_kind(s, kind)
     _set_rule(s, rule)
     _set_term(s, None)
     _set_focus(s, focus)
@@ -422,7 +436,7 @@ def unread(s: Stepped) -> Stepped:
     the step after an unread ``s`` would: a value in the focus returns to
     its frame.
     """
-    return refocused(s.kind, s.rule, s._focus, s._ctx)
+    return refocused(s.rule, s._focus, s._ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +536,11 @@ def claim_memo(memo: dict, defs: dict) -> None:
 class Decomposition:
     path: tuple[int, ...]
     rule: str
-    kind: str
     term: Any  # the full term after firing this redex
+
+    @property
+    def kind(self) -> str:
+        return kind_of(self.rule)
 
 
 def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes) -> list:
@@ -531,10 +548,10 @@ def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes
 
     ``frame_sort(node, i)`` answers the sort of the frame whose hole is
     child ``i``: "plain", "crc" for a pending coercion, or None.
-    ``local_redexes(node, defs)`` yields (rule, kind, contractum) for each
-    rule firing at ``node``.  The grammar's own rules: no coercion frame
-    directly inside another, no ``c`` step directly under one, and a
-    ``blame`` node in a non-empty context aborts it (E-Abort).
+    ``local_redexes(node, defs)`` yields (rule, contractum) for each rule
+    firing at ``node``.  The grammar's own rules: no coercion frame
+    directly inside another, no composition rule fired directly under one,
+    and a ``blame`` node in a non-empty context aborts it (E-Abort).
 
     On closed well-typed non-values exactly one split exists; zero or
     several signal a bug.  The search keeps (node, path, innermost frame's
@@ -549,12 +566,12 @@ def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes
     while stack:
         sub, link, sort = pop()
         if link is not None and sub.__class__ is Blame:
-            out.append(Decomposition(_spell(link), "E-Abort", "e", sub))
-        for rule, kind, red in local_redexes(sub, defs):
-            if kind == "c" and sort == "crc":
+            out.append(Decomposition(_spell(link), "E-Abort", sub))
+        for rule, red in local_redexes(sub, defs):
+            if sort == "crc" and rule in C_RULES:
                 continue
             path = _spell(link)
-            out.append(Decomposition(path, rule, kind, replace(term, path, red)))
+            out.append(Decomposition(path, rule, replace(term, path, red)))
         kids = sub._kids
         for i in range(len(kids) - 1, -1, -1):
             inner = frame_sort(sub, i)

@@ -56,7 +56,10 @@ class CrcT:
 
 @record
 class TyVar:
-    uid: int  # globally unique; minted by the typechecker and never reused
+    # Not unique: ``lam_sx``'s typechecker gives a function body at binder
+    # depth d the answer type TyVar(-1 - d), which sibling bodies share; a
+    # lamsx program names one as 'X<uid>
+    uid: int
 
     def __repr__(self) -> str:
         return f"'X{self.uid}"

@@ -226,25 +226,26 @@ def _count_calls(monkeypatch, owner, name, state_of) -> Counter:
     return counts
 
 
-def _mislabel_revisits(monkeypatch, mods) -> None:
+def _misname_revisits(monkeypatch, mods) -> None:
     """Plant a stepper fault in each of ``mods`` that strikes only at a state
-    the run has been at before: there an e-step comes back labelled a c-step."""
+    the run has been at before: there an e-step comes back named R-Let, a
+    composition rule, so it counts as a c-step."""
     for mod in mods:
         step = mod.step
         seen = set()
 
-        def mislabels(t, defs=None, step=step, seen=seen):
+        def misnames(t, defs=None, step=step, seen=seen):
             r = step(t, defs)
             if r.__class__ is not terms.Stepped:
                 return r
             # read only after the step, so the search it took is the same
             state = t.term if t.__class__ is terms.Stepped else t
             if state in seen and r.kind == "e":
-                return terms.Stepped("c", r.rule, r.term)
+                return terms.Stepped("R-Let", r.term)
             seen.add(state)
             return r
 
-        monkeypatch.setattr(mod, "step", mislabels)
+        monkeypatch.setattr(mod, "step", misnames)
 
 
 class TestEachStateCheckedOnce:
@@ -284,23 +285,23 @@ class TestEachStateCheckedOnce:
 
     def test_a_fault_only_at_revisited_states_is_reported(self, monkeypatch):
         p = surface.parse_program(_LOOP, "lams")
-        _mislabel_revisits(monkeypatch, (S, X))
+        _misname_revisits(monkeypatch, (S, X))
         # each of the 298 steps from a state seen before, on each side
         assert Counter(v.detail for v in invariantSuite(p)) == {
-            "oracle chose R-Unfold, stepper chose R-Unfold": 149,
-            "metric did not decrease on c-step R-Unfold: 20 -> 20": 149,
-            "oracle chose R-Beta, stepper chose R-Beta": 149,
-            "metric did not decrease on c-step R-Beta: 20 -> 20": 149,
-            "target oracle chose R-Unfold, stepper chose R-Unfold": 149,
-            "target oracle chose R-Beta, stepper chose R-Beta": 149,
+            "oracle chose R-Unfold, stepper chose R-Let": 149,
+            "oracle chose R-Beta, stepper chose R-Let": 149,
+            "metric did not decrease on c-step R-Let: 20 -> 20": 298,
+            "target oracle chose R-Unfold, stepper chose R-Let": 149,
+            "target oracle chose R-Beta, stepper chose R-Let": 149,
         }
-        # the simulation takes the target's labels on trust, so the fault
-        # is planted in the source stepper alone
+        # the simulation takes the target's rule names on trust (the oracle
+        # comparison above checks them), so the fault is planted in the
+        # source stepper alone
         monkeypatch.undo()
-        _mislabel_revisits(monkeypatch, (S,))
+        _misname_revisits(monkeypatch, (S,))
         v = simulationCheck(p)
         assert v.kind == "invariant-violation"
-        assert v.detail == "source step 3 (c R-Unfold) not simulated within 8 target steps"
+        assert v.detail == "source step 3 (c R-Let) not simulated within 8 target steps"
 
 
 # One program whose runs take e- and c-steps on both sides: the source
@@ -728,7 +729,7 @@ def _step_without_merging(state, defs=None):
     if not splits:
         return terms.IS_BLAME if t.__class__ is S.Blame else terms.IS_VALUE
     (d,) = splits
-    return terms.Stepped(d.kind, d.rule, d.term)
+    return terms.Stepped(d.rule, d.term)
 
 
 class TestSpaceBench:
@@ -774,3 +775,14 @@ class TestSpaceBench:
     def test_unknown_dialect_is_rejected(self):
         with pytest.raises(ValueError):
             spaceBench(2, "lam")
+
+    @pytest.mark.parametrize("dialect", ["lams", "lamsx"])
+    def test_a_negative_n_is_rejected(self, dialect):
+        # ``odd -3`` would parse as ``odd - 3`` and get stuck
+        with pytest.raises(ValueError, match="^n must be at least 0, got -3$"):
+            spaceBench(-3, dialect)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_a_stride_below_one_is_rejected(self, stride):
+        with pytest.raises(ValueError, match=f"^sample_stride must be at least 1, got {stride}$"):
+            spaceBench(5, "lams", sample_stride=stride)

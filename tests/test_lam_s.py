@@ -106,7 +106,7 @@ class TestTyping:
 
 class TestStep:
     def test_operator_is_an_e_step(self):
-        assert step(parse("1 + 2")) == Stepped("e", "R-Op", Const(3))
+        assert step(parse("1 + 2")) == Stepped("R-Op", Const(3))
 
     def test_beta_substitutes(self):
         r = step(parse("(\\x:Int. x + x) 4"))
@@ -115,7 +115,7 @@ class TestStep:
 
     def test_identity_coercion_drops(self):
         r = step(CrcApp(Const(5), Id(INT)))
-        assert r == Stepped("c", "R-Id", Const(5))
+        assert r == Stepped("R-Id", Const(5))
 
     def test_delayed_coercion_sticks(self):
         r = step(parse("5<Int!>"))
@@ -124,7 +124,7 @@ class TestStep:
 
     def test_failure_coercion_blames(self):
         r = step(CrcApp(Const(5), Fail(INT, "p", BOOL)))
-        assert r == Stepped("c", "R-Fail", Blame("p"))
+        assert r == Stepped("R-Fail", Blame("p"))
 
     def test_adjacent_frames_merge_before_inner_steps(self):
         t = parse("(1 + 2)<Int!><Int?^p>")
@@ -160,7 +160,7 @@ class TestStep:
 
     def test_blame_aborts_the_enclosing_context(self):
         r = step(Op("+", Blame("p"), Const(1)))
-        assert r == Stepped("e", "E-Abort", Blame("p"))
+        assert r == Stepped("E-Abort", Blame("p"))
 
     def test_stuck_term_raises(self):
         with pytest.raises(StuckTerm):
@@ -314,7 +314,7 @@ def unread_run(t, defs=None):
     if one did.  The terms are read only once the run is over.
     """
     steps, pops, stuck = [], [], None
-    r = refocused("e", "start", t, None)
+    r = refocused("start", t, None)
     while True:
         pops.append(
             r._ctx[0]

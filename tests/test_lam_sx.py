@@ -90,12 +90,11 @@ class TestTyping:
 class TestStep:
     def test_composition_runs_eagerly(self):
         t = Compose(CrcLit(inj(INT)), CrcLit(proj(INT)))
-        assert step(t) == Stepped("c", "R-Cmp", CrcLit(Id(INT)))
+        assert step(t) == Stepped("R-Cmp", CrcLit(Id(INT)))
 
     def test_let_substitutes_a_coercion_value(self):
         t = Let("k", CrcLit(inj(INT)), CrcApp(Const(5), Var("k")))
-        assert step(t) == Stepped(
-            "c", "R-Let", CrcApp(Const(5), CrcLit(inj(INT))))
+        assert step(t) == Stepped("R-Let", CrcApp(Const(5), CrcLit(inj(INT))))
 
     def test_let_waits_for_its_bound_term(self):
         t = Let("k", Compose(CrcLit(inj(INT)), CrcLit(proj(INT))), Var("k"))
@@ -104,11 +103,11 @@ class TestStep:
         assert r.term == Let("k", CrcLit(Id(INT)), Var("k"))
 
     def test_identity_coercion_drops(self):
-        assert step(parse("5<id{Int}>")) == Stepped("c", "R-Id", Const(5))
+        assert step(parse("5<id{Int}>")) == Stepped("R-Id", Const(5))
 
     def test_failure_coercion_blames(self):
         t = CrcApp(Const(5), CrcLit(Fail(INT, "p", BOOL)))
-        assert step(t) == Stepped("c", "R-Fail", Blame("p"))
+        assert step(t) == Stepped("R-Fail", Blame("p"))
 
     def test_wrap_binds_the_composed_continuation(self):
         t = parse("(\\ (x:Int, k:Int). x<k>)<Int?^p => Int!>(2<Int!>, id{Dyn})")
@@ -128,7 +127,7 @@ class TestStep:
 
     def test_blame_aborts_the_enclosing_context(self):
         r = step(Op("+", Blame("p"), Const(1)))
-        assert r == Stepped("e", "E-Abort", Blame("p"))
+        assert r == Stepped("E-Abort", Blame("p"))
 
     def test_stuck_term_raises(self):
         with pytest.raises(StuckTerm):
@@ -364,7 +363,7 @@ def unread_run(t, defs=None):
     over, since a read applies the frames' environments.
     """
     steps, pops, stuck = [], [], None
-    r = refocused("e", "start", t, None)
+    r = refocused("start", t, None)
     while True:
         pop = None
         if r.__class__ is Stepped and X.is_value(r._focus) and r._ctx is not None:

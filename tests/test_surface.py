@@ -589,3 +589,13 @@ class TestProgramAlphaEquivalence:
         # main must keep the renaming the signatures made
         p3 = self.program(("'X5", "'X7"), ("'X7", "'X5"), main.format("'X7"))
         assert not alpha_eq_program(p1, p3)
+
+    def test_a_shared_definition_keeps_its_rigid_variables(self):
+        p1 = self.program(("Int", "'X1"), ("Int", "'X1"))
+        # both programs hold one object as f's body, and its 'X1 stands for
+        # itself, so g's 'X1 cannot stand for 'X2
+        for uid, same in (("'X2", False), ("'X1", True)):
+            g = self.program(("Int", "'X1"), ("Int", uid)).defs[1]
+            p2 = X.ProgramX((p1.defs[0], g), p1.main)
+            assert alpha_eq_program(p1, p2) is same
+            assert alpha_eq_program(p2, p1) is same

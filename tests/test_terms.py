@@ -182,6 +182,47 @@ def test_the_shared_syntax_cases_fire_the_shared_rules():
     assert rules == {"R-Op", "R-IfTrue", "R-IfFalse", "E-Abort"}
 
 
+# The paper's rules of each calculus: the evaluation rules both share, and
+# each calculus's composition rules.
+E_RULES = {"R-Op", "R-Beta", "R-Wrap", "R-Unfold", "R-IfTrue", "R-IfFalse", "E-Abort"}
+RULES = {
+    S: E_RULES | {"R-MergeC", "R-MergeV", "R-Id", "R-Fail", "R-Crc"},
+    X: E_RULES | {"R-MergeV", "R-Id", "R-Fail", "R-Crc", "R-Let", "R-Cmp"},
+}
+
+
+def test_the_composition_rules_are_the_seven_c_rules():
+    assert terms.C_RULES == {"R-MergeC", "R-MergeV", "R-Id", "R-Fail", "R-Crc", "R-Let", "R-Cmp"}
+    assert terms.C_RULES == (RULES[S] | RULES[X]) - E_RULES
+    assert len(RULES[S]) == 12 and len(RULES[X]) == 13
+    for rule in RULES[S] | RULES[X]:
+        want = "e" if rule in E_RULES else "c"
+        assert terms.kind_of(rule) == want
+        assert terms.Stepped(rule, S.Const(1)).kind == want
+        assert terms.Decomposition((), rule, S.Const(1)).kind == want
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_steppers_and_oracles_fire_exactly_the_calculus_rules(mod, corpus):
+    """Over the corpus, with every state read, each stepper fires every rule
+    of its calculus and no other, and so does the oracle on those states: a
+    rule missing from the table, or an entry no stepper fires, fails here."""
+    fired, found = set(), set()
+    for p in corpus:
+        if mod is X:
+            p = translate.trans_program(p)
+        defs = p.def_terms()
+
+        def on_step(n, r, defs=defs):
+            fired.add(r.rule)
+            found.update(d.rule for d in mod.decompose_oracle(r.term, defs))
+
+        found.update(d.rule for d in mod.decompose_oracle(p.main, defs))
+        mod.evaluate(p.main, defs, 300, on_step)
+    assert fired == RULES[mod]
+    assert found == RULES[mod]
+
+
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
 def test_the_driver_loop_calls_the_stepper_bound_at_call_time(mod, monkeypatch):
     calls = []
@@ -383,7 +424,7 @@ RECORDS = {
     CrcT: (CrcT(INT, DYN), ("src", "tgt")),
     TyVar: (TyVar(0), ("uid",)),
     AnyT: (ANY, ()),
-    terms.Stepped: (terms.Stepped("e", "R-Op", ONE), ("kind", "rule", "term")),
+    terms.Stepped: (terms.Stepped("R-Op", ONE), ("rule", "term")),
 }
 SAMPLES = [sample for sample, _ in RECORDS.values()]
 SAMPLE_IDS = [cls.__qualname__ for cls in RECORDS]

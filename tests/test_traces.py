@@ -1,15 +1,22 @@
-"""A golden digest of the machines' steps and states.
+"""Golden digests of the machines' steps and states, and of the generated
+programs and their translations.
 
 The (kind, rule, printed state) trace of each run below, and the
 ``spaceBench`` reports, hash to a pinned sha256.  A change to either
 stepper that changes any step or any state, a rule name, a printed term
 or a peak size, changes the digest.  A change that is meant to change the
 states must say so and pin the new digest.
+
+The printed programs the generator draws, and their printed translations,
+hash to a second pinned sha256.  A change to the generator that draws
+another program for any seed, or to the translation that changes a
+translated program, changes it.
 """
 
 import hashlib
 
-from coercion_forge import lam_s, lam_sx, spaceBench, surface, translate
+from coercion_forge import GenConfig, genWellTyped, lam_s, lam_sx, spaceBench, surface, translate
+from coercion_forge.types import BOOL, DYN, INT, FunT
 
 # Computed with the stepper that built each state from its parent node on
 # every pop, before a value returned to a frame fired its node's rule
@@ -51,3 +58,33 @@ def trace_digest(programs) -> str:
 
 def test_the_traces_and_space_reports_match_the_pinned_digest(corpus):
     assert trace_digest(corpus[:60]) == DIGEST
+
+
+# Computed with the generator that built its list of weighted productions
+# at every node and drew with ``weights=``, and the translation that
+# typechecked each program again and read the Tr-rules off ``match`` chains.
+GENERATION_DIGEST = "f6de6d1989c1219d513ad790c46582319f2799398340c41903038b0a43754e82"
+
+
+def generation_digest() -> str:
+    """The printed programs of seeds 0-499 at depths 6 and 8, and of seeds
+    0-49 at target types ``Dyn``, ``Int -> Bool`` and ``Dyn -> Int``, each
+    with its printed translation.
+
+    The target types reach the productions of a function type (``abs`` and
+    the function coercion) and leaves at a function type.
+    """
+    configs = [GenConfig(seed=s, maxDepth=d) for d in (6, 8) for s in range(500)]
+    configs += [
+        GenConfig(seed=s, targetType=t) for t in (DYN, FunT(INT, BOOL), FunT(DYN, INT)) for s in range(50)
+    ]
+    h = hashlib.sha256()
+    for config in configs:
+        p = genWellTyped(config)
+        h.update(surface.print_program(p).encode() + b"\n")
+        h.update(surface.print_program(translate.trans_program(p)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_the_generated_programs_and_translations_match_the_pinned_digest():
+    assert generation_digest() == GENERATION_DIGEST

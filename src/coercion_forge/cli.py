@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--seeds", required=True, help="seed range A..B (inclusive) or a single seed"
     )
-    p_fuzz.add_argument("--depth", type=int, default=6, help="generator depth bound")
+    p_fuzz.add_argument("--depth", type=_nonneg, default=6, help="generator depth bound")
     p_fuzz.set_defaults(handler=cmd_fuzz)
 
     p_bench = sub.add_parser("bench", help="run the even/odd space benchmark")

@@ -8,6 +8,7 @@ and every check reports a replayable witness in surface syntax.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -170,18 +171,19 @@ _ABS_WEIGHT = 0.5
 
 
 def _leaf(rng: random.Random, ty: Type) -> S.TermS:
-    match ty:
-        case Base("Int"):
+    cls = ty.__class__
+    if cls is Base:
+        if ty.name == "Int":
             return S.Const(rng.randint(-4, 9))
-        case Base("Bool"):
+        if ty.name == "Bool":
             return S.Const(rng.random() < 0.5)
-        case Dyn():
-            g = rng.choice((INT, BOOL))
-            inner = _leaf(rng, g)
-            return S.CrcApp(inner, InjSeq(Id(g), g))
-        case FunT(a, b):
-            x = f"x{rng.randint(0, 2)}"
-            return S.Abs(x, a, _leaf(rng, b))
+    elif cls is Dyn:
+        g = rng.choice((INT, BOOL))
+        inner = _leaf(rng, g)
+        return S.CrcApp(inner, InjSeq(Id(g), g))
+    elif cls is FunT:
+        x = f"x{rng.randint(0, 2)}"
+        return S.Abs(x, ty.arg, _leaf(rng, ty.res))
     raise GenerationExhausted(f"no leaf for target type {ty!r}")
 
 
@@ -193,6 +195,34 @@ def _from_dyn(b: Type, lbl: str) -> Coercion:
     return IdStar() if b == DYN else ProjSeq(b, lbl, Id(b))
 
 
+@functools.cache
+def _productions(
+    has_var: bool, base: bool, fun: bool, pooled: bool, has_call: bool
+) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The productions open at a node of one shape, and their cumulative weights.
+
+    The shape says whether a variable of the node's type is in scope,
+    whether the type is ``Base`` or ``FunT``, whether both sides of that
+    ``FunT`` are in ``_ARGPOOL``, and whether a definition returns the type.
+    """
+    weighted: list[tuple[float, str]] = [(1.0, "leaf")]
+    if has_var:
+        weighted.append((1.2, "var"))
+    if base:
+        weighted.append((_OP_WEIGHT, "op"))
+    weighted.append((0.4, "if"))
+    weighted.append((_APP_WEIGHT, "app"))
+    if fun:
+        weighted.append((2.0 + _ABS_WEIGHT, "abs"))
+        if pooled:
+            weighted.append((_COERCION_DENSITY, "funcrc"))
+    else:
+        weighted.append((_COERCION_DENSITY * 2.0, "crc"))
+    if has_call:
+        weighted.append((1.5, "call"))
+    return tuple(k for _, k in weighted), tuple(itertools.accumulate(w for w, _ in weighted))
+
+
 @dataclass
 class _Gen:
     rng: random.Random
@@ -200,72 +230,58 @@ class _Gen:
 
     def term(self, ty: Type, env: dict[str, Type], depth: int) -> S.TermS:
         rng = self.rng
+        # most nodes lie under no binder, and most programs have no definitions
+        vs = [x for x, t in env.items() if t == ty] if env else ()
         if depth <= 0:
-            vs = [x for x, t in env.items() if t == ty]
             if vs and rng.random() < 0.5:
                 return S.Var(rng.choice(vs))
             return _leaf(rng, ty)
 
-        weighted: list[tuple[float, str]] = [(1.0, "leaf")]
-        vs = [x for x, t in env.items() if t == ty]
-        if vs:
-            weighted.append((1.2, "var"))
-        if isinstance(ty, Base):
-            weighted.append((_OP_WEIGHT, "op"))
-        weighted.append((0.4, "if"))
-        weighted.append((_APP_WEIGHT, "app"))
-        if isinstance(ty, FunT):
-            weighted.append((2.0 + _ABS_WEIGHT, "abs"))
-            if ty.arg in _ARGPOOL and ty.res in _ARGPOOL:
-                weighted.append((_COERCION_DENSITY, "funcrc"))
-        else:
-            weighted.append((_COERCION_DENSITY * 2.0, "crc"))
-        calls = [f for f, ft in self.defs.items() if ft.res == ty]
-        if calls:
-            weighted.append((1.5, "call"))
-
-        kinds = [k for _, k in weighted]
-        weights = [w for w, _ in weighted]
-        kind = rng.choices(kinds, weights=weights, k=1)[0]
+        cls = ty.__class__
+        fun = cls is FunT
+        calls = [f for f, ft in self.defs.items() if ft.res == ty] if self.defs else ()
+        kinds, cum_weights = _productions(
+            bool(vs),
+            cls is Base,
+            fun,
+            fun and ty.arg in _ARGPOOL and ty.res in _ARGPOOL,
+            bool(calls),
+        )
+        # the same random() call and bisect as a ``weights=`` draw, so each
+        # seed draws the program it always drew
+        kind = rng.choices(kinds, cum_weights=cum_weights)[0]
         d = depth - 1
-        match kind:
-            case "leaf":
-                return _leaf(rng, ty)
-            case "var":
-                return S.Var(rng.choice(vs))
-            case "op":
-                if ty == INT:
-                    op = rng.choice(("+", "-", "*"))
-                    return S.Op(op, self.term(INT, env, d), self.term(INT, env, d))
-                op = rng.choice(("=", "<"))
+        if kind == "leaf":
+            return _leaf(rng, ty)
+        if kind == "var":
+            return S.Var(rng.choice(vs))
+        if kind == "op":
+            if ty.name == "Int":
+                op = rng.choice(("+", "-", "*"))
                 return S.Op(op, self.term(INT, env, d), self.term(INT, env, d))
-            case "if":
-                return S.If(
-                    self.term(BOOL, env, d), self.term(ty, env, d), self.term(ty, env, d)
-                )
-            case "app":
-                a = rng.choice(_ARGPOOL)
-                return S.App(self.term(FunT(a, ty), env, d), self.term(a, env, d))
-            case "abs":
-                assert isinstance(ty, FunT)
-                x = f"x{len(env)}"
-                return S.Abs(x, ty.arg, self.term(ty.res, {**env, x: ty.arg}, d))
-            case "funcrc":
-                assert isinstance(ty, FunT)
-                c = Fun(_to_dyn(ty.arg), _from_dyn(ty.res, rng.choice(_LABELS)))
-                if c == Fun(IdStar(), IdStar()):
-                    return self.term(FunT(DYN, DYN), env, d)
-                return S.CrcApp(self.term(FunT(DYN, DYN), env, d), c)
-            case "crc":
-                if ty == DYN:
-                    g = rng.choice((INT, BOOL))
-                    return S.CrcApp(self.term(g, env, d), InjSeq(Id(g), g))
-                return S.CrcApp(
-                    self.term(DYN, env, d), ProjSeq(ty, rng.choice(_LABELS), Id(ty))
-                )
-            case "call":
-                f = rng.choice(calls)
-                return S.App(S.GlobalRef(f), self.call_arg(self.defs[f].arg, d))
+            op = rng.choice(("=", "<"))
+            return S.Op(op, self.term(INT, env, d), self.term(INT, env, d))
+        if kind == "if":
+            return S.If(self.term(BOOL, env, d), self.term(ty, env, d), self.term(ty, env, d))
+        if kind == "app":
+            a = rng.choice(_ARGPOOL)
+            return S.App(self.term(FunT(a, ty), env, d), self.term(a, env, d))
+        if kind == "abs":
+            x = f"x{len(env)}"
+            return S.Abs(x, ty.arg, self.term(ty.res, {**env, x: ty.arg}, d))
+        if kind == "funcrc":
+            c = Fun(_to_dyn(ty.arg), _from_dyn(ty.res, rng.choice(_LABELS)))
+            if c == Fun(IdStar(), IdStar()):
+                return self.term(FunT(DYN, DYN), env, d)
+            return S.CrcApp(self.term(FunT(DYN, DYN), env, d), c)
+        if kind == "crc":
+            if cls is Dyn:
+                g = rng.choice((INT, BOOL))
+                return S.CrcApp(self.term(g, env, d), InjSeq(Id(g), g))
+            return S.CrcApp(self.term(DYN, env, d), ProjSeq(ty, rng.choice(_LABELS), Id(ty)))
+        if kind == "call":
+            f = rng.choice(calls)
+            return S.App(S.GlobalRef(f), self.call_arg(self.defs[f].arg, d))
         raise AssertionError(kind)
 
     def call_arg(self, ty: Type, depth: int) -> S.TermS:
@@ -282,7 +298,13 @@ class _Gen:
 
 
 def genWellTyped(config: GenConfig) -> S.ProgramS:
-    """Generate a closed, well-typed source program from the seed alone."""
+    """Generate a closed, well-typed source program from the seed alone.
+
+    Each node draws its production from the table of its shape (see
+    :func:`_productions`).  The program is typechecked before it is
+    returned, and :func:`lam_s.typecheck_program` keeps the derivations,
+    so translating it next checks nothing again.
+    """
     target = config.targetType
     if target is not None and not is_source_type(target):
         raise GenerationExhausted(f"target type {target!r} is not a source type")

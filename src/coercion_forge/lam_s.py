@@ -300,14 +300,31 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
     raise AssertionError(term)
 
 
-def typecheck_program(p: ProgramS) -> terms.Typed:
-    """Check the definitions against their signatures, then the main term."""
+def _check_program(p: ProgramS) -> tuple[tuple[terms.Typed, ...], terms.Typed]:
+    """The derivations of ``p``'s definitions, in order, and of its main term."""
     sigs = p.def_types()
+    defs = []
     for d in p.defs:
         if not isinstance(d.ty, FunT):
             raise TypeCheckError(f"definition {d.name} needs a function signature")
-        typecheck(d.fun, {}, sigs, d.ty)
-    return typecheck(p.main, {}, sigs, None)
+        defs.append(typecheck(d.fun, {}, sigs, d.ty))
+    return tuple(defs), typecheck(p.main, {}, sigs, None)
+
+
+# A program is checked where it is made or read, and then translated: the
+# translation takes the derivations kept here instead of checking it again.
+_derivations = terms.keep_last(_check_program)
+
+
+def typecheck_program(p: ProgramS) -> terms.Typed:
+    """Check the definitions against their signatures, then the main term.
+
+    The derivations of the last program checked are kept, keyed by its
+    identity, so checking the same program again walks nothing.  An equal
+    program that is another object is checked afresh, and an ill-typed
+    one raises at every call, since only answers are kept.
+    """
+    return _derivations(p)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -35,29 +35,36 @@ from .terms import (
 
 
 def psi_type(a: Type) -> Type:
-    match a:
-        case FunT(x, y):
-            return Fun2T(psi_type(x), psi_type(y))
-        case _:
-            return a
+    """Ψ on types: each ``FunT`` becomes ``Fun2T``; ``a`` itself if it has none."""
+    if a.__class__ is not FunT:
+        return a
+    return Fun2T(psi_type(a.arg), psi_type(a.res))
 
 
 def psi_crc(c: Coercion) -> Coercion:
-    match c:
-        case IdStar():
-            return c
-        case Id(a):
-            return Id(psi_type(a))
-        case ProjSeq(g, p, i):
-            return ProjSeq(psi_type(g), p, psi_crc(i))
-        case InjSeq(g, tag):
-            return InjSeq(psi_crc(g), psi_type(tag))
-        case Fun(s, t):
-            return Fun(psi_crc(s), psi_crc(t))
-        case Fail(g, p, h):
-            # failure tags are ground types and must live in the target
-            # calculus for the translated coercion to stay well formed
-            return Fail(psi_type(g), p, psi_type(h))
+    """Ψ on coercions: Ψ on every type inside; ``c`` itself if no part changes."""
+    # dispatch on the node class: this runs on every coercion the
+    # translation meets, and most have no function type inside to change
+    cls = c.__class__
+    if cls is Id:
+        a = c.ty
+        return c if a.__class__ is not FunT else Id(psi_type(a))
+    if cls is InjSeq:
+        g, tag = psi_crc(c.body), psi_type(c.ground)
+        return c if g is c.body and tag is c.ground else InjSeq(g, tag)
+    if cls is ProjSeq:
+        g, i = psi_type(c.ground), psi_crc(c.body)
+        return c if g is c.ground and i is c.body else ProjSeq(g, c.label, i)
+    if cls is IdStar:
+        return c
+    if cls is Fun:
+        s, t = psi_crc(c.arg), psi_crc(c.res)
+        return c if s is c.arg and t is c.res else Fun(s, t)
+    if cls is Fail:
+        # failure tags are ground types and must live in the target
+        # calculus for the translated coercion to stay well formed
+        g, h = psi_type(c.src_tag), psi_type(c.tgt_tag)
+        return c if g is c.src_tag and h is c.tgt_tag else Fail(g, c.label, h)
     raise AssertionError(c)
 
 
@@ -83,13 +90,14 @@ class _NameSupply:
                 return name
 
 
+_NAMED = frozenset((Var, S.Abs, GlobalRef))
+# what :func:`lam_s.is_value` tests, read here without the call at every node
+_VALUES = S._VALUE_CLASSES
+
+
 def _names(nodes: list) -> set[str]:
     """Every variable, binder and definition name of the ``nodes``."""
-    return {
-        m.var if m.__class__ is S.Abs else m.name
-        for m in nodes
-        if m.__class__ in (Var, S.Abs, GlobalRef)
-    }
+    return {m.var if m.__class__ is S.Abs else m.name for m in nodes if m.__class__ in _NAMED}
 
 
 def _all_names(t: S.TermS) -> set[str]:
@@ -100,6 +108,8 @@ def _all_names(t: S.TermS) -> set[str]:
 class Translator:
     """The Tr-rules, over typing derivations of the source calculus.
 
+    ``value``, ``k`` and ``c`` dispatch on the class of the derivation's
+    term, and each Tr-rule is named on the line that applies it.
     ``c`` and ``value`` keep their answers keyed by the derivation, which
     hashes and compares by identity.  A translator serves one program, or
     one run of a program's states: a run's typing memo hands out again the
@@ -131,53 +141,58 @@ class Translator:
         out = self.done.get(v)
         if out is not None:
             return out
-        match v.term:
-            case Const() | Var():
-                out = v.term
-            case GlobalRef(f):
-                out = GlobalRef(self.rename.get(f, f))
-            case S.Abs(x, a, _):
-                body = v.children[0]
-                kv = self.supply.fresh()
-                out = X.Abs2(x, psi_type(a), kv, psi_type(body.ty), self.k(body, Var(kv)))
-            case CoercedVal(_, d):
-                out = CoercedVal(self.value(v.children[0]), psi_crc(d))
-            case _:
-                raise AssertionError(v.term)
+        term = v.term
+        cls = term.__class__
+        if cls is Const or cls is Var:
+            out = term
+        elif cls is S.Abs:
+            body = v.children[0]
+            kv = self.supply.fresh()
+            out = X.Abs2(
+                term.var, psi_type(term.var_ty), kv, psi_type(body.ty), self.k(body, Var(kv))
+            )
+        elif cls is CoercedVal:
+            out = CoercedVal(self.value(v.children[0]), psi_crc(term.crc))
+        elif cls is GlobalRef:
+            out = GlobalRef(self.rename.get(term.name, term.name))
+        else:
+            raise AssertionError(term)
         self.done[v] = out
         return out
 
     def k(self, m: Typed, cont: X.TermX) -> X.TermX:
         term = m.term
-        if S.is_value(term):
+        cls = term.__class__
+        if cls in _VALUES:
             return X.CrcApp(self.value(m), cont)  # Tr-Val
-        match term:
-            case Op(op, _, _):
-                body = Op(op, self.c(m.children[0]), self.c(m.children[1]))
-                if self.optimize_op and _is_identity_lit(cont):
-                    return body
-                return X.CrcApp(body, cont)  # Tr-Op
-            case S.App(_, _):
-                return X.App2(self.c(m.children[0]), self.c(m.children[1]), cont)  # Tr-App
-            case S.CrcApp(_, s):
-                kv = self.supply.fresh()
-                bound = X.Compose(X.CrcLit(psi_crc(s)), cont)
-                return X.Let(kv, bound, self.k(m.children[0], Var(kv)))  # Tr-Crc
-            case Blame():
-                return term  # Tr-Blame
-            case If(_, _, _):
-                ct, mt, nt = m.children
-                return If(self.c(ct), self.k(mt, cont), self.k(nt, cont))  # Tr-If
+        if cls is S.App:
+            return X.App2(self.c(m.children[0]), self.c(m.children[1]), cont)  # Tr-App
+        if cls is Op:
+            body = Op(term.op, self.c(m.children[0]), self.c(m.children[1]))
+            if self.optimize_op and _is_identity_lit(cont):
+                return body
+            return X.CrcApp(body, cont)  # Tr-Op
+        if cls is If:
+            ct, mt, nt = m.children
+            return If(self.c(ct), self.k(mt, cont), self.k(nt, cont))  # Tr-If
+        if cls is S.CrcApp:
+            kv = self.supply.fresh()
+            bound = X.Compose(X.CrcLit(psi_crc(term.crc)), cont)
+            return X.Let(kv, bound, self.k(m.children[0], Var(kv)))  # Tr-Crc
+        if cls is Blame:
+            return term  # Tr-Blame
         raise AssertionError(term)
 
     def c(self, m: Typed) -> X.TermX:
         out = self.done.get(m)
         if out is not None:
             return out
-        if S.is_value(m.term):
+        term = m.term
+        cls = term.__class__
+        if cls in _VALUES:
             out = self.value(m)  # TrC-Val
-        elif isinstance(m.term, S.CrcApp):
-            out = self.k(m.children[0], X.CrcLit(psi_crc(m.term.crc)))  # TrC-Crc
+        elif cls is S.CrcApp:
+            out = self.k(m.children[0], X.CrcLit(psi_crc(term.crc)))  # TrC-Crc
         else:
             out = self.k(m, X.CrcLit(identity_at(psi_type(m.ty))))  # TrC-Else
         self.done[m] = out
@@ -214,24 +229,26 @@ def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
 def _typed_main(p: S.ProgramS) -> Typed:
     """The derivation of ``p``'s main term, its wildcards read as Dyn.
 
-    The main term is checked once more, at the defaulted type, only if
-    a wildcard is left in its type.
+    It is the one :func:`lam_s.typecheck_program` keeps, so a program
+    checked before it is translated is not checked again.  The main term
+    is checked once more, at the defaulted type, only if a wildcard is
+    left in its type.
     """
-    sigs = p.def_types()
-    typed = S.typecheck(p.main, {}, sigs, None)
+    typed = S._derivations(p)[1]
     ty = default_wildcards(typed.ty)
     if ty is not typed.ty:
-        typed = S.typecheck(p.main, {}, sigs, ty)
+        typed = S.typecheck(p.main, {}, p.def_types(), ty)
     return typed
 
 
 def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
-    sigs = p.def_types()
+    """Translate ``p``, from the derivations :func:`lam_s.typecheck_program`
+    keeps: a program checked before, as the generator and the command line
+    check it, is not checked again."""
     rename, avoid = def_rename(p)
     tr = Translator(avoid, rename, optimize_op)
     defs: list[X.DefX] = []
-    for d in p.defs:
-        typed_fun = S.typecheck(d.fun, {}, sigs, d.ty)
+    for d, typed_fun in zip(p.defs, S._derivations(p)[0]):
         fun2 = tr.value(typed_fun)
         assert isinstance(fun2, X.Abs2)
         ty2 = psi_type(d.ty)

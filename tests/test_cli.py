@@ -285,6 +285,14 @@ class TestFuzz:
         assert code == 2
         assert "empty seed range" in err
 
+    def test_negative_depth_exits_two_before_any_run(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["fuzz", "--seeds", "0..3", "--depth", "-1"])
+        assert e.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--depth: must be nonnegative" in err
+
 
 class TestBench:
     def test_report_only(self, capsys):

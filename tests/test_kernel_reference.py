@@ -13,6 +13,11 @@ give the same answers on:
 - every (target state, expected state) pair that ``simulationCheck``
   compares on the first 50 of those programs, those pairs with their annotations turned into rigid type
   variables, and mutated copies of them.
+
+``translate.psi_type`` and ``translate.psi_crc`` dispatch on the node class
+too, and hand back their argument itself when no part of it changes.  They
+must give what the ``match``-based definitions below give on every type in
+those derivations and every coercion in those programs and translations.
 """
 
 from __future__ import annotations
@@ -173,6 +178,33 @@ def ref_alpha_eq(m1, m2) -> bool:
                 return False
 
     return go(m1, m2, ())
+
+
+def ref_psi_type(a: Type) -> Type:
+    match a:
+        case FunT(x, y):
+            return Fun2T(ref_psi_type(x), ref_psi_type(y))
+        case _:
+            return a
+
+
+def ref_psi_crc(c: Coercion) -> Coercion:
+    match c:
+        case IdStar():
+            return c
+        case Id(a):
+            return Id(ref_psi_type(a))
+        case ProjSeq(g, p, i):
+            return ProjSeq(ref_psi_type(g), p, ref_psi_crc(i))
+        case InjSeq(g, tag):
+            return InjSeq(ref_psi_crc(g), ref_psi_type(tag))
+        case Fun(s, t):
+            return Fun(ref_psi_crc(s), ref_psi_crc(t))
+        case Fail(g, p, h):
+            # failure tags are ground types and must live in the target
+            # calculus for the translated coercion to stay well formed
+            return Fail(ref_psi_type(g), p, ref_psi_type(h))
+    raise AssertionError(c)
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +523,58 @@ def test_alpha_eq_agrees_on_mutated_simulation_pairs():
         assert surface.alpha_eq(b2, a) == ref_alpha_eq(b2, a)
         negatives += not want
     assert negatives > len(pairs) // 2
+
+
+def crc_types(c) -> list:
+    """Every type inside the coercion ``c``, with its parts."""
+    out = []
+    for v in field_values(c):
+        if isinstance(v, COERCIONS):
+            out += crc_types(v)
+        elif not isinstance(v, str):
+            out += type_parts(v)
+    return out
+
+
+def has_fun_type(c) -> bool:
+    return any(t.__class__ is FunT for t in crc_types(c))
+
+
+def fun_type_coercions() -> list:
+    """Coercions with a source function type inside, which the corpus
+    programs do not write: the identity at each function type of the
+    derivations, and the injection, projection and failures at the ground
+    function type, alone and under an arrow."""
+    g = FunT(DYN, DYN)
+    out = [Id(t) for t in derivation_types() if t.__class__ is FunT]
+    grounded = [InjSeq(Id(g), g), ProjSeq(g, "p", Id(g)), Fail(g, "p", INT), Fail(INT, "q", g)]
+    out += grounded
+    out += [Fun(IdStar(), c) for c in grounded] + [Fun(c, Id(BOOL)) for c in grounded]
+    return out
+
+
+def test_psi_agrees_with_the_reference_on_every_corpus_type_and_coercion():
+    crcs = corpus_coercions() + fun_type_coercions()
+    tys = set(derivation_types())
+    for c in crcs:
+        tys.update(crc_types(c))
+    assert any(t.__class__ is FunT for t in tys)
+    for t in tys:
+        assert translate.psi_type(t) == ref_psi_type(t), t
+        if t.__class__ is not FunT:
+            assert translate.psi_type(t) is t, t
+    for c in crcs:
+        assert translate.psi_crc(c) == ref_psi_crc(c), c
+
+
+def test_psi_hands_back_every_coercion_with_no_function_type_inside():
+    crcs = corpus_coercions()
+    plain = [c for c in crcs if not has_fun_type(c)]
+    # every coercion the corpus programs and translations write, arrow
+    # coercions among them
+    assert plain == crcs
+    assert any(c.__class__ is Fun for c in plain)
+    for c in plain:
+        assert translate.psi_crc(c) is c, c
+    for c in fun_type_coercions():
+        assert has_fun_type(c) and not has_fun_type(translate.psi_crc(c)), c

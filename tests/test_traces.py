@@ -75,9 +75,8 @@ def generation_digest() -> str:
     the function coercion) and leaves at a function type.
     """
     configs = [GenConfig(seed=s, maxDepth=d) for d in (6, 8) for s in range(500)]
-    configs += [
-        GenConfig(seed=s, targetType=t) for t in (DYN, FunT(INT, BOOL), FunT(DYN, INT)) for s in range(50)
-    ]
+    targets = (DYN, FunT(INT, BOOL), FunT(DYN, INT))
+    configs += [GenConfig(seed=s, targetType=t) for t in targets for s in range(50)]
     h = hashlib.sha256()
     for config in configs:
         p = genWellTyped(config)

@@ -1,5 +1,8 @@
 """Tests for the coercion-passing translation between the two calculi."""
 
+import pytest
+
+from coercion_forge import GenConfig, genWellTyped, invariantSuite
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import surface
@@ -194,3 +197,58 @@ class TestSubstitution:
         substituted_first = trans_term(typed("(7 + 1)<Int!>"), cont)
         substituted_after = X.substitute(translated, {"x": X.Const(7)})
         assert surface.alpha_eq(substituted_first, substituted_after)
+
+
+class TestOneTypecheckPerProgram:
+    """``trans_program`` takes the derivations ``lam_s.typecheck_program``
+    keeps, so a program checked before it is translated is not checked
+    again."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The terms ``lam_s.typecheck`` is called on without a typing memo."""
+        checked = []
+        typecheck = S.typecheck
+
+        def counting(term, env=None, defs=None, expected=None, memo=None):
+            if memo is None:
+                checked.append(term)
+            return typecheck(term, env, defs, expected, memo)
+
+        monkeypatch.setattr(S, "typecheck", counting)
+        return checked
+
+    def test_a_generated_program_is_checked_once(self, checked):
+        p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        assert len(p.defs) == 2
+        px = trans_program(p)
+        want = [d.fun for d in p.defs] + [p.main]
+        assert len(checked) == len(want)
+        assert all(a is b for a, b in zip(checked, want))
+        # the same translation as from a fresh check
+        q = S.ProgramS(p.defs, p.main)
+        assert surface.print_program(trans_program(q)) == surface.print_program(px)
+
+    def test_an_equal_program_that_is_another_object_is_checked_afresh(self, checked):
+        p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        q = S.ProgramS(p.defs, p.main)
+        assert q == p and q is not p
+        checked.clear()
+        trans_program(q)
+        assert [t is p.main for t in checked] == [False, False, True]
+
+    def test_an_ill_typed_program_raises_at_every_call(self, checked):
+        p = S.ProgramS((), parse_s("1 + true"))
+        for n in (1, 2):
+            with pytest.raises(S.TypeCheckError, match="expected Int, found Bool"):
+                trans_program(p)
+            assert len(checked) == n
+
+    def test_invariant_suite_checks_the_source_program_once(self, checked):
+        p = genWellTyped(GenConfig(seed=6, maxDepth=8))
+        # the answer kept now is another program's
+        S.typecheck_program(S.ProgramS(p.defs, p.main))
+        checked.clear()
+        assert invariantSuite(p, max_states=5) == []
+        # by the check of the source run; its translation takes that answer
+        assert sum(t is p.main for t in checked) == 1

@@ -394,20 +394,6 @@ def differentialRun(p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None
 # Simulation checking
 
 
-def _given(r, i: int, is_value):
-    """What the step after ``r``, the ``i``-th step of its run, is given.
-
-    A run whose observer reads every state gives the next step a read
-    step, whose search starts at the parent the read built; a run with no
-    observer gives it an unread one, and a value in its focus returns to
-    its frame.  The checks read every state, so after odd ``i`` a step
-    that left a value (``is_value``, the calculus's own) is given unread,
-    and the checks take both searches by turns.  Call it before reading
-    ``r``.
-    """
-    return unread(r) if i % 2 and is_value(r._focus) else r
-
-
 def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = None) -> Verdict:
     """Check the step-for-step simulation of a source run by its translation.
 
@@ -415,10 +401,11 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     administrative c-steps, and each source c-step by c-steps only, in
     both cases landing on the translation of the next source state.
     Each step is given the step before, as :func:`terms.evaluate` gives
-    it, so the check runs the steppers the way every run does: read, as
-    an observer of every state leaves it, or unread (:func:`_given`).  A
-    source state that does not typecheck has no translation to land on,
-    and is reported as a failure of preservation.
+    it, so the check runs the steppers the way every run does: by turns
+    read, as an observer of every state leaves it, and unread
+    (:func:`terms.unread`, made before the read), as a run with no
+    observer leaves it.  A source state that does not typecheck has no
+    translation to land on, and is reported as a failure of preservation.
 
     Each distinct source state is translated once per run: a state the run
     comes back to, as a diverging run does, reuses its translation.  The
@@ -439,7 +426,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
         r = S.step(cur_s, sdefs)
         if isinstance(r, (IsValue, IsBlame)):
             break
-        given = _given(r, i, S.is_value)
+        given = unread(r) if i % 2 else r
         nxt_s = r.term
         expected = translated.get(nxt_s)
         if expected is None:
@@ -462,7 +449,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
                 if e_budget == 0:
                     break
                 e_budget -= 1
-            at = _given(rx, used, X.is_value)
+            at = unread(rx) if used % 2 else rx
             t = rx.term
             used += 1
             if surface.alpha_eq(t, expected):
@@ -581,13 +568,14 @@ def _check_run(
     if err is not None:
         return err
     for i in range(max_states):
-        # given the step before, as every run gives it
+        # given the step before, read and unread by turns, as
+        # :func:`simulationCheck` gives it
         r = mod.step(at, defs)
         if isinstance(r, (IsValue, IsBlame)):
             if oracle:
                 report(f"oracle found a redex in a terminal {side}state")
             break
-        at = _given(r, i, mod.is_value)
+        at = unread(r) if i % 2 else r
         if len(oracle) != 1:
             report(f"{side}oracle found {len(oracle)} redexes, want exactly 1")
         elif oracle[0].rule != r.rule or oracle[0].term != r.term:

@@ -922,24 +922,18 @@ def alpha_eq_program(p1, p2) -> bool:
     """:func:`alpha_eq` of two programs, definition by definition, then ``main``.
 
     Rigid type variables are global to a program, so one bijection spans
-    the signatures, the definitions and ``main``.
+    the signatures, the definitions and ``main``, and each is walked whole.
     """
     if isinstance(p1, S.ProgramS) != isinstance(p2, S.ProgramS):
         return False
     if len(p1.defs) != len(p2.defs):
         return False
-    # as in ``alpha_eq``, a walk that maps a rigid variable is made again, whole
-    for skip in (True, False):
-        tymap: dict[int, int] = {}
-        for a, b in zip(p1.defs, p2.defs):
-            if (
-                a.name != b.name
-                or not _ty_eq(a.ty, b.ty, tymap)
-                or not _alpha_walk(a.fun, b.fun, tymap, skip)
-            ):
-                return False
-        if not _alpha_walk(p1.main, p2.main, tymap, skip):
+    tymap: dict[int, int] = {}
+    for a, b in zip(p1.defs, p2.defs):
+        if (
+            a.name != b.name
+            or not _ty_eq(a.ty, b.ty, tymap)
+            or not _alpha_walk(a.fun, b.fun, tymap, False)
+        ):
             return False
-        if not tymap:
-            break
-    return True
+    return _alpha_walk(p1.main, p2.main, tymap, False)

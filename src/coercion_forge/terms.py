@@ -434,8 +434,10 @@ def unread(s: Stepped) -> Stepped:
     Reading a step's term moves its focus to the parent the plug built, so
     the step after it starts there.  The step after the twin starts where
     the step after an unread ``s`` would: a value in the focus returns to
-    its frame.
+    its frame.  A step built whole, with no focus, is its own twin.
     """
+    if s._focus is None:
+        return s
     return refocused(s.rule, s._focus, s._ctx)
 
 
@@ -452,6 +454,15 @@ def unread(s: Stepped) -> Stepped:
 # its refill reads: ``lam_sx`` keeps there the node with the environment
 # its other children are under, and its innermost frame may apply an
 # environment to the focus alone.
+
+
+def _depth(ctx) -> int:
+    """The number of frames of the context ``ctx``."""
+    depth = 0
+    while ctx is not None:
+        ctx = ctx[2]
+        depth += 1
+    return depth
 
 
 def op_left(n, t):
@@ -492,12 +503,8 @@ class StuckTerm(Exception):
         ``sub``, so it costs the same at any depth; printing the term would
         recurse once per level.
         """
-        depth = 0
-        while ctx is not None:
-            ctx = ctx[2]
-            depth += 1
         kids = ", ".join([getattr(sub, k).__class__.__name__ for k in sub._kids])
-        return cls(f"no rule applies to {sub.__class__.__name__}({kids}) at depth {depth}")
+        return cls(f"no rule applies to {sub.__class__.__name__}({kids}) at depth {_depth(ctx)}")
 
 
 class Typed:
@@ -608,12 +615,21 @@ def evaluate(
     that name is seen here.  After the first step, ``step`` is given the
     :class:`Stepped` before instead of its term, so it goes on from the
     focus and context that step left.  A state's term is built only when
-    something reads it: ``on_step``, the cycle check at every 64th state,
-    and the outcome's final state.
+    something reads it: ``on_step``, the cycle check, and the outcome's
+    final state.
+
+    The cycle check reads the 64th state, then each state ``max(64,
+    depth)`` steps after the last one read, ``depth`` being the frames of
+    that one's context: a read rebuilds them, so the check's work stays
+    linear in the steps on deep states.  A repeated state proves
+    divergence; in a cycle the gap depends on the position modulo the
+    period alone, so the positions read come back to one read before.
     """
     defs = dict(defs) if defs else {}
     seen: set = set()
     n = 0
+    # the step whose state the cycle check reads next; n never falls on 0
+    check_at = 64 if detect_cycles else 0
     state = term
     while True:
         r = step(state, defs)
@@ -628,13 +644,13 @@ def evaluate(
         n += 1
         if on_step is not None:
             on_step(n, r)
-        # A repeated state proves divergence, so any fuel would run out.
-        # Sampling every 64th state keeps the hashing cost negligible.
-        if detect_cycles and n % 64 == 0:
+        if n == check_at:
+            gap = max(64, _depth(r._ctx))
             t = r.term
             if t in seen:
                 return EvalOutcome("diverges", t, n)
             seen.add(t)
+            check_at = n + gap
 
 
 def _term_of(state):

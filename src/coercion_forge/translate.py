@@ -30,7 +30,6 @@ from .terms import (
     Typed,
     Var,
     walk,
-    walk_unseen,
 )
 
 
@@ -95,14 +94,9 @@ _NAMED = frozenset((Var, S.Abs, GlobalRef))
 _VALUES = S._VALUE_CLASSES
 
 
-def _names(nodes: list) -> set[str]:
-    """Every variable, binder and definition name of the ``nodes``."""
-    return {m.var if m.__class__ is S.Abs else m.name for m in nodes if m.__class__ in _NAMED}
-
-
 def _all_names(t: S.TermS) -> set[str]:
     """Every variable, binder and definition name in ``t``."""
-    return _names(walk(t))
+    return {m.var if m.__class__ is S.Abs else m.name for m in walk(t) if m.__class__ in _NAMED}
 
 
 class Translator:
@@ -127,15 +121,10 @@ class Translator:
         self.optimize_op = optimize_op
         # derivation -> its translation
         self.done: dict[Typed, X.TermX] = {}
-        # id(node) -> node, for the nodes whose names the supply already avoids
-        self.named: dict = {}
 
     def avoid_names(self, t: S.TermS) -> None:
-        """Make the supply avoid the names of ``t``, walking only the nodes
-        that no term given before had."""
-        new = walk_unseen(t, self.named)
-        self.supply.avoid |= _names(new)
-        self.named.update([(id(m), m) for m in new])
+        """Make the supply avoid the names of ``t``."""
+        self.supply.avoid |= _all_names(t)
 
     def value(self, v: Typed) -> X.TermX:
         out = self.done.get(v)

@@ -60,3 +60,23 @@ def pop_fault(monkeypatch):
             return r
 
         monkeypatch.setattr(mod, "_if", keeps_else)
+
+
+@pytest.fixture
+def env_lookup_fault(monkeypatch):
+    """Plant a fault in ``lam_sx``'s lookup under an environment: a
+    variable bound to an integer ``n`` stands for ``n + 1``.
+
+    Only the search of a step given unread goes on under an environment; a
+    read applies the pending environments by substitution, which the fault
+    does not touch.
+    """
+    value = lam_sx._value
+
+    def off_by_one(v, env):
+        out = value(v, env)
+        if v.__class__ is terms.Var and out.__class__ is terms.Const and out.val.__class__ is int:
+            return terms.Const(out.val + 1)
+        return out
+
+    monkeypatch.setattr(lam_sx, "_value", off_by_one)

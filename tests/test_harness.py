@@ -184,6 +184,14 @@ class TestSimulationAndInvariants:
         failed = [v for v in verdicts if v.kind != "agree"]
         assert failed and all("(e R-IfTrue) not simulated" in v.detail for v in failed)
 
+    def test_a_fault_in_the_lookup_under_an_environment_is_caught(self, env_lookup_fault, corpus):
+        # the checks give every other step the one before unread, so the
+        # target's search goes on under the environments R-Beta and R-Let
+        # start; the oracle sees the state read, with no environment
+        reports = [v for p in corpus[:100] for v in invariantSuite(p)]
+        assert reports
+        assert all(v.detail.startswith("target oracle chose") for v in reports)
+
 
 # A run that never ends: from the third state on, the source and its
 # translation each come back to their states with period 2.
@@ -193,8 +201,8 @@ _LOOP = r"letrec loop (x:Int) : Int = loop x in (\x0:Int. 4<Int!>) (loop 2)<Int?
 def _record_steps(monkeypatch, mod) -> list:
     """Record every ``Stepped`` that ``mod.step`` returns from now on.
 
-    The steps are kept unread: the check reads each one after ``_given``
-    has decided what the next step is given.
+    The steps are kept unread: the check reads each one after it has
+    decided what the next step is given.
     """
     steps = []
     step = mod.step

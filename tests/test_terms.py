@@ -1,11 +1,13 @@
 """The node protocol both calculi share: children, binders and the walks
-derived from them, constant equality, the shared driver loop, and the
-records that terms, coercions, types and step results are."""
+derived from them, constant equality, the shared driver loop, the
+typing rejections both calculi share, and the records that terms,
+coercions, types and step results are."""
 
 import copy
 import dataclasses
 import functools
 import pickle
+import re
 import time
 import typing
 
@@ -264,6 +266,53 @@ def test_the_driver_loop_shows_the_states_of_the_public_stepper(mod, corpus):
             assert mod.step(t, defs) == (terms.IS_VALUE if out.kind == "value" else terms.IS_BLAME)
 
 
+def rejection(mod, message: str):
+    """``pytest.raises`` for the calculus's typing error with exactly ``message``."""
+    return pytest.raises(mod.TypeCheckError, match=f"^{re.escape(message)}$")
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_typecheckers_reject_an_unknown_constant(mod):
+    with rejection(mod, "unknown constant '1'"):
+        mod.typecheck(mod.Const("1"))
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_typecheckers_reject_an_unknown_operator(mod):
+    with rejection(mod, "unknown operator /"):
+        mod.typecheck(mod.Op("/", mod.Const(1), mod.Const(2)))
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_typecheckers_reject_an_unbound_variable(mod):
+    with rejection(mod, "unbound variable y"):
+        mod.typecheck(mod.Var("y"))
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_typecheckers_reject_an_unknown_definition(mod):
+    with rejection(mod, "unknown definition f"):
+        mod.typecheck(mod.GlobalRef("f"))
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_typecheckers_reject_a_definition_without_a_function_signature(mod):
+    if mod is S:
+        p = S.ProgramS((S.DefS("f", INT, S.Abs("x", INT, S.Var("x"))),), S.Const(0))
+    else:
+        fun = X.Abs2("x", INT, "k", INT, X.CrcApp(X.Var("x"), X.Var("k")))
+        p = X.ProgramX((X.DefX("f", INT, fun),), X.Const(0))
+    with rejection(mod, "definition f needs a function signature"):
+        mod.typecheck_program(p)
+
+
+def test_unread_gives_back_a_step_built_whole():
+    # a step made by the constructor has no focus or context to go on from,
+    # so the checks may hand it on unread
+    r = terms.Stepped("R-Op", S.Const(3))
+    assert terms.unread(r) is r
+
+
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
 def test_a_run_reports_a_stuck_state_at_the_depth_a_step_from_the_root_does(mod):
     # the value 1 + 2 steps to fills its frame's hole, and that frame's node is stuck
@@ -321,16 +370,52 @@ def test_terms_ten_thousand_deep_compare_and_hash(mod):
 
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
 def test_cycle_detection_hashes_states_ten_thousand_deep(mod):
-    # The cycle check builds every 64th state whole and hashes its new
-    # spine, so running the deep sum itself under it would cost about its
-    # depth squared over 64.  It sits in the branch not taken, while 130
-    # additions in the condition run past two sampled states.
+    # The cycle check builds the states it reads whole and hashes them.
+    # The deep sum sits in the branch not taken, while 130 additions in the
+    # condition run past the state read at step 64, which holds it.
     cond = mod.Const(1)
     for _ in range(130):
         cond = mod.Op("+", cond, mod.Const(1))
     t = mod.If(mod.Op("=", cond, mod.Const(131)), mod.Const(0), left_sum(mod))
     out = mod.evaluate(t, detect_cycles=True)
     assert (out.kind, out.term, out.steps) == ("value", mod.Const(0), 132)
+
+
+class _ReadTooMuch(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+def test_the_cycle_check_reads_nodes_linear_in_the_steps(mod, monkeypatch):
+    # The first step builds the start state whole.  After each state it
+    # reads, the check skips as many steps as that state's context has
+    # frames, here about half the state's nodes, so the nodes read stay
+    # within a few per step.  Read every 64th step, the states of the sum
+    # would add up to about DEEP**2 / 64 nodes; the run is stopped once
+    # the nodes read pass the bound, so such a check fails at once.
+    bound = 6 * DEEP
+    read = [0, 0]  # states read, and their nodes
+    plugged = terms.Stepped.term.fget
+
+    def counting(s):
+        fresh = terms._get_term(s) is None
+        t = plugged(s)
+        if fresh:
+            read[0] += 1
+            read[1] += len(terms.walk(t))
+            if read[1] > bound:
+                raise _ReadTooMuch
+        return t
+
+    monkeypatch.setattr(terms.Stepped, "term", property(counting))
+    try:
+        out = mod.evaluate(left_sum(mod), detect_cycles=True)
+    except (RecursionError, _ReadTooMuch):
+        # reported outside the handler: pytest's report of an error raised
+        # among deep terms takes minutes
+        out = None
+    assert out is not None, f"the check read {read[1]} nodes in {read[0]} states"
+    assert (out.kind, out.term, out.steps) == ("value", mod.Const(DEEP + 1), DEEP)
 
 
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])

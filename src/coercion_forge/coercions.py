@@ -86,48 +86,48 @@ class CompositionTypeMismatch(Exception):
 
 
 def is_identity(c: Coercion) -> bool:
-    return isinstance(c, (IdStar, Id))
+    cls = c.__class__
+    return cls is IdStar or cls is Id
 
 
 def identity_type(c: Coercion) -> Type:
     return DYN if isinstance(c, IdStar) else c.ty  # type: ignore[union-attr]
 
 
-def is_delayed(c: Coercion) -> bool:
-    """Delayed coercions are the ones stored on coerced values."""
-    return isinstance(c, (InjSeq, Fun))
+# The delayed coercions, the ones stored on coerced values.
+DELAYED_CLASSES = frozenset((InjSeq, Fun))
 
 
 def is_ground_crc(c: Coercion, fun_ctor: type) -> bool:
-    match c:
-        case Id():
-            return True
-        case Fun(arg, res):
-            if is_identity(arg) and is_identity(res):
-                return False
-            return is_canonical(arg, fun_ctor) and is_canonical(res, fun_ctor)
-        case _:
+    # the shape tests dispatch on the class: the checks ask them of every
+    # coercion of every state
+    cls = c.__class__
+    if cls is Id:
+        return True
+    if cls is Fun:
+        arg, res = c.arg, c.res
+        if is_identity(arg) and is_identity(res):
             return False
+        return is_canonical(arg, fun_ctor) and is_canonical(res, fun_ctor)
+    return False
 
 
 def is_intermediate(c: Coercion, fun_ctor: type) -> bool:
-    match c:
-        case InjSeq(body, g):
-            return is_ground(g, fun_ctor) and is_ground_crc(body, fun_ctor)
-        case Fail(g, _, h):
-            return is_ground(g, fun_ctor) and is_ground(h, fun_ctor)
-        case _:
-            return is_ground_crc(c, fun_ctor)
+    cls = c.__class__
+    if cls is InjSeq:
+        return is_ground(c.ground, fun_ctor) and is_ground_crc(c.body, fun_ctor)
+    if cls is Fail:
+        return is_ground(c.src_tag, fun_ctor) and is_ground(c.tgt_tag, fun_ctor)
+    return is_ground_crc(c, fun_ctor)
 
 
 def is_canonical(c: Coercion, fun_ctor: type) -> bool:
-    match c:
-        case IdStar():
-            return True
-        case ProjSeq(g, _, body):
-            return is_ground(g, fun_ctor) and is_intermediate(body, fun_ctor)
-        case _:
-            return is_intermediate(c, fun_ctor)
+    cls = c.__class__
+    if cls is IdStar:
+        return True
+    if cls is ProjSeq:
+        return is_ground(c.ground, fun_ctor) and is_intermediate(c.body, fun_ctor)
+    return is_intermediate(c, fun_ctor)
 
 
 def size(c: Coercion) -> int:
@@ -152,79 +152,67 @@ def mk_fun(arg: Coercion, res: Coercion, fun_ctor: type) -> Coercion:
 
 def compose(s: Coercion, t: Coercion, fun_ctor: type) -> Coercion:
     """Eager composition; the form of ``s`` selects the rule."""
-    match s:
-        case IdStar():  # CC-IdDynL
-            return t
-        case ProjSeq(g, p, i):  # CC-ProjL
-            return ProjSeq(g, p, compose(i, t, fun_ctor))
-        case Fail():  # CC-FailL
+    # dispatch on the classes: both steppers compose at every merge
+    cls = s.__class__
+    if cls is IdStar:  # CC-IdDynL
+        return t
+    if cls is ProjSeq:  # CC-ProjL
+        return ProjSeq(s.ground, s.label, compose(s.body, t, fun_ctor))
+    if cls is Fail:  # CC-FailL
+        return s
+    tcls = t.__class__
+    if cls is InjSeq:
+        if tcls is IdStar:  # CC-InjId
             return s
-        case InjSeq(g, gt):
-            match t:
-                case IdStar():  # CC-InjId
-                    return s
-                case ProjSeq(ht, p, i):
-                    if gt == ht:  # CC-Collapse
-                        return compose(g, i, fun_ctor)
-                    return Fail(gt, p, ht)  # CC-Conflict
-                case _:
-                    raise CompositionTypeMismatch(f"{s} ; {t}")
-        case Id() | Fun():
-            match t:
-                case Fail():  # CC-FailR
-                    return t
-                case InjSeq(h, ht):  # CC-InjR
-                    return InjSeq(compose(s, h, fun_ctor), ht)
-                case Id() if isinstance(s, Id):  # CC-IdL
-                    return t
-                case Id():  # CC-IdR
-                    return s
-                case Fun() if isinstance(s, Id):  # CC-IdL
-                    return t
-                case Fun(s2, t2) if isinstance(s, Fun):  # CC-Fun
-                    return mk_fun(
-                        compose(s2, s.arg, fun_ctor),
-                        compose(s.res, t2, fun_ctor),
-                        fun_ctor,
-                    )
-                case _:
-                    raise CompositionTypeMismatch(f"{s} ; {t}")
-    raise AssertionError(s)
+        if tcls is ProjSeq:
+            if s.ground == t.ground:  # CC-Collapse
+                return compose(s.body, t.body, fun_ctor)
+            return Fail(s.ground, t.label, t.ground)  # CC-Conflict
+        raise CompositionTypeMismatch(f"{s} ; {t}")
+    if cls is not Id and cls is not Fun:
+        raise AssertionError(s)
+    if tcls is Fail:  # CC-FailR
+        return t
+    if tcls is InjSeq:  # CC-InjR
+        return InjSeq(compose(s, t.body, fun_ctor), t.ground)
+    if cls is Id and (tcls is Id or tcls is Fun):  # CC-IdL
+        return t
+    if tcls is Id:  # CC-IdR
+        return s
+    if tcls is Fun:  # CC-Fun
+        return mk_fun(compose(t.arg, s.arg, fun_ctor), compose(s.res, t.res, fun_ctor), fun_ctor)
+    raise CompositionTypeMismatch(f"{s} ; {t}")
 
 
 def crc_source(c: Coercion, fun_ctor: type) -> Type:
     """Source type; ``ANY`` where a failure leaves it unconstrained."""
-    match c:
-        case IdStar():
-            return DYN
-        case Id(a):
-            return a
-        case ProjSeq():
-            return DYN
-        case InjSeq(body, _):
-            return crc_source(body, fun_ctor)
-        case Fun(arg, res):
-            return fun_ctor(crc_target(arg, fun_ctor), crc_source(res, fun_ctor))
-        case Fail():
-            return ANY
+    cls = c.__class__
+    if cls is Id:
+        return c.ty
+    if cls is IdStar or cls is ProjSeq:
+        return DYN
+    if cls is InjSeq:
+        return crc_source(c.body, fun_ctor)
+    if cls is Fun:
+        return fun_ctor(crc_target(c.arg, fun_ctor), crc_source(c.res, fun_ctor))
+    if cls is Fail:
+        return ANY
     raise AssertionError(c)
 
 
 def crc_target(c: Coercion, fun_ctor: type) -> Type:
     """Target type; ``ANY`` where a failure leaves it unconstrained."""
-    match c:
-        case IdStar():
-            return DYN
-        case Id(a):
-            return a
-        case ProjSeq(_, _, body):
-            return crc_target(body, fun_ctor)
-        case InjSeq():
-            return DYN
-        case Fun(arg, res):
-            return fun_ctor(crc_source(arg, fun_ctor), crc_target(res, fun_ctor))
-        case Fail():
-            return ANY
+    cls = c.__class__
+    if cls is Id:
+        return c.ty
+    if cls is IdStar or cls is InjSeq:
+        return DYN
+    if cls is ProjSeq:
+        return crc_target(c.body, fun_ctor)
+    if cls is Fun:
+        return fun_ctor(crc_source(c.arg, fun_ctor), crc_target(c.res, fun_ctor))
+    if cls is Fail:
+        return ANY
     raise AssertionError(c)
 
 
@@ -238,47 +226,50 @@ def check_crc(c: Coercion, src: Type, fun_ctor: type) -> Type:
     ``src`` may contain the wildcard; failures accept any consistent
     non-dynamic source and return a wildcard target.
     """
-    match c:
-        case IdStar():
-            if not matches(src, DYN):
-                raise CoercionTypeError(f"id at Dyn applied to {src!r}")
-            return DYN
-        case Id(a):
-            if not matches(src, a):
-                raise CoercionTypeError(f"id at {a!r} applied to {src!r}")
-            return a
-        case ProjSeq(g, _, body):
-            if not is_ground(g, fun_ctor):
-                raise CoercionTypeError(f"projection tag {g!r} is not ground")
-            if not matches(src, DYN):
-                raise CoercionTypeError(f"projection applied to {src!r}")
-            return check_crc(body, g, fun_ctor)
-        case InjSeq(body, g):
-            if not is_ground(g, fun_ctor):
-                raise CoercionTypeError(f"injection tag {g!r} is not ground")
-            mid = check_crc(body, src, fun_ctor)
-            if not matches(mid, g):
-                raise CoercionTypeError(f"injection of {mid!r} at tag {g!r}")
-            return DYN
-        case Fun(arg, res):
-            if isinstance(src, AnyT):
-                src = fun_ctor(ANY, ANY)
-            if not isinstance(src, fun_ctor):
-                raise CoercionTypeError(f"arrow coercion applied to {src!r}")
-            arg_tgt = crc_target(arg, fun_ctor)
-            if not matches(arg_tgt, src.arg):
-                raise CoercionTypeError(
-                    f"arrow argument expects {arg_tgt!r}, got {src.arg!r}"
-                )
-            check_crc(arg, crc_source(arg, fun_ctor), fun_ctor)
-            res_tgt = check_crc(res, src.res, fun_ctor)
-            return fun_ctor(crc_source(arg, fun_ctor), res_tgt)
-        case Fail(g, _, h):
-            if not (is_ground(g, fun_ctor) and is_ground(h, fun_ctor)):
-                raise CoercionTypeError(f"failure tags {g!r}, {h!r} not ground")
-            if src == DYN:
-                raise CoercionTypeError("failure coercion has a non-dynamic source")
-            if not consistent(src, g):
-                raise CoercionTypeError(f"failure source {src!r} not consistent with {g!r}")
-            return ANY
+    cls = c.__class__
+    if cls is IdStar:
+        if not matches(src, DYN):
+            raise CoercionTypeError(f"id at Dyn applied to {src!r}")
+        return DYN
+    if cls is Id:
+        a = c.ty
+        if not matches(src, a):
+            raise CoercionTypeError(f"id at {a!r} applied to {src!r}")
+        return a
+    if cls is ProjSeq:
+        g = c.ground
+        if not is_ground(g, fun_ctor):
+            raise CoercionTypeError(f"projection tag {g!r} is not ground")
+        if not matches(src, DYN):
+            raise CoercionTypeError(f"projection applied to {src!r}")
+        return check_crc(c.body, g, fun_ctor)
+    if cls is InjSeq:
+        g = c.ground
+        if not is_ground(g, fun_ctor):
+            raise CoercionTypeError(f"injection tag {g!r} is not ground")
+        mid = check_crc(c.body, src, fun_ctor)
+        if not matches(mid, g):
+            raise CoercionTypeError(f"injection of {mid!r} at tag {g!r}")
+        return DYN
+    if cls is Fun:
+        arg = c.arg
+        if src.__class__ is AnyT:
+            src = fun_ctor(ANY, ANY)
+        if src.__class__ is not fun_ctor:
+            raise CoercionTypeError(f"arrow coercion applied to {src!r}")
+        arg_tgt = crc_target(arg, fun_ctor)
+        if not matches(arg_tgt, src.arg):
+            raise CoercionTypeError(f"arrow argument expects {arg_tgt!r}, got {src.arg!r}")
+        arg_src = crc_source(arg, fun_ctor)
+        check_crc(arg, arg_src, fun_ctor)
+        return fun_ctor(arg_src, check_crc(c.res, src.res, fun_ctor))
+    if cls is Fail:
+        g, h = c.src_tag, c.tgt_tag
+        if not (is_ground(g, fun_ctor) and is_ground(h, fun_ctor)):
+            raise CoercionTypeError(f"failure tags {g!r}, {h!r} not ground")
+        if src == DYN:
+            raise CoercionTypeError("failure coercion has a non-dynamic source")
+        if not consistent(src, g):
+            raise CoercionTypeError(f"failure source {src!r} not consistent with {g!r}")
+        return ANY
     raise AssertionError(c)

@@ -21,9 +21,10 @@ search ``terms.decompose`` applies the two rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .coercions import (
+    DELAYED_CLASSES,
     Coercion,
     CoercionTypeError,
     Fail,
@@ -34,7 +35,6 @@ from .coercions import (
     check_crc,
     compose,
     crc_source,
-    is_delayed,
     size,
 )
 from .terms import (
@@ -271,9 +271,9 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
         return _done(term, tgt, expected, (sub,), memo)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
-        if not is_uncoerced(u):
+        if u.__class__ not in _UNCOERCED_CLASSES:
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
-        if not is_delayed(d):
+        if d.__class__ not in DELAYED_CLASSES:
             raise TypeCheckError("coerced values carry injections or arrows only")
         sub = _tc(u, env, defs, None, memo)
         try:
@@ -551,49 +551,54 @@ def evaluate_program(
 
 def _frame_ok(t: TermS, i: int) -> Optional[str]:
     """The sort of the frame whose hole is child ``i``: "plain", "crc" or None."""
-    match t:
-        case Op(_, l, _):
-            if i == 0:
-                return "plain"
-            return "plain" if is_value(l) else None
-        case App(f, _):
-            if i == 0:
-                return "plain"
-            return "plain" if is_value(f) else None
-        case If(_, _, _):
-            return "plain" if i == 0 else None
-        case CrcApp(_, _):
-            return "crc" if i == 0 else None
-        case _:
-            return None
+    # dispatch on the class and test values by it: asked of every child on the way down
+    cls = t.__class__
+    if cls is Op:
+        return "plain" if i == 0 or t.left.__class__ in _VALUE_CLASSES else None
+    if cls is App:
+        return "plain" if i == 0 or t.fun.__class__ in _VALUE_CLASSES else None
+    if cls is If:
+        return "plain" if i == 0 else None
+    if cls is CrcApp:
+        return "crc" if i == 0 else None
+    return None
 
 
-def _local_redexes(t: TermS, defs) -> Iterator[tuple[str, TermS]]:
-    match t:
-        case Op(op, Const(a), Const(b)):
-            yield ("R-Op", Const(delta(op, a, b)))
-        case App(Abs(x, _, m), a) if is_value(a):
-            yield ("R-Beta", substitute(m, {x: a}))
-        case App(CoercedVal(u, Fun(s, c2)), a) if is_value(a):
-            yield ("R-Wrap", CrcApp(App(u, CrcApp(a, s)), c2))
-        case App(GlobalRef(g), a) if is_value(a) and g in defs:
-            yield ("R-Unfold", App(defs[g], a))
-        case If(Const(True), m, _):
-            yield ("R-IfTrue", m)
-        case If(Const(False), _, n):
-            yield ("R-IfFalse", n)
-        case CrcApp(CrcApp(m, s), s2):
-            yield ("R-MergeC", CrcApp(m, compose(s, s2, FunT)))
-        case CrcApp(CoercedVal(u, d), s2):
-            yield ("R-MergeV", CrcApp(u, compose(d, s2, FunT)))
-        case CrcApp(u, s) if is_uncoerced(u):
-            match s:
-                case Id() | IdStar():
-                    yield ("R-Id", u)
-                case Fail(_, p, _):
-                    yield ("R-Fail", Blame(p))
-                case InjSeq() | Fun():
-                    yield ("R-Crc", CoercedVal(u, s))
+def _local_redexes(t: TermS, defs) -> Optional[tuple[str, TermS]]:
+    """The rule that fires at ``t`` and its contractum, or None."""
+    cls = t.__class__
+    if cls is Op and t.left.__class__ is Const and t.right.__class__ is Const:
+        return ("R-Op", Const(delta(t.op, t.left.val, t.right.val)))
+    elif cls is App and t.arg.__class__ in _VALUE_CLASSES:
+        f, a = t.fun, t.arg
+        fcls = f.__class__
+        if fcls is Abs:
+            return ("R-Beta", substitute(f.body, {f.var: a}))
+        if fcls is CoercedVal and f.crc.__class__ is Fun:
+            return ("R-Wrap", CrcApp(App(f.subject, CrcApp(a, f.crc.arg)), f.crc.res))
+        if fcls is GlobalRef and f.name in defs:
+            return ("R-Unfold", App(defs[f.name], a))
+    elif cls is If and t.cond.__class__ is Const:
+        if t.cond.val is True:
+            return ("R-IfTrue", t.then)
+        if t.cond.val is False:
+            return ("R-IfFalse", t.els)
+    elif cls is CrcApp:
+        m, s = t.subject, t.crc
+        mcls = m.__class__
+        if mcls is CrcApp:
+            return ("R-MergeC", CrcApp(m.subject, compose(m.crc, s, FunT)))
+        if mcls is CoercedVal:
+            return ("R-MergeV", CrcApp(m.subject, compose(m.crc, s, FunT)))
+        if mcls in _UNCOERCED_CLASSES:
+            scls = s.__class__
+            if scls is Id or scls is IdStar:
+                return ("R-Id", m)
+            if scls is Fail:
+                return ("R-Fail", Blame(s.label))
+            if scls in DELAYED_CLASSES:
+                return ("R-Crc", CoercedVal(m, s))
+    return None
 
 
 def decompose_oracle(

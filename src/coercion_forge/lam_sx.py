@@ -16,9 +16,10 @@ the function body without copying it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .coercions import (
+    DELAYED_CLASSES,
     Coercion,
     CoercionTypeError,
     Fail,
@@ -29,7 +30,6 @@ from .coercions import (
     check_crc,
     compose,
     crc_source,
-    is_delayed,
     size,
 )
 from .types import (
@@ -276,9 +276,9 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo) -> t
         return _done(term, cty.tgt, expected, (mt, ct), memo)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
-        if not is_uncoerced(u):
+        if u.__class__ not in _UNCOERCED_CLASSES:
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
-        if not is_delayed(d):
+        if d.__class__ not in DELAYED_CLASSES:
             raise TypeCheckError("coerced values carry injections or arrows only")
         sub = _tc(u, env, defs, None, depth, memo)
         try:
@@ -695,55 +695,71 @@ def evaluate_program(
 # Decomposition oracle
 
 
+# The formers whose first child is the hole of an evaluation frame.
+_FRAMED_CLASSES = frozenset((Op, Compose, App2, Let, If, CrcApp))
+
+
 def _frame_ok(t: TermX, i: int) -> Optional[str]:
     """"plain" if child ``i`` is the hole of an evaluation frame, else None.
 
     Coercion passing leaves no pending coercion frame: no frame is "crc".
     """
-    match t:
-        case Op(_, l, _) | Compose(l, _):
-            ok = i == 0 or is_value(l)
-        case App2(f, a, _):
-            ok = i == 0 or (is_value(f) and (i == 1 or is_value(a)))
-        case Let(_, _, _) | If(_, _, _):
-            ok = i == 0
-        case CrcApp(m, _):
-            ok = i == 0 or is_value(m)
-        case _:
-            ok = False
+    # dispatch on the class and test values by it: asked of every child on the way down
+    cls = t.__class__
+    if i == 0:
+        ok = cls in _FRAMED_CLASSES
+    elif cls is Op or cls is Compose:
+        ok = t.left.__class__ in _VALUE_CLASSES
+    elif cls is App2:
+        ok = t.fun.__class__ in _VALUE_CLASSES and (i == 1 or t.arg.__class__ in _VALUE_CLASSES)
+    elif cls is CrcApp:
+        ok = t.subject.__class__ in _VALUE_CLASSES
+    else:
+        ok = False
     return "plain" if ok else None
 
 
-def _local_redexes(t: TermX, defs) -> Iterator[tuple[str, TermX]]:
-    match t:
-        case Op(op, Const(a), Const(b)):
-            yield ("R-Op", Const(delta(op, a, b)))
-        case App2(Abs2(x, _, kv, _, m), a, k) if is_value(a) and is_value(k):
-            yield ("R-Beta", substitute(m, {x: a, kv: k}))
-        case App2(CoercedVal(u, Fun(s, c2)), a, k) if is_value(a) and is_value(k):
+def _local_redexes(t: TermX, defs) -> Optional[tuple[str, TermX]]:
+    """The rule that fires at ``t`` and its contractum, or None."""
+    cls = t.__class__
+    if cls is Op and t.left.__class__ is Const and t.right.__class__ is Const:
+        return ("R-Op", Const(delta(t.op, t.left.val, t.right.val)))
+    elif cls is App2 and t.arg.__class__ in _VALUE_CLASSES and t.cont.__class__ in _VALUE_CLASSES:
+        f, a, k = t.fun, t.arg, t.cont
+        fcls = f.__class__
+        if fcls is Abs2:
+            return ("R-Beta", substitute(f.body, {f.var: a, f.kvar: k}))
+        if fcls is CoercedVal and f.crc.__class__ is Fun:
+            u = f.subject
             kn = fresh_name("k", free_vars(u) | free_vars(a) | free_vars(k))
-            wrapped = App2(u, CrcApp(a, CrcLit(s)), Var(kn))
-            yield ("R-Wrap", Let(kn, Compose(CrcLit(c2), k), wrapped))
-        case App2(GlobalRef(g), a, k) if is_value(a) and is_value(k) and g in defs:
-            yield ("R-Unfold", App2(defs[g], a, k))
-        case Let(x, m, n) if is_value(m):
-            yield ("R-Let", substitute(n, {x: m}))
-        case Compose(CrcLit(a), CrcLit(b)):
-            yield ("R-Cmp", CrcLit(compose(a, b, Fun2T)))
-        case CrcApp(CoercedVal(u, d), CrcLit(c)):
-            yield ("R-MergeV", CrcApp(u, Compose(CrcLit(d), CrcLit(c))))
-        case CrcApp(u, CrcLit(c)) if is_uncoerced(u):
-            match c:
-                case Id() | IdStar():
-                    yield ("R-Id", u)
-                case Fail(_, p, _):
-                    yield ("R-Fail", Blame(p))
-                case InjSeq() | Fun():
-                    yield ("R-Crc", CoercedVal(u, c))
-        case If(Const(True), m, _):
-            yield ("R-IfTrue", m)
-        case If(Const(False), _, n):
-            yield ("R-IfFalse", n)
+            wrapped = App2(u, CrcApp(a, CrcLit(f.crc.arg)), Var(kn))
+            return ("R-Wrap", Let(kn, Compose(CrcLit(f.crc.res), k), wrapped))
+        if fcls is GlobalRef and f.name in defs:
+            return ("R-Unfold", App2(defs[f.name], a, k))
+    elif cls is Let and t.bound.__class__ in _VALUE_CLASSES:
+        return ("R-Let", substitute(t.body, {t.var: t.bound}))
+    elif cls is Compose and t.left.__class__ is CrcLit and t.right.__class__ is CrcLit:
+        return ("R-Cmp", CrcLit(compose(t.left.crc, t.right.crc, Fun2T)))
+    elif cls is CrcApp and t.crc.__class__ is CrcLit:
+        m, c = t.subject, t.crc
+        mcls = m.__class__
+        if mcls is CoercedVal:
+            return ("R-MergeV", CrcApp(m.subject, Compose(CrcLit(m.crc), c)))
+        if mcls in _UNCOERCED_CLASSES:
+            s = c.crc
+            scls = s.__class__
+            if scls is Id or scls is IdStar:
+                return ("R-Id", m)
+            if scls is Fail:
+                return ("R-Fail", Blame(s.label))
+            if scls in DELAYED_CLASSES:
+                return ("R-Crc", CoercedVal(m, s))
+    elif cls is If and t.cond.__class__ is Const:
+        if t.cond.val is True:
+            return ("R-IfTrue", t.then)
+        if t.cond.val is False:
+            return ("R-IfFalse", t.els)
+    return None
 
 
 def decompose_oracle(

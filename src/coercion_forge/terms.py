@@ -539,7 +539,6 @@ def claim_memo(memo: dict, defs: dict) -> None:
         raise ValueError("a typing memo was filled under other definitions")
 
 
-@dataclass(frozen=True)
 class Decomposition:
     path: tuple[int, ...]
     rule: str
@@ -550,21 +549,26 @@ class Decomposition:
         return kind_of(self.rule)
 
 
+Decomposition = record(Decomposition)
+
+
 def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes) -> list:
     """Every (context, redex) split of ``term`` that the context grammar licenses.
 
     ``frame_sort(node, i)`` answers the sort of the frame whose hole is
     child ``i``: "plain", "crc" for a pending coercion, or None.
-    ``local_redexes(node, defs)`` yields (rule, contractum) for each rule
-    firing at ``node``.  The grammar's own rules: no coercion frame
-    directly inside another, no composition rule fired directly under one,
-    and a ``blame`` node in a non-empty context aborts it (E-Abort).
+    ``local_redexes(node, defs)`` returns the (rule, contractum) pair of
+    the rule firing at ``node``, or None: at most one rule fires at a
+    node.  The grammar's own rules: no coercion frame directly inside
+    another, no composition rule fired directly under one, and a
+    ``blame`` node in a non-empty context aborts it (E-Abort).
 
     On closed well-typed non-values exactly one split exists; zero or
     several signal a bug.  The search keeps (node, path, innermost frame's
     sort) on a stack and visits in pre-order, so it reaches any depth.
     """
-    defs = dict(defs) if defs else {}
+    if defs is None:
+        defs = {}
     out: list[Decomposition] = []
     # a path is a linked list (child index, parent's link), innermost first
     stack = [(term, None, None)]
@@ -574,11 +578,10 @@ def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes
         sub, link, sort = pop()
         if link is not None and sub.__class__ is Blame:
             out.append(Decomposition(_spell(link), "E-Abort", sub))
-        for rule, red in local_redexes(sub, defs):
-            if sort == "crc" and rule in C_RULES:
-                continue
+        fired = local_redexes(sub, defs)
+        if fired is not None and (sort != "crc" or fired[0] not in C_RULES):
             path = _spell(link)
-            out.append(Decomposition(path, rule, replace(term, path, red)))
+            out.append(Decomposition(path, fired[0], replace(term, path, fired[1])))
         kids = sub._kids
         for i in range(len(kids) - 1, -1, -1):
             inner = frame_sort(sub, i)

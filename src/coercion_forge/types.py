@@ -148,13 +148,10 @@ def is_source_type(t: Type) -> bool:
 
 def is_ground(t: Type, fun_ctor: type) -> bool:
     """Ground types are base types and the dialect's Dyn-to-Dyn function type."""
-    match t:
-        case Base():
-            return True
-        case _ if isinstance(t, fun_ctor):
-            return t.arg == DYN and t.res == DYN
-        case _:
-            return False
+    cls = t.__class__
+    if cls is Base:
+        return True
+    return cls is fun_ctor and t.arg.__class__ is Dyn and t.res.__class__ is Dyn
 
 
 def consistent(a: Type, b: Type) -> bool:

@@ -4,6 +4,8 @@ Covers every composition rule individually plus the worked examples that
 exercise collapse, conflict, and arrow composition end to end.
 """
 
+import hashlib
+
 import pytest
 
 from coercion_forge.coercions import (
@@ -20,10 +22,11 @@ from coercion_forge.coercions import (
     crc_source,
     crc_target,
     is_canonical,
+    is_identity,
     mk_fun,
     size,
 )
-from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT
+from coercion_forge.types import ANY, BOOL, DYN, INT, Fun2T, FunT, matches
 
 
 def inj(g):
@@ -166,3 +169,105 @@ class TestTyping:
             check_crc(inj(INT), BOOL, FunT)
         with pytest.raises(CoercionTypeError):
             check_crc(proj(BOOL), INT, FunT)
+
+
+# ---------------------------------------------------------------------------
+# The coercion algebra in the small scope
+
+LABELS = ("p", "q")
+SCOPE_SIZE = 3
+
+
+def _scope(fun_ctor):
+    """The canonical coercions of size at most ``SCOPE_SIZE`` over Int, Bool,
+    Dyn and one arrow level, labelled ``p`` or ``q``, built by the grammar;
+    then near misses of the grammar, which are not canonical."""
+    star = fun_ctor(DYN, DYN)
+    grounds = (INT, BOOL, star)
+    arrows = [fun_ctor(a, b) for a in (INT, BOOL, DYN) for b in (INT, BOOL, DYN)]
+
+    def canonical(level):
+        # size -> coercions of each layer; an arrow coercion's parts are of level 0
+        g, i, s = {}, {}, {}
+        below = canonical(0) if level else {}
+        for n in range(1, SCOPE_SIZE + 1):
+            if n == 1:
+                g[n] = [Id(a) for a in (INT, BOOL, *(arrows if level else ()))]
+                fails = [Fail(a, p, b) for a in grounds for p in LABELS for b in grounds if a != b]
+                i[n] = g[n] + fails
+                s[n] = [IdStar()] + i[n]
+                continue
+            g[n] = [
+                Fun(a, r)
+                for k in range(1, n - 1)
+                for a in below.get(k, ())
+                for r in below.get(n - 1 - k, ())
+                if not (is_identity(a) and is_identity(r))
+            ]
+            i[n] = g[n] + [InjSeq(c, G) for c in g[n - 1] for G in grounds]
+            s[n] = i[n] + [ProjSeq(G, p, c) for G in grounds for p in LABELS for c in i[n - 1]]
+        return s
+
+    scope = [c for cs in canonical(1).values() for c in cs]
+    near = [Fun(a, r) for a in (IdStar(), Id(INT)) for r in (IdStar(), Id(BOOL))]
+    other = Fun2T if fun_ctor is FunT else FunT
+    near += [InjSeq(Id(a), a) for a in (fun_ctor(INT, INT), other(DYN, DYN))]
+    near += [ProjSeq(a, "p", Id(INT)) for a in (DYN, fun_ctor(INT, INT), other(DYN, DYN))]
+    near += [InjSeq(inj(INT), INT), InjSeq(IdStar(), INT), Fail(DYN, "q", INT)]
+    return scope, near
+
+
+def _algebra_lines(fun_ctor):
+    """What ``is_canonical``, ``crc_source``, ``crc_target`` and ``check_crc``
+    give on each coercion of the scope, and ``compose`` on each composable
+    pair of the well-typed canonical ones, whose types meet up to the
+    wildcard; and the pair counts by size."""
+    scope, near = _scope(fun_ctor)
+    in_scope = set(scope)
+    lines, typed = [], []
+    for c in scope + near:
+        src, tgt = crc_source(c, fun_ctor), crc_target(c, fun_ctor)
+        try:
+            checked = repr(check_crc(c, src, fun_ctor))
+        except CoercionTypeError as e:
+            checked = f"CoercionTypeError {e}"
+        else:
+            if c in in_scope:
+                typed.append((c, repr(c), src, tgt, size(c)))
+        lines.append(f"{c!r} {is_canonical(c, fun_ctor)} {src!r} {tgt!r} {checked}")
+    counts: dict[int, int] = {}
+    for s, s_text, _, s_tgt, m in typed:
+        for t, t_text, t_src, _, n in typed:
+            if not matches(s_tgt, t_src):
+                continue
+            counts[m + n] = counts.get(m + n, 0) + 1
+            try:
+                got = repr(compose(s, t, fun_ctor))
+            except CompositionTypeMismatch:
+                # only a failure's unconstrained source meets a type it refuses
+                assert t_src is ANY and s_tgt == DYN, (s, t)
+                got = "CompositionTypeMismatch"
+            lines.append(f"{s_text} ; {t_text} = {got}")
+    return lines, counts
+
+
+# Computed with the ``match``-dispatched algebra.
+ALGEBRA_DIGEST = "0e762f2f9f388e5da26e6273d5030281f9f87f5972fe247fdde2b488a44eaa3d"
+
+
+class TestSmallScope:
+    def test_the_scope_is_the_canonical_grammar(self):
+        for fun_ctor in (FunT, Fun2T):
+            scope, near = _scope(fun_ctor)
+            assert len(scope) == len(set(scope)) == 609
+            assert all(is_canonical(c, fun_ctor) for c in scope)
+            assert not any(is_canonical(c, fun_ctor) for c in near)
+
+    def test_the_algebra_matches_the_pinned_digest(self):
+        h = hashlib.sha256()
+        for fun_ctor in (FunT, Fun2T):
+            lines, counts = _algebra_lines(fun_ctor)
+            # composable pairs by the sum of their sizes
+            assert counts == {2: 444, 3: 1122, 4: 9252, 5: 6030, 6: 44964}
+            h.update("\n".join(lines).encode() + b"\n")
+        assert h.hexdigest() == ALGEBRA_DIGEST

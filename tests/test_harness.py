@@ -733,7 +733,7 @@ def _step_without_merging(state, defs=None):
     splits = terms.decompose(
         t, defs,
         lambda n, i: S._frame_ok(n, i) and "plain",
-        lambda n, d: [r for r in S._local_redexes(n, d) if r[0] != "R-MergeC"])
+        lambda n, d: None if (r := S._local_redexes(n, d)) and r[0] == "R-MergeC" else r)
     if not splits:
         return terms.IS_BLAME if t.__class__ is S.Blame else terms.IS_VALUE
     (d,) = splits

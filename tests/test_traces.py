@@ -87,3 +87,29 @@ def generation_digest() -> str:
 
 def test_the_generated_programs_and_translations_match_the_pinned_digest():
     assert generation_digest() == GENERATION_DIGEST
+
+
+# Computed with the oracles that dispatched on ``match`` and yielded their
+# splits from generators.
+ORACLE_DIGEST = "ce0d881c4385e545d00d742fbf7e7de7102f7a1a43d138242b864ad3fe14b263"
+
+
+def oracle_digest(programs) -> str:
+    """Each oracle's splits (path, rule, printed term) of every state of each
+    program's run, and of its translation's, every state read."""
+    h = hashlib.sha256()
+    for p in programs:
+        for mod, dialect, q in ((lam_s, "lams", p), (lam_sx, "lamsx", translate.trans_program(p))):
+            defs = q.def_terms()
+            states = [q.main]
+            mod.evaluate_program(q, 300, lambda n, r: states.append(r.term))
+            for t in states:
+                splits = mod.decompose_oracle(t, defs)
+                h.update(f"{len(splits)}\n".encode())
+                for d in splits:
+                    h.update(f"{d.path} {d.rule} {surface.print_term(d.term, dialect)}\n".encode())
+    return h.hexdigest()
+
+
+def test_the_oracle_splits_match_the_pinned_digest(corpus):
+    assert oracle_digest(corpus[:100]) == ORACLE_DIGEST

@@ -332,7 +332,11 @@ def typecheck_program(p: ProgramS) -> terms.Typed:
 
 
 def substitute(t: TermS, sub: Mapping[str, TermS]) -> TermS:
-    """Simultaneous capture-avoiding substitution."""
+    """Simultaneous capture-avoiding substitution.
+
+    A node none of whose children changes is handed back itself, so the
+    result shares every subtree with no free name ``sub`` replaces.
+    """
     if not sub:
         return t
     # dispatch on the node class: this runs on every node of a function
@@ -341,18 +345,25 @@ def substitute(t: TermS, sub: Mapping[str, TermS]) -> TermS:
     if cls is Var:
         return sub.get(t.name, t)
     if cls is Op:
-        return Op(t.op, substitute(t.left, sub), substitute(t.right, sub))
+        l, r = substitute(t.left, sub), substitute(t.right, sub)
+        return t if l is t.left and r is t.right else Op(t.op, l, r)
     if cls is App:
-        return App(substitute(t.fun, sub), substitute(t.arg, sub))
+        f, a = substitute(t.fun, sub), substitute(t.arg, sub)
+        return t if f is t.fun and a is t.arg else App(f, a)
     if cls is CrcApp:
-        return CrcApp(substitute(t.subject, sub), t.crc)
+        m = substitute(t.subject, sub)
+        return t if m is t.subject else CrcApp(m, t.crc)
     if cls is CoercedVal:
-        return CoercedVal(substitute(t.subject, sub), t.crc)
+        m = substitute(t.subject, sub)
+        return t if m is t.subject else CoercedVal(m, t.crc)
     if cls is If:
-        return If(substitute(t.cond, sub), substitute(t.then, sub), substitute(t.els, sub))
+        c, m, n = substitute(t.cond, sub), substitute(t.then, sub), substitute(t.els, sub)
+        return t if c is t.cond and m is t.then and n is t.els else If(c, m, n)
     if cls is Abs:
         under = under_binder(t, sub, substitute)
-        return t if under is None else Abs(under[0], t.var_ty, under[1])
+        if under is None or (under[1] is t.body and under[0] == t.var):
+            return t
+        return Abs(under[0], t.var_ty, under[1])
     return t
 
 

@@ -322,6 +322,8 @@ def typecheck_program(p: ProgramX) -> terms.Typed:
 
 
 def substitute(t: TermX, sub: Mapping[str, TermX]) -> TermX:
+    """Simultaneous capture-avoiding substitution; a node none of whose
+    children changes is handed back itself, as in :func:`lam_s.substitute`."""
     if not sub:
         return t
     # dispatch on the node class: this runs on every node of a function
@@ -330,23 +332,32 @@ def substitute(t: TermX, sub: Mapping[str, TermX]) -> TermX:
     if cls is Var:
         return sub.get(t.name, t)
     if cls is CrcApp:
-        return CrcApp(substitute(t.subject, sub), substitute(t.crc, sub))
+        m, k = substitute(t.subject, sub), substitute(t.crc, sub)
+        return t if m is t.subject and k is t.crc else CrcApp(m, k)
     if cls is Op:
-        return Op(t.op, substitute(t.left, sub), substitute(t.right, sub))
+        l, r = substitute(t.left, sub), substitute(t.right, sub)
+        return t if l is t.left and r is t.right else Op(t.op, l, r)
     if cls is App2:
-        return App2(substitute(t.fun, sub), substitute(t.arg, sub), substitute(t.cont, sub))
+        f, a, k = substitute(t.fun, sub), substitute(t.arg, sub), substitute(t.cont, sub)
+        return t if f is t.fun and a is t.arg and k is t.cont else App2(f, a, k)
     if cls is Compose:
-        return Compose(substitute(t.left, sub), substitute(t.right, sub))
+        l, r = substitute(t.left, sub), substitute(t.right, sub)
+        return t if l is t.left and r is t.right else Compose(l, r)
     if cls is If:
-        return If(substitute(t.cond, sub), substitute(t.then, sub), substitute(t.els, sub))
+        c, m, n = substitute(t.cond, sub), substitute(t.then, sub), substitute(t.els, sub)
+        return t if c is t.cond and m is t.then and n is t.els else If(c, m, n)
     if cls is CoercedVal:
-        return CoercedVal(substitute(t.subject, sub), t.crc)
+        m = substitute(t.subject, sub)
+        return t if m is t.subject else CoercedVal(m, t.crc)
     if cls is Let:
         x, n = under_binder(t, sub, substitute) or (t.var, t.body)
-        return Let(x, substitute(t.bound, sub), n)
+        m = substitute(t.bound, sub)
+        return t if m is t.bound and n is t.body and x == t.var else Let(x, m, n)
     if cls is Abs2:
         under = under_binder(t, sub, substitute)
-        return t if under is None else Abs2(under[0], t.var_ty, under[1], t.k_src, under[2])
+        if under is None or (under[2] is t.body and under[0] == t.var and under[1] == t.kvar):
+            return t
+        return Abs2(under[0], t.var_ty, under[1], t.k_src, under[2])
     return t
 
 

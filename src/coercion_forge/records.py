@@ -10,6 +10,14 @@ equality and hashing) and swaps in a slotted layout whose constructor
 fills each slot through its descriptor's ``__set__``.  A record has no
 ``__dict__``, so code reads its fields through ``dataclasses.fields``,
 not ``vars()``.
+
+A record with equality keeps its hash in the slot ``_h``.  Types and
+coercions are hashed at every typing-memo lookup and inside every term
+node's hash, and the dataclass hash builds the field tuple again each
+time.  The constructor leaves ``_h`` empty, so building a record costs no
+more; the first ``hash`` fills it from the dataclass formula, ``hash`` of
+the tuple of the fields, so every hash value and set order stays the
+same.  Equality answers at once for a record compared with itself.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ import inspect
 def record(cls, /, *, eq: bool = True, extra_slots: tuple[str, ...] = ()):
     """Make ``cls`` a frozen dataclass with ``__slots__`` and a cheap ``__init__``.
 
-    ``eq`` is passed on to ``dataclass``.  ``extra_slots`` names slots that
-    are not fields: they are left out of ``fields``, ``replace``, ``repr``
-    and equality, and the constructor sets each to None.  The constructor
-    calls ``__post_init__`` where the class defines one.  Fields take no
+    ``eq`` is passed on to ``dataclass``; with it, the class gets the slot
+    ``_h``, which :func:`_kept_hash` fills, and :func:`_identity_first`
+    wraps its ``__eq__``.  ``extra_slots`` names slots that are not fields:
+    they are left out of ``fields``, ``replace``, ``repr`` and equality,
+    and the constructor sets each to None.  The constructor calls
+    ``__post_init__`` where the class defines one.  Fields take no
     defaults.  The class is built once; no code runs per instance beyond
     the constructor.
     """
@@ -41,7 +51,7 @@ def record(cls, /, *, eq: bool = True, extra_slots: tuple[str, ...] = ()):
     body = dict(cls.__dict__)
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
-    body["__slots__"] = (*names, *extra_slots)
+    body["__slots__"] = (*names, *extra_slots, *(("_h",) if eq else ()))
     # the dataclass's ``__setattr__`` and ``__delattr__`` hand a name that is
     # not a field to ``super()`` of the class before this rebuild, which
     # raises TypeError; these refuse every name
@@ -51,6 +61,9 @@ def record(cls, /, *, eq: bool = True, extra_slots: tuple[str, ...] = ()):
     new = type(cls)(cls.__name__, cls.__bases__, body)
     new.__qualname__ = cls.__qualname__
     new.__init__ = _make_init(new, fields, extra_slots)
+    if eq:
+        new.__hash__ = _kept_hash(new.__hash__, new._h.__set__)
+        new.__eq__ = _identity_first(new.__eq__)
     # the text ``dataclass`` gives a class without a docstring
     new.__doc__ = doc or new.__name__ + str(inspect.signature(new))
     return new
@@ -71,6 +84,29 @@ def _make_init(cls, fields, extra_slots: tuple[str, ...]):
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {f.name: f.type for f in fields}
     return init
+
+
+def _kept_hash(plain_hash, set_h):
+    """``plain_hash``, the dataclass's ``__hash__``, computed once and kept in ``_h``."""
+
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            h = plain_hash(self)
+            set_h(self, h)
+            return h
+
+    return __hash__
+
+
+def _identity_first(plain_eq):
+    """``plain_eq``, the dataclass's ``__eq__``, answering True at once for a record and itself."""
+
+    def __eq__(self, other):
+        return True if self is other else plain_eq(self, other)
+
+    return __eq__
 
 
 def _frozen_setattr(self, name, value):

@@ -122,10 +122,6 @@ class Translator:
         # derivation -> its translation
         self.done: dict[Typed, X.TermX] = {}
 
-    def avoid_names(self, t: S.TermS) -> None:
-        """Make the supply avoid the names of ``t``."""
-        self.supply.avoid |= _all_names(t)
-
     def value(self, v: Typed) -> X.TermX:
         out = self.done.get(v)
         if out is not None:
@@ -252,15 +248,17 @@ def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X
     States stay closed and well typed as evaluation proceeds, so this is
     the same translation the program got, minted against fresh names.
     Each state is checked at the type the main term gets in
-    :func:`trans_program`.
+    :func:`trans_program`.  A state holds only names of ``p``: R-Beta
+    substitutes closed values, so no binder is renamed, and
+    :func:`def_rename` avoids all of them.
 
     ``memo`` is a memo for the states of one run of ``p``.  It holds the
     typing memo (see :func:`lam_s.typecheck`) and one translator for the
     run, tied to ``p``: another program, even one with equal definitions,
     raises ``ValueError``.  The translator reuses the translation of every
     subterm whose derivation the typing memo reused.  Its continuation
-    names are minted once per run, fresh against the program and every
-    state translated so far.  So the answer is alpha-equivalent to a
+    names are minted once per run, fresh against the program's names,
+    which cover its states' names.  So the answer is alpha-equivalent to a
     memo-less call, but its names are not the same.
     """
     run = None if memo is None else memo.get(_RUN)
@@ -273,7 +271,6 @@ def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X
         raise ValueError("a translation memo was filled for another program")
     _, tr, ty = run
     typed = S.typecheck(state, {}, p.def_types(), ty, memo)
-    tr.avoid_names(state)
     return tr.c(typed)
 
 

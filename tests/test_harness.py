@@ -107,6 +107,19 @@ class TestDifferentialRun:
         v = differentialRun(even_odd_program(100), fuel=fuel)
         assert (v.kind, v.detail, v.source, v.target) == ("agree", detail, source, "value false")
 
+    def test_the_optimized_translation_agrees_and_keeps_every_invariant(
+            self, monkeypatch, corpus):
+        # the translation ``translate --opt-trop`` prints, whose Tr-Op drops
+        # the identity coercion on an operator's result
+        plain = translate.trans_program
+        monkeypatch.setattr(translate, "trans_program", lambda p: plain(p, optimize_op=True))
+        dropped = 0
+        for s, p in enumerate(corpus[:100]):
+            assert differentialRun(p, seed=s).kind == "agree", s
+            assert invariantSuite(p, seed=s) == [], s
+            dropped += plain(p, optimize_op=True) != plain(p)
+        assert dropped > 50
+
     def test_witness_replays(self):
         p = genWellTyped(GenConfig(seed=3))
         v = differentialRun(p, seed=3)

@@ -18,6 +18,12 @@ give the same answers on:
 too, and hand back their argument itself when no part of it changes.  They
 must give what the ``match``-based definitions below give on every type in
 those derivations and every coercion in those programs and translations.
+
+``lam_s.substitute`` and ``lam_sx.substitute`` hand back a node itself
+when none of its children changes.  On every call the steppers, the
+oracles and the environment reads make while stepping those programs,
+they must give what the copying definitions below give, and hand back
+every subtree in which no substituted name is free.
 """
 
 from __future__ import annotations
@@ -205,6 +211,60 @@ def ref_psi_crc(c: Coercion) -> Coercion:
             # calculus for the translated coercion to stay well formed
             return Fail(ref_psi_type(g), p, ref_psi_type(h))
     raise AssertionError(c)
+
+
+def ref_substitute_s(t, sub):
+    """Simultaneous capture-avoiding substitution, copying every node."""
+    if not sub:
+        return t
+    # dispatch on the node class: this runs on every node of a function
+    # body at every beta step, where a ``match`` chain's tests add up
+    cls = t.__class__
+    if cls is S.Var:
+        return sub.get(t.name, t)
+    if cls is S.Op:
+        return S.Op(t.op, ref_substitute_s(t.left, sub), ref_substitute_s(t.right, sub))
+    if cls is S.App:
+        return S.App(ref_substitute_s(t.fun, sub), ref_substitute_s(t.arg, sub))
+    if cls is S.CrcApp:
+        return S.CrcApp(ref_substitute_s(t.subject, sub), t.crc)
+    if cls is S.CoercedVal:
+        return S.CoercedVal(ref_substitute_s(t.subject, sub), t.crc)
+    if cls is S.If:
+        return S.If(ref_substitute_s(t.cond, sub), ref_substitute_s(t.then, sub), ref_substitute_s(t.els, sub))
+    if cls is S.Abs:
+        under = terms.under_binder(t, sub, ref_substitute_s)
+        return t if under is None else S.Abs(under[0], t.var_ty, under[1])
+    return t
+
+
+def ref_substitute_x(t, sub):
+    if not sub:
+        return t
+    # dispatch on the node class: this runs on every node of a function
+    # body at every beta step, where a ``match`` chain's tests add up
+    cls = t.__class__
+    if cls is X.Var:
+        return sub.get(t.name, t)
+    if cls is X.CrcApp:
+        return X.CrcApp(ref_substitute_x(t.subject, sub), ref_substitute_x(t.crc, sub))
+    if cls is X.Op:
+        return X.Op(t.op, ref_substitute_x(t.left, sub), ref_substitute_x(t.right, sub))
+    if cls is X.App2:
+        return X.App2(ref_substitute_x(t.fun, sub), ref_substitute_x(t.arg, sub), ref_substitute_x(t.cont, sub))
+    if cls is X.Compose:
+        return X.Compose(ref_substitute_x(t.left, sub), ref_substitute_x(t.right, sub))
+    if cls is X.If:
+        return X.If(ref_substitute_x(t.cond, sub), ref_substitute_x(t.then, sub), ref_substitute_x(t.els, sub))
+    if cls is X.CoercedVal:
+        return X.CoercedVal(ref_substitute_x(t.subject, sub), t.crc)
+    if cls is X.Let:
+        x, n = terms.under_binder(t, sub, ref_substitute_x) or (t.var, t.body)
+        return X.Let(x, ref_substitute_x(t.bound, sub), n)
+    if cls is X.Abs2:
+        under = terms.under_binder(t, sub, ref_substitute_x)
+        return t if under is None else X.Abs2(under[0], t.var_ty, under[1], t.k_src, under[2])
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +465,49 @@ def mutant(t, rng: random.Random, crcs: list):
     return terms.replace(t, path, new)
 
 
+def run_states(mod, q, fuel: int = 300) -> list:
+    """The states of ``q``'s run: of one run with every state read, then of
+    one with none read, whose steps go on under the environments they leave."""
+    states = [q.main]
+    mod.evaluate_program(q, fuel, lambda n, r: states.append(r.term))
+    mod.evaluate_program(q, fuel)
+    return states
+
+
+@functools.cache
+def substitute_calls() -> list:
+    """(calculus, term, substitution, answer) of every call to ``substitute``,
+    other than its own, made while stepping the corpus programs and their
+    translations and splitting each state with the oracle."""
+    calls = []
+    mp = pytest.MonkeyPatch()
+    for mod in (S, X):
+        real = mod.substitute
+        inside = [False]
+
+        def recording(t, sub, mod=mod, real=real, inside=inside):
+            if inside[0]:
+                return real(t, sub)
+            inside[0] = True
+            try:
+                out = real(t, sub)
+            finally:
+                inside[0] = False
+            calls.append((mod, t, dict(sub), out))
+            return out
+
+        mp.setattr(mod, "substitute", recording)
+    try:
+        for p, px in programs():
+            for mod, q in ((S, p), (X, px)):
+                defs = q.def_terms()
+                for t in run_states(mod, q):
+                    mod.decompose_oracle(t, defs)
+    finally:
+        mp.undo()
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # The tests
 
@@ -578,3 +681,47 @@ def test_psi_hands_back_every_coercion_with_no_function_type_inside():
         assert translate.psi_crc(c) is c, c
     for c in fun_type_coercions():
         assert has_fun_type(c) and not has_fun_type(translate.psi_crc(c)), c
+
+
+REF_SUBSTITUTE = {S: ref_substitute_s, X: ref_substitute_x}
+
+
+def test_substitute_agrees_with_the_copying_reference_on_every_call_of_a_run():
+    calls = substitute_calls()
+    assert {mod for mod, *_ in calls} == {S, X}
+    # R-Beta, R-Let and reads under environments of more than one name
+    assert any(len(sub) > 1 for mod, _, sub, _ in calls if mod is X)
+    for mod, t, sub, out in calls:
+        assert out == REF_SUBSTITUTE[mod](t, sub), (t, sub)
+
+
+def test_substitute_hands_back_every_subtree_with_no_substituted_name_free():
+    shared = 0
+    for mod, t, sub, out in substitute_calls():
+        kept = {id(m) for m in terms.walk(out)}
+        for m in terms.walk(t):
+            if terms.free_vars(m).isdisjoint(sub):
+                assert mod.substitute(m, sub) is m, (m, sub)
+                shared += id(m) in kept
+    assert shared > 1000
+
+
+def test_a_beta_step_keeps_each_body_subtree_without_its_parameters():
+    kept_subtrees = 0
+    for p, px in programs():
+        for mod, q in ((S, p), (X, px)):
+            defs = q.def_terms()
+            states = run_states(mod, q)
+            for t, after in zip(states, states[1:]):
+                [split] = mod.decompose_oracle(t, defs)
+                redex = terms.subterm(t, split.path)
+                if split.rule != "R-Beta" or not hasattr(redex.fun, "_binds"):
+                    continue
+                f = redex.fun
+                params = {getattr(f, b) for b in f._binds}
+                contractum = {id(m) for m in terms.walk(terms.subterm(after, split.path))}
+                for m in terms.walk(f.body):
+                    if terms.free_vars(m).isdisjoint(params):
+                        assert id(m) in contractum, m
+                        kept_subtrees += 1
+    assert kept_subtrees > 100

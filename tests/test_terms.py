@@ -566,6 +566,36 @@ def test_a_node_keeps_its_hash_out_of_fields_replace_repr_and_equality(sample):
     assert fresh == sample and hash(fresh) == h
 
 
+TYPES_AND_COERCIONS = [s for s in SAMPLES if type(s) in typing.get_args(Coercion) + typing.get_args(Type)]
+TYPE_AND_COERCION_IDS = [type(s).__qualname__ for s in TYPES_AND_COERCIONS]
+
+
+@pytest.mark.parametrize("sample", TYPES_AND_COERCIONS, ids=TYPE_AND_COERCION_IDS)
+def test_a_type_or_coercion_keeps_the_dataclass_hash_once_computed(sample):
+    assert hash(sample) == hash(tuple(getattr(sample, f.name) for f in dataclasses.fields(sample)))
+    fresh = dataclasses.replace(sample)
+    assert not hasattr(fresh, "_h")
+    h = hash(fresh)
+    assert h == hash(sample) and fresh._h == h
+    assert "_h" not in [f.name for f in dataclasses.fields(fresh)] and "_h" not in repr(fresh)
+    # a second ``hash`` reads the slot, not the fields
+    type(fresh)._h.__set__(fresh, 12345)
+    assert hash(fresh) == 12345
+    for twin in (copy.copy(sample), pickle.loads(pickle.dumps(sample)), dataclasses.replace(sample)):
+        assert twin == sample and hash(twin) == hash(sample)
+
+
+@pytest.mark.parametrize("sample", TYPES_AND_COERCIONS, ids=TYPE_AND_COERCION_IDS)
+def test_a_type_or_coercion_equals_itself_without_reading_its_fields(sample):
+    cls = type(sample)
+    # a record with its field slots left empty: reading any field raises
+    r = object.__new__(cls)
+    assert r == r and not r != r
+    if dataclasses.fields(cls):
+        with pytest.raises(AttributeError):
+            r == object.__new__(cls)  # noqa: B015
+
+
 def test_the_records_still_check_what_they_are_built_from():
     with pytest.raises(ValueError):
         Id(DYN)

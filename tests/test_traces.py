@@ -11,11 +11,24 @@ The printed programs the generator draws, and their printed translations,
 hash to a second pinned sha256.  A change to the generator that draws
 another program for any seed, or to the translation that changes a
 translated program, changes it.
+
+The translations ``simulationCheck`` makes of a run's states, with the
+continuation names the run translator mints, hash to a third.  Every name
+those states hold is one of their program's.
 """
 
 import hashlib
 
-from coercion_forge import GenConfig, genWellTyped, lam_s, lam_sx, spaceBench, surface, translate
+from coercion_forge import (
+    GenConfig,
+    genWellTyped,
+    lam_s,
+    lam_sx,
+    simulationCheck,
+    spaceBench,
+    surface,
+    translate,
+)
 from coercion_forge.types import BOOL, DYN, INT, FunT
 
 # Computed with the stepper that built each state from its parent node on
@@ -113,3 +126,42 @@ def oracle_digest(programs) -> str:
 
 def test_the_oracle_splits_match_the_pinned_digest(corpus):
     assert oracle_digest(corpus[:100]) == ORACLE_DIGEST
+
+
+def simulated_translations(monkeypatch, programs) -> list:
+    """(program, state, translation) of every call ``simulationCheck`` makes
+    to ``trans_state`` on ``programs``: one per distinct state of a run."""
+    calls = []
+    real = translate.trans_state
+
+    def recording(p, state, memo=None):
+        out = real(p, state, memo)
+        calls.append((p, state, out))
+        return out
+
+    monkeypatch.setattr(translate, "trans_state", recording)
+    for p in programs:
+        assert simulationCheck(p).kind == "agree"
+    return calls
+
+
+# Computed with the run translator that walked each state for its names
+# and avoided them too.
+STATE_DIGEST = "1900f00e4409bf3354f6572943363517fff8d334122d45019e84718e70018391"
+
+
+def test_the_run_translations_match_the_pinned_digest(monkeypatch, corpus):
+    calls = simulated_translations(monkeypatch, corpus[:200])
+    h = hashlib.sha256()
+    for _, _, out in calls:
+        h.update(surface.print_term(out, "lamsx").encode() + b"\n")
+    assert len(calls) == 2969
+    assert h.hexdigest() == STATE_DIGEST
+
+
+def test_every_simulated_state_holds_only_names_of_its_program(monkeypatch, corpus):
+    names = {}
+    for p, state, _ in simulated_translations(monkeypatch, corpus):
+        if p not in names:
+            names[p] = translate.def_rename(p)[1]
+        assert translate._all_names(state) <= names[p], surface.print_term(state, "lams")

@@ -18,7 +18,7 @@ from . import lam_s as S
 from . import lam_sx as X
 from . import surface, translate
 from .coercions import Coercion, Fun, Id, IdStar, InjSeq, ProjSeq, is_canonical
-from .terms import CoercedVal, Const, IsBlame, IsValue, unread, walk_unseen
+from .terms import CoercedVal, Const, Stepped, unread, walk_unseen
 from .types import BOOL, DYN, INT, Base, Dyn, FunT, Fun2T, Type, is_source_type
 
 
@@ -394,80 +394,83 @@ def differentialRun(p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None
 # Simulation checking
 
 
+def _run(mod, start, defs):
+    """The results of ``mod.step`` along the run from ``start``, up to the
+    terminal one, each step taken only when the caller asks for it.
+
+    Each step is given the step before, as :func:`terms.evaluate` gives
+    it, so the checks run the steppers the way every run does: by turns
+    read, as an observer of every state leaves it, and unread
+    (:func:`terms.unread`, made before the caller reads the step), as a
+    run with no observer leaves it.
+    """
+    at = start
+    for i in itertools.count():
+        r = mod.step(at, defs)
+        if r.__class__ is not Stepped:
+            yield r
+            return
+        at = unread(r) if i % 2 else r
+        yield r
+
+
 def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = None) -> Verdict:
     """Check the step-for-step simulation of a source run by its translation.
 
-    Each source e-step must be matched by at most one target e-step plus
-    administrative c-steps, and each source c-step by c-steps only, in
-    both cases landing on the translation of the next source state.
-    Each step is given the step before, as :func:`terms.evaluate` gives
-    it, so the check runs the steppers the way every run does: by turns
-    read, as an observer of every state leaves it, and unread
-    (:func:`terms.unread`, made before the read), as a run with no
-    observer leaves it.  A source state that does not typecheck has no
-    translation to land on, and is reported as a failure of preservation.
+    The source and its translation each run once (:func:`_run`), and the
+    target goes on from the step that matched.  Each source e-step must be
+    matched by at most one target e-step plus administrative c-steps, and
+    each source c-step by c-steps only, both landing on the translation of
+    the next source state.  A source, or a source state, that does not
+    typecheck has no translation to land on, and is reported as such.
 
-    Each distinct source state is translated once per run: a state the run
-    comes back to, as a diverging run does, reuses its translation.  The
-    source step, the target steps and their comparison with the
-    translation run at every source step.
+    Each distinct source state is translated once per call: a state the
+    run comes back to, as a diverging run does, reuses its translation.
     """
-    px = translate.trans_program(p)
-    sdefs = p.def_terms()
-    xdefs = px.def_terms()
+    try:
+        px = translate.trans_program(p)
+    except S.TypeCheckError as e:
+        return Verdict("invariant-violation", f"source does not typecheck: {e}", "", "", p, seed)
     # consecutive states share most of their nodes; their typings are reused
     memo: dict = {}
-    cur_s = p.main
-    cur_t = translate.trans_state(p, cur_s, memo)
-    # state -> its translation, so a diverging run translates each state of
-    # its cycle once
-    translated = {cur_s: cur_t}
-    for i in range(max_steps):
-        r = S.step(cur_s, sdefs)
-        if isinstance(r, (IsValue, IsBlame)):
-            break
-        given = unread(r) if i % 2 else r
-        nxt_s = r.term
-        expected = translated.get(nxt_s)
-        if expected is None:
-            try:
-                expected = translated[nxt_s] = translate.trans_state(p, nxt_s, memo)
-            except S.TypeCheckError as e:
-                detail = f"source preservation failed after {r.rule}: {e}"
-                source = surface.print_term(nxt_s, "lams")
-                return Verdict("invariant-violation", detail, source, "", p, seed)
 
-        t = at = cur_t
+    @functools.cache
+    def translated(s):
+        return translate.trans_state(p, s, memo)
+
+    t = translated(p.main)
+    target_run = _run(X, t, px.def_terms())
+    for i, r in enumerate(itertools.islice(_run(S, p.main, p.def_terms()), max_steps)):
+        if r.__class__ is not Stepped:
+            break
+        nxt_s = r.term
+        try:
+            expected = translated(nxt_s)
+        except S.TypeCheckError as e:
+            detail = f"source preservation failed after {r.rule}: {e}"
+            source = surface.print_term(nxt_s, "lams")
+            return Verdict("invariant-violation", detail, source, "", p, seed)
         e_budget = 1 if r.kind == "e" else 0
         matched = r.kind == "e" and surface.alpha_eq(t, expected)
         used = 0
         while not matched and used < _INNER_CAP:
-            rx = X.step(at, xdefs)
-            if isinstance(rx, (IsValue, IsBlame)):
+            rx = next(target_run)
+            if rx.__class__ is not Stepped:
                 break
             if rx.kind == "e":
-                if e_budget == 0:
+                if e_budget == 0:  # the check fails here, so no later step needs rx
                     break
                 e_budget -= 1
-            at = unread(rx) if used % 2 else rx
             t = rx.term
             used += 1
-            if surface.alpha_eq(t, expected):
-                matched = True
+            matched = surface.alpha_eq(t, expected)
         if not matched:
             detail = (
                 f"source step {i + 1} ({r.kind} {r.rule}) not simulated within "
                 f"{_INNER_CAP} target steps"
             )
-            return Verdict(
-                "invariant-violation",
-                detail,
-                surface.print_term(nxt_s, "lams"),
-                surface.print_term(t, "lamsx"),
-                p,
-                seed,
-            )
-        cur_s, cur_t = given, expected
+            source, target = surface.print_term(nxt_s, "lams"), surface.print_term(t, "lamsx")
+            return Verdict("invariant-violation", detail, source, target, p, seed)
     return Verdict("agree", "simulation held on every checked step", "", "", p, seed)
 
 
@@ -514,7 +517,11 @@ def _check_run(
 ) -> Optional[str]:
     """Check ``p``'s run in one calculus, whose function type is ``fun_t``
     and whose ``carriers`` hold a coercion in ``crc``; each violation goes
-    to ``bad``.  Returns the type error if ``p`` does not typecheck."""
+    to ``bad``.  Returns the type error if ``p`` does not typecheck.
+
+    The run is stepped by :func:`_run`, as each side of
+    :func:`simulationCheck` is, so both checks follow the same searches.
+    """
     side = "" if dialect == "lams" else "target "
     sigs = p.def_types()
     defs = p.def_terms()
@@ -534,21 +541,16 @@ def _check_run(
     canonical: dict = {}
     # the metric bounds the composition steps of the source calculus only
     check_metric = dialect == "lams"
-    # state -> (type error, printed non-canonical coercions, oracle splits,
-    # metric): what the checks of a state found, worked out at its first
-    # visit and replayed at every later one, so a diverging run checks each
-    # state of its cycle once
-    found: dict = {}
-
+    # (type error, printed non-canonical coercions, oracle splits, metric):
+    # what the checks of a state found, worked out at its first visit and
+    # replayed at every later one, so a diverging run checks each state of
+    # its cycle once
+    @functools.cache
     def check(t) -> tuple:
-        f = found.get(t)
-        if f is not None:
-            return f
         try:
             mod.typecheck(t, {}, sigs, ty0, memo)
         except mod.TypeCheckError as e:
-            f = found[t] = (str(e), (), None, None)
-            return f
+            return (str(e), (), None, None)
         new = walk_unseen(t, canonical)
         wrong = [
             surface.print_coercion(m.crc, dialect)
@@ -558,24 +560,19 @@ def _check_run(
         if not wrong:
             canonical.update([(id(m), m) for m in new])
         metric = mod.metric_f(t) if check_metric else None
-        f = found[t] = (None, wrong, mod.decompose_oracle(t, defs), metric)
-        return f
+        return (None, wrong, mod.decompose_oracle(t, defs), metric)
 
-    state = at = p.main
+    state = p.main
     # a coercion of the start state is not reported there, only stored for
     # a run that comes back to it
     err, _, oracle, prev_metric = check(state)
     if err is not None:
         return err
-    for i in range(max_states):
-        # given the step before, read and unread by turns, as
-        # :func:`simulationCheck` gives it
-        r = mod.step(at, defs)
-        if isinstance(r, (IsValue, IsBlame)):
+    for r in itertools.islice(_run(mod, state, defs), max_states):
+        if r.__class__ is not Stepped:
             if oracle:
                 report(f"oracle found a redex in a terminal {side}state")
             break
-        at = unread(r) if i % 2 else r
         if len(oracle) != 1:
             report(f"{side}oracle found {len(oracle)} redexes, want exactly 1")
         elif oracle[0].rule != r.rule or oracle[0].term != r.term:

@@ -177,9 +177,9 @@ class TestSimulationAndInvariants:
 
     def test_a_fault_in_the_refocusing_search_is_caught(self, refocus_fault, corpus):
         programs = corpus[:100]
-        assert sum(invariantSuite(p) != [] for p in programs) > 0
+        assert _flagged(invariantSuite(p) for p in programs) == _REFOCUS_SEEDS
         verdicts = [simulationCheck(p) for p in programs]
-        assert sum(v.kind != "agree" for v in verdicts) > 0
+        assert _flagged(v.kind != "agree" for v in verdicts) == _REFOCUS_SEEDS
         # the faulty step leaves states that do not typecheck; each is reported
         preservation = [v for v in verdicts if "source preservation failed" in v.detail]
         assert preservation and all(v.kind == "invariant-violation" for v in preservation)
@@ -189,21 +189,44 @@ class TestSimulationAndInvariants:
         # returns a value to a frame, so they give every other step the
         # one before unread
         programs = corpus[:100]
-        reports = [v for p in programs for v in invariantSuite(p)]
-        assert reports
+        reports = [invariantSuite(p) for p in programs]
+        assert _flagged(reports) == _POP_SEEDS
         assert all(v.detail.endswith("oracle chose R-IfTrue, stepper chose R-IfTrue")
-                   for v in reports)
+                   for r in reports for v in r)
+        # the fault strikes on both sides, so the simulation sees it only
+        # where one side pops and the other does not
         verdicts = [simulationCheck(p) for p in programs]
-        failed = [v for v in verdicts if v.kind != "agree"]
-        assert failed and all("(e R-IfTrue) not simulated" in v.detail for v in failed)
+        assert _flagged(v.kind != "agree" for v in verdicts) == _POP_SIMULATION_SEEDS
+        assert all("(e R-IfTrue) not simulated" in v.detail
+                   for v in verdicts if v.kind != "agree")
 
     def test_a_fault_in_the_lookup_under_an_environment_is_caught(self, env_lookup_fault, corpus):
         # the checks give every other step the one before unread, so the
         # target's search goes on under the environments R-Beta and R-Let
         # start; the oracle sees the state read, with no environment
-        reports = [v for p in corpus[:100] for v in invariantSuite(p)]
-        assert reports
-        assert all(v.detail.startswith("target oracle chose") for v in reports)
+        reports = [invariantSuite(p) for p in corpus[:100]]
+        assert _flagged(reports) == _ENV_LOOKUP_SEEDS
+        assert all(v.detail.startswith("target oracle chose") for r in reports for v in r)
+        # the target runs once, so its search goes on under them there too
+        verdicts = [simulationCheck(p) for p in corpus[:100]]
+        assert _flagged(v.kind != "agree" for v in verdicts) == _ENV_LOOKUP_SEEDS
+        assert all(" not simulated within " in v.detail for v in verdicts if v.kind != "agree")
+
+
+def _flagged(findings) -> list:
+    """The positions, here the corpus seeds, of the findings that are truthy."""
+    return [seed for seed, f in enumerate(findings) if f]
+
+
+# The corpus seeds among 0-99 on which each planted fault is reported.
+_REFOCUS_SEEDS = [
+    3, 4, 5, 6, 10, 11, 13, 16, 18, 19, 21, 26, 28, 29, 30, 31, 33, 34, 35, 36,
+    37, 41, 42, 43, 47, 48, 49, 50, 52, 53, 54, 56, 58, 60, 61, 64, 65, 66, 67, 68,
+    69, 70, 72, 73, 74, 75, 78, 80, 81, 82, 84, 85, 86, 87, 88, 90, 91, 94, 97, 98,
+]
+_POP_SEEDS = [3, 4, 18, 21, 28, 35, 42, 43, 48, 49, 66, 67, 72, 82, 85, 88, 90, 91, 97]
+_POP_SIMULATION_SEEDS = [18, 21, 35, 42, 43, 49, 67, 72, 82, 85, 90]
+_ENV_LOOKUP_SEEDS = [3, 4, 13, 21, 28, 49, 60, 66, 72, 73, 80, 82, 85, 90, 97]
 
 
 # A run that never ends: from the third state on, the source and its
@@ -303,6 +326,18 @@ class TestEachStateCheckedOnce:
         assert len(steps) == 250
         assert len(translated) < 10
         assert translated == Counter(set(states))
+
+    def test_the_target_runs_once(self, monkeypatch):
+        # the target starts at the translated main term and goes on from the
+        # step that matched; it never starts again from a translated state
+        p = surface.parse_program(_LOOP, "lams")
+        given = _count_calls(
+            monkeypatch, X, "step",
+            lambda t, defs=None: "step" if t.__class__ is terms.Stepped else "term")
+        assert simulationCheck(p).kind == "agree"
+        # one target step per source step: the first from the term, the
+        # other 249 from the step before
+        assert given == {"term": 1, "step": 249}
 
     def test_a_fault_only_at_revisited_states_is_reported(self, monkeypatch):
         p = surface.parse_program(_LOOP, "lams")
@@ -523,6 +558,12 @@ class TestInvariantMessages:
         p = S.ProgramS((), S.Op("+", S.Const(1), S.Const(True)))
         (v,) = invariantSuite(p, seed=5)
         assert v.to_json() == (
+            '{"kind": "invariant-violation", "detail": "source does not typecheck:'
+            ' expected Int, found Bool", "seed": 5, "witness": "1 + true"}')
+
+    def test_an_ill_typed_source_is_not_simulated(self):
+        p = S.ProgramS((), S.Op("+", S.Const(1), S.Const(True)))
+        assert simulationCheck(p, seed=5).to_json() == (
             '{"kind": "invariant-violation", "detail": "source does not typecheck:'
             ' expected Int, found Bool", "seed": 5, "witness": "1 + true"}')
 

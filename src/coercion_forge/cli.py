@@ -84,6 +84,8 @@ def _load(args: argparse.Namespace):
             raise CliError(
                 EXIT_STATIC, f"cannot read {args.file}: {e.strerror or e}"
             ) from None
+        except UnicodeDecodeError as e:
+            raise CliError(EXIT_STATIC, f"cannot read {args.file}: {e}") from None
         where = args.file
     try:
         return surface.parse_program(text, dialect), dialect

@@ -13,9 +13,10 @@ flag for it: R-MergeC fires from one place, the check of the frame above a
 pending coercion in the focus.  A search that reaches a coercion applied to
 a pending coercion goes down one frame and merges the pair there, before
 anything under them fires, and a search that goes on from a contractum
-looks at the frame above it first.  The decomposition oracle states the grammar:
-``_frame_ok`` answers each frame's sort, "plain" or "crc", and the shared
-search ``terms.decompose`` applies the two rules.
+looks at the frame above it first.  The decomposition oracle states the
+grammar: the table ``_FRAMES`` gives each former's frames and their sorts,
+"plain" or "crc", and the shared search ``terms.decompose`` applies the
+two rules.
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ def delta(op: str, a: object, b: object) -> object:
 
 _UNCOERCED_CLASSES = frozenset((Const, Abs, GlobalRef))
 _VALUE_CLASSES = frozenset((Const, Abs, GlobalRef, Var, CoercedVal))
-
-
-def is_uncoerced(t: TermS) -> bool:
-    return t.__class__ in _UNCOERCED_CLASSES
 
 
 def is_value(t: TermS) -> bool:
@@ -560,19 +557,9 @@ def evaluate_program(
 # Decomposition oracle: a grammar-driven search, independent of step()
 
 
-def _frame_ok(t: TermS, i: int) -> Optional[str]:
-    """The sort of the frame whose hole is child ``i``: "plain", "crc" or None."""
-    # dispatch on the class and test values by it: asked of every child on the way down
-    cls = t.__class__
-    if cls is Op:
-        return "plain" if i == 0 or t.left.__class__ in _VALUE_CLASSES else None
-    if cls is App:
-        return "plain" if i == 0 or t.fun.__class__ in _VALUE_CLASSES else None
-    if cls is If:
-        return "plain" if i == 0 else None
-    if cls is CrcApp:
-        return "crc" if i == 0 else None
-    return None
+# The two-sort context grammar: each former's evaluation frames, left to
+# right, by sort.  A pending coercion's frame is the one "crc" frame.
+_FRAMES = {Op: ("plain", "plain"), App: ("plain", "plain"), If: ("plain",), CrcApp: ("crc",)}
 
 
 def _local_redexes(t: TermS, defs) -> Optional[tuple[str, TermS]]:
@@ -616,7 +603,7 @@ def decompose_oracle(
     term: TermS, defs: Optional[Mapping[str, TermS]] = None
 ) -> list[terms.Decomposition]:
     """Every (context, redex) split licensed by the two-sort context grammar."""
-    return terms.decompose(term, defs, _frame_ok, _local_redexes)
+    return terms.decompose(term, defs, _FRAMES, _VALUE_CLASSES, _local_redexes)
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,6 @@ _UNCOERCED_CLASSES = frozenset((Const, Abs2, CrcLit, GlobalRef))
 _VALUE_CLASSES = frozenset((Const, Abs2, CrcLit, GlobalRef, Var, CoercedVal))
 
 
-def is_uncoerced(t: TermX) -> bool:
-    return t.__class__ in _UNCOERCED_CLASSES
-
-
 def is_value(t: TermX) -> bool:
     return t.__class__ in _VALUE_CLASSES
 
@@ -427,10 +423,6 @@ def _value(v: TermX, env) -> TermX:
     return v
 
 
-def _stuck(t: TermX, env, k) -> terms.StuckTerm:
-    return terms.StuckTerm.at(substitute(t, env) if env else t, k)
-
-
 # A frame's node slot holds the list [node, env], where env is what the
 # node's children but the hole are under.  A value returned to the frame
 # fires the node's rule from the list without building the node; the
@@ -583,7 +575,7 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
             # blame discards the whole context
             return _stepped("E-Abort", t, _EMPTY, None)
         else:
-            raise _stuck(t, env, k)
+            raise terms.StuckTerm.at(t, k)
 
 
 # The rules of each former, fired at a node whose children the search has
@@ -594,7 +586,6 @@ def _find(t: TermX, env, k, defs) -> terms.StepResult:
 
 
 def _app2(f, a, c, env, k, defs) -> terms.Stepped:
-    f0, a0, c0 = f, a, c
     if env:
         f = _value(f, env)
     fc = f.__class__
@@ -619,11 +610,10 @@ def _app2(f, a, c, env, k, defs) -> terms.Stepped:
         return _stepped("R-Wrap", wrapped, env, k)
     if fc is GlobalRef and f.name in defs:
         return _stepped("R-Unfold", App2(defs[f.name], a, c), _EMPTY, k)
-    raise _stuck(App2(f0, a0, c0), env, k)
+    raise terms.StuckTerm.at(App2(f, a, c), k)
 
 
 def _crc(m, c, env, k) -> terms.Stepped:
-    m0, c0 = m, c
     if env:
         m, c = _value(m, env), _value(c, env)
     if c.__class__ is CrcLit:
@@ -639,16 +629,15 @@ def _crc(m, c, env, k) -> terms.Stepped:
                 return _stepped("R-Fail", Blame(d.label), env, k)
             if dc is InjSeq or dc is Fun:
                 return _stepped("R-Crc", CoercedVal(m, d), env, k)
-    raise _stuck(CrcApp(m0, c0), env, k)
+    raise terms.StuckTerm.at(CrcApp(m, c), k)
 
 
 def _op(n, l, r, env, k) -> terms.Stepped:
-    l0, r0 = l, r
     if env:
         l, r = _value(l, env), _value(r, env)
     if l.__class__ is Const and r.__class__ is Const:
         return _stepped("R-Op", Const(delta(n.op, l.val, r.val)), env, k)
-    raise _stuck(Op(n.op, l0, r0), env, k)
+    raise terms.StuckTerm.at(Op(n.op, l, r), k)
 
 
 def _let(n, m, env, k) -> terms.Stepped:
@@ -666,23 +655,22 @@ def _let(n, m, env, k) -> terms.Stepped:
 
 
 def _compose(l, r, env, k) -> terms.Stepped:
-    l0, r0 = l, r
     if env:
         l, r = _value(l, env), _value(r, env)
     if l.__class__ is CrcLit and r.__class__ is CrcLit:
         return _stepped("R-Cmp", CrcLit(compose(l.crc, r.crc, Fun2T)), env, k)
-    raise _stuck(Compose(l0, r0), env, k)
+    raise terms.StuckTerm.at(Compose(l, r), k)
 
 
 def _if(n, c, env, k) -> terms.Stepped:
-    c0 = c
     if env:
         c = _value(c, env)
     if c == TRUE:
         return _stepped("R-IfTrue", n.then, env, k)
     if c == FALSE:
         return _stepped("R-IfFalse", n.els, env, k)
-    raise _stuck(If(c0, n.then, n.els), env, k)
+    # the branches are under ``env``: the message names what a variable there stands for
+    raise terms.StuckTerm.at(substitute(If(c, n.then, n.els), env), k)
 
 
 def evaluate(
@@ -706,28 +694,16 @@ def evaluate_program(
 # Decomposition oracle
 
 
-# The formers whose first child is the hole of an evaluation frame.
-_FRAMED_CLASSES = frozenset((Op, Compose, App2, Let, If, CrcApp))
-
-
-def _frame_ok(t: TermX, i: int) -> Optional[str]:
-    """"plain" if child ``i`` is the hole of an evaluation frame, else None.
-
-    Coercion passing leaves no pending coercion frame: no frame is "crc".
-    """
-    # dispatch on the class and test values by it: asked of every child on the way down
-    cls = t.__class__
-    if i == 0:
-        ok = cls in _FRAMED_CLASSES
-    elif cls is Op or cls is Compose:
-        ok = t.left.__class__ in _VALUE_CLASSES
-    elif cls is App2:
-        ok = t.fun.__class__ in _VALUE_CLASSES and (i == 1 or t.arg.__class__ in _VALUE_CLASSES)
-    elif cls is CrcApp:
-        ok = t.subject.__class__ in _VALUE_CLASSES
-    else:
-        ok = False
-    return "plain" if ok else None
+# The call-by-value contexts: each former's evaluation frames, left to
+# right.  Coercion passing leaves no pending coercion frame: none is "crc".
+_FRAMES = {
+    Op: ("plain", "plain"),
+    Compose: ("plain", "plain"),
+    CrcApp: ("plain", "plain"),
+    App2: ("plain", "plain", "plain"),
+    Let: ("plain",),
+    If: ("plain",),
+}
 
 
 def _local_redexes(t: TermX, defs) -> Optional[tuple[str, TermX]]:
@@ -777,7 +753,7 @@ def decompose_oracle(
     term: TermX, defs: Optional[Mapping[str, TermX]] = None
 ) -> list[terms.Decomposition]:
     """Every (context, redex) split licensed by the call-by-value contexts."""
-    return terms.decompose(term, defs, _frame_ok, _local_redexes)
+    return terms.decompose(term, defs, _FRAMES, _VALUE_CLASSES, _local_redexes)
 
 
 # ---------------------------------------------------------------------------

@@ -552,11 +552,12 @@ class Decomposition:
 Decomposition = record(Decomposition)
 
 
-def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes) -> list:
+def decompose(term, defs: Optional[Mapping[str, Any]], frames, values, local_redexes) -> list:
     """Every (context, redex) split of ``term`` that the context grammar licenses.
 
-    ``frame_sort(node, i)`` answers the sort of the frame whose hole is
-    child ``i``: "plain", "crc" for a pending coercion, or None.
+    ``frames`` maps each former to the sorts of its evaluation frames, left
+    to right: "plain", or "crc" for a pending coercion.  The hole of the
+    i-th may be child i once children 0..i-1 are of the ``values`` classes.
     ``local_redexes(node, defs)`` returns the (rule, contractum) pair of
     the rule firing at ``node``, or None: at most one rule fires at a
     node.  The grammar's own rules: no coercion frame directly inside
@@ -573,7 +574,6 @@ def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes
     # a path is a linked list (child index, parent's link), innermost first
     stack = [(term, None, None)]
     pop = stack.pop
-    push = stack.append
     while stack:
         sub, link, sort = pop()
         if link is not None and sub.__class__ is Blame:
@@ -582,11 +582,18 @@ def decompose(term, defs: Optional[Mapping[str, Any]], frame_sort, local_redexes
         if fired is not None and (sort != "crc" or fired[0] not in C_RULES):
             path = _spell(link)
             out.append(Decomposition(path, fired[0], replace(term, path, fired[1])))
-        kids = sub._kids
-        for i in range(len(kids) - 1, -1, -1):
-            inner = frame_sort(sub, i)
-            if inner is not None and (inner != "crc" or sort != "crc"):
-                push((getattr(sub, kids[i]), (i, link), inner))
+        sorts = frames.get(sub.__class__)
+        if sorts is not None:
+            # the holes left to right, up to the first child not a value
+            kids = sub._kids
+            holes = []
+            for i, inner in enumerate(sorts):
+                kid = getattr(sub, kids[i])
+                if inner != "crc" or sort != "crc":
+                    holes.append((kid, (i, link), inner))
+                if kid.__class__ not in values:
+                    break
+            stack += reversed(holes)
     return out
 
 

@@ -151,6 +151,16 @@ class TestCheck:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command, suffix", [
+        ("check", ".lams"), ("eval", ".lamsx"), ("translate", ".lams"), ("simcheck", ".lams")])
+    def test_a_file_that_is_not_utf8_exits_two(self, capsys, tmp_path, command, suffix):
+        f = tmp_path / f"prog{suffix}"
+        f.write_bytes(b"\xff\xfe1 + 2")
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
 
 class TestTranslate:
     def test_output_reparses_and_is_deterministic(self, capsys):

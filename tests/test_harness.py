@@ -786,7 +786,8 @@ def _step_without_merging(state, defs=None):
     t = state.term if state.__class__ is terms.Stepped else state
     splits = terms.decompose(
         t, defs,
-        lambda n, i: S._frame_ok(n, i) and "plain",
+        {cls: ("plain",) * len(sorts) for cls, sorts in S._FRAMES.items()},
+        S._VALUE_CLASSES,
         lambda n, d: None if (r := S._local_redexes(n, d)) and r[0] == "R-MergeC" else r)
     if not splits:
         return terms.IS_BLAME if t.__class__ is S.Blame else terms.IS_VALUE

@@ -332,6 +332,13 @@ def unread_run(t, defs=None):
     return steps, pops, stuck
 
 
+class _Fields:
+    """A stand-in node: each field is the variable named after it."""
+
+    def __getattr__(self, name):
+        return Var(name)
+
+
 class TestPop:
     """A value in the focus returns to the innermost frame.  Its node's rule
     fires from the frame's node and the value, without building the node,
@@ -386,6 +393,21 @@ class TestPop:
     def test_the_cases_cover_every_frame(self):
         assert len(self.FRAMES) == 6
         assert set().union(*[c[1] for c in self.CASES]) == set(self.FRAMES.values())
+
+    def test_each_frame_is_an_entry_of_the_oracle_s_table(self):
+        # each refill rebuilds a former of ``_FRAMES`` with the hole at a
+        # child the table lists and every other field in place, and
+        # together the refills cover the table
+        hole = Var("hole")
+        got = []
+        for refill in self.FRAMES:
+            t = refill(_Fields(), hole)
+            [i] = [i for i, k in enumerate(t._kids) if getattr(t, k) is hole]
+            assert all(getattr(t, f) == Var(f) for f in t._fields if getattr(t, f) is not hole)
+            got.append((t.__class__, i))
+        table = [(cls, i) for cls, sorts in S._FRAMES.items() for i in range(len(sorts))]
+        assert len(table) == 6
+        assert len(set(got)) == len(got) and set(got) == set(table)
 
     # a stuck node reached by a pop: stepping the state whose focus it is
     # from the root names the same node at the same depth

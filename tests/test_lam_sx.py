@@ -390,6 +390,13 @@ def unread_run(t, defs=None):
     return steps, pops, stuck
 
 
+class _Fields:
+    """A stand-in node: each field is the variable named after it."""
+
+    def __getattr__(self, name):
+        return Var(name)
+
+
 class TestPop:
     """A value in the focus returns to the innermost frame.  Its node's rule
     fires from the frame's node and the value, without building the node,
@@ -483,6 +490,21 @@ class TestPop:
         covered = {f for c in self.CASES for f, _ in c[1]}
         assert covered == set(self.FRAMES.values())
 
+    def test_each_frame_is_an_entry_of_the_oracle_s_table(self):
+        # each refill rebuilds a former of ``_FRAMES`` with the hole at a
+        # child the table lists and every other field in place, and
+        # together the refills cover the table
+        hole = Var("hole")
+        got = []
+        for refill in self.FRAMES:
+            t = refill([_Fields(), X._EMPTY], hole)
+            [i] = [i for i, k in enumerate(t._kids) if getattr(t, k) is hole]
+            assert all(getattr(t, f) == Var(f) for f in t._fields if getattr(t, f) is not hole)
+            got.append((t.__class__, i))
+        table = [(cls, i) for cls, sorts in X._FRAMES.items() for i in range(len(sorts))]
+        assert len(table) == 11
+        assert len(set(got)) == len(got) and set(got) == set(table)
+
     def test_an_open_value_returned_to_a_frame_under_another_environment_is_substituted(self):
         # g returns its free y to the frame (_ + y), which f's call put
         # under {y: 5, k: id{Int}}: the frame's node is built with that
@@ -524,3 +546,11 @@ class TestPop:
         with pytest.raises(StuckTerm) as e:
             step(steps[-1].term)
         assert str(e.value) == str(stuck)
+
+    def test_a_stuck_if_names_what_its_branches_stand_for_under_the_environment(self):
+        # the branches are the body's x, which R-Beta's environment binds
+        # to 2: the message names the constant, as the read state holds it
+        t = parse("(\\ (x:Int, k:Int). if 1 then x else x)(2, id{Int})")
+        steps, pops, stuck = unread_run(t)
+        assert [r.rule for r in steps] == ["R-Beta"]
+        assert str(stuck) == "no rule applies to If(Const, Const, Const) at depth 0"

@@ -306,6 +306,86 @@ def test_the_typecheckers_reject_a_definition_without_a_function_signature(mod):
         mod.typecheck_program(p)
 
 
+def _abs(x, ty):
+    """The identity on ``ty`` in λS."""
+    return S.Abs(x, ty, S.Var(x))
+
+
+_ONE_AS_DYN = S.CoercedVal(S.Const(1), InjSeq(Id(INT), INT))
+
+# (calculus, ill-typed term, the message of the one branch that rejects it),
+# for each rejection one calculus's typechecker has alone
+ONE_SIDED_REJECTIONS = [
+    (S, S.Op("+", _abs("x", INT), S.Const(1)), "expected Int, found a function"),
+    (S, S.App(S.Abs("f", FunT(INT, INT), S.Var("f")), _abs("x", BOOL)),
+     "function argument annotated Bool, expected Int"),
+    (X, X.App2(X.Blame("p"), X.Const(1), X.Const(2)),
+     "continuation argument must have a coercion type, found Int"),
+    (X, X.Compose(X.Const(1), X.CrcLit(Id(INT))),
+     "composition operand must have a coercion type, found Int"),
+    (X, X.Abs2("x", INT, "k", INT, X.Var("x")),
+     "body must produce the continuation's answer type, found Int"),
+]
+
+# the same for the rejections both have that no shared test names
+SHARED_REJECTIONS = [
+    (lambda m: m.CoercedVal(m.Op("+", m.Const(1), m.Const(2)), InjSeq(Id(INT), INT)),
+     "coerced-value subject must be an uncoerced value"),
+    (lambda m: m.CoercedVal(m.Const(1), Id(INT)),
+     "coerced values carry injections or arrows only"),
+    (lambda m: m.If(m.Const(True), m.Const(1), m.Const(False)),
+     "branch types Int and Bool differ"),
+]
+
+# an ill-typed coercion for each rejection of ``coercions.check_crc``; the
+# typecheckers report its message
+CRC_REJECTIONS = [
+    (S.CrcApp(_ONE_AS_DYN, ProjSeq(INT, "p", IdStar())), "id at Dyn applied to Int"),
+    (S.CoercedVal(S.Const(1), InjSeq(Id(BOOL), BOOL)), "id at Bool applied to Int"),
+    (S.CrcApp(_ONE_AS_DYN, ProjSeq(FunT(INT, INT), "p", Id(FunT(INT, INT)))),
+     "projection tag (Int -> Int) is not ground"),
+    (S.CoercedVal(S.Const(1), InjSeq(ProjSeq(INT, "p", Id(INT)), INT)),
+     "projection applied to Int"),
+    (S.CoercedVal(_abs("x", INT), InjSeq(Id(FunT(INT, INT)), FunT(INT, INT))),
+     "injection tag (Int -> Int) is not ground"),
+    (S.CoercedVal(S.Const(1), InjSeq(Id(INT), BOOL)), "injection of Int at tag Bool"),
+    (S.CoercedVal(S.Const(1), Fun(Id(INT), Id(INT))), "arrow coercion applied to Int"),
+    (S.CoercedVal(_abs("x", BOOL), Fun(Id(INT), Id(BOOL))),
+     "arrow argument expects Int, got Bool"),
+    (S.CrcApp(S.Const(1), Fail(FunT(INT, INT), "p", BOOL)),
+     "failure tags (Int -> Int), Bool not ground"),
+    (S.CrcApp(_ONE_AS_DYN, Fail(INT, "p", BOOL)), "failure coercion has a non-dynamic source"),
+    (S.CrcApp(S.Const(True), Fail(INT, "p", BOOL)), "failure source Bool not consistent with Int"),
+]
+
+
+@pytest.mark.parametrize("mod, t, message", ONE_SIDED_REJECTIONS,
+                         ids=[c[2] for c in ONE_SIDED_REJECTIONS])
+def test_each_one_sided_rejection_has_a_witness(mod, t, message):
+    with rejection(mod, message):
+        mod.typecheck(t)
+
+
+@pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
+@pytest.mark.parametrize("make, message", SHARED_REJECTIONS, ids=[c[1] for c in SHARED_REJECTIONS])
+def test_the_typecheckers_reject_each_shared_witness(mod, make, message):
+    with rejection(mod, message):
+        mod.typecheck(make(mod))
+
+
+def test_a_definition_unlike_its_signature_is_rejected():
+    fun = X.Abs2("x", BOOL, "k", INT, X.CrcApp(X.Var("x"), X.Var("k")))
+    p = X.ProgramX((X.DefX("f", Fun2T(INT, INT), fun),), X.Const(0))
+    with rejection(X, "function annotated Bool/Int, expected (Int => Int)"):
+        X.typecheck_program(p)
+
+
+@pytest.mark.parametrize("t, message", CRC_REJECTIONS, ids=[c[1] for c in CRC_REJECTIONS])
+def test_each_coercion_rejection_has_a_witness(t, message):
+    with rejection(S, message):
+        S.typecheck(t)
+
+
 def test_unread_gives_back_a_step_built_whole():
     # a step made by the constructor has no focus or context to go on from,
     # so the checks may hand it on unread

@@ -17,9 +17,8 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from . import harness, lam_s, lam_sx, surface, terms, translate
-from .coercions import CoercionTypeError
 from .surface import ParseError
-from .types import default_wildcards
+from .types import TypeCheckError, default_wildcards
 
 EXIT_OK = 0
 EXIT_BLAME = 1
@@ -96,7 +95,7 @@ def _load(args: argparse.Namespace):
 def _typecheck(p, dialect: str):
     try:
         return _mod(dialect).typecheck_program(p)
-    except (lam_s.TypeCheckError, lam_sx.TypeCheckError, CoercionTypeError) as e:
+    except TypeCheckError as e:
         raise CliError(EXIT_STATIC, f"type error: {e}") from None
 
 
@@ -148,7 +147,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     # translator bug, not a user error.
     try:
         lam_sx.typecheck_program(surface.parse_program(text, "lamsx"))
-    except (ParseError, lam_sx.TypeCheckError, CoercionTypeError) as e:
+    except (ParseError, TypeCheckError) as e:
         raise CliError(EXIT_VIOLATION, f"translated program failed re-check: {e}") from None
     print(text)
     return EXIT_OK

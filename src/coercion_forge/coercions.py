@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Union
 
 from .records import record
-from .types import ANY, DYN, AnyT, Type, consistent, is_ground, matches
+from .types import ANY, DYN, AnyT, Type, TypeCheckError, consistent, is_ground, matches
 
 
 @record
@@ -216,8 +216,8 @@ def crc_target(c: Coercion, fun_ctor: type) -> Type:
     raise AssertionError(c)
 
 
-class CoercionTypeError(Exception):
-    pass
+class CoercionTypeError(TypeCheckError):
+    """A coercion applied at a type it does not convert from."""
 
 
 def check_crc(c: Coercion, src: Type, fun_ctor: type) -> Type:

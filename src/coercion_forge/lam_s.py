@@ -27,7 +27,6 @@ from typing import Mapping, Optional, Union
 from .coercions import (
     DELAYED_CLASSES,
     Coercion,
-    CoercionTypeError,
     Fail,
     Fun,
     Id,
@@ -55,7 +54,9 @@ from .terms import (
     under_binder,
 )
 from . import terms
-from .types import ANY, BOOL, INT, AnyT, FunT, Type, default_wildcards, matches, merge_types
+from .types import (
+    ANY, BOOL, INT, AnyT, FunT, Type, TypeCheckError, default_wildcards, matches, merge_types
+)
 
 
 @node
@@ -126,10 +127,6 @@ def is_value(t: TermS) -> bool:
 # Typing
 
 
-class TypeCheckError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class DefS:
     name: str
@@ -159,9 +156,13 @@ def typecheck(
     """Build a typing derivation; ``expected`` constrains ambiguous terms.
 
     Blame and failure-targeted coercion applications can be given any type;
-    without an expectation they type as a wildcard, which whatever reports
-    or translates the type reads as Dyn (:func:`types.default_wildcards`).
-    Every answer is a derivable instance.
+    without an expectation they type as a wildcard.  An argument or a
+    coercion's subject, whose type reaches no enclosing type, is pinned
+    (:func:`_pinned`): a wildcard left in its type is read as Dyn
+    (:func:`types.default_wildcards`) and it is checked again at that type,
+    so a wildcard stays only where the term's own type keeps it.  Every
+    answer is a derivable instance.  From its first re-check on, a check
+    keeps each derivation it makes, so a re-check costs one more pass.
 
     ``memo``, a dict kept across the checks of one run's states, reuses the
     derivations of the subterms checked in the empty environment, keyed by
@@ -174,46 +175,58 @@ def typecheck(
     defs = dict(defs) if defs else {}
     if memo is not None:
         terms.claim_memo(memo, defs)
-    return _tc(term, env, defs, expected, memo)
+    return _tc(term, env, defs, expected, memo, {})
 
 
-def _done(term, ty: Type, expected: Optional[Type], children: tuple, memo) -> terms.Typed:
+def _done(term, ty: Type, expected: Optional[Type], children: tuple, table, key) -> terms.Typed:
     # a type matches itself, and merging it with itself gives it back
     if expected is not None and expected is not ty:
         if not matches(ty, expected):
             raise TypeCheckError(f"expected {expected!r}, found {ty!r}")
         ty = merge_types(ty, expected)
     typed = terms.Typed(term, ty, children)
-    if memo is not None:
-        # ``typed`` keeps ``term`` alive, so its id names it while the memo lives
-        memo[id(term), expected] = typed
+    if table is not None:
+        # ``typed`` keeps ``term`` alive, so its id names it while the table lives
+        table[key] = typed
     return typed
 
 
-def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
-    if memo is not None:
-        if env:
-            # under a binder; every subterm below is checked in an extended env
-            memo = None
-        else:
-            typed = memo.get((id(term), expected))
-            if typed is not None:
-                return typed
+# Set in ``seen`` when a check first checks a subterm again; from then on it keeps each derivation
+_AGAIN = "again"
+
+
+def _bind(seen, binder, env, names: dict) -> dict:
+    # ``binder``'s body's environment, made once per check and kept in
+    # ``seen``, so its id names it and every check of ``binder`` shares it
+    return seen.setdefault((id(binder), id(env)), {**env, **names})
+
+
+def _tc(term: TermS, env, defs, expected: Optional[Type], memo, seen) -> terms.Typed:
+    if not env and memo is not None:
+        table, key = memo, (id(term), expected)
+    elif _AGAIN in seen:
+        table, key = seen, (id(term), id(env), expected)
+    else:
+        table = key = None
+    if table is not None:
+        typed = table.get(key)
+        if typed is not None:
+            return typed
     # dispatch on the node class: this runs on every node of every checked
     # state, where a ``match`` chain's tests add up
     cls = term.__class__
     if cls is Const:
-        return _done(term, const_type(term.val), expected, (), memo)
+        return _done(term, const_type(term.val), expected, (), table, key)
     if cls is Var:
         x = term.name
         if x not in env:
             raise TypeCheckError(f"unbound variable {x}")
-        return _done(term, env[x], expected, (), memo)
+        return _done(term, env[x], expected, (), table, key)
     if cls is GlobalRef:
         f = term.name
         if f not in defs:
             raise TypeCheckError(f"unknown definition {f}")
-        return _done(term, defs[f], expected, (), memo)
+        return _done(term, defs[f], expected, (), table, key)
     if cls is Abs:
         x, a = term.var, term.var_ty
         body_exp = None
@@ -225,87 +238,100 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo) -> terms.Typed:
             raise TypeCheckError(
                 f"function argument annotated {a!r}, expected {expected.arg!r}"
             )
-        body = _tc(term.body, {**env, x: a}, defs, body_exp, memo)
-        return _done(term, FunT(a, body.ty), expected, (body,), memo)
+        body = _tc(term.body, _bind(seen, term, env, {x: a}), defs, body_exp, memo, seen)
+        return _done(term, FunT(a, body.ty), expected, (body,), table, key)
     if cls is Op:
         op = term.op
         if op not in OPS:
             raise TypeCheckError(f"unknown operator {op}")
         t1, t2, res = OPS[op]
-        lt = _tc(term.left, env, defs, t1, memo)
-        rt = _tc(term.right, env, defs, t2, memo)
-        return _done(term, res, expected, (lt, rt), memo)
+        lt = _tc(term.left, env, defs, t1, memo, seen)
+        rt = _tc(term.right, env, defs, t2, memo, seen)
+        return _done(term, res, expected, (lt, rt), table, key)
     if cls is App:
         m, n = term.fun, term.arg
-        if isinstance(m, Blame) or (isinstance(m, CrcApp) and isinstance(m.crc, Fail)):
-            # the function side can take any type; pin it from the argument
-            nt = _tc(n, env, defs, None, memo)
-            res = expected if expected is not None else ANY
-            mt = _tc(m, env, defs, FunT(nt.ty, res), memo)
-            return _done(term, res, expected, (mt, nt), memo)
-        mt = _tc(m, env, defs, None, memo)
+        mt = _tc(m, env, defs, None, memo, seen)
         fty = mt.ty
-        if fty.__class__ is FunT and expected is not None and default_wildcards(fty.res) is not fty.res:
-            # a function whose answer left a wildcard answers at the
-            # application's type; any other function keeps its own type, so
-            # an error names that type
-            mt = _tc(m, env, defs, FunT(ANY, expected), memo)
+        if fty.__class__ is AnyT:
+            fty = FunT(ANY, ANY)  # the function can take any type
+        elif fty.__class__ is not FunT:
+            raise TypeCheckError(f"applied non-function of type {fty!r}")
+        arg, res = fty.arg, fty.res
+        if expected is not None and default_wildcards(res) is not res:
+            # a function whose answer left a wildcard answers at the application's
+            # type; any other keeps its own type, so an error names that type
+            res = expected
+        if default_wildcards(arg) is arg:
+            nt = _tc(n, env, defs, arg, memo, seen)
+        else:
+            # the argument, pinned, fixes a parameter type no enclosing type reaches
+            nt = _pinned(n, env, defs, arg, ANY, memo, seen)
+            arg = nt.ty
+        if arg is not fty.arg or res is not fty.res:
+            seen[_AGAIN] = True
+            mt = _tc(m, env, defs, FunT(arg, res), memo, seen)
             fty = mt.ty
-        if isinstance(fty, AnyT):
-            fty = FunT(ANY, ANY)
-        if not isinstance(fty, FunT):
-            raise TypeCheckError(f"applied non-function of type {mt.ty!r}")
-        nt = _tc(n, env, defs, fty.arg, memo)
-        return _done(term, fty.res, expected, (mt, nt), memo)
+        return _done(term, fty.res, expected, (mt, nt), table, key)
     if cls is CrcApp:
         s = term.crc
-        src = crc_source(s, FunT)
-        sub = _tc(term.subject, env, defs, None if isinstance(src, AnyT) else src, memo)
-        try:
-            tgt = check_crc(s, sub.ty, FunT)
-        except CoercionTypeError as e:
-            raise TypeCheckError(str(e)) from None
-        return _done(term, tgt, expected, (sub,), memo)
+        if s.__class__ is Fail:
+            # a failure converts from any type consistent with its source tag
+            sub = _pinned(term.subject, env, defs, None, s.src_tag, memo, seen)
+        else:
+            sub = _pinned(term.subject, env, defs, crc_source(s, FunT), ANY, memo, seen)
+        return _done(term, check_crc(s, sub.ty, FunT), expected, (sub,), table, key)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
         if u.__class__ not in _UNCOERCED_CLASSES:
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
         if d.__class__ not in DELAYED_CLASSES:
             raise TypeCheckError("coerced values carry injections or arrows only")
-        sub = _tc(u, env, defs, None, memo)
-        try:
-            tgt = check_crc(d, sub.ty, FunT)
-        except CoercionTypeError as e:
-            raise TypeCheckError(str(e)) from None
-        return _done(term, tgt, expected, (sub,), memo)
+        sub = _pinned(u, env, defs, None, crc_source(d, FunT), memo, seen)
+        return _done(term, check_crc(d, sub.ty, FunT), expected, (sub,), table, key)
     if cls is Blame:
-        return _done(term, ANY if expected is None else expected, expected, (), memo)
+        return _done(term, ANY if expected is None else expected, expected, (), table, key)
     if cls is If:
-        ct = _tc(term.cond, env, defs, BOOL, memo)
-        mt = _tc(term.then, env, defs, expected, memo)
-        nt = _tc(term.els, env, defs, expected, memo)
+        ct = _tc(term.cond, env, defs, BOOL, memo, seen)
+        mt = _tc(term.then, env, defs, expected, memo, seen)
+        nt = _tc(term.els, env, defs, expected, memo, seen)
         if not matches(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
         ty = merge_types(mt.ty, nt.ty)
         # a branch that left a wildcard its sibling fixes answers at the
         # merged type, so no wildcard stays in its derivation
         if mt.ty != ty and default_wildcards(mt.ty) is not mt.ty:
-            mt = _tc(term.then, env, defs, ty, memo)
+            seen[_AGAIN] = True
+            mt = _tc(term.then, env, defs, ty, memo, seen)
         if nt.ty != ty and default_wildcards(nt.ty) is not nt.ty:
-            nt = _tc(term.els, env, defs, ty, memo)
-        return _done(term, ty, expected, (ct, mt, nt), memo)
+            seen[_AGAIN] = True
+            nt = _tc(term.els, env, defs, ty, memo, seen)
+        return _done(term, ty, expected, (ct, mt, nt), table, key)
     raise AssertionError(term)
 
 
+def _pinned(term: TermS, env, defs, expected, fixed: Type, memo, seen) -> terms.Typed:
+    """The derivation of ``term``, whose type reaches no enclosing type, at
+    ``expected``; or, if a wildcard is left in its type, at that type merged
+    with ``fixed``, each wildcard still left read as Dyn."""
+    typed = _tc(term, env, defs, expected, memo, seen)
+    if default_wildcards(typed.ty) is typed.ty:
+        return typed
+    seen[_AGAIN] = True
+    return _tc(term, env, defs, default_wildcards(merge_types(typed.ty, fixed)), memo, seen)
+
+
 def _check_program(p: ProgramS) -> tuple[tuple[terms.Typed, ...], terms.Typed]:
-    """The derivations of ``p``'s definitions, in order, and of its main term."""
+    """The derivations of ``p``'s definitions, in order, and of its main
+    term with the wildcards left in its type read as Dyn."""
     sigs = p.def_types()
     defs = []
     for d in p.defs:
         if not isinstance(d.ty, FunT):
             raise TypeCheckError(f"definition {d.name} needs a function signature")
         defs.append(typecheck(d.fun, {}, sigs, d.ty))
-    return tuple(defs), typecheck(p.main, {}, sigs, None)
+    main = typecheck(p.main, {}, sigs, None)
+    ty = default_wildcards(main.ty)
+    return tuple(defs), main if ty is main.ty else typecheck(p.main, {}, sigs, ty)
 
 
 # A program is checked where it is made or read, and then translated: the

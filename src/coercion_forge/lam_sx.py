@@ -21,7 +21,6 @@ from typing import Mapping, Optional, Union
 from .coercions import (
     DELAYED_CLASSES,
     Coercion,
-    CoercionTypeError,
     Fail,
     Fun,
     Id,
@@ -44,7 +43,7 @@ from .types import (
     merge_types,
     occurs,
 )
-from .lam_s import OPS, TypeCheckError, _done, const_type, delta
+from .lam_s import _AGAIN, OPS, TypeCheckError, _bind, _done, const_type, delta
 from .terms import (
     FALSE,
     TRUE,
@@ -167,7 +166,7 @@ def typecheck(
     defs = dict(defs) if defs else {}
     if memo is not None:
         terms.claim_memo(memo, defs)
-    return _tc(term, env, defs, expected, 0, memo)
+    return _tc(term, env, defs, expected, 0, memo, {})
 
 
 def _as_crc_type(ty: Type, what: str) -> CrcT:
@@ -178,30 +177,33 @@ def _as_crc_type(ty: Type, what: str) -> CrcT:
     return ty
 
 
-def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo) -> terms.Typed:
-    if memo is not None:
-        if env:
-            # under a binder; every subterm below is checked in an extended env
-            memo = None
-        else:
-            typed = memo.get((id(term), expected))
-            if typed is not None:
-                return typed
+def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo, seen) -> terms.Typed:
+    # keeps derivations as :func:`lam_s._tc` does
+    if not env and memo is not None:
+        table, key = memo, (id(term), expected)
+    elif _AGAIN in seen:
+        table, key = seen, (id(term), id(env), expected)
+    else:
+        table = key = None
+    if table is not None:
+        typed = table.get(key)
+        if typed is not None:
+            return typed
     # dispatch on the node class: this runs on every node of every checked
     # state, where a ``match`` chain's tests add up
     cls = term.__class__
     if cls is Const:
-        return _done(term, const_type(term.val), expected, (), memo)
+        return _done(term, const_type(term.val), expected, (), table, key)
     if cls is Var:
         x = term.name
         if x not in env:
             raise TypeCheckError(f"unbound variable {x}")
-        return _done(term, env[x], expected, (), memo)
+        return _done(term, env[x], expected, (), table, key)
     if cls is GlobalRef:
         f = term.name
         if f not in defs:
             raise TypeCheckError(f"unknown definition {f}")
-        return _done(term, defs[f], expected, (), memo)
+        return _done(term, defs[f], expected, (), table, key)
     if cls is Abs2:
         a, b = term.var_ty, term.k_src
         if isinstance(expected, Fun2T):
@@ -212,14 +214,8 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo) -> t
         # the body answers in a rigid variable no annotation can name; sibling
         # bodies share it, but it cannot leave one: a body's type must be it or any
         x_var = TyVar(-1 - depth)
-        body = _tc(
-            term.body,
-            {**env, term.var: a, term.kvar: CrcT(b, x_var)},
-            defs,
-            None,
-            depth + 1,
-            memo,
-        )
+        body_env = _bind(seen, term, env, {term.var: a, term.kvar: CrcT(b, x_var)})
+        body = _tc(term.body, body_env, defs, None, depth + 1, memo, seen)
         if not (isinstance(body.ty, AnyT) or body.ty == x_var):
             if occurs(x_var, body.ty):
                 raise EscapedTyVar(
@@ -228,79 +224,70 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo) -> t
             raise TypeCheckError(
                 f"body must produce the continuation's answer type, found {body.ty!r}"
             )
-        return _done(term, Fun2T(a, b), expected, (body,), memo)
+        return _done(term, Fun2T(a, b), expected, (body,), table, key)
     if cls is Op:
         op = term.op
         if op not in OPS:
             raise TypeCheckError(f"unknown operator {op}")
         t1, t2, res = OPS[op]
-        lt = _tc(term.left, env, defs, t1, depth, memo)
-        rt = _tc(term.right, env, defs, t2, depth, memo)
-        return _done(term, res, expected, (lt, rt), memo)
+        lt = _tc(term.left, env, defs, t1, depth, memo, seen)
+        rt = _tc(term.right, env, defs, t2, depth, memo, seen)
+        return _done(term, res, expected, (lt, rt), table, key)
     if cls is App2:
         f, a, k = term.fun, term.arg, term.cont
-        if isinstance(f, Blame):
-            at = _tc(a, env, defs, None, depth, memo)
-            kt = _tc(k, env, defs, None, depth, memo)
-            kty = _as_crc_type(kt.ty, "continuation argument")
-            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), depth, memo)
-            return _done(term, kty.tgt, expected, (ft, at, kt), memo)
-        ft = _tc(f, env, defs, None, depth, memo)
+        ft = _tc(f, env, defs, None, depth, memo, seen)
         fty = ft.ty
-        if isinstance(fty, AnyT):
-            fty = Fun2T(ANY, ANY)
-        if not isinstance(fty, Fun2T):
-            raise TypeCheckError(f"applied non-function of type {ft.ty!r}")
-        at = _tc(a, env, defs, fty.arg, depth, memo)
-        kt = _tc(k, env, defs, CrcT(fty.res, ANY), depth, memo)
-        kty = _as_crc_type(kt.ty, "continuation argument")
-        return _done(term, kty.tgt, expected, (ft, at, kt), memo)
+        if fty.__class__ is AnyT:
+            # the function can take any type; pin it from the arguments
+            at = _tc(a, env, defs, None, depth, memo, seen)
+            kt = _tc(k, env, defs, None, depth, memo, seen)
+            kty = _as_crc_type(kt.ty, "continuation argument")
+            seen[_AGAIN] = True
+            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), depth, memo, seen)
+            return _done(term, kty.tgt, expected, (ft, at, kt), table, key)
+        if fty.__class__ is not Fun2T:
+            raise TypeCheckError(f"applied non-function of type {fty!r}")
+        at = _tc(a, env, defs, fty.arg, depth, memo, seen)
+        # checked at a coercion type, so typed as one
+        kt = _tc(k, env, defs, CrcT(fty.res, ANY), depth, memo, seen)
+        return _done(term, kt.ty.tgt, expected, (ft, at, kt), table, key)
     if cls is Let:
-        mt = _tc(term.bound, env, defs, None, depth, memo)
-        nt = _tc(term.body, {**env, term.var: mt.ty}, defs, expected, depth, memo)
-        return _done(term, nt.ty, expected, (mt, nt), memo)
+        mt = _tc(term.bound, env, defs, None, depth, memo, seen)
+        body_env = _bind(seen, term, env, {term.var: mt.ty})
+        nt = _tc(term.body, body_env, defs, expected, depth, memo, seen)
+        return _done(term, nt.ty, expected, (mt, nt), table, key)
     if cls is Compose:
-        lt = _tc(term.left, env, defs, None, depth, memo)
+        lt = _tc(term.left, env, defs, None, depth, memo, seen)
         lty = _as_crc_type(lt.ty, "composition operand")
-        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), depth, memo)
-        rty = _as_crc_type(rt.ty, "composition operand")
-        return _done(term, CrcT(lty.src, rty.tgt), expected, (lt, rt), memo)
+        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), depth, memo, seen)
+        return _done(term, CrcT(lty.src, rt.ty.tgt), expected, (lt, rt), table, key)
     if cls is CrcApp:
-        mt = _tc(term.subject, env, defs, None, depth, memo)
-        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), depth, memo)
-        cty = _as_crc_type(ct.ty, "applied coercion")
-        return _done(term, cty.tgt, expected, (mt, ct), memo)
+        mt = _tc(term.subject, env, defs, None, depth, memo, seen)
+        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), depth, memo, seen)
+        return _done(term, ct.ty.tgt, expected, (mt, ct), table, key)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
         if u.__class__ not in _UNCOERCED_CLASSES:
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
         if d.__class__ not in DELAYED_CLASSES:
             raise TypeCheckError("coerced values carry injections or arrows only")
-        sub = _tc(u, env, defs, None, depth, memo)
-        try:
-            tgt = check_crc(d, sub.ty, Fun2T)
-        except CoercionTypeError as e:
-            raise TypeCheckError(str(e)) from None
-        return _done(term, tgt, expected, (sub,), memo)
+        sub = _tc(u, env, defs, None, depth, memo, seen)
+        return _done(term, check_crc(d, sub.ty, Fun2T), expected, (sub,), table, key)
     if cls is CrcLit:
         c = term.crc
         src = crc_source(c, Fun2T)
         if isinstance(expected, CrcT) and isinstance(src, AnyT):
             src = expected.src
-        try:
-            tgt = check_crc(c, src, Fun2T)
-        except CoercionTypeError as e:
-            raise TypeCheckError(str(e)) from None
-        return _done(term, CrcT(src, tgt), expected, (), memo)
+        return _done(term, CrcT(src, check_crc(c, src, Fun2T)), expected, (), table, key)
     if cls is Blame:
-        return _done(term, ANY if expected is None else expected, expected, (), memo)
+        return _done(term, ANY if expected is None else expected, expected, (), table, key)
     if cls is If:
-        ct = _tc(term.cond, env, defs, BOOL, depth, memo)
-        mt = _tc(term.then, env, defs, expected, depth, memo)
-        nt = _tc(term.els, env, defs, expected, depth, memo)
+        ct = _tc(term.cond, env, defs, BOOL, depth, memo, seen)
+        mt = _tc(term.then, env, defs, expected, depth, memo, seen)
+        nt = _tc(term.els, env, defs, expected, depth, memo, seen)
         if not matches(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt), memo)
+        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt), table, key)
     raise AssertionError(term)
 
 

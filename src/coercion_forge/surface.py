@@ -626,7 +626,7 @@ def print_type(a: Type) -> str:
     return go(a, False)
 
 
-def print_coercion(c: Coercion, dialect: str = "lams", sugar: bool = True) -> str:
+def print_coercion(c: Coercion, dialect: str = "lams") -> str:
     arrow = "->" if dialect == "lams" else "=>"
 
     def tag(g: Type) -> str:
@@ -639,9 +639,7 @@ def print_coercion(c: Coercion, dialect: str = "lams", sugar: bool = True) -> st
         s = go(x)
         if isinstance(x, (Id, IdStar, Fail)):
             return s
-        if sugar and isinstance(x, InjSeq) and x.body == Id(x.ground):
-            return s
-        if sugar and isinstance(x, ProjSeq) and x.body == Id(x.ground):
+        if isinstance(x, (InjSeq, ProjSeq)) and x.body == Id(x.ground):
             return s
         return f"({s})"
 
@@ -652,12 +650,12 @@ def print_coercion(c: Coercion, dialect: str = "lams", sugar: bool = True) -> st
             case Id(a):
                 return "id{" + print_type(a) + "}"
             case InjSeq(g, ground):
-                if sugar and g == Id(ground):
+                if g == Id(ground):
                     return f"{tag(ground)}!"
                 return f"{unit(g)} ; {tag(ground)}!"
             case ProjSeq(ground, lbl, body):
                 head = f"{tag(ground)}?^{lbl}"
-                if sugar and body == Id(ground):
+                if body == Id(ground):
                     return head
                 return f"{head} ; {unit(body)}"
             case Fun(s, t):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_identity
-from .types import Dyn, FunT, Fun2T, Type, default_wildcards
+from .types import Dyn, FunT, Fun2T, Type
 from . import lam_s as S
 from . import lam_sx as X
 from .terms import (
@@ -211,21 +211,6 @@ def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
     return rename, avoid
 
 
-def _typed_main(p: S.ProgramS) -> Typed:
-    """The derivation of ``p``'s main term, its wildcards read as Dyn.
-
-    It is the one :func:`lam_s.typecheck_program` keeps, so a program
-    checked before it is translated is not checked again.  The main term
-    is checked once more, at the defaulted type, only if a wildcard is
-    left in its type.
-    """
-    typed = S._derivations(p)[1]
-    ty = default_wildcards(typed.ty)
-    if ty is not typed.ty:
-        typed = S.typecheck(p.main, {}, p.def_types(), ty)
-    return typed
-
-
 def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
     """Translate ``p``, from the derivations :func:`lam_s.typecheck_program`
     keeps: a program checked before, as the generator and the command line
@@ -239,7 +224,7 @@ def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
         ty2 = psi_type(d.ty)
         assert isinstance(ty2, Fun2T)
         defs.append(X.DefX(rename[d.name], ty2, fun2))
-    return X.ProgramX(tuple(defs), tr.c(_typed_main(p)))
+    return X.ProgramX(tuple(defs), tr.c(S._derivations(p)[1]))
 
 
 def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X.TermX:
@@ -264,7 +249,7 @@ def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X
     run = None if memo is None else memo.get(_RUN)
     if run is None:
         rename, avoid = def_rename(p)
-        run = (p, Translator(avoid, rename), _typed_main(p).ty)
+        run = (p, Translator(avoid, rename), S._derivations(p)[1].ty)
         if memo is not None:
             memo[_RUN] = run
     elif run[0] is not p:

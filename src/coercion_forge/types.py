@@ -86,6 +86,10 @@ DYN = Dyn()
 ANY = AnyT()
 
 
+class TypeCheckError(Exception):
+    """A term, or a coercion at its source type, that does not typecheck."""
+
+
 def matches(a: Type, b: Type) -> bool:
     """Type equality up to the ``AnyT`` wildcard (on either side)."""
     # dispatch on the class: typechecking asks this at every node of every

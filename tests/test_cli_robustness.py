@@ -6,8 +6,10 @@ grammar-based fuzzing with code fragments (Holler, Herzig & Zeller,
 term, type and coercion former, long operator, ``;;`` and ``;`` chains,
 truncated or garbled coercions, and samples whose parenthesized fragments
 are swapped, cut or spliced with stray tokens.  Each text goes to ``check``
-and ``eval`` in both dialects.  Whatever the verdict, the exit code is
-never 5 (an internal error) and each run ends within two seconds.
+and ``eval`` in both dialects, and each lams text to ``translate`` too.
+Whatever the verdict, the exit code is never 5 (an internal error), a
+translation never fails its own re-check (exit 3, a fault of the
+translator), and each run ends within two seconds.
 
 Nesting stays at or below 200: the type checker and ``print_term`` still
 recurse, so deeper terms can still exhaust Python's stack after parsing.
@@ -73,6 +75,15 @@ REPRODUCERS = [
     ("lams", "5<Int -> Int>"),
     ("lams", "letrec f (x:Int) : Int = x and f (y:Int) : Int = y in f 1"),
 ]
+# terms whose wildcards a type checker pins by checking a subterm again, so a
+# check that walks a subterm afresh each time doubles its work at each level
+PINNED_CHAINS = [
+    ("lams", "(" * 40 + "(blame p)" + " 1)" * 40),
+    ("lams", "(" * 40 + "1" + "<bot{Int, p, Bool}>)" * 40),
+    ("lams", "(\\x:Int. (blame p) " * 40 + "1" + ")" * 40),
+    ("lamsx", "(" * 40 + "(blame p)" + "(1, bot{Int, p, Bool}))" * 40),
+]
+REPRODUCERS += PINNED_CHAINS
 
 dialects = st.sampled_from(["lams", "lamsx"])
 
@@ -185,10 +196,19 @@ def run_cli(argv):
 @given(program_text())
 @example(("lamsx", "x < (" * 20 + "x" + ")" * 20))
 @example(("lams", "²"))
+@example(("lams", "((blame p) 1) 2"))
+@example(PINNED_CHAINS[0])
+@example(PINNED_CHAINS[1])
+@example(PINNED_CHAINS[2])
+@example(PINNED_CHAINS[3])
 @settings(max_examples=80, deadline=None)
 def test_no_input_crashes_or_hangs_the_command_line(drawn):
     dialect, text = drawn
-    for argv in (["check"], ["eval", "--fuel", "2000"]):
+    commands = [["check"], ["eval", "--fuel", "2000"]]
+    if dialect == "lams":
+        commands.append(["translate"])
+    for argv in commands:
         code, seconds, err = run_cli(argv + ["-e", text, "--dialect", dialect])
         assert code != cli.EXIT_INTERNAL, (argv, dialect, text, err)
+        assert argv != ["translate"] or code != cli.EXIT_VIOLATION, (dialect, text, err)
         assert code is not None and seconds < SECONDS, (argv, dialect, text, seconds)

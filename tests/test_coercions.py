@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from coercion_forge import lam_s, lam_sx
 from coercion_forge.coercions import (
     CoercionTypeError,
     CompositionTypeMismatch,
@@ -26,7 +27,19 @@ from coercion_forge.coercions import (
     mk_fun,
     size,
 )
-from coercion_forge.types import ANY, BOOL, DYN, INT, Fun2T, FunT, matches
+from coercion_forge.types import (
+    ANY,
+    BOOL,
+    DYN,
+    INT,
+    CrcT,
+    Fun2T,
+    FunT,
+    TyVar,
+    TypeCheckError,
+    consistent,
+    matches,
+)
 
 
 def inj(g):
@@ -169,6 +182,29 @@ class TestTyping:
             check_crc(inj(INT), BOOL, FunT)
         with pytest.raises(CoercionTypeError):
             check_crc(proj(BOOL), INT, FunT)
+
+    def test_a_coercion_type_error_is_the_typecheckers_error(self):
+        # so a typechecker lets it go up as its own, with its message
+        assert issubclass(CoercionTypeError, TypeCheckError)
+        assert lam_s.TypeCheckError is TypeCheckError
+        assert lam_sx.TypeCheckError is TypeCheckError
+
+
+class TestConsistency:
+    """``consistent`` on the types only the target calculus has; a failure's
+    tags are ground, so ``check_crc`` never asks about these."""
+
+    def test_rigid_variables_are_consistent_with_themselves_alone(self):
+        assert consistent(TyVar(-1), TyVar(-1))
+        assert not consistent(TyVar(-1), TyVar(-2))
+        assert not consistent(TyVar(-1), INT)
+        assert consistent(TyVar(-1), DYN)
+
+    def test_coercion_types_are_consistent_part_by_part(self):
+        assert consistent(CrcT(INT, DYN), CrcT(DYN, BOOL))
+        assert not consistent(CrcT(INT, BOOL), CrcT(INT, INT))
+        assert not consistent(CrcT(INT, BOOL), Fun2T(INT, BOOL))
+        assert consistent(Fun2T(DYN, INT), Fun2T(BOOL, DYN))
 
 
 # ---------------------------------------------------------------------------

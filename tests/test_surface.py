@@ -28,7 +28,7 @@ from coercion_forge.surface import (
     tokenize,
 )
 from coercion_forge.terms import CoercedVal
-from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT
+from coercion_forge.types import ANY, BOOL, DYN, INT, CrcT, Fun2T, FunT, TyVar
 
 
 def inj(g):
@@ -130,8 +130,6 @@ class TestCoercionSyntax:
         assert a == parse_coercion("Int?^p ; Int!", "lams")
         b = parse_coercion("(Int?^p ; id{Int}) -> (id{Bool} ; Bool!)", "lams")
         assert print_coercion(b, "lams") == "Int?^p -> Bool!"
-        assert print_coercion(b, "lams", sugar=False) == (
-            "(Int?^p ; id{Int}) -> (id{Bool} ; Bool!)")
 
     def test_conflicting_failure_tags_are_rejected(self):
         with pytest.raises(ParseError, match="distinct type tags"):
@@ -175,6 +173,11 @@ class TestTypesAndPaths:
     def test_target_dialect_types(self):
         assert parse_type("Int => Bool", "lamsx") == Fun2T(INT, BOOL)
         assert print_type(Fun2T(INT, Fun2T(DYN, BOOL))) == "Int => Dyn => Bool"
+
+    def test_rigid_variables_and_the_wildcard_print(self):
+        assert print_type(Fun2T(TyVar(-1), CrcT(INT, TyVar(0)))) == "'X-1 => Int ~> 'X0"
+        # the wildcard has no surface syntax; a diagnostic may still name it
+        assert print_type(FunT(ANY, INT)) == "any -> Int"
 
     def test_dialect_of_path(self):
         assert dialect_of_path("a/b/prog.lams") == "lams"
@@ -309,6 +312,20 @@ class TestDiagnostics:
     def test_a_fault_is_reported_where_it_is(self, dialect, text, message):
         with pytest.raises(ParseError) as e:
             parse_term(text, dialect)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("\\x:Int => Int. x",
+         "line 1:8: expected '->' (continuation function types need the lamsx dialect), found '=>'"),
+        ("\\x:'X0. x", "line 1:4: expected a type, found \"'\""),
+        ("5<bot{Int -> Int, p, Bool}>",
+         "line 1:3: expected ground type tags in bot{...}, found non-ground type"),
+        ("5<(Int -> Int)!>", "line 1:3: expected a ground type tag, found non-ground type"),
+        ("let x = 1 in x", "line 1:1: expected a term (let is a lamsx form), found 'let'"),
+    ])
+    def test_a_lams_program_is_refused_what_it_cannot_hold(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_program(text, "lams")
         assert str(e.value) == message
 
     def test_an_argument_pair_is_reported_where_it_goes_wrong(self):

@@ -386,6 +386,22 @@ def test_each_coercion_rejection_has_a_witness(t, message):
         S.typecheck(t)
 
 
+# the coercion rejections of the target's coerced values and coercion
+# literals, which it checks apart from the source calculus's
+@pytest.mark.parametrize("text, message", [
+    ("5<<Bool!>>", "id at Bool applied to Int"),
+    ("5<Int!><bot{Int, p, Bool}>", "failure coercion has a non-dynamic source"),
+])
+def test_each_target_coercion_rejection_has_a_witness(text, message):
+    with rejection(X, message):
+        X.typecheck(surface.parse_term(text, "lamsx"))
+
+
+def test_a_fresh_name_counts_past_every_taken_one():
+    assert terms.fresh_name("k", {"x"}) == "k"
+    assert terms.fresh_name("k", {"k", "k1", "k3"}) == "k2"
+
+
 def test_unread_gives_back_a_step_built_whole():
     # a step made by the constructor has no focus or context to go on from,
     # so the checks may hand it on unread

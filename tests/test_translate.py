@@ -1,5 +1,7 @@
 """Tests for the coercion-passing translation between the two calculi."""
 
+import random
+
 import pytest
 
 from coercion_forge import GenConfig, genWellTyped, invariantSuite
@@ -8,6 +10,7 @@ from coercion_forge import lam_sx as X
 from coercion_forge import surface
 from coercion_forge.coercions import Fail, Fun, Id, IdStar, InjSeq, ProjSeq
 from coercion_forge.translate import (
+    def_rename,
     identity_at,
     psi_crc,
     psi_type,
@@ -16,7 +19,7 @@ from coercion_forge.translate import (
     trans_term,
 )
 from coercion_forge.terms import Stepped
-from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT
+from coercion_forge.types import ANY, BOOL, DYN, INT, Fun2T, FunT
 
 
 def inj(g):
@@ -136,6 +139,16 @@ class TestPrograms:
             "in oddk(4, id{Bool})"
         )
 
+    def test_a_definition_is_renamed_past_every_name_in_use(self):
+        p = surface.parse_program(
+            "letrec even (x:Int) : Int = x in (\\evenk:Int. even evenk) 1", "lams")
+        rename, avoid = def_rename(p)
+        assert rename == {"even": "evenkk"}
+        assert {"even", "evenk", "evenkk", "x"} <= avoid
+        got = surface.print_program(trans_program(p))
+        assert got.startswith("letrec evenkk (x:Int, k0:Int) = x<k0>\nin ")
+        X.typecheck_program(surface.parse_program(got, "lamsx"))
+
     def test_translated_programs_typecheck_at_the_translated_type(self):
         for path in ("samples/evenodd.lams", "samples/example1.lams"):
             p = surface.parse_program(open(path).read(), "lams")
@@ -158,6 +171,100 @@ class TestPrograms:
         p = surface.parse_program(src, "lams")
         got = trans_state(p, p.main)
         assert surface.alpha_eq(got, trans_program(p).main)
+
+
+def checked_translation(text):
+    """The printed translation of the lams program ``text``, after checking
+    that it names no wildcard, re-parses as lamsx and re-typechecks."""
+    out = surface.print_program(trans_program(surface.parse_program(text, "lams")))
+    assert "any" not in out, (text, out)
+    X.typecheck_program(surface.parse_program(out, "lamsx"))
+    return out
+
+
+# Programs a part of which types as the wildcard that blame and failures
+# get, in a place whose type reaches no enclosing type: the function or
+# argument of an application, or the subject of a coercion.  Each
+# translation once minted an identity at a type that named the wildcard.
+WILDCARD_REPRODUCERS = [
+    "((blame p) 1) 2",
+    "((if true then blame p else blame q) 1) 2",
+    "(blame p) ((\\x0:Int. blame p) 1)",
+    "((blame p) (blame p)) (blame p)",
+    "((1<bot{Int, p, Bool}>) 1) 2",
+    "(\\x:Dyn. blame p)<bot{(Dyn -> Dyn), r, Int}>",
+    "(\\x:Dyn. blame p)<<(Dyn -> Dyn)!>>",
+    # a failure's subject takes its source tag, not Dyn, which a failure
+    # refuses; a coerced value's subject takes the coercion's source type
+    "(((\\x:Int. blame p) 1) 2)<bot{Int, p, Bool}>",
+    "(\\x:Int. blame p)<<Int?^p -> Int!>>",
+    # an arrow coercion with a failing argument part gives a function type
+    # whose parameter is the wildcard
+    "((\\x:Int. x)<bot{Int, p, Bool} -> id{Int}>) ((blame p) 1)",
+    "(((blame p) 1) 2)<bot{Int, p, Bool} -> id{Int}>",
+    "(if true then (\\x:Int. 1)<<bot{Int, p, Bool} -> id{Int}>> else blame q) ((blame p) 1)",
+]
+
+
+class TestNoWildcardInTranslations:
+    @pytest.mark.parametrize("text", WILDCARD_REPRODUCERS)
+    def test_the_translation_rechecks_and_ends_as_the_source_does(self, text):
+        out = checked_translation(text)
+        source = S.evaluate_program(surface.parse_program(text, "lams"))
+        target = X.evaluate_program(surface.parse_program(out, "lamsx"))
+        assert target.kind == source.kind
+
+    def test_the_main_derivation_reads_a_wildcard_as_dyn(self):
+        p = surface.parse_program("(\\x:Int. blame p) 1", "lams")
+        assert S.typecheck_program(p).ty == DYN
+        assert S.typecheck(p.main).ty == ANY
+
+    def test_every_small_blame_heavy_program_translates_to_one_that_rechecks(self):
+        rng = random.Random(25)
+        checked = 0
+        for _ in range(2000):
+            text = blame_heavy(rng, rng.randint(1, 4), [])
+            try:
+                S.typecheck_program(surface.parse_program(text, "lams"))
+            except S.TypeCheckError:
+                continue
+            checked_translation(text)
+            checked += 1
+        # enough of the draws typecheck for the property to say something
+        assert checked > 1000
+
+
+def blame_heavy(rng, depth, scope):
+    """The text of a random lams term at most ``depth`` deep, built from
+    blame, failure coercions, conditionals, applications, abstractions and
+    coerced values, the formers whose types can hold a wildcard."""
+    kinds = ["blame", "leaf"]
+    if depth > 0:
+        kinds += ["app", "app", "if", "abs", "fail", "coerced"]
+    kind = rng.choice(kinds)
+    x = f"x{len(scope)}"
+
+    def sub():
+        return blame_heavy(rng, depth - 1, scope)
+
+    if kind == "blame":
+        return f"blame {rng.choice('pq')}"
+    if kind == "leaf":
+        return rng.choice(["1", "true"] + scope)
+    if kind == "app":
+        return f"({sub()}) ({sub()})"
+    if kind == "if":
+        cond = "true" if rng.random() < 0.5 else f"({sub()})"
+        return f"if {cond} then ({sub()}) else ({sub()})"
+    if kind == "abs":
+        ty = rng.choice(["Int", "Bool", "Dyn", "(Dyn -> Dyn)"])
+        return f"(\\{x}:{ty}. {blame_heavy(rng, depth - 1, scope + [x])})"
+    if kind == "fail":
+        crc = rng.choice(["bot{Int, p, Bool}", "bot{(Dyn -> Dyn), r, Int}",
+                          "bot{Int, p, Bool} -> id{Int}"])
+        return f"({sub()})<{crc}>"
+    crc = rng.choice(["(Dyn -> Dyn)!", "bot{Int, p, Bool} -> id{Dyn}"])
+    return f"(\\{x}:Dyn. {blame_heavy(rng, depth - 1, scope + [x])})<<{crc}>>"
 
 
 class TestAdministrativeSteps:

@@ -9,6 +9,10 @@ Coercions are kept in a canonical three-layer shape:
 Both calculi share the node family; they differ only in which function type
 constructor underlies arrow coercions, so every operation that needs to
 build or inspect function types takes that constructor as a parameter.
+
+Each coercion keeps its :func:`size` in the slot ``_size`` once computed.
+It is no field: ``fields``, ``replace``, ``repr``, equality, hashing and
+pickling leave it out, and the constructor leaves it None.
 """
 
 from __future__ import annotations
@@ -19,12 +23,17 @@ from .records import record
 from .types import ANY, DYN, AnyT, Type, TypeCheckError, consistent, is_ground, matches
 
 
-@record
+def _coercion(cls):
+    """A coercion former: a :func:`record` with the slot ``_size``, which :func:`size` fills."""
+    return record(cls, extra_slots=("_size",))
+
+
+@_coercion
 class IdStar:
     """Identity at the dynamic type."""
 
 
-@record
+@_coercion
 class Id:
     """Identity at a non-dynamic type (function identities stay collapsed)."""
 
@@ -35,7 +44,7 @@ class Id:
             raise ValueError("identity at Dyn is IdStar")
 
 
-@record
+@_coercion
 class ProjSeq:
     """Projection from Dyn followed by the rest: G?^p ; body."""
 
@@ -44,7 +53,7 @@ class ProjSeq:
     body: Coercion
 
 
-@record
+@_coercion
 class InjSeq:
     """Ground part followed by injection into Dyn: body ; G!."""
 
@@ -52,7 +61,7 @@ class InjSeq:
     ground: Type
 
 
-@record
+@_coercion
 class Fun:
     """Function coercion; contravariant argument, covariant result."""
 
@@ -60,7 +69,7 @@ class Fun:
     res: Coercion
 
 
-@record
+@_coercion
 class Fail:
     """Failure pending a value: blames label when applied.
 
@@ -131,16 +140,28 @@ def is_canonical(c: Coercion, fun_ctor: type) -> bool:
 
 
 def size(c: Coercion) -> int:
-    # dispatch on the class: the size walks call this on every coercion of
-    # every observed state
-    cls = c.__class__
-    if cls is IdStar or cls is Id or cls is Fail:
-        return 1
-    if cls is ProjSeq or cls is InjSeq:
-        return 1 + size(c.body)
-    if cls is Fun:
-        return 1 + size(c.arg) + size(c.res)
-    raise AssertionError(c)
+    """The number of coercion formers in ``c``, kept in its slot ``_size``.
+
+    The size walks ask it of every coercion of every observed state, and
+    consecutive states carry the same coercion objects, so each is walked
+    once; a coercion is immutable, so the kept size never goes stale.
+    """
+    k = c._size
+    if k is None:
+        cls = c.__class__
+        if cls is ProjSeq or cls is InjSeq:
+            k = 1 + size(c.body)
+        elif cls is Fun:
+            k = 1 + size(c.arg) + size(c.res)
+        elif cls is IdStar or cls is Id or cls is Fail:
+            k = 1
+        else:
+            raise AssertionError(c)
+        _setattr(c, "_size", k)
+    return k
+
+
+_setattr = object.__setattr__
 
 
 def mk_fun(arg: Coercion, res: Coercion, fun_ctor: type) -> Coercion:

@@ -17,8 +17,8 @@ from typing import Optional
 from . import lam_s as S
 from . import lam_sx as X
 from . import surface, translate
-from .coercions import Coercion, Fun, Id, IdStar, InjSeq, ProjSeq, is_canonical
-from .terms import CoercedVal, Const, Stepped, unread, walk_unseen
+from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_canonical
+from .terms import Blame, CoercedVal, Const, Stepped, unread, walk, walk_unseen
 from .types import BOOL, DYN, INT, Base, Dyn, FunT, Fun2T, Type, is_source_type
 
 
@@ -100,23 +100,25 @@ class SpaceReport:
 class PeakSizes:
     """Running maxima of a dialect's three sizes over the states it is shown.
 
-    It asks for each size by name (``term_size``, ``max_coercion_size``,
-    ``metric_f``).  Those are projections of the dialect's ``measure``,
-    which keeps its last answer, so each state is still walked once, and
-    whatever counts calls of the three size functions (as perfbench's
-    ``lam_s.size`` layer does) still sees the size accounting.
+    It binds the dialect's ``term_size``, ``max_coercion_size`` and
+    ``metric_f`` once, when it is made, and calls each once per state it
+    is shown, so whatever counts calls of the three (as perfbench's
+    ``lam_s.size`` layer does) sees the size accounting.  Each is a
+    projection of the dialect's ``measure``, which keeps the triple of the
+    state it walked last: the first call walks the state and the other
+    two read what it kept.
     """
 
     def __init__(self, mod, start) -> None:
-        self._mod = mod
+        self._sizes = (mod.term_size, mod.max_coercion_size, mod.metric_f)
         self.term = self.crc = self.metric = 0
         self.see(start)
 
     def see(self, t) -> None:
-        mod = self._mod
-        n = mod.term_size(t)
-        c = mod.max_coercion_size(t)
-        f = mod.metric_f(t)
+        term_size, max_coercion_size, metric_f = self._sizes
+        n = term_size(t)
+        c = max_coercion_size(t)
+        f = metric_f(t)
         if n > self.term:
             self.term = n
         if c > self.crc:
@@ -485,8 +487,14 @@ def invariantSuite(
 
     Covered: type preservation in both calculi, agreement of the stepper
     with the decomposition oracle (which also establishes that redexes
-    are unique), closure of canonical coercion forms, and strict descent
-    of the termination metric on source c-steps.
+    are unique), closure of canonical coercion forms, provenance of blame
+    labels, and strict descent of the termination metric on source
+    c-steps.
+
+    Every blame label of a state, on a ``Blame`` node or in a coercion,
+    must be one that ``p``, its main term or its definitions, holds:
+    blame comes from a projection or a failure of the program, and
+    composition and the translation only move labels.
 
     The checks of a state (typing, the coercion scan, the metric and the
     oracle's splits) depend on the state alone, so each distinct state's
@@ -501,23 +509,49 @@ def invariantSuite(
             Verdict("invariant-violation", detail, state_str, "", p, seed)
         )
 
-    err = _check_run(S, "lams", FunT, (S.CrcApp, CoercedVal), p, max_states, bad)
+    carriers = (S.CrcApp, CoercedVal)
+    held = set()
+    for t in (p.main, *[d.fun for d in p.defs]):
+        for m in walk(t):
+            if m.__class__ in carriers:
+                held |= _crc_labels(m.crc)
+            elif m.__class__ is Blame:
+                held.add(m.label)
+    err = _check_run(S, "lams", FunT, carriers, p, max_states, held, bad)
     if err is not None:
         bad(f"source does not typecheck: {err}", "")
         return violations
     px = translate.trans_program(p)
-    err = _check_run(X, "lamsx", Fun2T, (X.CrcLit, CoercedVal), px, max_states, bad)
+    err = _check_run(X, "lamsx", Fun2T, (X.CrcLit, CoercedVal), px, max_states, held, bad)
     if err is not None:
         bad(f"translation does not typecheck: {err}", "")
     return violations
 
 
+def _crc_labels(c: Coercion) -> set[str]:
+    """The blame labels of ``c``: those of its projections and failures."""
+    cls = c.__class__
+    if cls is ProjSeq:
+        return {c.label} | _crc_labels(c.body)
+    if cls is Fail:
+        return {c.label}
+    if cls is InjSeq:
+        return _crc_labels(c.body)
+    if cls is Fun:
+        return _crc_labels(c.arg) | _crc_labels(c.res)
+    return set()
+
+
 def _check_run(
-    mod, dialect: str, fun_t: type, carriers: tuple, p, max_states: int, bad
+    mod, dialect: str, fun_t: type, carriers: tuple, p, max_states: int, held: set, bad
 ) -> Optional[str]:
     """Check ``p``'s run in one calculus, whose function type is ``fun_t``
     and whose ``carriers`` hold a coercion in ``crc``; each violation goes
     to ``bad``.  Returns the type error if ``p`` does not typecheck.
+
+    The label of each ``Blame`` node and of each coercion a carrier holds
+    must be in ``held``, the labels of the source program; it is checked
+    where the canonical scan meets the node.
 
     The run is stepped by :func:`_run`, as each side of
     :func:`simulationCheck` is, so both checks follow the same searches.
@@ -533,18 +567,23 @@ def _check_run(
     def report(detail: str) -> None:
         bad(detail, surface.print_term(state, dialect))
 
+    @functools.cache
+    def foreign(c) -> list:
+        # each coercion's labels are looked at once per run
+        return sorted(_crc_labels(c) - held)
+
     # consecutive states share most of their nodes; their typings are reused
     memo: dict = {}
-    # id -> node, for the nodes of earlier states whose coercion scan
-    # reported nothing; the subtree of each is canonical, so a scan that
-    # skips it finds what a full one would
+    # id -> node, for the nodes of earlier states whose scan reported
+    # nothing; the subtree of each is canonical and holds only the
+    # program's labels, so a scan that skips it finds what a full one would
     canonical: dict = {}
     # the metric bounds the composition steps of the source calculus only
     check_metric = dialect == "lams"
-    # (type error, printed non-canonical coercions, oracle splits, metric):
-    # what the checks of a state found, worked out at its first visit and
-    # replayed at every later one, so a diverging run checks each state of
-    # its cycle once
+    # (type error, what the scan of the new nodes found, oracle splits,
+    # metric): what the checks of a state found, worked out at its first
+    # visit and replayed at every later one, so a diverging run checks each
+    # state of its cycle once
     @functools.cache
     def check(t) -> tuple:
         try:
@@ -552,19 +591,28 @@ def _check_run(
         except mod.TypeCheckError as e:
             return (str(e), (), None, None)
         new = walk_unseen(t, canonical)
-        wrong = [
-            surface.print_coercion(m.crc, dialect)
-            for m in new
-            if m.__class__ in carriers and not is_canonical(m.crc, fun_t)
-        ]
-        if not wrong:
+        found = []
+        for m in new:
+            cls = m.__class__
+            if cls in carriers:
+                if not is_canonical(m.crc, fun_t):
+                    crc = surface.print_coercion(m.crc, dialect)
+                    found.append(f"non-canonical {side}coercion {crc}")
+                labels = foreign(m.crc)
+            elif cls is Blame:
+                labels = () if m.label in held else (m.label,)
+            else:
+                continue
+            for label in labels:
+                found.append(f"{side}blame label {label} is not in the program")
+        if not found:
             canonical.update([(id(m), m) for m in new])
         metric = mod.metric_f(t) if check_metric else None
-        return (None, wrong, mod.decompose_oracle(t, defs), metric)
+        return (None, found, mod.decompose_oracle(t, defs), metric)
 
     state = p.main
-    # a coercion of the start state is not reported there, only stored for
-    # a run that comes back to it
+    # what the scan finds in the start state is not reported there, only
+    # stored for a run that comes back to it
     err, _, oracle, prev_metric = check(state)
     if err is not None:
         return err
@@ -578,12 +626,12 @@ def _check_run(
         elif oracle[0].rule != r.rule or oracle[0].term != r.term:
             report(f"{side}oracle chose {oracle[0].rule}, stepper chose {r.rule}")
         state = r.term
-        err, wrong, oracle, m = check(state)
+        err, found, oracle, m = check(state)
         if err is not None:
             report(f"{side}preservation failed after {r.rule}: {err}")
             break
-        for crc in wrong:
-            report(f"non-canonical {side}coercion {crc} after {r.rule}")
+        for detail in found:
+            report(f"{detail} after {r.rule}")
         if check_metric:
             if r.kind == "c" and not m < prev_metric:
                 report(f"metric did not decrease on c-step {r.rule}: {prev_metric} -> {m}")
@@ -606,7 +654,11 @@ def spaceBench(
 
     For large runs the sizes are sampled every ``sample_stride`` steps;
     the benchmark states cycle with a short period, so a stride coprime
-    to the period still observes the true maxima.
+    to the period still observes the true maxima.  At stride 1 the size
+    accounting runs on every state, so it is kept cheap: :class:`PeakSizes`
+    walks each observed state once, and each coercion keeps its size
+    (:func:`coercions.size`), so the coercions a state carries on from the
+    one before are not walked again.
     """
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")

@@ -334,6 +334,8 @@ def keep_last(fn):
 
     Terms and programs are immutable and the kept argument stays alive, so
     the key is sound: no caller can tell the kept answer from a fresh call.
+    The list ``kept`` of the result holds the argument and the answer, for
+    a caller that reads them there without a call.
     """
     kept = [None, None]
 
@@ -343,6 +345,7 @@ def keep_last(fn):
             kept[:] = t, fn(t)
         return kept[1]
 
+    keeping.kept = kept
     return keeping
 
 

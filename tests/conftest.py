@@ -1,8 +1,10 @@
 """Shared fixtures: the generated program corpus used by the heavier suites."""
 
+import sys
+
 import pytest
 
-from coercion_forge import GenConfig, genWellTyped, lam_s, lam_sx, terms
+from coercion_forge import GenConfig, coercions, genWellTyped, lam_s, lam_sx, terms
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +62,29 @@ def pop_fault(monkeypatch):
             return r
 
         monkeypatch.setattr(mod, "_if", keeps_else)
+
+
+@pytest.fixture
+def zz_fault(monkeypatch):
+    """Plant a fault in composition: CC-Conflict blames ``zz``, a label no
+    program holds, instead of the projection's label.
+
+    It is patched wherever ``compose`` is imported, so both calculi, their
+    oracles included, compose alike: a run and its translation blame ``zz``
+    together and agree.  Only a check of where a state's labels come from
+    sees the fault.
+    """
+    compose = coercions.compose
+
+    def blames_zz(s, t, fun_ctor):
+        conflict = s.__class__ is coercions.InjSeq and t.__class__ is coercions.ProjSeq
+        if conflict and s.ground != t.ground:
+            return coercions.Fail(s.ground, "zz", t.ground)
+        return compose(s, t, fun_ctor)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "coercion_forge" and getattr(mod, "compose", None) is compose:
+            monkeypatch.setattr(mod, "compose", blames_zz)
 
 
 @pytest.fixture

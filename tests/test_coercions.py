@@ -40,6 +40,7 @@ from coercion_forge.types import (
     consistent,
     matches,
 )
+from coercion_forge.translate import psi_crc, psi_type
 
 
 def inj(g):
@@ -253,37 +254,52 @@ def _scope(fun_ctor):
     return scope, near
 
 
+def _typed(scope, fun_ctor):
+    """(coercion, its ``repr``, source, target, size) for each coercion of
+    ``scope`` that ``check_crc`` accepts at its own source."""
+    typed = []
+    for c in scope:
+        src = crc_source(c, fun_ctor)
+        try:
+            check_crc(c, src, fun_ctor)
+        except CoercionTypeError:
+            continue
+        typed.append((c, repr(c), src, crc_target(c, fun_ctor), size(c)))
+    return typed
+
+
+def _composable(typed):
+    """The pairs of ``typed`` entries whose types meet up to the wildcard:
+    the pairs ``compose`` is given."""
+    for s in typed:
+        for t in typed:
+            if matches(s[3], t[2]):
+                yield s, t
+
+
 def _algebra_lines(fun_ctor):
     """What ``is_canonical``, ``crc_source``, ``crc_target`` and ``check_crc``
     give on each coercion of the scope, and ``compose`` on each composable
-    pair of the well-typed canonical ones, whose types meet up to the
-    wildcard; and the pair counts by size."""
+    pair of the well-typed canonical ones; and the pair counts by size."""
     scope, near = _scope(fun_ctor)
-    in_scope = set(scope)
-    lines, typed = [], []
+    lines = []
     for c in scope + near:
         src, tgt = crc_source(c, fun_ctor), crc_target(c, fun_ctor)
         try:
             checked = repr(check_crc(c, src, fun_ctor))
         except CoercionTypeError as e:
             checked = f"CoercionTypeError {e}"
-        else:
-            if c in in_scope:
-                typed.append((c, repr(c), src, tgt, size(c)))
         lines.append(f"{c!r} {is_canonical(c, fun_ctor)} {src!r} {tgt!r} {checked}")
     counts: dict[int, int] = {}
-    for s, s_text, _, s_tgt, m in typed:
-        for t, t_text, t_src, _, n in typed:
-            if not matches(s_tgt, t_src):
-                continue
-            counts[m + n] = counts.get(m + n, 0) + 1
-            try:
-                got = repr(compose(s, t, fun_ctor))
-            except CompositionTypeMismatch:
-                # only a failure's unconstrained source meets a type it refuses
-                assert t_src is ANY and s_tgt == DYN, (s, t)
-                got = "CompositionTypeMismatch"
-            lines.append(f"{s_text} ; {t_text} = {got}")
+    for (s, s_text, _, s_tgt, m), (t, t_text, t_src, _, n) in _composable(_typed(scope, fun_ctor)):
+        counts[m + n] = counts.get(m + n, 0) + 1
+        try:
+            got = repr(compose(s, t, fun_ctor))
+        except CompositionTypeMismatch:
+            # only a failure's unconstrained source meets a type it refuses
+            assert t_src is ANY and s_tgt == DYN, (s, t)
+            got = "CompositionTypeMismatch"
+        lines.append(f"{s_text} ; {t_text} = {got}")
     return lines, counts
 
 
@@ -307,3 +323,37 @@ class TestSmallScope:
             assert counts == {2: 444, 3: 1122, 4: 9252, 5: 6030, 6: 44964}
             h.update("\n".join(lines).encode() + b"\n")
         assert h.hexdigest() == ALGEBRA_DIGEST
+
+
+def _composed(s, t, fun_ctor):
+    try:
+        return compose(s, t, fun_ctor)
+    except CompositionTypeMismatch:
+        return CompositionTypeMismatch
+
+
+class TestPsi:
+    """Ψ, the translation of coercions, against the algebra of both calculi."""
+
+    def test_psi_keeps_the_endpoints_up_to_psi_on_types(self):
+        scope, _ = _scope(FunT)
+        assert len(scope) == 609
+        for c in scope:
+            d = psi_crc(c)
+            assert crc_source(d, Fun2T) == psi_type(crc_source(c, FunT)), c
+            assert crc_target(d, Fun2T) == psi_type(crc_target(c, FunT)), c
+
+    def test_psi_commutes_with_composition(self):
+        # every pair the algebra composes in the FunT scope: composing and
+        # then translating gives what translating both and composing gives,
+        # or neither composes
+        typed = _typed(_scope(FunT)[0], FunT)
+        psi = {c: psi_crc(c) for c, *_ in typed}
+        pairs = 0
+        for (s, *_), (t, *_) in _composable(typed):
+            want = _composed(s, t, FunT)
+            if want is not CompositionTypeMismatch:
+                want = psi_crc(want)
+            assert _composed(psi[s], psi[t], Fun2T) == want, (s, t)
+            pairs += 1
+        assert pairs == 444 + 1122 + 9252 + 6030 + 44964

@@ -212,6 +212,41 @@ class TestSimulationAndInvariants:
         assert _flagged(v.kind != "agree" for v in verdicts) == _ENV_LOOKUP_SEEDS
         assert all(" not simulated within " in v.detail for v in verdicts if v.kind != "agree")
 
+    def test_a_label_no_program_holds_is_caught(self, request, corpus):
+        # the fault strikes in both calculi alike, so the runs agree; the
+        # label scan sees a blame label that comes from no program coercion
+        programs = corpus[:200]
+        before = [S.evaluate_program(p, 10**5, detect_cycles=True) for p in programs]
+        request.getfixturevalue("zz_fault")
+        after = [S.evaluate_program(p, 10**5, detect_cycles=True) for p in programs]
+        changed = _flagged(a != b for a, b in zip(before, after))
+        # all but one end in blame zz; seed 184 diverges in a cycle of
+        # states that hold a failure labelled zz
+        assert len(changed) == 88
+        assert [s for s in changed if after[s].kind != "blame"] == [184]
+        assert all(after[s].term.label == "zz" for s in changed if s != 184)
+        assert all(differentialRun(programs[s]).kind == "agree" for s in changed[:10])
+        reports = [invariantSuite(p) for p in programs]
+        assert set(changed) <= set(_flagged(reports))
+        assert {v.detail.split(" after ")[0] for r in reports for v in r} == {
+            "blame label zz is not in the program", "target blame label zz is not in the program"}
+
+    def test_a_blame_node_with_a_label_no_program_holds_is_caught(self, monkeypatch):
+        # a planted R-Fail in the source stepper that blames zz instead of
+        # the failure's label: no coercion of any state holds zz
+        fire = S._crc
+
+        def blames_zz(n, m, k):
+            r = fire(n, m, k)
+            if r.rule == "R-Fail":
+                terms._set_focus(r, S.Blame("zz"))
+            return r
+
+        monkeypatch.setattr(S, "_crc", blames_zz)
+        p = surface.parse_program("(if 5<Int!><Bool?^p> then 1 else 2) + 3", "lams")
+        details = [v.detail for v in invariantSuite(p)]
+        assert "blame label zz is not in the program after R-Fail" in details
+
 
 def _flagged(findings) -> list:
     """The positions, here the corpus seeds, of the findings that are truthy."""

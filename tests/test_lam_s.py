@@ -96,6 +96,34 @@ class TestTyping:
         with pytest.raises(TypeCheckError):
             typecheck(parse("5<Bool?^p>"))
 
+    def test_a_binder_has_one_body_environment_per_check(self, monkeypatch):
+        # the check's table keys derivations by environment id, so the
+        # environment ``_bind`` makes for a binder's body must be the same
+        # dict at every visit of the check, kept alive by the table; a dict
+        # made afresh at each visit could take a freed one's id
+        seen = {}
+        binder = parse("\\x:Int. x")
+        outer = {"y": BOOL}
+        env = S._bind(seen, binder, outer, {"x": INT})
+        assert env == {"y": BOOL, "x": INT}
+        assert S._bind(seen, binder, outer, {"x": INT}) is env
+        assert any(v is env for v in seen.values())
+        # the function is checked again at the application's type, so its
+        # body twice, under the one environment
+        t = parse("(\\x:Int. blame p) 1")
+        body = t.fun.body
+        envs = []
+        tc = S._tc
+
+        def recording(term, env, *rest):
+            if term is body:
+                envs.append(env)
+            return tc(term, env, *rest)
+
+        monkeypatch.setattr(S, "_tc", recording)
+        assert typecheck(t, expected=INT).ty == INT
+        assert len(envs) == 2 and envs[0] is envs[1]
+
     def test_program_typing_uses_declared_signatures(self):
         p = surface.parse_program(
             "letrec f (x:Int) : Int = if x = 0 then 0 else f (x - 1) in f 3",

@@ -16,7 +16,7 @@ import pytest
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import surface, terms, translate
-from coercion_forge.coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq
+from coercion_forge.coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, size
 from coercion_forge.harness import GenConfig, genWellTyped
 from coercion_forge.types import ANY, BOOL, DYN, INT, AnyT, Base, CrcT, Dyn, Fun2T, FunT, TyVar, Type
 
@@ -679,6 +679,28 @@ def test_a_type_or_coercion_keeps_the_dataclass_hash_once_computed(sample):
     assert hash(fresh) == 12345
     for twin in (copy.copy(sample), pickle.loads(pickle.dumps(sample)), dataclasses.replace(sample)):
         assert twin == sample and hash(twin) == hash(sample)
+
+
+COERCIONS = [s for s in SAMPLES if type(s) in typing.get_args(Coercion)]
+
+
+@pytest.mark.parametrize("sample", COERCIONS, ids=[type(s).__qualname__ for s in COERCIONS])
+def test_a_coercion_keeps_its_size_out_of_fields_replace_repr_equality_and_pickling(sample):
+    fresh = dataclasses.replace(sample)
+    assert fresh._size is None
+    k = size(sample)
+    assert sample._size == k and fresh._size is None
+    assert "_size" not in [f.name for f in dataclasses.fields(sample)]
+    assert "_size" not in type(sample).__match_args__
+    with pytest.raises(TypeError):
+        dataclasses.replace(sample, _size=0)
+    assert "_size" not in repr(sample) and repr(fresh) == repr(sample)
+    assert fresh == sample and hash(fresh) == hash(sample)
+    for twin in (copy.copy(sample), pickle.loads(pickle.dumps(sample))):
+        assert twin._size is None and size(twin) == k
+    # a second ``size`` reads the slot, not the parts
+    object.__setattr__(fresh, "_size", 12345)
+    assert size(fresh) == 12345 and fresh == sample
 
 
 @pytest.mark.parametrize("sample", TYPES_AND_COERCIONS, ids=TYPE_AND_COERCION_IDS)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import harness, lam_s, lam_sx, surface, terms, translate
 from .surface import ParseError
-from .types import TypeCheckError, default_wildcards
+from .types import TypeCheckError
 
 EXIT_OK = 0
 EXIT_BLAME = 1
@@ -102,7 +102,7 @@ def _typecheck(p, dialect: str):
 def cmd_check(args: argparse.Namespace) -> int:
     p, dialect = _load(args)
     typed = _typecheck(p, dialect)
-    print(surface.print_type(default_wildcards(typed.ty)))
+    print(surface.print_type(typed.ty))
     return EXIT_OK
 
 

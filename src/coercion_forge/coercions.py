@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Union
 
 from .records import record
-from .types import ANY, DYN, AnyT, Type, TypeCheckError, consistent, is_ground, matches
+from .types import DYN, Dyn, Hole, Type, TypeCheckError, consistent, fill, is_ground, resolved
 
 
 def _coercion(cls):
@@ -206,7 +206,7 @@ def compose(s: Coercion, t: Coercion, fun_ctor: type) -> Coercion:
 
 
 def crc_source(c: Coercion, fun_ctor: type) -> Type:
-    """Source type; ``ANY`` where a failure leaves it unconstrained."""
+    """Source type; a fresh :class:`types.Hole` where a failure leaves it open."""
     cls = c.__class__
     if cls is Id:
         return c.ty
@@ -217,12 +217,12 @@ def crc_source(c: Coercion, fun_ctor: type) -> Type:
     if cls is Fun:
         return fun_ctor(crc_target(c.arg, fun_ctor), crc_source(c.res, fun_ctor))
     if cls is Fail:
-        return ANY
+        return Hole()
     raise AssertionError(c)
 
 
 def crc_target(c: Coercion, fun_ctor: type) -> Type:
-    """Target type; ``ANY`` where a failure leaves it unconstrained."""
+    """Target type; a fresh :class:`types.Hole` where a failure leaves it open."""
     cls = c.__class__
     if cls is Id:
         return c.ty
@@ -233,7 +233,7 @@ def crc_target(c: Coercion, fun_ctor: type) -> Type:
     if cls is Fun:
         return fun_ctor(crc_source(c.arg, fun_ctor), crc_target(c.res, fun_ctor))
     if cls is Fail:
-        return ANY
+        return Hole()
     raise AssertionError(c)
 
 
@@ -244,24 +244,26 @@ class CoercionTypeError(TypeCheckError):
 def check_crc(c: Coercion, src: Type, fun_ctor: type) -> Type:
     """Check that ``c`` converts from ``src`` and return its target type.
 
-    ``src`` may contain the wildcard; failures accept any consistent
-    non-dynamic source and return a wildcard target.
+    ``src`` may hold holes, which meeting a part of ``c`` fills; a failure
+    accepts any consistent non-dynamic source and returns a fresh hole.
     """
+    if src.__class__ is Hole:
+        src = resolved(src)
     cls = c.__class__
     if cls is IdStar:
-        if not matches(src, DYN):
+        if not fill(src, DYN):
             raise CoercionTypeError(f"id at Dyn applied to {src!r}")
         return DYN
     if cls is Id:
         a = c.ty
-        if not matches(src, a):
+        if not fill(src, a):
             raise CoercionTypeError(f"id at {a!r} applied to {src!r}")
         return a
     if cls is ProjSeq:
         g = c.ground
         if not is_ground(g, fun_ctor):
             raise CoercionTypeError(f"projection tag {g!r} is not ground")
-        if not matches(src, DYN):
+        if not fill(src, DYN):
             raise CoercionTypeError(f"projection applied to {src!r}")
         return check_crc(c.body, g, fun_ctor)
     if cls is InjSeq:
@@ -269,17 +271,15 @@ def check_crc(c: Coercion, src: Type, fun_ctor: type) -> Type:
         if not is_ground(g, fun_ctor):
             raise CoercionTypeError(f"injection tag {g!r} is not ground")
         mid = check_crc(c.body, src, fun_ctor)
-        if not matches(mid, g):
+        if not fill(mid, g):
             raise CoercionTypeError(f"injection of {mid!r} at tag {g!r}")
         return DYN
     if cls is Fun:
         arg = c.arg
-        if src.__class__ is AnyT:
-            src = fun_ctor(ANY, ANY)
         if src.__class__ is not fun_ctor:
             raise CoercionTypeError(f"arrow coercion applied to {src!r}")
         arg_tgt = crc_target(arg, fun_ctor)
-        if not matches(arg_tgt, src.arg):
+        if not fill(arg_tgt, src.arg):
             raise CoercionTypeError(f"arrow argument expects {arg_tgt!r}, got {src.arg!r}")
         arg_src = crc_source(arg, fun_ctor)
         check_crc(arg, arg_src, fun_ctor)
@@ -288,9 +288,9 @@ def check_crc(c: Coercion, src: Type, fun_ctor: type) -> Type:
         g, h = c.src_tag, c.tgt_tag
         if not (is_ground(g, fun_ctor) and is_ground(h, fun_ctor)):
             raise CoercionTypeError(f"failure tags {g!r}, {h!r} not ground")
-        if src == DYN:
+        if src.__class__ is Dyn:
             raise CoercionTypeError("failure coercion has a non-dynamic source")
         if not consistent(src, g):
             raise CoercionTypeError(f"failure source {src!r} not consistent with {g!r}")
-        return ANY
+        return Hole()
     raise AssertionError(c)

@@ -54,9 +54,7 @@ from .terms import (
     under_binder,
 )
 from . import terms
-from .types import (
-    ANY, BOOL, INT, AnyT, FunT, Type, TypeCheckError, default_wildcards, matches, merge_types
-)
+from .types import BOOL, DYN, INT, FunT, Hole, Type, TypeCheckError, fill, pin, resolved, settled
 
 
 @node
@@ -155,190 +153,173 @@ def typecheck(
     expected: Optional[Type] = None,
     memo: Optional[dict] = None,
 ) -> terms.Typed:
-    """Build a typing derivation; ``expected`` constrains ambiguous terms.
+    """Build a typing derivation in one pass; ``expected`` constrains
+    ambiguous terms.
 
-    Blame and failure-targeted coercion applications can be given any type;
-    without an expectation they type as a wildcard.  An argument or a
-    coercion's subject, whose type reaches no enclosing type, is pinned
-    (:func:`_pinned`): a wildcard left in its type is read as Dyn
-    (:func:`types.default_wildcards`) and it is checked again at that type,
-    so a wildcard stays only where the term's own type keeps it.  Every
-    answer is a derivable instance.  From its first re-check on, a check
-    keeps each derivation it makes, so a re-check costs one more pass.
+    Blame has every type and a failure converts to any type, so without an
+    expectation each takes a fresh :class:`types.Hole`, which the first
+    type it meets fills.  An argument or a coercion's subject, whose type
+    reaches no enclosing type, has the holes left in its type filled at
+    once (:func:`types.pin`): from the failure's source tag or the coerced
+    value's source type if it fits, and with Dyn for the rest.  A hole
+    still open when the check ends reads as Dyn.
 
     ``memo``, a dict kept across the checks of one run's states, reuses the
     derivations of the subterms checked in the empty environment, keyed by
     node identity and expected type.  Evaluation contexts never go under a
-    binder, so it answers for every subterm a step left in place.  The
-    answers are the same without it.  A memo serves one set of ``defs``;
-    see :func:`terms.claim_memo`.
+    binder, so it answers for every subterm a step left in place.  It keeps
+    no derivation whose type holds a hole.  The answers are the same
+    without it.  A memo serves one set of ``defs``; see
+    :func:`terms.claim_memo`.
     """
+    return _checked(_tc, term, env, defs, expected, memo)
+
+
+def _checked(tc, term, env, defs, expected, memo, *depth) -> terms.Typed:
+    """The derivation ``tc``, either calculus's checker, builds.  It
+    collects in ``late`` each derivation whose type held a hole when it was
+    built, and settles their types (:func:`types.settled`) when it ends."""
     env = dict(env) if env else {}
     defs = dict(defs) if defs else {}
     if memo is not None:
         terms.claim_memo(memo, defs)
-    return _tc(term, env, defs, expected, memo, {})
+    Hole.made = 0
+    late: list[terms.Typed] = []
+    try:
+        return tc(term, env, defs, expected, *depth, memo, late)
+    finally:
+        for d in late:
+            d.ty = settled(d.ty)
 
 
-def _done(term, ty: Type, expected: Optional[Type], children: tuple, table, key) -> terms.Typed:
-    # a type matches itself, and merging it with itself gives it back
+def _done(term, ty: Type, expected: Optional[Type], children, table, key, late) -> terms.Typed:
     if expected is not None and expected is not ty:
-        if not matches(ty, expected):
+        if not fill(ty, expected):
             raise TypeCheckError(f"expected {expected!r}, found {ty!r}")
-        ty = merge_types(ty, expected)
+        if ty.__class__ is Hole:
+            # filled by the expected type, which stands for what fills it
+            ty = expected
     typed = terms.Typed(term, ty, children)
-    if table is not None:
-        # ``typed`` keeps ``term`` alive, so its id names it while the table lives
+    if Hole.made and settled(ty) is not ty:
+        # what fills the hole may differ from one check to the next
+        late.append(typed)
+    elif table is not None and (not Hole.made or settled(expected) is expected):
+        # ``typed`` keeps ``term`` alive, so its id names it while the table
+        # lives; a key that holds a hole is never asked again
         table[key] = typed
     return typed
 
 
-# Set in ``seen`` when a check first checks a subterm again; from then on it keeps each derivation
-_AGAIN = "again"
+def _shaped(ty: Type, ctor: type, message: str):
+    """``ty`` as a ``ctor`` type, an open hole filled with one of two new
+    holes; another type raises ``message`` with it."""
+    t = resolved(ty)
+    if t.__class__ is Hole:
+        t.ty = t = ctor(Hole(), Hole())
+    elif t.__class__ is not ctor:
+        raise TypeCheckError(message.format(t))
+    return t
 
 
-def _bind(seen, binder, env, names: dict) -> dict:
-    # ``binder``'s body's environment, made once per check and kept in
-    # ``seen``, so its id names it and every check of ``binder`` shares it
-    return seen.setdefault((id(binder), id(env)), {**env, **names})
-
-
-def _tc(term: TermS, env, defs, expected: Optional[Type], memo, seen) -> terms.Typed:
+def _tc(term: TermS, env, defs, expected: Optional[Type], memo, late) -> terms.Typed:
     if not env and memo is not None:
         table, key = memo, (id(term), expected)
-    elif _AGAIN in seen:
-        table, key = seen, (id(term), id(env), expected)
-    else:
-        table = key = None
-    if table is not None:
         typed = table.get(key)
         if typed is not None:
             return typed
+    else:
+        table = key = None
     # dispatch on the node class: this runs on every node of every checked
     # state, where a ``match`` chain's tests add up
     cls = term.__class__
     if cls is Const:
-        return _done(term, const_type(term.val), expected, (), table, key)
+        return _done(term, const_type(term.val), expected, (), table, key, late)
     if cls is Var:
         x = term.name
         if x not in env:
             raise TypeCheckError(f"unbound variable {x}")
-        return _done(term, env[x], expected, (), table, key)
+        return _done(term, env[x], expected, (), table, key, late)
     if cls is GlobalRef:
         f = term.name
         if f not in defs:
             raise TypeCheckError(f"unknown definition {f}")
-        return _done(term, defs[f], expected, (), table, key)
+        return _done(term, defs[f], expected, (), table, key, late)
     if cls is Abs:
         x, a = term.var, term.var_ty
         body_exp = None
-        if isinstance(expected, FunT) and matches(expected.arg, a):
-            body_exp = expected.res
-        elif expected is not None and not isinstance(expected, AnyT):
-            if not isinstance(expected, FunT):
+        if expected is not None:
+            e = resolved(expected)
+            if e.__class__ is FunT:
+                if not fill(e.arg, a):
+                    raise TypeCheckError(f"function argument annotated {a!r}, expected {e.arg!r}")
+                body_exp = e.res
+            elif e.__class__ is not Hole:
                 raise TypeCheckError(f"expected {expected!r}, found a function")
-            raise TypeCheckError(
-                f"function argument annotated {a!r}, expected {expected.arg!r}"
-            )
-        body = _tc(term.body, _bind(seen, term, env, {x: a}), defs, body_exp, memo, seen)
-        return _done(term, FunT(a, body.ty), expected, (body,), table, key)
+        body = _tc(term.body, {**env, x: a}, defs, body_exp, memo, late)
+        return _done(term, FunT(a, body.ty), expected, (body,), table, key, late)
     if cls is Op:
         op = term.op
         if op not in OPS:
             raise TypeCheckError(f"unknown operator {op}")
         t1, t2, res = OPS[op]
-        lt = _tc(term.left, env, defs, t1, memo, seen)
-        rt = _tc(term.right, env, defs, t2, memo, seen)
-        return _done(term, res, expected, (lt, rt), table, key)
+        lt = _tc(term.left, env, defs, t1, memo, late)
+        rt = _tc(term.right, env, defs, t2, memo, late)
+        return _done(term, res, expected, (lt, rt), table, key, late)
     if cls is App:
-        m, n = term.fun, term.arg
-        mt = _tc(m, env, defs, None, memo, seen)
-        fty = mt.ty
-        if fty.__class__ is AnyT:
-            fty = FunT(ANY, ANY)  # the function can take any type
-        elif fty.__class__ is not FunT:
-            raise TypeCheckError(f"applied non-function of type {fty!r}")
-        arg, res = fty.arg, fty.res
-        if expected is not None and default_wildcards(res) is not res:
-            # a function whose answer left a wildcard answers at the application's
-            # type; any other keeps its own type, so an error names that type
-            res = expected
-        if default_wildcards(arg) is arg:
-            nt = _tc(n, env, defs, arg, memo, seen)
-        else:
-            # the argument, pinned, fixes a parameter type no enclosing type reaches
-            nt = _pinned(n, env, defs, arg, ANY, memo, seen)
-            arg = nt.ty
-        if arg is not fty.arg or res is not fty.res:
-            seen[_AGAIN] = True
-            mt = _tc(m, env, defs, FunT(arg, res), memo, seen)
-            fty = mt.ty
-        return _done(term, fty.res, expected, (mt, nt), table, key)
+        mt = _tc(term.fun, env, defs, None, memo, late)
+        fty = _shaped(mt.ty, FunT, "applied non-function of type {!r}")
+        nt = _tc(term.arg, env, defs, fty.arg, memo, late)
+        if Hole.made:
+            pin(nt.ty, DYN)
+        return _done(term, fty.res, expected, (mt, nt), table, key, late)
     if cls is CrcApp:
         s = term.crc
-        if s.__class__ is Fail:
-            # a failure converts from any type consistent with its source tag
-            sub = _pinned(term.subject, env, defs, None, s.src_tag, memo, seen)
-        else:
-            sub = _pinned(term.subject, env, defs, crc_source(s, FunT), ANY, memo, seen)
-        return _done(term, check_crc(s, sub.ty, FunT), expected, (sub,), table, key)
+        # a failure converts from any type consistent with its source tag
+        fails = s.__class__ is Fail
+        sub = _tc(term.subject, env, defs, None if fails else crc_source(s, FunT), memo, late)
+        if Hole.made:
+            pin(sub.ty, s.src_tag if fails else DYN)
+        return _done(term, check_crc(s, sub.ty, FunT), expected, (sub,), table, key, late)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
         if u.__class__ not in _UNCOERCED_CLASSES:
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
         if d.__class__ not in DELAYED_CLASSES:
             raise TypeCheckError("coerced values carry injections or arrows only")
-        sub = _pinned(u, env, defs, None, crc_source(d, FunT), memo, seen)
-        return _done(term, check_crc(d, sub.ty, FunT), expected, (sub,), table, key)
+        sub = _tc(u, env, defs, None, memo, late)
+        if Hole.made:
+            pin(sub.ty, crc_source(d, FunT))
+        return _done(term, check_crc(d, sub.ty, FunT), expected, (sub,), table, key, late)
     if cls is Blame:
-        return _done(term, ANY if expected is None else expected, expected, (), table, key)
+        return _done(term, expected or Hole(), expected, (), table, key, late)
     if cls is If:
-        ct = _tc(term.cond, env, defs, BOOL, memo, seen)
-        mt = _tc(term.then, env, defs, expected, memo, seen)
-        nt = _tc(term.els, env, defs, expected, memo, seen)
-        if not matches(mt.ty, nt.ty):
+        ct = _tc(term.cond, env, defs, BOOL, memo, late)
+        # each branch meets its own copy of the open holes of ``expected``,
+        # so neither fills one before the other meets it
+        mt = _tc(term.then, env, defs, settled(expected, True), memo, late)
+        nt = _tc(term.els, env, defs, settled(expected, True), memo, late)
+        if not fill(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-        ty = merge_types(mt.ty, nt.ty)
-        # a branch that left a wildcard its sibling fixes answers at the
-        # merged type, so no wildcard stays in its derivation
-        if mt.ty != ty and default_wildcards(mt.ty) is not mt.ty:
-            seen[_AGAIN] = True
-            mt = _tc(term.then, env, defs, ty, memo, seen)
-        if nt.ty != ty and default_wildcards(nt.ty) is not nt.ty:
-            seen[_AGAIN] = True
-            nt = _tc(term.els, env, defs, ty, memo, seen)
-        return _done(term, ty, expected, (ct, mt, nt), table, key)
+        return _done(term, mt.ty, expected, (ct, mt, nt), table, key, late)
     raise AssertionError(term)
 
 
-def _pinned(term: TermS, env, defs, expected, fixed: Type, memo, seen) -> terms.Typed:
-    """The derivation of ``term``, whose type reaches no enclosing type, at
-    ``expected``; or, if a wildcard is left in its type, at that type merged
-    with ``fixed``, each wildcard still left read as Dyn."""
-    typed = _tc(term, env, defs, expected, memo, seen)
-    if default_wildcards(typed.ty) is typed.ty:
-        return typed
-    seen[_AGAIN] = True
-    return _tc(term, env, defs, default_wildcards(merge_types(typed.ty, fixed)), memo, seen)
-
-
-def _check_program(p: ProgramS) -> tuple[tuple[terms.Typed, ...], terms.Typed]:
+def _check_program(p, check_term, fun_t: type) -> tuple[tuple, terms.Typed]:
     """The derivations of ``p``'s definitions, in order, and of its main
-    term with the wildcards left in its type read as Dyn."""
+    term, by ``check_term``, the ``typecheck`` of the calculus whose
+    function type is ``fun_t``."""
     sigs = p.def_types()
     defs = []
     for d in p.defs:
-        if not isinstance(d.ty, FunT):
+        if d.ty.__class__ is not fun_t:
             raise TypeCheckError(f"definition {d.name} needs a function signature")
-        defs.append(typecheck(d.fun, {}, sigs, d.ty))
-    main = typecheck(p.main, {}, sigs, None)
-    ty = default_wildcards(main.ty)
-    return tuple(defs), main if ty is main.ty else typecheck(p.main, {}, sigs, ty)
+        defs.append(check_term(d.fun, {}, sigs, d.ty))
+    return tuple(defs), check_term(p.main, {}, sigs, None)
 
 
 # A program is checked where it is made or read, and then translated: the
 # translation takes the derivations kept here instead of checking it again.
-_derivations = terms.keep_last(_check_program)
+_derivations = terms.keep_last(lambda p: _check_program(p, typecheck, FunT))
 
 
 def typecheck_program(p: ProgramS) -> terms.Typed:

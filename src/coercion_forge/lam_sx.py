@@ -31,19 +31,8 @@ from .coercions import (
     crc_source,
     size,
 )
-from .types import (
-    ANY,
-    BOOL,
-    AnyT,
-    CrcT,
-    Fun2T,
-    TyVar,
-    Type,
-    matches,
-    merge_types,
-    occurs,
-)
-from .lam_s import _AGAIN, OPS, TypeCheckError, _bind, _done, const_type, delta
+from .types import BOOL, CrcT, Fun2T, Hole, TyVar, Type, fill, occurs, resolved, settled
+from .lam_s import OPS, TypeCheckError, _check_program, _checked, _done, _shaped, const_type, delta
 from .terms import (
     FALSE,
     TRUE,
@@ -157,147 +146,143 @@ def typecheck(
     expected: Optional[Type] = None,
     memo: Optional[dict] = None,
 ) -> terms.Typed:
-    """Build a typing derivation; ``memo`` is as for :func:`lam_s.typecheck`.
+    """Build a typing derivation in one pass, with holes and ``memo`` as
+    in :func:`lam_s.typecheck`.
 
     In the empty environment the binder depth is 0, so a memoized
     derivation's rigid answer variables are fixed.
     """
-    env = dict(env) if env else {}
-    defs = dict(defs) if defs else {}
-    if memo is not None:
-        terms.claim_memo(memo, defs)
-    return _tc(term, env, defs, expected, 0, memo, {})
+    return _checked(_tc, term, env, defs, expected, memo, 0)
 
 
-def _as_crc_type(ty: Type, what: str) -> CrcT:
-    if isinstance(ty, AnyT):
-        return CrcT(ANY, ANY)
-    if not isinstance(ty, CrcT):
-        raise TypeCheckError(f"{what} must have a coercion type, found {ty!r}")
-    return ty
-
-
-def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo, seen) -> terms.Typed:
+def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo, late) -> terms.Typed:
     # keeps derivations as :func:`lam_s._tc` does
     if not env and memo is not None:
         table, key = memo, (id(term), expected)
-    elif _AGAIN in seen:
-        table, key = seen, (id(term), id(env), expected)
-    else:
-        table = key = None
-    if table is not None:
         typed = table.get(key)
         if typed is not None:
             return typed
+    else:
+        table = key = None
     # dispatch on the node class: this runs on every node of every checked
     # state, where a ``match`` chain's tests add up
     cls = term.__class__
     if cls is Const:
-        return _done(term, const_type(term.val), expected, (), table, key)
+        return _done(term, const_type(term.val), expected, (), table, key, late)
     if cls is Var:
         x = term.name
         if x not in env:
             raise TypeCheckError(f"unbound variable {x}")
-        return _done(term, env[x], expected, (), table, key)
+        # each use meets the open holes of a let-bound type afresh
+        return _done(term, settled(env[x], True), expected, (), table, key, late)
     if cls is GlobalRef:
         f = term.name
         if f not in defs:
             raise TypeCheckError(f"unknown definition {f}")
-        return _done(term, defs[f], expected, (), table, key)
+        return _done(term, defs[f], expected, (), table, key, late)
     if cls is Abs2:
         a, b = term.var_ty, term.k_src
-        if isinstance(expected, Fun2T):
-            if not (matches(expected.arg, a) and matches(expected.res, b)):
-                raise TypeCheckError(
-                    f"function annotated {a!r}/{b!r}, expected {expected!r}"
-                )
+        if expected is not None:
+            e = resolved(expected)
+            if e.__class__ is Fun2T and not fill(e, Fun2T(a, b)):
+                raise TypeCheckError(f"function annotated {a!r}/{b!r}, expected {expected!r}")
         # the body answers in a rigid variable no annotation can name; sibling
-        # bodies share it, but it cannot leave one: a body's type must be it or any
+        # bodies share it, but it cannot leave one: a body's type must be it or open
         x_var = TyVar(-1 - depth)
-        body_env = _bind(seen, term, env, {term.var: a, term.kvar: CrcT(b, x_var)})
-        body = _tc(term.body, body_env, defs, None, depth + 1, memo, seen)
-        if not (isinstance(body.ty, AnyT) or body.ty == x_var):
-            if occurs(x_var, body.ty):
-                raise EscapedTyVar(
-                    f"answer type {body.ty!r} leaks the rigid variable {x_var!r}"
-                )
+        body_env = {**env, term.var: a, term.kvar: CrcT(b, x_var)}
+        body = _tc(term.body, body_env, defs, None, depth + 1, memo, late)
+        bty = resolved(body.ty)
+        if not (bty.__class__ is Hole or bty == x_var):
+            if occurs(x_var, bty):
+                raise EscapedTyVar(f"answer type {bty!r} leaks the rigid variable {x_var!r}")
             raise TypeCheckError(
-                f"body must produce the continuation's answer type, found {body.ty!r}"
+                f"body must produce the continuation's answer type, found {bty!r}"
             )
-        return _done(term, Fun2T(a, b), expected, (body,), table, key)
+        return _done(term, Fun2T(a, b), expected, (body,), table, key, late)
     if cls is Op:
         op = term.op
         if op not in OPS:
             raise TypeCheckError(f"unknown operator {op}")
         t1, t2, res = OPS[op]
-        lt = _tc(term.left, env, defs, t1, depth, memo, seen)
-        rt = _tc(term.right, env, defs, t2, depth, memo, seen)
-        return _done(term, res, expected, (lt, rt), table, key)
+        lt = _tc(term.left, env, defs, t1, depth, memo, late)
+        rt = _tc(term.right, env, defs, t2, depth, memo, late)
+        return _done(term, res, expected, (lt, rt), table, key, late)
     if cls is App2:
         f, a, k = term.fun, term.arg, term.cont
-        ft = _tc(f, env, defs, None, depth, memo, seen)
-        fty = ft.ty
-        if fty.__class__ is AnyT:
-            # the function can take any type; pin it from the arguments
-            at = _tc(a, env, defs, None, depth, memo, seen)
-            kt = _tc(k, env, defs, None, depth, memo, seen)
-            kty = _as_crc_type(kt.ty, "continuation argument")
-            seen[_AGAIN] = True
-            ft = _tc(f, env, defs, Fun2T(at.ty, kty.src), depth, memo, seen)
-            return _done(term, kty.tgt, expected, (ft, at, kt), table, key)
-        if fty.__class__ is not Fun2T:
-            raise TypeCheckError(f"applied non-function of type {fty!r}")
-        at = _tc(a, env, defs, fty.arg, depth, memo, seen)
-        # checked at a coercion type, so typed as one
-        kt = _tc(k, env, defs, CrcT(fty.res, ANY), depth, memo, seen)
-        return _done(term, kt.ty.tgt, expected, (ft, at, kt), table, key)
+        ft = _tc(f, env, defs, None, depth, memo, late)
+        fty = _shaped(ft.ty, Fun2T, "applied non-function of type {!r}")
+        at = _tc(a, env, defs, fty.arg, depth, memo, late)
+        kt, tgt = _applied(k, fty.res, env, defs, depth, memo, late)
+        return _done(term, tgt, expected, (ft, at, kt), table, key, late)
     if cls is Let:
-        mt = _tc(term.bound, env, defs, None, depth, memo, seen)
-        body_env = _bind(seen, term, env, {term.var: mt.ty})
-        nt = _tc(term.body, body_env, defs, expected, depth, memo, seen)
-        return _done(term, nt.ty, expected, (mt, nt), table, key)
+        mt = _tc(term.bound, env, defs, None, depth, memo, late)
+        nt = _tc(term.body, {**env, term.var: mt.ty}, defs, expected, depth, memo, late)
+        return _done(term, nt.ty, expected, (mt, nt), table, key, late)
     if cls is Compose:
-        lt = _tc(term.left, env, defs, None, depth, memo, seen)
-        lty = _as_crc_type(lt.ty, "composition operand")
-        rt = _tc(term.right, env, defs, CrcT(lty.tgt, ANY), depth, memo, seen)
-        return _done(term, CrcT(lty.src, rt.ty.tgt), expected, (lt, rt), table, key)
+        lt = _tc(term.left, env, defs, None, depth, memo, late)
+        lty = _shaped(lt.ty, CrcT, "composition operand must have a coercion type, found {!r}")
+        rt, tgt = _applied(term.right, lty.tgt, env, defs, depth, memo, late)
+        return _done(term, CrcT(lty.src, tgt), expected, (lt, rt), table, key, late)
     if cls is CrcApp:
-        mt = _tc(term.subject, env, defs, None, depth, memo, seen)
-        ct = _tc(term.crc, env, defs, CrcT(mt.ty, ANY), depth, memo, seen)
-        return _done(term, ct.ty.tgt, expected, (mt, ct), table, key)
+        mt = _tc(term.subject, env, defs, None, depth, memo, late)
+        ct, tgt = _applied(term.crc, mt.ty, env, defs, depth, memo, late)
+        return _done(term, tgt, expected, (mt, ct), table, key, late)
     if cls is CoercedVal:
         u, d = term.subject, term.crc
         if u.__class__ not in _UNCOERCED_CLASSES:
             raise TypeCheckError("coerced-value subject must be an uncoerced value")
         if d.__class__ not in DELAYED_CLASSES:
             raise TypeCheckError("coerced values carry injections or arrows only")
-        sub = _tc(u, env, defs, None, depth, memo, seen)
-        return _done(term, check_crc(d, sub.ty, Fun2T), expected, (sub,), table, key)
+        sub = _tc(u, env, defs, None, depth, memo, late)
+        return _done(term, check_crc(d, sub.ty, Fun2T), expected, (sub,), table, key, late)
     if cls is CrcLit:
         c = term.crc
         src = crc_source(c, Fun2T)
-        if isinstance(expected, CrcT) and isinstance(src, AnyT):
-            src = expected.src
-        return _done(term, CrcT(src, check_crc(c, src, Fun2T)), expected, (), table, key)
+        if expected is not None and src.__class__ is Hole:
+            e = resolved(expected)
+            if e.__class__ is CrcT:
+                src = e.src
+        return _done(term, CrcT(src, check_crc(c, src, Fun2T)), expected, (), table, key, late)
     if cls is Blame:
-        return _done(term, ANY if expected is None else expected, expected, (), table, key)
+        return _done(term, expected or Hole(), expected, (), table, key, late)
     if cls is If:
-        ct = _tc(term.cond, env, defs, BOOL, depth, memo, seen)
-        mt = _tc(term.then, env, defs, expected, depth, memo, seen)
-        nt = _tc(term.els, env, defs, expected, depth, memo, seen)
-        if not matches(mt.ty, nt.ty):
+        ct = _tc(term.cond, env, defs, BOOL, depth, memo, late)
+        # each branch meets its own copy of the open holes of ``expected``,
+        # so neither fills one before the other meets it
+        mt = _tc(term.then, env, defs, settled(expected, True), depth, memo, late)
+        nt = _tc(term.els, env, defs, settled(expected, True), depth, memo, late)
+        if not fill(mt.ty, nt.ty):
             raise TypeCheckError(f"branch types {mt.ty!r} and {nt.ty!r} differ")
-        return _done(term, merge_types(mt.ty, nt.ty), expected, (ct, mt, nt), table, key)
+        return _done(term, mt.ty, expected, (ct, mt, nt), table, key, late)
     raise AssertionError(term)
 
 
+def _applied(k: TermX, src: Type, env, defs, depth: int, memo, late) -> tuple[terms.Typed, Type]:
+    """The derivation of the coercion term ``k``, checked from ``src`` to a
+    fresh hole, and what fills that hole.  If ``k``'s own type filled it
+    and ``k`` made no other hole, no derivation holds it (a Blame that took
+    it would have left it open), so it is not counted.  No memo key holding
+    the hole is asked twice, so ``k`` is checked without the memo, which
+    keeps the answer under ``src`` instead while the check holds no hole."""
+    # three parts, so no key of :func:`_tc` is equal to it
+    key = (id(k), src, "applied") if not env and memo is not None else None
+    if key is not None:
+        answer = memo.get(key)
+        if answer is not None:
+            return answer
+    made = Hole.made
+    expected = CrcT(src, Hole())
+    kt = _tc(k, env, defs, expected, depth, None, late)
+    tgt = resolved(expected.tgt)
+    if Hole.made == made + 1 and settled(tgt) is tgt:
+        Hole.made = made
+    if key is not None and not Hole.made:
+        memo[key] = kt, tgt
+    return kt, tgt
+
+
 def typecheck_program(p: ProgramX) -> terms.Typed:
-    sigs = p.def_types()
-    for d in p.defs:
-        if not isinstance(d.ty, Fun2T):
-            raise TypeCheckError(f"definition {d.name} needs a function signature")
-        typecheck(d.fun, {}, sigs, d.ty)
-    return typecheck(p.main, {}, sigs, None)
+    return _check_program(p, typecheck, Fun2T)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .coercions import (
     is_identity,
     is_intermediate,
 )
-from .types import BOOL, DYN, INT, Base, CrcT, Dyn, FunT, Fun2T, TyVar, Type, is_ground
+from .types import BOOL, DYN, INT, Base, CrcT, Dyn, FunT, Fun2T, TyVar, Type, is_ground, resolved
 from . import lam_s as S
 from . import lam_sx as X
 from .records import record
@@ -606,7 +606,7 @@ def dialect_of_path(path: str) -> str:
 
 def print_type(a: Type) -> str:
     def go(t: Type, left_of_arrow: bool) -> str:
-        match t:
+        match resolved(t):
             case Dyn():
                 return "Dyn"
             case Base(name):

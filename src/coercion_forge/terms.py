@@ -514,7 +514,7 @@ class Typed:
     """Typing derivation: the term, its type, and typed immediate subterms.
 
     The typecheckers build one per node of every checked term, so it is a
-    plain slotted record; nothing changes one once it is built.
+    plain slotted record; only the check that built one settles its type.
     """
 
     __slots__ = ("term", "ty", "children")

@@ -65,78 +65,110 @@ class TyVar:
         return f"'X{self.uid}"
 
 
-@record
-class AnyT:
-    """Internal wildcard for positions whose type is unconstrained.
-
-    Blame terms and failure coercions can be given every type; inference
-    reports this placeholder and ``matches`` treats it as equal to anything.
-    It never appears in surface syntax.
-    """
-
-    def __repr__(self) -> str:
-        return "any"
-
-
-Type = Union[Dyn, Base, FunT, Fun2T, CrcT, TyVar, AnyT]
+Type = Union[Dyn, Base, FunT, Fun2T, CrcT, TyVar]
 
 INT = Base("Int")
 BOOL = Base("Bool")
 DYN = Dyn()
-ANY = AnyT()
 
 
 class TypeCheckError(Exception):
     """A term, or a coercion at its source type, that does not typecheck."""
 
 
-def matches(a: Type, b: Type) -> bool:
-    """Type equality up to the ``AnyT`` wildcard (on either side)."""
-    # dispatch on the class: typechecking asks this at every node of every
-    # checked state, where a ``match`` chain's tests add up
+class Hole:
+    """A type that one check has yet to find.
+
+    Blame has every type and a failure converts to any type, so a check
+    gives each a fresh hole, which :func:`fill` fills with the type it
+    meets.  A filled hole stands for what fills it, and an open one prints
+    as ``any``.  ``made`` counts the holes the running check has made:
+    each check starts it at 0.
+    """
+
+    __slots__ = ("ty",)
+    made = 0
+
+    def __init__(self) -> None:
+        self.ty = None
+        Hole.made += 1
+
+    def __repr__(self) -> str:
+        return "any" if self.ty is None else repr(self.ty)
+
+
+def resolved(t):
+    """``t``, or what fills the filled holes it stands for."""
+    while t.__class__ is Hole and t.ty is not None:
+        t = t.ty
+    return t
+
+
+def fill(a, b) -> bool:
+    """Whether ``a`` and ``b`` are one type up to their open holes; if
+    they are, each open hole of either is filled with what it meets in the
+    other, and if not, no hole is filled."""
+    if a is b:
+        return True
+    filled: list = []
+    if _meet(a, b, filled):
+        return True
+    for h in filled:
+        h.ty = None
+    return False
+
+
+def _meet(a, b, filled: list) -> bool:
+    # dispatch on the class: every check asks this where a type meets another
     if a is b:
         return True
     cls = a.__class__
-    if cls is AnyT or b.__class__ is AnyT:
+    if cls is Hole:
+        if a.ty is not None:
+            return _meet(a.ty, b, filled)
+        b = resolved(b)
+        if b is not a:
+            a.ty = b
+            filled.append(a)
+        return True
+    if b.__class__ is Hole:
+        if b.ty is not None:
+            return _meet(a, b.ty, filled)
+        b.ty = a
+        filled.append(b)
         return True
     if cls is not b.__class__:
         return False
     if cls is FunT or cls is Fun2T:
-        return matches(a.arg, b.arg) and matches(a.res, b.res)
+        return _meet(a.arg, b.arg, filled) and _meet(a.res, b.res, filled)
     if cls is CrcT:
-        return matches(a.src, b.src) and matches(a.tgt, b.tgt)
+        return _meet(a.src, b.src, filled) and _meet(a.tgt, b.tgt, filled)
     return a == b
 
 
-def merge_types(a: Type, b: Type) -> Type:
-    """Prefer concrete structure over wildcards when combining two views."""
-    if a is b:
-        return a
-    cls = a.__class__
-    if cls is AnyT:
-        return b
-    if b.__class__ is AnyT:
-        return a
-    if cls is not b.__class__:
-        return a
+def pin(t, fixed: Type) -> None:
+    """Fill the open holes of ``t`` from ``fixed``, its open holes read as
+    Dyn, if the two fit; then fill each hole still open with Dyn."""
+    fill(t, settled(fixed))
+    fill(t, settled(t))
+
+
+def settled(t, fresh: bool = False) -> Type:
+    """``t`` with each filled hole replaced by what fills it, and each open
+    one by Dyn, or with ``fresh`` by a new hole; ``t`` itself if it holds
+    no hole."""
+    cls = t.__class__
+    if cls is Hole:
+        if t.ty is None:
+            return Hole() if fresh else DYN
+        return settled(t.ty, fresh)
     if cls is FunT or cls is Fun2T:
-        return cls(merge_types(a.arg, b.arg), merge_types(a.res, b.res))
+        a, b = settled(t.arg, fresh), settled(t.res, fresh)
+        return t if a is t.arg and b is t.res else cls(a, b)
     if cls is CrcT:
-        return CrcT(merge_types(a.src, b.src), merge_types(a.tgt, b.tgt))
-    return a
-
-
-def default_wildcards(t: Type) -> Type:
-    """``t`` with each ``AnyT`` wildcard read as ``Dyn``, the type reported
-    for a position nothing constrains; ``t`` itself if it has no wildcard."""
-    match t:
-        case AnyT():
-            return DYN
-        case FunT(a, b) | Fun2T(a, b) | CrcT(a, b):
-            a2, b2 = default_wildcards(a), default_wildcards(b)
-            return t if a2 is a and b2 is b else t.__class__(a2, b2)
-        case _:
-            return t
+        a, b = settled(t.src, fresh), settled(t.tgt, fresh)
+        return t if a is t.src and b is t.tgt else CrcT(a, b)
+    return t
 
 
 def is_source_type(t: Type) -> bool:
@@ -159,9 +191,10 @@ def is_ground(t: Type, fun_ctor: type) -> bool:
 
 
 def consistent(a: Type, b: Type) -> bool:
-    """Least reflexive symmetric compatible relation containing A ~ Dyn."""
-    match (a, b):
-        case (AnyT(), _) | (_, AnyT()):
+    """Least reflexive symmetric compatible relation containing A ~ Dyn;
+    an open hole is consistent with every type."""
+    match (resolved(a), resolved(b)):
+        case (Hole(), _) | (_, Hole()):
             return True
         case (Dyn(), _) | (_, Dyn()):
             return True
@@ -180,7 +213,7 @@ def consistent(a: Type, b: Type) -> bool:
 
 
 def occurs(v: TyVar, t: Type) -> bool:
-    match t:
+    match t := resolved(t):
         case TyVar():
             return t == v
         case FunT(a, b) | Fun2T(a, b) | CrcT(a, b):

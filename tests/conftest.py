@@ -64,27 +64,74 @@ def pop_fault(monkeypatch):
         monkeypatch.setattr(mod, "_if", keeps_else)
 
 
+def _plant_in_compose(monkeypatch, faulty) -> None:
+    """Patch ``faulty`` in for ``coercions.compose`` in every module that
+    imports it, so both calculi, their oracles included, compose alike."""
+    compose = coercions.compose
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "coercion_forge" and getattr(mod, "compose", None) is compose:
+            monkeypatch.setattr(mod, "compose", faulty)
+
+
+def _conflicts(s, t) -> bool:
+    """Whether CC-Conflict composes ``s`` with ``t``."""
+    return s.__class__ is coercions.InjSeq and t.__class__ is coercions.ProjSeq and s.ground != t.ground
+
+
 @pytest.fixture
 def zz_fault(monkeypatch):
     """Plant a fault in composition: CC-Conflict blames ``zz``, a label no
     program holds, instead of the projection's label.
 
-    It is patched wherever ``compose`` is imported, so both calculi, their
-    oracles included, compose alike: a run and its translation blame ``zz``
-    together and agree.  Only a check of where a state's labels come from
-    sees the fault.
+    A run and its translation blame ``zz`` together and agree.  Only a
+    check of where a state's labels come from sees the fault.
     """
     compose = coercions.compose
 
     def blames_zz(s, t, fun_ctor):
-        conflict = s.__class__ is coercions.InjSeq and t.__class__ is coercions.ProjSeq
-        if conflict and s.ground != t.ground:
+        if _conflicts(s, t):
             return coercions.Fail(s.ground, "zz", t.ground)
         return compose(s, t, fun_ctor)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "coercion_forge" and getattr(mod, "compose", None) is compose:
-            monkeypatch.setattr(mod, "compose", blames_zz)
+    _plant_in_compose(monkeypatch, blames_zz)
+
+
+@pytest.fixture
+def conflict_swap_fault(monkeypatch):
+    """Plant a fault in composition: CC-Conflict makes the failure with its
+    two tags swapped, so that it converts from the projection's tag.
+
+    Both calculi blame the same label at the same step and agree.  The
+    failure no longer converts from the value it is applied to, so only
+    the typing of each state sees the fault.
+    """
+    compose = coercions.compose
+
+    def swaps_the_tags(s, t, fun_ctor):
+        if _conflicts(s, t):
+            return coercions.Fail(t.ground, t.label, s.ground)
+        return compose(s, t, fun_ctor)
+
+    _plant_in_compose(monkeypatch, swaps_the_tags)
+
+
+@pytest.fixture
+def fun_covariant_fault(monkeypatch):
+    """Plant a fault in composition: CC-Fun composes the argument
+    coercions in the order of the results, ``s.arg`` then ``t.arg``.
+
+    Only a run that composes an arrow coercion with an arrow coercion
+    meets the fault.
+    """
+    compose = coercions.compose
+
+    def covariant(s, t, fun_ctor):
+        if s.__class__ is coercions.Fun and t.__class__ is coercions.Fun:
+            args, ress = compose(s.arg, t.arg, fun_ctor), compose(s.res, t.res, fun_ctor)
+            return coercions.mk_fun(args, ress, fun_ctor)
+        return compose(s, t, fun_ctor)
+
+    _plant_in_compose(monkeypatch, covariant)
 
 
 @pytest.fixture

@@ -75,8 +75,9 @@ REPRODUCERS = [
     ("lams", "5<Int -> Int>"),
     ("lams", "letrec f (x:Int) : Int = x and f (y:Int) : Int = y in f 1"),
 ]
-# terms whose wildcards a type checker pins by checking a subterm again, so a
-# check that walks a subterm afresh each time doubles its work at each level
+# terms with a hole at every level, which the typecheckers of the past filled
+# by checking a subterm again, so that a check that walked a subterm afresh
+# each time doubled its work at each level
 PINNED_CHAINS = [
     ("lams", "(" * 40 + "(blame p)" + " 1)" * 40),
     ("lams", "(" * 40 + "1" + "<bot{Int, p, Bool}>)" * 40),

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from coercion_forge import harness
+from coercion_forge import coercions, harness
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import surface, terms, translate
@@ -230,6 +230,39 @@ class TestSimulationAndInvariants:
         assert set(changed) <= set(_flagged(reports))
         assert {v.detail.split(" after ")[0] for r in reports for v in r} == {
             "blame label zz is not in the program", "target blame label zz is not in the program"}
+
+    def test_a_failure_with_swapped_tags_is_caught_by_the_typing_of_each_state(
+        self, conflict_swap_fault, corpus
+    ):
+        # both calculi blame alike, so the runs agree; a failure made from
+        # a conflict converts from the projection's tag, not the value's,
+        # and the state that holds it does not typecheck
+        programs = corpus[:200]
+        reports = [invariantSuite(p) for p in programs]
+        verdicts = [simulationCheck(p) for p in programs]
+        flagged = _flagged(reports)
+        assert len(flagged) == 88
+        assert _flagged(v.kind != "agree" for v in verdicts) == flagged
+        assert all(differentialRun(programs[s]).kind == "agree" for s in flagged[:10])
+        details = [v.detail for r in reports for v in r] + [v.detail for v in verdicts if v.kind != "agree"]
+        assert all("preservation failed after R-" in d and ": failure source " in d for d in details)
+
+    def test_no_corpus_run_composes_two_arrow_coercions(self, fun_covariant_fault, corpus, monkeypatch):
+        # so the checks cannot see a CC-Fun that composes the arguments in
+        # the wrong order, which only the worked arrow examples catch
+        compose = S.compose
+        arrows = []
+
+        def counting(s, t, fun_ctor):
+            arrows.append(s.__class__ is t.__class__ is coercions.Fun)
+            return compose(s, t, fun_ctor)
+
+        for mod in (S, X):
+            monkeypatch.setattr(mod, "compose", counting)
+        programs = corpus[:200]
+        assert not any(invariantSuite(p) for p in programs)
+        assert all(simulationCheck(p).kind == "agree" for p in programs)
+        assert arrows and not any(arrows)
 
     def test_a_blame_node_with_a_label_no_program_holds_is_caught(self, monkeypatch):
         # a planted R-Fail in the source stepper that blames zz instead of

@@ -1,14 +1,13 @@
 """The checking kernels against their ``match``-based reference definitions.
 
-``types.matches``, ``types.merge_types``, ``surface._ty_eq``,
-``surface._crc_eq`` and ``surface.alpha_eq`` dispatch on the node class,
-and ``alpha_eq`` keeps an explicit stack.  The definitions below state the
-same relations as plain ``match`` chains and recursion; the kernels must
-give the same answers on:
+``types.fill``, ``surface._ty_eq``, ``surface._crc_eq`` and
+``surface.alpha_eq`` dispatch on the node class, and ``alpha_eq`` keeps an
+explicit stack.  The definitions below state the same relations as plain
+``match`` chains and recursion; the kernels must give the same answers on:
 
 - every pair of types in the typing derivations of corpus seeds 0-99 in
-  both calculi, with wildcard and rigid-variable types among them, and
-  every (found, expected) pair the typecheckers ask ``matches`` about;
+  both calculi, with hole and rigid-variable types among them, and every
+  pair of types the typecheckers ``fill`` there;
 - every pair of coercions in those programs and their translations;
 - every (target state, expected state) pair that ``simulationCheck``
   compares on the first 50 of those programs, those pairs with their annotations turned into rigid type
@@ -40,14 +39,13 @@ from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge.coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq
 from coercion_forge.types import (
-    ANY,
     BOOL,
     DYN,
     INT,
-    AnyT,
     CrcT,
     Fun2T,
     FunT,
+    Hole,
     TyVar,
     Type,
 )
@@ -59,36 +57,58 @@ SIMULATED = 50  # programs whose simulation pairs are compared
 # The reference definitions
 
 
-def ref_matches(a: Type, b: Type) -> bool:
-    """Type equality up to the ``AnyT`` wildcard (on either side)."""
-    if isinstance(a, AnyT) or isinstance(b, AnyT):
-        return True
-    match (a, b):
-        case (FunT(a1, b1), FunT(a2, b2)):
-            return ref_matches(a1, a2) and ref_matches(b1, b2)
-        case (Fun2T(a1, b1), Fun2T(a2, b2)):
-            return ref_matches(a1, a2) and ref_matches(b1, b2)
-        case (CrcT(a1, b1), CrcT(a2, b2)):
-            return ref_matches(a1, a2) and ref_matches(b1, b2)
+def ref_copy(t):
+    """``t`` with each filled hole replaced by what fills it and each open
+    one by a fresh hole: no hole of the copy occurs twice or elsewhere."""
+    if isinstance(t, Hole):
+        return Hole() if t.ty is None else ref_copy(t.ty)
+    match t:
+        case FunT(a, b) | Fun2T(a, b) | CrcT(a, b):
+            return t.__class__(ref_copy(a), ref_copy(b))
         case _:
-            return a == b
+            return t
 
 
-def ref_merge_types(a: Type, b: Type) -> Type:
-    """Prefer concrete structure over wildcards when combining two views."""
-    if isinstance(a, AnyT):
-        return b
-    if isinstance(b, AnyT):
-        return a
-    match (a, b):
-        case (FunT(a1, b1), FunT(a2, b2)):
-            return FunT(ref_merge_types(a1, a2), ref_merge_types(b1, b2))
-        case (Fun2T(a1, b1), Fun2T(a2, b2)):
-            return Fun2T(ref_merge_types(a1, a2), ref_merge_types(b1, b2))
-        case (CrcT(a1, b1), CrcT(a2, b2)):
-            return CrcT(ref_merge_types(a1, a2), ref_merge_types(b1, b2))
+def ref_settled(t):
+    """``t``, which holds only open holes, with each read as Dyn."""
+    if isinstance(t, Hole):
+        return DYN
+    match t:
+        case FunT(a, b) | Fun2T(a, b) | CrcT(a, b):
+            return t.__class__(ref_settled(a), ref_settled(b))
         case _:
-            return a
+            return t
+
+
+def ref_meet(a: Type, b: Type):
+    """The type ``a`` and ``b`` both stand for once each open hole of one
+    takes what it meets in the other, holes still open read as Dyn; None
+    if they differ.  ``a`` and ``b`` hold only open holes, none twice."""
+    if isinstance(a, Hole):
+        return ref_settled(b)
+    if isinstance(b, Hole):
+        return ref_settled(a)
+    match (a, b):
+        case (FunT(a1, b1), FunT(a2, b2)) | (Fun2T(a1, b1), Fun2T(a2, b2)) | (
+            CrcT(a1, b1),
+            CrcT(a2, b2),
+        ):
+            parts = ref_meet(a1, a2), ref_meet(b1, b2)
+            return None if None in parts else a.__class__(*parts)
+        case _:
+            return a if a == b else None
+
+
+def check_fill(a: Type, b: Type) -> None:
+    """``types.fill`` on copies of ``a`` and ``b`` agrees with ``ref_meet``,
+    and fills no hole when they differ."""
+    a, b = ref_copy(a), ref_copy(b)
+    want, before = ref_meet(a, b), (repr(a), repr(b))
+    assert types.fill(a, b) == (want is not None), (a, b)
+    if want is None:
+        assert (repr(a), repr(b)) == before, (a, b)
+    else:
+        assert types.settled(a) == types.settled(b) == want, (a, b)
 
 
 def ref_ty_eq(a: Type, b: Type, tymap: dict[int, int]) -> bool:
@@ -295,6 +315,8 @@ def field_values(r) -> list:
 
 def type_parts(t):
     yield t
+    if isinstance(t, Hole):
+        return
     for v in field_values(t):
         if not isinstance(v, (str, int)):
             yield from type_parts(v)
@@ -302,7 +324,7 @@ def type_parts(t):
 
 @functools.cache
 def derivation_types() -> list:
-    """Every type in the corpus's derivations, with wildcard and rigid-variable variants."""
+    """Every type in the corpus's derivations, with hole and rigid-variable variants."""
     found = set()
     for p, px in programs():
         for p_, mod in ((p, S), (px, X)):
@@ -312,36 +334,38 @@ def derivation_types() -> list:
                     d = stack.pop()
                     found.update(type_parts(d.ty))
                     stack.extend(d.children)
-    wild = {ANY, FunT(ANY, ANY), Fun2T(ANY, ANY), CrcT(ANY, ANY), CrcT(INT, ANY), TyVar(0)}
+    wild = {Hole(), FunT(Hole(), Hole()), Fun2T(Hole(), Hole()), CrcT(Hole(), Hole())}
+    wild |= {CrcT(INT, Hole()), TyVar(0)}
     for t in list(found):
         if t.__class__ in (FunT, Fun2T):
-            wild |= {t.__class__(t.arg, ANY), t.__class__(ANY, t.res)}
+            wild |= {t.__class__(t.arg, Hole()), t.__class__(Hole(), t.res)}
         elif t.__class__ is CrcT:
-            wild |= {CrcT(t.src, ANY), CrcT(ANY, t.tgt)}
+            wild |= {CrcT(t.src, Hole()), CrcT(Hole(), t.tgt)}
     found |= wild
     assert any(t.__class__ is TyVar for t in found)
     return sorted(found, key=repr)
 
 
 @functools.cache
-def asked_pairs() -> list:
-    """Every (found, expected) pair the typecheckers pass to ``matches`` on the corpus."""
+def filled_pairs() -> list:
+    """Copies of every pair of types the typecheckers ``fill`` on the corpus."""
     asked = []
+    fill = types.fill
 
     def recording(a, b):
-        asked.append((a, b))
-        return ref_matches(a, b)
+        asked.append((ref_copy(a), ref_copy(b)))
+        return fill(a, b)
 
     mp = pytest.MonkeyPatch()
     for mod in (S, X, coercions):
-        mp.setattr(mod, "matches", recording)
+        mp.setattr(mod, "fill", recording)
     try:
         for p, px in programs():
             list(derivations(p, S))
             list(derivations(px, X))
     finally:
         mp.undo()
-    assert any(AnyT in {m.__class__ for m in type_parts(b)} for _, b in asked)
+    assert any(Hole in {m.__class__ for m in type_parts(b)} for _, b in asked)
     return asked
 
 
@@ -512,20 +536,17 @@ def substitute_calls() -> list:
 # The tests
 
 
-def test_matches_and_merge_types_agree_on_every_pair_of_derivation_types():
+def test_filling_agrees_with_the_reference_on_every_pair_of_derivation_types():
     tys = derivation_types()
     for a in tys:
         for b in tys:
-            assert types.matches(a, b) == ref_matches(a, b), (a, b)
-            assert types.merge_types(a, b) == ref_merge_types(a, b), (a, b)
+            check_fill(a, b)
 
 
-def test_matches_and_merge_types_agree_on_what_the_typecheckers_ask():
-    for a, b in asked_pairs():
-        assert types.matches(a, b) == ref_matches(a, b), (a, b)
-        assert types.matches(b, a) == ref_matches(b, a), (a, b)
-        assert types.merge_types(a, b) == ref_merge_types(a, b), (a, b)
-        assert types.merge_types(b, a) == ref_merge_types(b, a), (a, b)
+def test_filling_agrees_with_the_reference_on_what_the_typecheckers_fill():
+    for a, b in filled_pairs():
+        check_fill(a, b)
+        check_fill(b, a)
 
 
 def test_type_equality_keeps_the_same_rigid_variable_bijection():

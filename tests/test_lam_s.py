@@ -4,7 +4,7 @@ import pytest
 
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
-from coercion_forge import surface
+from coercion_forge import surface, terms
 from coercion_forge.coercions import Fail, Id, IdStar, InjSeq, ProjSeq
 from coercion_forge.lam_s import (
     Abs,
@@ -30,7 +30,10 @@ from coercion_forge.lam_s import (
     typecheck_program,
 )
 from coercion_forge.terms import Stepped, StuckTerm, refocused
-from coercion_forge.types import ANY, BOOL, DYN, INT, FunT
+from coercion_forge.translate import trans_program
+from coercion_forge.types import BOOL, DYN, INT, FunT, settled
+from test_cli_robustness import PINNED_CHAINS
+from test_translate import WILDCARD_REPRODUCERS
 
 
 def parse(text):
@@ -81,8 +84,8 @@ class TestTyping:
     def test_a_function_literal_whose_answer_is_open_answers_at_the_expected_type(self):
         typed = typecheck(parse("(\\x:Int. blame p) 1"), expected=INT)
         assert typed.children[0].ty == FunT(INT, INT)
-        # with no expectation, the wildcard is left for the reader to default
-        assert typecheck(parse("(\\x:Int. blame p) 1")).children[0].ty == FunT(INT, ANY)
+        # with no expectation, the hole left open reads as Dyn
+        assert typecheck(parse("(\\x:Int. blame p) 1")).children[0].ty == FunT(INT, DYN)
 
     def test_rejects_operand_mismatch(self):
         with pytest.raises(TypeCheckError):
@@ -96,33 +99,60 @@ class TestTyping:
         with pytest.raises(TypeCheckError):
             typecheck(parse("5<Bool?^p>"))
 
-    def test_a_binder_has_one_body_environment_per_check(self, monkeypatch):
-        # the check's table keys derivations by environment id, so the
-        # environment ``_bind`` makes for a binder's body must be the same
-        # dict at every visit of the check, kept alive by the table; a dict
-        # made afresh at each visit could take a freed one's id
-        seen = {}
-        binder = parse("\\x:Int. x")
-        outer = {"y": BOOL}
-        env = S._bind(seen, binder, outer, {"x": INT})
-        assert env == {"y": BOOL, "x": INT}
-        assert S._bind(seen, binder, outer, {"x": INT}) is env
-        assert any(v is env for v in seen.values())
-        # the function is checked again at the application's type, so its
-        # body twice, under the one environment
+    @pytest.mark.parametrize("dialect, text", PINNED_CHAINS + [("lams", t) for t in WILDCARD_REPRODUCERS])
+    def test_a_check_visits_each_node_once(self, monkeypatch, dialect, text):
+        # blame and failures take holes that what they meet fills, so no
+        # subterm is checked again: each calculus's ``_tc`` runs once per
+        # node of a program, and of the translation of a lams program
+        p = surface.parse_program(text, dialect)
+        programs = [(S if dialect == "lams" else X, p)]
+        if dialect == "lams":
+            # translated after the source check is counted: ``trans_program``
+            # checks its program, and ``typecheck_program`` keeps what it found
+            programs.append((X, lambda: trans_program(p)))
+        for mod, q in programs:
+            q = q() if callable(q) else q
+            calls = []
+            tc = mod._tc
+
+            def counting(term, *rest, tc=tc, calls=calls):
+                calls.append(term)
+                return tc(term, *rest)
+
+            monkeypatch.setattr(mod, "_tc", counting)
+            mod.typecheck_program(q)
+            monkeypatch.undo()
+            nodes = [n for t in (q.main, *(d.fun for d in q.defs)) for n in terms.walk(t)]
+            assert len(calls) == len(nodes) and {id(t) for t in calls} == {id(n) for n in nodes}
+
+    def test_a_derivation_handed_back_holds_no_hole(self):
+        # open holes read as Dyn; filled ones are replaced by what fills them
+        typed = typecheck(parse("((blame p) 1) ((\\x:Int. blame q) 2)"))
+        stack = [typed]
+        while stack:
+            d = stack.pop()
+            assert settled(d.ty) is d.ty, d
+            stack.extend(d.children)
+        assert typed.ty == DYN
+        assert typed.children[0].children[0].ty == FunT(INT, FunT(DYN, DYN))
+
+    def test_the_memo_keeps_no_derivation_whose_type_a_later_fill_could_change(self):
+        # the function's answer is open until the application's context
+        # fills it, so neither it nor the application is kept under its key;
+        # at the expected type Int, both are fixed and kept
         t = parse("(\\x:Int. blame p) 1")
-        body = t.fun.body
-        envs = []
-        tc = S._tc
-
-        def recording(term, env, *rest):
-            if term is body:
-                envs.append(env)
-            return tc(term, env, *rest)
-
-        monkeypatch.setattr(S, "_tc", recording)
-        assert typecheck(t, expected=INT).ty == INT
-        assert len(envs) == 2 and envs[0] is envs[1]
+        memo = {}
+        typecheck(t.fun, memo=memo)
+        assert (id(t.fun), None) not in memo
+        typecheck(t, expected=INT, memo=memo)
+        assert memo[(id(t), INT)].ty == INT
+        for key, d in memo.items():
+            if key != "defs":
+                stack = [d]
+                while stack:
+                    d = stack.pop()
+                    assert settled(d.ty) is d.ty, (key, d)
+                    stack.extend(d.children)
 
     def test_program_typing_uses_declared_signatures(self):
         p = surface.parse_program(

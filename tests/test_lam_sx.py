@@ -86,6 +86,13 @@ class TestTyping:
         t = parse("let k = Int! ;; Int?^p in 5<k>")
         assert typecheck(t).ty == INT
 
+    def test_each_use_of_a_let_bound_variable_meets_its_open_holes_afresh(self):
+        # one use is the function and another its argument, so a hole the
+        # two shared would have to hold a type that holds itself
+        assert typecheck(parse("let v = blame p in v(v, id{Int})")).ty == INT
+        # the second use is not held to the type the first one took
+        assert typecheck(parse("let v = blame p in 1<v><v>")).ty == DYN
+
 
 class TestStep:
     def test_composition_runs_eagerly(self):

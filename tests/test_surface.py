@@ -28,7 +28,7 @@ from coercion_forge.surface import (
     tokenize,
 )
 from coercion_forge.terms import CoercedVal
-from coercion_forge.types import ANY, BOOL, DYN, INT, CrcT, Fun2T, FunT, TyVar
+from coercion_forge.types import BOOL, DYN, INT, CrcT, Fun2T, FunT, Hole, TyVar, fill
 
 
 def inj(g):
@@ -174,10 +174,14 @@ class TestTypesAndPaths:
         assert parse_type("Int => Bool", "lamsx") == Fun2T(INT, BOOL)
         assert print_type(Fun2T(INT, Fun2T(DYN, BOOL))) == "Int => Dyn => Bool"
 
-    def test_rigid_variables_and_the_wildcard_print(self):
+    def test_rigid_variables_and_holes_print(self):
         assert print_type(Fun2T(TyVar(-1), CrcT(INT, TyVar(0)))) == "'X-1 => Int ~> 'X0"
-        # the wildcard has no surface syntax; a diagnostic may still name it
-        assert print_type(FunT(ANY, INT)) == "any -> Int"
+        # a hole has no surface syntax; a diagnostic may still name an open
+        # one, and a filled one prints as what fills it
+        hole = Hole()
+        assert print_type(FunT(hole, INT)) == "any -> Int"
+        assert fill(hole, FunT(DYN, BOOL))
+        assert print_type(FunT(hole, INT)) == "(Dyn -> Bool) -> Int"
 
     def test_dialect_of_path(self):
         assert dialect_of_path("a/b/prog.lams") == "lams"

@@ -18,7 +18,9 @@ from coercion_forge import lam_sx as X
 from coercion_forge import surface, terms, translate
 from coercion_forge.coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, size
 from coercion_forge.harness import GenConfig, genWellTyped
-from coercion_forge.types import ANY, BOOL, DYN, INT, AnyT, Base, CrcT, Dyn, Fun2T, FunT, TyVar, Type
+from coercion_forge.types import (
+    BOOL, DYN, INT, Base, CrcT, Dyn, Fun2T, FunT, Hole, TyVar, Type, fill, settled
+)
 
 CALCULI = [(S, S.TermS), (X, X.TermX)]
 
@@ -319,8 +321,9 @@ ONE_SIDED_REJECTIONS = [
     (S, S.Op("+", _abs("x", INT), S.Const(1)), "expected Int, found a function"),
     (S, S.App(S.Abs("f", FunT(INT, INT), S.Var("f")), _abs("x", BOOL)),
      "function argument annotated Bool, expected Int"),
-    (X, X.App2(X.Blame("p"), X.Const(1), X.Const(2)),
-     "continuation argument must have a coercion type, found Int"),
+    # a continuation is checked at a coercion type from the function's
+    # answer, a hole here, to a hole
+    (X, X.App2(X.Blame("p"), X.Const(1), X.Const(2)), "expected (any ~> any), found Int"),
     (X, X.Compose(X.Const(1), X.CrcLit(Id(INT))),
      "composition operand must have a coercion type, found Int"),
     (X, X.Abs2("x", INT, "k", INT, X.Var("x")),
@@ -604,7 +607,6 @@ RECORDS = {
     Fun2T: (Fun2T(INT, DYN), ("arg", "res")),
     CrcT: (CrcT(INT, DYN), ("src", "tgt")),
     TyVar: (TyVar(0), ("uid",)),
-    AnyT: (ANY, ()),
     terms.Stepped: (terms.Stepped("R-Op", ONE), ("rule", "term")),
 }
 SAMPLES = [sample for sample, _ in RECORDS.values()]
@@ -617,6 +619,18 @@ def test_the_records_are_every_term_coercion_and_type_class():
         want.update(typing.get_args(union))
     assert set(RECORDS) == want
     assert all(type(sample) is cls for cls, (sample, _) in RECORDS.items())
+
+
+def test_a_hole_is_the_one_type_that_is_no_record():
+    # one check fills a hole in place, so it is no type of the syntax,
+    # compares by identity, and stands for what fills it, or Dyn if nothing does
+    assert Hole not in typing.get_args(Type)
+    hole, other = Hole(), Hole()
+    assert hole != other and not dataclasses.is_dataclass(hole)
+    assert settled(FunT(hole, other)) == FunT(DYN, DYN)
+    assert fill(FunT(hole, other), FunT(INT, other)) and hole.ty is INT and other.ty is None
+    assert not fill(hole, BOOL) and repr(FunT(hole, other)) == "(Int -> any)"
+    assert settled(FunT(hole, other)) == FunT(INT, DYN)
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=SAMPLE_IDS)

@@ -1,10 +1,13 @@
 """Tests for the coercion-passing translation between the two calculi."""
 
+import contextlib
+import hashlib
+import io
 import random
 
 import pytest
 
-from coercion_forge import GenConfig, genWellTyped, invariantSuite
+from coercion_forge import GenConfig, cli, genWellTyped, invariantSuite
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import surface
@@ -19,7 +22,8 @@ from coercion_forge.translate import (
     trans_term,
 )
 from coercion_forge.terms import Stepped
-from coercion_forge.types import ANY, BOOL, DYN, INT, Fun2T, FunT
+from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT
+from test_cli_robustness import PINNED_CHAINS
 
 
 def inj(g):
@@ -175,17 +179,17 @@ class TestPrograms:
 
 def checked_translation(text):
     """The printed translation of the lams program ``text``, after checking
-    that it names no wildcard, re-parses as lamsx and re-typechecks."""
+    that it names no open hole, re-parses as lamsx and re-typechecks."""
     out = surface.print_program(trans_program(surface.parse_program(text, "lams")))
     assert "any" not in out, (text, out)
     X.typecheck_program(surface.parse_program(out, "lamsx"))
     return out
 
 
-# Programs a part of which types as the wildcard that blame and failures
-# get, in a place whose type reaches no enclosing type: the function or
-# argument of an application, or the subject of a coercion.  Each
-# translation once minted an identity at a type that named the wildcard.
+# Programs a part of which takes a hole that blame or a failure leaves open,
+# in a place whose type reaches no enclosing type: the function or argument
+# of an application, or the subject of a coercion.  Each translation once
+# minted an identity at a type that named the open part ``any``.
 WILDCARD_REPRODUCERS = [
     "((blame p) 1) 2",
     "((if true then blame p else blame q) 1) 2",
@@ -199,7 +203,7 @@ WILDCARD_REPRODUCERS = [
     "(((\\x:Int. blame p) 1) 2)<bot{Int, p, Bool}>",
     "(\\x:Int. blame p)<<Int?^p -> Int!>>",
     # an arrow coercion with a failing argument part gives a function type
-    # whose parameter is the wildcard
+    # whose parameter is a hole
     "((\\x:Int. x)<bot{Int, p, Bool} -> id{Int}>) ((blame p) 1)",
     "(((blame p) 1) 2)<bot{Int, p, Bool} -> id{Int}>",
     "(if true then (\\x:Int. 1)<<bot{Int, p, Bool} -> id{Int}>> else blame q) ((blame p) 1)",
@@ -214,10 +218,12 @@ class TestNoWildcardInTranslations:
         target = X.evaluate_program(surface.parse_program(out, "lamsx"))
         assert target.kind == source.kind
 
-    def test_the_main_derivation_reads_a_wildcard_as_dyn(self):
+    def test_the_main_derivation_reads_an_open_hole_as_dyn(self):
         p = surface.parse_program("(\\x:Int. blame p) 1", "lams")
         assert S.typecheck_program(p).ty == DYN
-        assert S.typecheck(p.main).ty == ANY
+        assert S.typecheck(p.main).ty == DYN
+        # at an expected type, the hole takes it
+        assert S.typecheck(p.main, expected=BOOL).ty == BOOL
 
     def test_every_small_blame_heavy_program_translates_to_one_that_rechecks(self):
         rng = random.Random(25)
@@ -237,7 +243,7 @@ class TestNoWildcardInTranslations:
 def blame_heavy(rng, depth, scope):
     """The text of a random lams term at most ``depth`` deep, built from
     blame, failure coercions, conditionals, applications, abstractions and
-    coerced values, the formers whose types can hold a wildcard."""
+    coerced values, the formers whose types can hold a hole."""
     kinds = ["blame", "leaf"]
     if depth > 0:
         kinds += ["app", "app", "if", "abs", "fail", "coerced"]
@@ -265,6 +271,38 @@ def blame_heavy(rng, depth, scope):
         return f"({sub()})<{crc}>"
     crc = rng.choice(["(Dyn -> Dyn)!", "bot{Int, p, Bool} -> id{Dyn}"])
     return f"(\\{x}:Dyn. {blame_heavy(rng, depth - 1, scope + [x])})<<{crc}>>"
+
+
+def printed(argv):
+    """The exit code, stdout and stderr of one in-process command-line run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# The sha256 of what ``check`` prints for each text below (its type, or its
+# type error), and, for each lams text that checks, of what ``translate``
+# prints and what ``check`` prints for that translation.  Computed with the
+# typecheckers that gave blame and failures a wildcard type and checked
+# subterms again to pin it.
+CHECK_DIGEST = "de772cb5de0dfe46971ec1a6cb8e5fc48c5a7f6757a8ef0f76898a6d742eea6f"
+
+
+def test_what_check_and_translate_print_matches_the_pinned_digest():
+    texts = [("lams", t) for t in WILDCARD_REPRODUCERS] + PINNED_CHAINS
+    for seed in (25, 26):
+        rng = random.Random(seed)
+        texts += [("lams", blame_heavy(rng, rng.randint(1, 4), [])) for _ in range(2000)]
+    h = hashlib.sha256()
+    for dialect, text in texts:
+        runs = [printed(["check", "-e", text, "--dialect", dialect])]
+        if runs[0][0] == cli.EXIT_OK and dialect == "lams":
+            runs.append(printed(["translate", "-e", text]))
+            if runs[1][0] == cli.EXIT_OK:
+                runs.append(printed(["check", "--dialect", "lamsx", "-e", runs[1][1]]))
+        h.update(repr((dialect, text, runs)).encode())
+    assert h.hexdigest() == CHECK_DIGEST
 
 
 class TestAdministrativeSteps:

@@ -17,8 +17,6 @@ pickling leave it out, and the constructor leaves it None.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .records import record
 from .types import DYN, Dyn, Hole, Type, TypeCheckError, consistent, fill, is_ground, resolved
 
@@ -87,7 +85,7 @@ class Fail:
             raise ValueError("failure coercion requires distinct type tags")
 
 
-Coercion = Union[IdStar, Id, ProjSeq, InjSeq, Fun, Fail]
+Coercion = IdStar | Id | ProjSeq | InjSeq | Fun | Fail
 
 
 class CompositionTypeMismatch(Exception):

@@ -428,13 +428,17 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
 
     Each distinct source state is translated once per call: a state the
     run comes back to, as a diverging run does, reuses its translation.
+    The run's typing memo starts as a copy of the program's
+    (:func:`lam_s.run_memo`), and :func:`invariantSuite` on the same
+    program takes the typing and the translation this call kept.
     """
     try:
+        # consecutive states share most of their nodes, and the first shares
+        # all but its root with the program: their typings are reused
+        memo = S.run_memo(p)
         px = translate.trans_program(p)
     except S.TypeCheckError as e:
         return Verdict("invariant-violation", f"source does not typecheck: {e}", "", "", p, seed)
-    # consecutive states share most of their nodes; their typings are reused
-    memo: dict = {}
 
     @functools.cache
     def translated(s):
@@ -555,14 +559,18 @@ def _check_run(
 
     The run is stepped by :func:`_run`, as each side of
     :func:`simulationCheck` is, so both checks follow the same searches.
+    Its typing memo starts as a copy of the program's (``mod.run_memo``).
     """
     side = "" if dialect == "lams" else "target "
     sigs = p.def_types()
     defs = p.def_terms()
     try:
-        ty0 = mod.typecheck_program(p).ty
+        # consecutive states share most of their nodes, and the first shares
+        # all but its root with the program: their typings are reused
+        memo = mod.run_memo(p)
     except mod.TypeCheckError as e:
         return str(e)
+    ty0 = mod.typecheck_program(p).ty
 
     def report(detail: str) -> None:
         bad(detail, surface.print_term(state, dialect))
@@ -572,8 +580,6 @@ def _check_run(
         # each coercion's labels are looked at once per run
         return sorted(_crc_labels(c) - held)
 
-    # consecutive states share most of their nodes; their typings are reused
-    memo: dict = {}
     # id -> node, for the nodes of earlier states whose scan reported
     # nothing; the subtree of each is canonical and holds only the
     # program's labels, so a scan that skips it finds what a full one would

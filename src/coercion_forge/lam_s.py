@@ -22,7 +22,7 @@ two rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .coercions import (
     DELAYED_CLASSES,
@@ -78,7 +78,7 @@ class CrcApp:
     crc: Coercion
 
 
-TermS = Union[Const, Var, Abs, Op, App, CrcApp, CoercedVal, Blame, If, GlobalRef]
+TermS = Const | Var | Abs | Op | App | CrcApp | CoercedVal | Blame | If | GlobalRef
 
 # op name -> (left type, right type, result type)
 OPS: dict[str, tuple[Type, Type, Type]] = {
@@ -304,21 +304,22 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo, late) -> terms.T
     raise AssertionError(term)
 
 
-def _check_program(p, check_term, fun_t: type) -> tuple[tuple, terms.Typed]:
+def _check_program(p, check_term, fun_t: type, memo=None) -> tuple:
     """The derivations of ``p``'s definitions, in order, and of its main
     term, by ``check_term``, the ``typecheck`` of the calculus whose
-    function type is ``fun_t``."""
+    function type is ``fun_t``, and ``memo``, which every check fills."""
     sigs = p.def_types()
     defs = []
     for d in p.defs:
         if d.ty.__class__ is not fun_t:
             raise TypeCheckError(f"definition {d.name} needs a function signature")
-        defs.append(check_term(d.fun, {}, sigs, d.ty))
-    return tuple(defs), check_term(p.main, {}, sigs, None)
+        defs.append(check_term(d.fun, {}, sigs, d.ty, memo))
+    return tuple(defs), check_term(p.main, {}, sigs, None, memo), memo
 
 
 # A program is checked where it is made or read, and then translated: the
 # translation takes the derivations kept here instead of checking it again.
+# The check keeps no typing memo until a run asks for one (:func:`run_memo`).
 _derivations = terms.keep_last(lambda p: _check_program(p, typecheck, FunT))
 
 
@@ -328,9 +329,27 @@ def typecheck_program(p: ProgramS) -> terms.Typed:
     The derivations of the last program checked are kept, keyed by its
     identity, so checking the same program again walks nothing.  An equal
     program that is another object is checked afresh, and an ill-typed
-    one raises at every call, since only answers are kept.
+    one raises at every call, since only answers are kept.  Once a run has
+    asked for it (:func:`run_memo`), the typing memo of the check is kept
+    beside them.
     """
     return _derivations(p)[1]
+
+
+def run_memo(p: ProgramS) -> dict:
+    """A typing memo for one run of ``p``'s states: a copy of the memo of
+    ``p``'s check.  The run's first state, ``p``'s main term, is then typed
+    at its root alone, and nothing the run adds reaches the kept memo or
+    another run.
+
+    The memo is made at the first request, by checking ``p`` once more
+    with one, and kept with the derivations of that check in place of the
+    others.  A check that no run follows, as the generator's, fills none.
+    """
+    kept = _derivations.kept
+    if kept[0] is not p or kept[1][2] is None:
+        kept[:] = p, _check_program(p, typecheck, FunT, {})
+    return dict(kept[1][2])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ the function body without copying it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .coercions import (
     DELAYED_CLASSES,
@@ -100,9 +100,10 @@ class CrcLit:
     crc: Coercion
 
 
-TermX = Union[
-    Const, Var, Abs2, Op, App2, Let, Compose, CrcApp, CoercedVal, CrcLit, Blame, If, GlobalRef
-]
+TermX = (
+    Const | Var | Abs2 | Op | App2 | Let | Compose | CrcApp | CoercedVal | CrcLit | Blame | If
+    | GlobalRef
+)
 
 _UNCOERCED_CLASSES = frozenset((Const, Abs2, CrcLit, GlobalRef))
 _VALUE_CLASSES = frozenset((Const, Abs2, CrcLit, GlobalRef, Var, CoercedVal))
@@ -281,8 +282,25 @@ def _applied(k: TermX, src: Type, env, defs, depth: int, memo, late) -> tuple[te
     return kt, tgt
 
 
+# A translated program is checked before its run, which starts from the
+# typing memo that check filled.
+_derivations = terms.keep_last(lambda p: _check_program(p, typecheck, Fun2T, {}))
+
+
 def typecheck_program(p: ProgramX) -> terms.Typed:
-    return _check_program(p, typecheck, Fun2T)[1]
+    """Check ``p`` as :func:`lam_s.typecheck_program` does.
+
+    The derivations of the last program checked are kept, keyed by its
+    identity, with the typing memo the check filled; each run of ``p``
+    starts from a copy of that memo (:func:`run_memo`).
+    """
+    return _derivations(p)[1]
+
+
+def run_memo(p: ProgramX) -> dict:
+    """A typing memo for one run of ``p``'s states: a copy of the memo of
+    ``p``'s check, as :func:`lam_s.run_memo` gives."""
+    return dict(_derivations(p)[2])
 
 
 # ---------------------------------------------------------------------------

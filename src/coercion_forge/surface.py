@@ -31,7 +31,7 @@ explicit stack, so nesting costs no Python recursion.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 from .coercions import (
     Coercion,
@@ -139,7 +139,7 @@ def tokenize(text: str) -> list[Token]:
 # Parser
 
 
-TermAny = Union[S.TermS, X.TermX]
+TermAny = S.TermS | X.TermX
 
 _BASES = {"Dyn": DYN, "Int": INT, "Bool": BOOL}
 # the lamsx-only type arrows, with what each builds

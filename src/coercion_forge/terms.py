@@ -14,7 +14,7 @@ import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from .coercions import Coercion
 from .records import record
@@ -335,7 +335,8 @@ def keep_last(fn):
     Terms and programs are immutable and the kept argument stays alive, so
     the key is sound: no caller can tell the kept answer from a fresh call.
     The list ``kept`` of the result holds the argument and the answer, for
-    a caller that reads them there without a call.
+    a caller that reads them there without a call, or puts there an answer
+    it worked out for that argument by other means.
     """
     kept = [None, None]
 
@@ -490,7 +491,7 @@ class IsBlame:
     pass
 
 
-StepResult = Union[Stepped, IsValue, IsBlame]
+StepResult = Stepped | IsValue | IsBlame
 IS_VALUE = IsValue()
 IS_BLAME = IsBlame()
 

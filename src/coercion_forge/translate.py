@@ -214,17 +214,35 @@ def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
 def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
     """Translate ``p``, from the derivations :func:`lam_s.typecheck_program`
     keeps: a program checked before, as the generator and the command line
-    check it, is not checked again."""
-    rename, avoid = def_rename(p)
+    check it, is not checked again.
+
+    The last translation is kept, keyed by the identity of ``p`` and by
+    ``optimize_op``, so both checks of one program translate it once; an
+    equal program that is another object is translated afresh.  The names
+    :func:`def_rename` found for it are kept with it, for the run
+    translator of :func:`trans_state`.
+    """
+    last = _last
+    if last[0] is p and last[1] == optimize_op:
+        return last[2]
+    names = rename, avoid = def_rename(p)
     tr = Translator(avoid, rename, optimize_op)
+    typed_defs, typed_main, _ = S._derivations(p)
     defs: list[X.DefX] = []
-    for d, typed_fun in zip(p.defs, S._derivations(p)[0]):
+    for d, typed_fun in zip(p.defs, typed_defs):
         fun2 = tr.value(typed_fun)
         assert isinstance(fun2, X.Abs2)
         ty2 = psi_type(d.ty)
         assert isinstance(ty2, Fun2T)
         defs.append(X.DefX(rename[d.name], ty2, fun2))
-    return X.ProgramX(tuple(defs), tr.c(S._derivations(p)[1]))
+    px = X.ProgramX(tuple(defs), tr.c(typed_main))
+    last[:] = p, optimize_op, px, names
+    return px
+
+
+# What :func:`trans_program` translated last: the program, ``optimize_op``,
+# the translation and what :func:`def_rename` gave for the program.
+_last: list = [None, None, None, None]
 
 
 def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X.TermX:
@@ -238,17 +256,20 @@ def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X
     :func:`def_rename` avoids all of them.
 
     ``memo`` is a memo for the states of one run of ``p``.  It holds the
-    typing memo (see :func:`lam_s.typecheck`) and one translator for the
-    run, tied to ``p``: another program, even one with equal definitions,
-    raises ``ValueError``.  The translator reuses the translation of every
-    subterm whose derivation the typing memo reused.  Its continuation
-    names are minted once per run, fresh against the program's names,
-    which cover its states' names.  So the answer is alpha-equivalent to a
-    memo-less call, but its names are not the same.
+    typing memo (see :func:`lam_s.typecheck`), which a run starts from a
+    copy of the program's (:func:`lam_s.run_memo`), and one translator for
+    the run, tied to ``p``: another program, even one with equal
+    definitions, raises ``ValueError``.  The translator takes the names of
+    :func:`def_rename` that :func:`trans_program` kept for ``p``, if it
+    translated ``p`` last.  It reuses the translation of every subterm
+    whose derivation the typing memo reused.  Its continuation names are
+    minted once per run, from a counter of its own, fresh against the
+    program's names, which cover its states' names.  So the answer is
+    alpha-equivalent to a memo-less call, but its names are not the same.
     """
     run = None if memo is None else memo.get(_RUN)
     if run is None:
-        rename, avoid = def_rename(p)
+        rename, avoid = _last[3] if _last[0] is p else def_rename(p)
         run = (p, Translator(avoid, rename), S._derivations(p)[1].ty)
         if memo is not None:
             memo[_RUN] = run

@@ -8,8 +8,6 @@ and rigid type variables ``TyVar`` used as abstract answer types.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .records import record
 
 
@@ -65,7 +63,7 @@ class TyVar:
         return f"'X{self.uid}"
 
 
-Type = Union[Dyn, Base, FunT, Fun2T, CrcT, TyVar]
+Type = Dyn | Base | FunT | Fun2T | CrcT | TyVar
 
 INT = Base("Int")
 BOOL = Base("Bool")

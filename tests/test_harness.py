@@ -366,24 +366,28 @@ class TestEachStateCheckedOnce:
 
     def test_the_invariant_checks_run_once_per_distinct_state(self, monkeypatch):
         p = surface.parse_program(_LOOP, "lams")
-        starts = {S: p.main, X: translate.trans_program(p).main}
+        programs = {S: p, X: translate.trans_program(p)}
+        main_ty = S.typecheck_program(p).ty
         steps, oracle, typed = {}, {}, {}
         for mod in (S, X):
             steps[mod] = _record_steps(monkeypatch, mod)
             oracle[mod] = _count_calls(monkeypatch, mod, "decompose_oracle", lambda t, defs: t)
-            # the checks give the typechecker the run's typing memo; the
-            # checks of the whole program give it none
             typed[mod] = _count_calls(
                 monkeypatch, mod, "typecheck",
-                lambda t, env=None, defs=None, ty=None, memo=None: None if memo is None else t)
+                lambda t, env=None, defs=None, ty=None, memo=None: (t, ty))
         assert invariantSuite(p) == []
-        for mod in (S, X):
-            states = [starts[mod], *(r.term for r in steps[mod])]
+        for mod, q in programs.items():
+            states = [q.main, *(r.term for r in steps[mod])]
             assert len(steps[mod]) == 300 and len(states) == 301
             distinct = Counter(set(states))
             assert len(distinct) < 10
             assert oracle[mod] == distinct
-            assert typed[mod] == distinct
+            # the program check types each definition at its signature and
+            # the main term with no type expected, once; a run types each
+            # distinct state once, at the main term's type
+            program = Counter([(d.fun, d.ty) for d in q.defs] + [(q.main, None)])
+            states_typed = Counter({(t, translate.psi_type(main_ty)): 1 for t in distinct})
+            assert typed[mod] == program + states_typed
 
     def test_simulation_translates_each_distinct_state_once(self, monkeypatch):
         p = surface.parse_program(_LOOP, "lams")
@@ -740,6 +744,56 @@ def _source_states(p, limit=250):
             break
         states.append(r.term)
     return states
+
+
+def _memo_types(memo: dict) -> dict:
+    """Each key of a typing memo with the type of its derivation, or with
+    the types of an applied coercion's derivation and target."""
+    out = {}
+    for key, v in memo.items():
+        if v.__class__ is terms.Typed:
+            v = v.ty
+        elif v.__class__ is tuple:
+            v = (v[0].ty, v[1])
+        out[key] = v
+    return out
+
+
+class TestOneCheckPerProgram:
+    def test_both_checks_share_one_typing_and_one_translation(self, monkeypatch):
+        """``simulationCheck`` then ``invariantSuite`` check each calculus's
+        program once and translate it once; each run starts from a copy of
+        the kept typing memo and adds nothing to it."""
+        p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        assert p.defs
+        # the program kept now is another one
+        translate.trans_program(genWellTyped(GenConfig(seed=4, maxDepth=8)))
+        typed = {}
+        for mod in (S, X):
+            typed[mod] = _count_calls(
+                monkeypatch, mod, "typecheck",
+                lambda t, env=None, defs=None, ty=None, memo=None: (t, ty))
+        translated = _count_calls(monkeypatch, translate, "def_rename", lambda q: q)
+
+        def both():
+            return simulationCheck(p), invariantSuite(p)
+
+        first = both()
+        assert first[0].kind == "agree" and first[1] == []
+        px = translate.trans_program(p)
+        for mod, q in ((S, p), (X, px)):
+            assert typed[mod][(q.main, None)] == 1
+            assert mod._derivations.kept[0] is q
+        assert translated == {p: 1}
+        kept = {mod: mod._derivations.kept[1][2] for mod in (S, X)}
+        before = {mod: _memo_types(memo) for mod, memo in kept.items()}
+        # the second pair of calls checks and translates nothing again
+        assert both() == first
+        for mod, q in ((S, p), (X, px)):
+            assert typed[mod][(q.main, None)] == 1
+            assert mod._derivations.kept[1][2] is kept[mod]
+            assert _memo_types(kept[mod]) == before[mod]
+        assert translated == {p: 1}
 
 
 class TestTranslationMemo:

@@ -3,11 +3,15 @@ derived from them, constant equality, the shared driver loop, the
 typing rejections both calculi share, and the records that terms,
 coercions, types and step results are."""
 
+import collections
 import copy
 import dataclasses
 import functools
+import gc
+import importlib
 import pickle
 import re
+import sys
 import time
 import typing
 
@@ -735,3 +739,39 @@ def test_the_records_still_check_what_they_are_built_from():
         Fail(INT, "p", INT)
     assert S.Const(1) != S.Const(True)
     assert hash(S.Const(1)) != hash(S.Const(True))
+
+
+def _package_classes() -> typing.Counter:
+    """How many classes of each (module, name) of the package are alive."""
+    return collections.Counter(
+        (cls.__module__, cls.__qualname__)
+        for cls in gc.get_objects()
+        if isinstance(cls, type) and cls.__module__.startswith("coercion_forge")
+    )
+
+
+def test_importing_the_package_again_leaves_no_old_copy_alive():
+    # the type and term aliases are unions over the package's own classes;
+    # a ``typing.Union`` would be kept in ``typing``'s cache, and with it
+    # every class and module of each import.  Counted against what is alive
+    # before, since a test that imported the package afresh before this one
+    # may have left its copy in ``sys.modules``
+    package = [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]
+    saved = {k: sys.modules[k] for k in package}
+    gc.collect()
+    before = _package_classes()
+    try:
+        for _ in range(3):
+            for k in package:
+                sys.modules.pop(k, None)
+            fresh = importlib.import_module("coercion_forge")
+            assert fresh.types.FunT is not saved["coercion_forge.types"].FunT
+    finally:
+        for k in [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+    del fresh
+    gc.collect()
+    after = _package_classes()
+    assert after[("coercion_forge.types", "FunT")] == before[("coercion_forge.types", "FunT")]
+    assert after == before

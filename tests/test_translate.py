@@ -351,13 +351,17 @@ class TestOneTypecheckPerProgram:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """The terms ``lam_s.typecheck`` is called on without a typing memo."""
+        """The (term, expected type) of every call of ``lam_s.typecheck``.
+
+        A program check types each definition at its signature and the
+        main term with no type expected; a run types each state at the main
+        term's type.
+        """
         checked = []
         typecheck = S.typecheck
 
         def counting(term, env=None, defs=None, expected=None, memo=None):
-            if memo is None:
-                checked.append(term)
+            checked.append((term, expected))
             return typecheck(term, env, defs, expected, memo)
 
         monkeypatch.setattr(S, "typecheck", counting)
@@ -367,9 +371,9 @@ class TestOneTypecheckPerProgram:
         p = genWellTyped(GenConfig(seed=3, maxDepth=8))
         assert len(p.defs) == 2
         px = trans_program(p)
-        want = [d.fun for d in p.defs] + [p.main]
+        want = [(d.fun, d.ty) for d in p.defs] + [(p.main, None)]
         assert len(checked) == len(want)
-        assert all(a is b for a, b in zip(checked, want))
+        assert all(a is b and s == t for (a, s), (b, t) in zip(checked, want))
         # the same translation as from a fresh check
         q = S.ProgramS(p.defs, p.main)
         assert surface.print_program(trans_program(q)) == surface.print_program(px)
@@ -380,7 +384,7 @@ class TestOneTypecheckPerProgram:
         assert q == p and q is not p
         checked.clear()
         trans_program(q)
-        assert [t is p.main for t in checked] == [False, False, True]
+        assert [t is p.main for t, _ in checked] == [False, False, True]
 
     def test_an_ill_typed_program_raises_at_every_call(self, checked):
         p = S.ProgramS((), parse_s("1 + true"))
@@ -395,5 +399,8 @@ class TestOneTypecheckPerProgram:
         S.typecheck_program(S.ProgramS(p.defs, p.main))
         checked.clear()
         assert invariantSuite(p, max_states=5) == []
-        # by the check of the source run; its translation takes that answer
-        assert sum(t is p.main for t in checked) == 1
+        # the program is checked once, where the source run asks for its
+        # typing memo, and its translation takes that check's answer; the
+        # run then types its start state, at the main term's type
+        main = [ty for t, ty in checked if t is p.main]
+        assert main == [None, S.typecheck_program(p).ty]

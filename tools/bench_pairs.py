@@ -2,7 +2,12 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload evenodd --pairs 10
 
-PARENT and CHANGE are the roots of two checkouts.  Pair i runs
+PARENT and CHANGE are the roots of two checkouts.  Before the first pair
+it brings the bytecode caches of both up to date with
+``python -m compileall -q src perfbench``, and its output starts by saying
+so: where ``PYTHONDONTWRITEBYTECODE`` is set, a cache older than its source
+is compiled again in memory at every import and never rewritten, and such
+caches have moved ``setup_s`` by a fifth to a third.  Pair i runs
 ``python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0``
 in each checkout, one after the other; the parent goes first in even pairs
 and the change in odd ones.  Each run's metrics are read from the JSON
@@ -15,6 +20,10 @@ change did better, by the direction ``BENCHMARK.json`` gives the metric
 least nine tenths of the pairs and the medians differ by more than the
 distance between the parent's quartiles.  Runs in which a check failed
 are counted and reported.
+
+A few pairs can show a gain that is not there: a change with no measured
+effect read ``programs_per_s`` on ``verify`` 4.7 % higher over 3 pairs, and
+0.4 % higher over 8.  Claim a gain from 10 pairs or more.
 """
 
 from __future__ import annotations
@@ -35,6 +44,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     ]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def compile_caches(root: Path) -> None:
+    """Bring the bytecode caches of the checkout ``root`` up to date."""
+    cmd = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,6 +92,9 @@ def main(argv=None) -> int:
     lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
+    for root in sides.values():
+        compile_caches(root)
+    print("bytecode caches of both checkouts brought up to date (python -m compileall -q src perfbench)")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.first_seed + i

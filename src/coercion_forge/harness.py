@@ -426,11 +426,12 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     the next source state.  A source, or a source state, that does not
     typecheck has no translation to land on, and is reported as such.
 
-    Each distinct source state is translated once per call: a state the
-    run comes back to, as a diverging run does, reuses its translation.
-    The run's typing memo starts as a copy of the program's
-    (:func:`lam_s.run_memo`), and :func:`invariantSuite` on the same
-    program takes the typing and the translation this call kept.
+    Each distinct source state is translated once per call, by the run's
+    translator (:func:`translate.state_translator`): a state the run comes
+    back to, as a diverging run does, reuses its translation.  The run's
+    typing memo starts as a copy of the program's (:func:`lam_s.run_memo`),
+    and :func:`invariantSuite` on the same program takes the typing and
+    the translation this call kept.
     """
     try:
         # consecutive states share most of their nodes, and the first shares
@@ -439,10 +440,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
         px = translate.trans_program(p)
     except S.TypeCheckError as e:
         return Verdict("invariant-violation", f"source does not typecheck: {e}", "", "", p, seed)
-
-    @functools.cache
-    def translated(s):
-        return translate.trans_state(p, s, memo)
+    translated = functools.cache(translate.state_translator(p, memo))
 
     t = translated(p.main)
     target_run = _run(X, t, px.def_terms())

@@ -317,10 +317,23 @@ def _check_program(p, check_term, fun_t: type, memo=None) -> tuple:
     return tuple(defs), check_term(p.main, {}, sigs, None, memo), memo
 
 
+def _keep_checks(check):
+    """The kept derivations and the run memos of either calculus, from its
+    program check ``check(p, memo)``, by the rule :func:`run_memo` states."""
+    derivations = terms.keep_last(lambda p: check(p, None))
+    kept = derivations.kept
+
+    def run_memo(p) -> dict:
+        if kept[0] is not p or kept[1][2] is None:
+            kept[:] = p, check(p, {})
+        return dict(kept[1][2])
+
+    return derivations, run_memo
+
+
 # A program is checked where it is made or read, and then translated: the
 # translation takes the derivations kept here instead of checking it again.
-# The check keeps no typing memo until a run asks for one (:func:`run_memo`).
-_derivations = terms.keep_last(lambda p: _check_program(p, typecheck, FunT))
+_derivations, _run_memo = _keep_checks(lambda p, memo: _check_program(p, typecheck, FunT, memo))
 
 
 def typecheck_program(p: ProgramS) -> terms.Typed:
@@ -329,9 +342,8 @@ def typecheck_program(p: ProgramS) -> terms.Typed:
     The derivations of the last program checked are kept, keyed by its
     identity, so checking the same program again walks nothing.  An equal
     program that is another object is checked afresh, and an ill-typed
-    one raises at every call, since only answers are kept.  Once a run has
-    asked for it (:func:`run_memo`), the typing memo of the check is kept
-    beside them.
+    one raises at every call, since only answers are kept.  The check
+    fills no typing memo; the first :func:`run_memo` makes one.
     """
     return _derivations(p)[1]
 
@@ -342,14 +354,11 @@ def run_memo(p: ProgramS) -> dict:
     at its root alone, and nothing the run adds reaches the kept memo or
     another run.
 
-    The memo is made at the first request, by checking ``p`` once more
-    with one, and kept with the derivations of that check in place of the
-    others.  A check that no run follows, as the generator's, fills none.
+    The first call for ``p`` checks it once more, with a memo, and keeps
+    that check in place of :func:`typecheck_program`'s; later calls check
+    nothing.  A check that no run follows, as the generator's, fills none.
     """
-    kept = _derivations.kept
-    if kept[0] is not p or kept[1][2] is None:
-        kept[:] = p, _check_program(p, typecheck, FunT, {})
-    return dict(kept[1][2])
+    return _run_memo(p)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from .coercions import (
     size,
 )
 from .types import BOOL, CrcT, Fun2T, Hole, TyVar, Type, fill, occurs, resolved, settled
-from .lam_s import OPS, TypeCheckError, _check_program, _checked, _done, _shaped, const_type, delta
+from .lam_s import OPS, TypeCheckError, _check_program, _checked, _done, _keep_checks, _shaped
+from .lam_s import const_type, delta
 from .terms import (
     FALSE,
     TRUE,
@@ -282,25 +283,20 @@ def _applied(k: TermX, src: Type, env, defs, depth: int, memo, late) -> tuple[te
     return kt, tgt
 
 
-# A translated program is checked before its run, which starts from the
-# typing memo that check filled.
-_derivations = terms.keep_last(lambda p: _check_program(p, typecheck, Fun2T, {}))
+# A translated program is checked before its run, by lam_s's rule.
+_derivations, _run_memo = _keep_checks(lambda p, memo: _check_program(p, typecheck, Fun2T, memo))
 
 
 def typecheck_program(p: ProgramX) -> terms.Typed:
-    """Check ``p`` as :func:`lam_s.typecheck_program` does.
-
-    The derivations of the last program checked are kept, keyed by its
-    identity, with the typing memo the check filled; each run of ``p``
-    starts from a copy of that memo (:func:`run_memo`).
-    """
+    """Check ``p`` as :func:`lam_s.typecheck_program` does, keeping its
+    derivations by the same rule; the check fills no typing memo."""
     return _derivations(p)[1]
 
 
 def run_memo(p: ProgramX) -> dict:
-    """A typing memo for one run of ``p``'s states: a copy of the memo of
-    ``p``'s check, as :func:`lam_s.run_memo` gives."""
-    return dict(_derivations(p)[2])
+    """A typing memo for one run of ``p``'s states, by the rule of
+    :func:`lam_s.run_memo`: the first call checks ``p`` once more."""
+    return _run_memo(p)
 
 
 # ---------------------------------------------------------------------------

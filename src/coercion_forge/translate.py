@@ -14,7 +14,7 @@ at the translated term's type), so it consumes typing derivations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .coercions import Coercion, Fail, Fun, Id, IdStar, InjSeq, ProjSeq, is_identity
 from .types import Dyn, FunT, Fun2T, Type
@@ -29,6 +29,7 @@ from .terms import (
     Op,
     Typed,
     Var,
+    keep_last,
     walk,
 )
 
@@ -196,8 +197,10 @@ def trans_term(typed: Typed, cont: Optional[X.TermX] = None) -> X.TermX:
     return tr.k(typed, cont)
 
 
+@keep_last
 def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
-    """Continuation-style names for the definitions, plus every name in use."""
+    """Continuation-style names for the definitions, plus every name in use:
+    kept for the last program, which its translation and runs all take."""
     avoid = _all_names(p.main) | set(p.def_types())
     for d in p.defs:
         avoid |= _all_names(d.fun)
@@ -216,16 +219,17 @@ def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
     keeps: a program checked before, as the generator and the command line
     check it, is not checked again.
 
-    The last translation is kept, keyed by the identity of ``p`` and by
-    ``optimize_op``, so both checks of one program translate it once; an
-    equal program that is another object is translated afresh.  The names
-    :func:`def_rename` found for it are kept with it, for the run
-    translator of :func:`trans_state`.
+    The last plain translation is kept, keyed by the identity of ``p``, so
+    both checks of one program translate it once; an equal program that is
+    another object is translated afresh.  A translation with
+    ``optimize_op`` is made afresh at each call and leaves the kept one in
+    place.
     """
-    last = _last
-    if last[0] is p and last[1] == optimize_op:
-        return last[2]
-    names = rename, avoid = def_rename(p)
+    return _translated(p, True) if optimize_op else _kept_translation(p)
+
+
+def _translated(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
+    rename, avoid = def_rename(p)
     tr = Translator(avoid, rename, optimize_op)
     typed_defs, typed_main, _ = S._derivations(p)
     defs: list[X.DefX] = []
@@ -235,50 +239,38 @@ def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
         ty2 = psi_type(d.ty)
         assert isinstance(ty2, Fun2T)
         defs.append(X.DefX(rename[d.name], ty2, fun2))
-    px = X.ProgramX(tuple(defs), tr.c(typed_main))
-    last[:] = p, optimize_op, px, names
-    return px
+    return X.ProgramX(tuple(defs), tr.c(typed_main))
 
 
-# What :func:`trans_program` translated last: the program, ``optimize_op``,
-# the translation and what :func:`def_rename` gave for the program.
-_last: list = [None, None, None, None]
+_kept_translation = keep_last(_translated)
 
 
-def trans_state(p: S.ProgramS, state: S.TermS, memo: Optional[dict] = None) -> X.TermX:
-    """Translate an evaluation state of ``p``'s main expression.
+def state_translator(p: S.ProgramS, memo: Optional[dict]) -> Callable[[S.TermS], X.TermX]:
+    """The translation of the evaluation states of one run of ``p``'s main
+    term, as a function from a state to its translation.
 
     States stay closed and well typed as evaluation proceeds, so this is
     the same translation the program got, minted against fresh names.
-    Each state is checked at the type the main term gets in
-    :func:`trans_program`.  A state holds only names of ``p``: R-Beta
-    substitutes closed values, so no binder is renamed, and
-    :func:`def_rename` avoids all of them.
+    Each state is checked at the type of ``p``'s main term, with the
+    typing memo ``memo`` of the run (see :func:`lam_s.typecheck`), which a
+    run starts from a copy of the program's (:func:`lam_s.run_memo`).  A
+    state holds only names of ``p``: R-Beta substitutes closed values, so
+    no binder is renamed, and :func:`def_rename` avoids all of them.
 
-    ``memo`` is a memo for the states of one run of ``p``.  It holds the
-    typing memo (see :func:`lam_s.typecheck`), which a run starts from a
-    copy of the program's (:func:`lam_s.run_memo`), and one translator for
-    the run, tied to ``p``: another program, even one with equal
-    definitions, raises ``ValueError``.  The translator takes the names of
-    :func:`def_rename` that :func:`trans_program` kept for ``p``, if it
-    translated ``p`` last.  It reuses the translation of every subterm
-    whose derivation the typing memo reused.  Its continuation names are
-    minted once per run, from a counter of its own, fresh against the
-    program's names, which cover its states' names.  So the answer is
-    alpha-equivalent to a memo-less call, but its names are not the same.
+    One translator serves the run.  It reuses the translation of every
+    subterm whose derivation the typing memo reused, and mints its
+    continuation names once per run, from a counter of its own, fresh
+    against the program's names.  So a state's translation is
+    alpha-equivalent to :func:`trans_state`'s, but its names are not the
+    same.
     """
-    run = None if memo is None else memo.get(_RUN)
-    if run is None:
-        rename, avoid = _last[3] if _last[0] is p else def_rename(p)
-        run = (p, Translator(avoid, rename), S._derivations(p)[1].ty)
-        if memo is not None:
-            memo[_RUN] = run
-    elif run[0] is not p:
-        raise ValueError("a translation memo was filled for another program")
-    _, tr, ty = run
-    typed = S.typecheck(state, {}, p.def_types(), ty, memo)
-    return tr.c(typed)
+    rename, avoid = def_rename(p)
+    tr = Translator(avoid, rename)
+    sigs, ty = p.def_types(), S._derivations(p)[1].ty
+    return lambda state: tr.c(S.typecheck(state, {}, sigs, ty, memo))
 
 
-# The key under which a memo holds its run: (program, translator, main's type).
-_RUN = "translator"
+def trans_state(p: S.ProgramS, state: S.TermS) -> X.TermX:
+    """Translate one evaluation state of ``p``'s main term, by a translator
+    of its own and with no typing memo (:func:`state_translator`)."""
+    return state_translator(p, None)(state)

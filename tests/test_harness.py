@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from coercion_forge import coercions, harness
+from coercion_forge import cli, coercions, harness
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import surface, terms, translate
@@ -338,6 +338,24 @@ def _count_calls(monkeypatch, owner, name, state_of) -> Counter:
     return counts
 
 
+def _count_translations(monkeypatch) -> Counter:
+    """Count the states each run translator made from now on translates
+    (:func:`translate.state_translator`), per state."""
+    counts = Counter()
+    make = translate.state_translator
+
+    def counting(p, memo):
+        tr = make(p, memo)
+
+        def counted(state):
+            counts[state] += 1
+            return tr(state)
+        return counted
+
+    monkeypatch.setattr(translate, "state_translator", counting)
+    return counts
+
+
 def _misname_revisits(monkeypatch, mods) -> None:
     """Plant a stepper fault in each of ``mods`` that strikes only at a state
     the run has been at before: there an e-step comes back named R-Let, a
@@ -392,7 +410,7 @@ class TestEachStateCheckedOnce:
     def test_simulation_translates_each_distinct_state_once(self, monkeypatch):
         p = surface.parse_program(_LOOP, "lams")
         steps = _record_steps(monkeypatch, S)
-        translated = _count_calls(monkeypatch, translate, "trans_state", lambda p, t, memo: t)
+        translated = _count_translations(monkeypatch)
         assert simulationCheck(p).kind == "agree"
         states = [p.main, *(r.term for r in steps)]
         assert len(steps) == 250
@@ -726,7 +744,7 @@ class TestTypingMemo:
         with pytest.raises(ValueError, match="other definitions"):
             S.typecheck(q.main, {}, q.def_types(), None, memo)
         with pytest.raises(ValueError, match="other definitions"):
-            translate.trans_state(q, q.main, memo)
+            translate.state_translator(q, memo)(q.main)
         px, qx = translate.trans_program(p), translate.trans_program(q)
         memo = {}
         X.typecheck(px.main, {}, px.def_types(), None, memo)
@@ -759,6 +777,14 @@ def _memo_types(memo: dict) -> dict:
     return out
 
 
+def _count_checks(monkeypatch, mod) -> Counter:
+    """Count the calls of ``mod.typecheck`` from now on per (term, expected
+    type, whether a typing memo was given)."""
+    return _count_calls(
+        monkeypatch, mod, "typecheck",
+        lambda t, env=None, defs=None, ty=None, memo=None: (t, ty, memo is not None))
+
+
 class TestOneCheckPerProgram:
     def test_both_checks_share_one_typing_and_one_translation(self, monkeypatch):
         """``simulationCheck`` then ``invariantSuite`` check each calculus's
@@ -768,12 +794,10 @@ class TestOneCheckPerProgram:
         assert p.defs
         # the program kept now is another one
         translate.trans_program(genWellTyped(GenConfig(seed=4, maxDepth=8)))
-        typed = {}
-        for mod in (S, X):
-            typed[mod] = _count_calls(
-                monkeypatch, mod, "typecheck",
-                lambda t, env=None, defs=None, ty=None, memo=None: (t, ty))
-        translated = _count_calls(monkeypatch, translate, "def_rename", lambda q: q)
+        typed = {mod: _count_checks(monkeypatch, mod) for mod in (S, X)}
+        # ``def_rename`` collects the names of the main term and of each
+        # definition: one call for each, per program it works on
+        named = _count_calls(monkeypatch, translate, "_all_names", lambda t: t)
 
         def both():
             return simulationCheck(p), invariantSuite(p)
@@ -781,19 +805,50 @@ class TestOneCheckPerProgram:
         first = both()
         assert first[0].kind == "agree" and first[1] == []
         px = translate.trans_program(p)
-        for mod, q in ((S, p), (X, px)):
-            assert typed[mod][(q.main, None)] == 1
-            assert mod._derivations.kept[0] is q
-        assert translated == {p: 1}
-        kept = {mod: mod._derivations.kept[1][2] for mod in (S, X)}
-        before = {mod: _memo_types(memo) for mod, memo in kept.items()}
+        programs = ((S, p), (X, px))
+        for mod, q in programs:
+            assert typed[mod][(q.main, None, True)] == 1
+            assert typed[mod][(q.main, None, False)] == 0
+        assert named == Counter([p.main, *(d.fun for d in p.defs)])
+        before = {mod: _memo_types(mod.run_memo(q)) for mod, q in programs}
         # the second pair of calls checks and translates nothing again
         assert both() == first
-        for mod, q in ((S, p), (X, px)):
-            assert typed[mod][(q.main, None)] == 1
-            assert mod._derivations.kept[1][2] is kept[mod]
-            assert _memo_types(kept[mod]) == before[mod]
-        assert translated == {p: 1}
+        for mod, q in programs:
+            assert typed[mod][(q.main, None, True)] == 1
+            assert _memo_types(mod.run_memo(q)) == before[mod]
+        assert named == Counter([p.main, *(d.fun for d in p.defs)])
+
+    @pytest.mark.parametrize("mod", [S, X])
+    def test_both_calculi_keep_a_check_by_one_rule(self, monkeypatch, mod):
+        """A program check fills no typing memo; the first run memo checks
+        the program once more, with one, and a second checks nothing."""
+        p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        q = p if mod is S else translate.trans_program(p)
+        # the program kept now is an equal one that is another object
+        mod.typecheck_program(type(q)(q.defs, q.main))
+        typed = _count_checks(monkeypatch, mod)
+
+        def one_check(with_memo):
+            checks = [(d.fun, d.ty) for d in q.defs] + [(q.main, None)]
+            return Counter((t, ty, with_memo) for t, ty in checks)
+
+        ty = mod.typecheck_program(q).ty
+        assert mod.typecheck_program(q).ty == ty
+        assert typed == one_check(False)
+        typed.clear()
+        memo = mod.run_memo(q)
+        assert typed == one_check(True)
+        # the kept check is now the one with a memo, and it answers both
+        assert mod.typecheck_program(q).ty == ty
+        memo["a run's own"] = True
+        assert "a run's own" not in mod.run_memo(q)
+        assert typed == one_check(True)
+
+    def test_the_command_line_re_check_of_a_translation_fills_no_memo(self, monkeypatch, capsys):
+        typed = _count_checks(monkeypatch, X)
+        assert cli.main(["translate", "samples/evenodd.lams"]) == 0
+        assert capsys.readouterr().out
+        assert typed and not any(with_memo for _, _, with_memo in typed)
 
 
 class TestTranslationMemo:
@@ -814,25 +869,28 @@ class TestTranslationMemo:
         for name in ("c", "value"):
             monkeypatch.setattr(translate.Translator, name,
                                 counting(getattr(translate.Translator, name)))
-        trans_state = translate.trans_state
+        make = translate.state_translator
         reused = scratch = states = 0
 
-        def checking(p, state, memo=None):
-            nonlocal reused, scratch, states
-            if memo is None:
-                return trans_state(p, state)
-            work[0] = 0
-            got = trans_state(p, state, memo)
-            done = work[0]
-            work[0] = 0
-            want = trans_state(p, state)
-            assert surface.alpha_eq(got, want), surface.print_term(state, "lams")
-            scratch += work[0]
-            reused += work[0] - done
-            states += 1
-            return got
+        def checking(p, memo):
+            tr = make(p, memo)
 
-        monkeypatch.setattr(translate, "trans_state", checking)
+            def checked(state):
+                nonlocal reused, scratch, states
+                work[0] = 0
+                got = tr(state)
+                done = work[0]
+                work[0] = 0
+                # a from-scratch translation: ``trans_state``'s, with no memo
+                want = make(p, None)(state)
+                assert surface.alpha_eq(got, want), surface.print_term(state, "lams")
+                scratch += work[0]
+                reused += work[0] - done
+                states += 1
+                return got
+            return checked
+
+        monkeypatch.setattr(translate, "state_translator", checking)
         steps = _record_steps(monkeypatch, S)
         for s, p in enumerate(corpus[:100]):
             assert simulationCheck(p, seed=s).kind == "agree"
@@ -862,26 +920,16 @@ class TestTranslationMemo:
         total = 0
         for p in [k_names, *corpus[:40]]:
             minted.clear()
-            memo = {}
+            tr = translate.state_translator(p, {})
             states = _source_states(p)
             for state in states:
-                translate.trans_state(p, state, memo)
+                tr(state)
             assert len(set(minted)) == len(minted), minted
             names = set().union(*map(translate._all_names, states))
             assert not names & set(minted), names & set(minted)
             assert minted or p is not k_names
             total += len(minted)
         assert total > 100
-
-    def test_a_memo_refuses_another_program(self):
-        p = even_odd_program(3)
-        memo = {}
-        translate.trans_state(p, p.main, memo)
-        translate.trans_state(p, p.main, memo)
-        # the same definitions, but the names of another main term
-        q = S.ProgramS(p.defs, S.App(S.GlobalRef("even"), S.Const(2)))
-        with pytest.raises(ValueError, match="another program"):
-            translate.trans_state(q, q.main, memo)
 
     def test_a_node_typed_at_two_types_is_translated_at_each(self):
         # one Abs node, whose blame body takes the type each use expects:
@@ -892,11 +940,11 @@ class TestTranslationMemo:
             return S.App(S.Abs("f", FunT(INT, ty), S.App(S.Var("f"), S.Const(1))), shared)
 
         p = S.ProgramS((), S.Op("+", use(INT), S.If(use(BOOL), S.Const(1), S.Const(2))))
-        memo = {}
+        tr = translate.state_translator(p, {})
         states = _source_states(p)
         assert len(states) > 2
         for state in states:
-            got = translate.trans_state(p, state, memo)
+            got = tr(state)
             assert surface.alpha_eq(got, translate.trans_state(p, state))
 
 

@@ -129,17 +129,22 @@ def test_the_oracle_splits_match_the_pinned_digest(corpus):
 
 
 def simulated_translations(monkeypatch, programs) -> list:
-    """(program, state, translation) of every call ``simulationCheck`` makes
-    to ``trans_state`` on ``programs``: one per distinct state of a run."""
+    """(program, state, translation) of every state ``simulationCheck``
+    translates on ``programs``, by the run translator it gets from
+    ``state_translator``: one per distinct state of a run."""
     calls = []
-    real = translate.trans_state
+    make = translate.state_translator
 
-    def recording(p, state, memo=None):
-        out = real(p, state, memo)
-        calls.append((p, state, out))
-        return out
+    def recording(p, memo):
+        tr = make(p, memo)
 
-    monkeypatch.setattr(translate, "trans_state", recording)
+        def recorded(state):
+            out = tr(state)
+            calls.append((p, state, out))
+            return out
+        return recorded
+
+    monkeypatch.setattr(translate, "state_translator", recording)
     for p in programs:
         assert simulationCheck(p).kind == "agree"
     return calls

@@ -393,6 +393,14 @@ class TestOneTypecheckPerProgram:
                 trans_program(p)
             assert len(checked) == n
 
+    def test_an_optimized_translation_leaves_the_kept_plain_one_in_place(self):
+        p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        plain = trans_program(p)
+        tight = trans_program(p, optimize_op=True)
+        # made afresh at each call, and never handed out for a plain one
+        assert trans_program(p, optimize_op=True) is not tight
+        assert trans_program(p) is plain
+
     def test_invariant_suite_checks_the_source_program_once(self, checked):
         p = genWellTyped(GenConfig(seed=6, maxDepth=8))
         # the answer kept now is another program's

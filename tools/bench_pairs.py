@@ -18,8 +18,14 @@ the change's median as a ratio of the parent's, and in how many pairs the
 change did better, by the direction ``BENCHMARK.json`` gives the metric
 (ties count for neither side).  A gain is shown when the change wins at
 least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.  Runs in which a check failed
-are counted and reported.
+distance between the parent's quartiles.  It then gives the
+no-regression reading of the metric, against its ``bound`` in
+``BENCHMARK.json``, a share of the parent's median: "within bound" when
+the change's median is worse than the parent's by no more than the bound,
+"worse beyond bound" when it is worse by more, and "unresolved" when the
+distance between the parent's quartiles is wider than the bound, unless
+every run of the change did better than every run of the parent.  Runs in
+which a check failed are counted and reported.
 
 A few pairs can show a gain that is not there: a change with no measured
 effect read ``programs_per_s`` on ``verify`` 4.7 % higher over 3 pairs, and
@@ -61,6 +67,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def no_regression(parent: list[float], change: list[float], lower_is_better: bool, bound: float) -> str:
+    """Whether the change's median is worse than the parent's by no more
+    than ``bound``, a share of the parent's median; "unresolved" where the
+    parent's quartiles lie further apart than that, unless every run of
+    the change did better than every run of the parent."""
+    p1, pm, p3 = quartiles(parent)
+    if max(change) < min(parent) if lower_is_better else min(change) > max(parent):
+        return "within bound (every change run better)"
+    if p3 - p1 > bound * pm:
+        return f"unresolved (parent IQR {(p3 - p1) / pm:.1%} > bound {bound:.0%})"
+    worse = (statistics.median(change) - pm) / pm * (1 if lower_is_better else -1)
+    verdict = "worse beyond bound" if worse > bound else "within bound"
+    return f"{verdict} ({worse:+.1%} worse, bound {bound:.0%})"
+
+
 def summary(name: str, parent: list[float], change: list[float], lower_is_better: bool) -> str:
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
@@ -90,6 +111,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
     for root in sides.values():
@@ -112,6 +134,7 @@ def main(argv=None) -> int:
         if all(name in r["metrics"] for side in runs.values() for r in side):
             values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
             print(summary(name, values["parent"], values["change"], low))
+            print(f"{'':16} no regression: {no_regression(values['parent'], values['change'], low, bounds[name])}")
     for side, rs in runs.items():
         failed = sum(r["failed"] for r in rs)
         attempted = sum(r["attempted"] for r in rs)

@@ -376,7 +376,12 @@ def differentialRun(p: S.ProgramS, fuel: int = 10**5, seed: Optional[int] = None
     The target side gets ten times the fuel since its small steps are
     finer.  Fuel exhaustion on either side never counts as disagreement;
     a detected state cycle counts as exhaustion since no fuel would do.
+    An ill-typed source gets :func:`simulationCheck`'s verdict, and neither side runs.
     """
+    try:
+        S.typecheck_program(p)
+    except S.TypeCheckError as e:
+        return Verdict("invariant-violation", f"source does not typecheck: {e}", "", "", p, seed)
     src = S.evaluate_program(p, fuel, detect_cycles=True)
     px = translate.trans_program(p)
     tgt = X.evaluate_program(px, fuel * 10, detect_cycles=True)
@@ -573,11 +578,6 @@ def _check_run(
     def report(detail: str) -> None:
         bad(detail, surface.print_term(state, dialect))
 
-    @functools.cache
-    def foreign(c) -> list:
-        # each coercion's labels are looked at once per run
-        return sorted(_crc_labels(c) - held)
-
     # id -> node, for the nodes of earlier states whose scan reported
     # nothing; the subtree of each is canonical and holds only the
     # program's labels, so a scan that skips it finds what a full one would
@@ -602,7 +602,7 @@ def _check_run(
                 if not is_canonical(m.crc, fun_t):
                     crc = surface.print_coercion(m.crc, dialect)
                     found.append(f"non-canonical {side}coercion {crc}")
-                labels = foreign(m.crc)
+                labels = sorted(_crc_labels(m.crc) - held)
             elif cls is Blame:
                 labels = () if m.label in held else (m.label,)
             else:

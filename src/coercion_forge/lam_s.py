@@ -55,6 +55,7 @@ from .terms import (
 )
 from . import terms
 from .types import BOOL, DYN, INT, FunT, Hole, Type, TypeCheckError, fill, pin, resolved, settled
+from .types import HOLE_FREE
 
 
 @node
@@ -162,14 +163,14 @@ def typecheck(
     reaches no enclosing type, has the holes left in its type filled at
     once (:func:`types.pin`): from the failure's source tag or the coerced
     value's source type if it fits, and with Dyn for the rest.  A hole
-    still open when the check ends reads as Dyn.
+    still open when the check ends, a caller's too, reads as Dyn.
 
     ``memo``, a dict kept across the checks of one run's states, reuses the
     derivations of the subterms checked in the empty environment, keyed by
     node identity and expected type.  Evaluation contexts never go under a
     binder, so it answers for every subterm a step left in place.  It keeps
-    no derivation whose type holds a hole.  The answers are the same
-    without it.  A memo serves one set of ``defs``; see
+    no derivation whose type or key holds a hole.  The answers are the
+    same without it.  A memo serves one set of ``defs``; see
     :func:`terms.claim_memo`.
     """
     return _checked(_tc, term, env, defs, expected, memo)
@@ -183,7 +184,6 @@ def _checked(tc, term, env, defs, expected, memo, *depth) -> terms.Typed:
     defs = dict(defs) if defs else {}
     if memo is not None:
         terms.claim_memo(memo, defs)
-    Hole.made = 0
     late: list[terms.Typed] = []
     try:
         return tc(term, env, defs, expected, *depth, memo, late)
@@ -193,6 +193,7 @@ def _checked(tc, term, env, defs, expected, memo, *depth) -> terms.Typed:
 
 
 def _done(term, ty: Type, expected: Optional[Type], children, table, key, late) -> terms.Typed:
+    """The derivation of ``term`` at ``ty``, to ``late`` or ``table`` as its types say."""
     if expected is not None and expected is not ty:
         if not fill(ty, expected):
             raise TypeCheckError(f"expected {expected!r}, found {ty!r}")
@@ -200,10 +201,10 @@ def _done(term, ty: Type, expected: Optional[Type], children, table, key, late) 
             # filled by the expected type, which stands for what fills it
             ty = expected
     typed = terms.Typed(term, ty, children)
-    if Hole.made and settled(ty) is not ty:
+    if ty.__class__ not in HOLE_FREE and settled(ty) is not ty:
         # what fills the hole may differ from one check to the next
         late.append(typed)
-    elif table is not None and (not Hole.made or settled(expected) is expected):
+    elif table is not None and (expected.__class__ in HOLE_FREE or settled(expected) is expected):
         # ``typed`` keeps ``term`` alive, so its id names it while the table
         # lives; a key that holds a hole is never asked again
         table[key] = typed
@@ -269,7 +270,7 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo, late) -> terms.T
         mt = _tc(term.fun, env, defs, None, memo, late)
         fty = _shaped(mt.ty, FunT, "applied non-function of type {!r}")
         nt = _tc(term.arg, env, defs, fty.arg, memo, late)
-        if Hole.made:
+        if nt.ty.__class__ not in HOLE_FREE:
             pin(nt.ty, DYN)
         return _done(term, fty.res, expected, (mt, nt), table, key, late)
     if cls is CrcApp:
@@ -277,7 +278,7 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo, late) -> terms.T
         # a failure converts from any type consistent with its source tag
         fails = s.__class__ is Fail
         sub = _tc(term.subject, env, defs, None if fails else crc_source(s, FunT), memo, late)
-        if Hole.made:
+        if sub.ty.__class__ not in HOLE_FREE:
             pin(sub.ty, s.src_tag if fails else DYN)
         return _done(term, check_crc(s, sub.ty, FunT), expected, (sub,), table, key, late)
     if cls is CoercedVal:
@@ -287,7 +288,7 @@ def _tc(term: TermS, env, defs, expected: Optional[Type], memo, late) -> terms.T
         if d.__class__ not in DELAYED_CLASSES:
             raise TypeCheckError("coerced values carry injections or arrows only")
         sub = _tc(u, env, defs, None, memo, late)
-        if Hole.made:
+        if sub.ty.__class__ not in HOLE_FREE:
             pin(sub.ty, crc_source(d, FunT))
         return _done(term, check_crc(d, sub.ty, FunT), expected, (sub,), table, key, late)
     if cls is Blame:

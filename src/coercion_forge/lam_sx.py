@@ -31,7 +31,7 @@ from .coercions import (
     crc_source,
     size,
 )
-from .types import BOOL, CrcT, Fun2T, Hole, TyVar, Type, fill, occurs, resolved, settled
+from .types import BOOL, HOLE_FREE, CrcT, Fun2T, Hole, TyVar, Type, fill, occurs, resolved, settled
 from .lam_s import OPS, TypeCheckError, _check_program, _checked, _done, _keep_checks, _shaped
 from .lam_s import const_type, delta
 from .terms import (
@@ -148,8 +148,8 @@ def typecheck(
     expected: Optional[Type] = None,
     memo: Optional[dict] = None,
 ) -> terms.Typed:
-    """Build a typing derivation in one pass, with holes and ``memo`` as
-    in :func:`lam_s.typecheck`.
+    """Build a typing derivation in one pass, with holes, the caller's too,
+    and ``memo`` as in :func:`lam_s.typecheck`.
 
     In the empty environment the binder depth is 0, so a memoized
     derivation's rigid answer variables are fixed.
@@ -261,24 +261,21 @@ def _tc(term: TermX, env, defs, expected: Optional[Type], depth: int, memo, late
 
 def _applied(k: TermX, src: Type, env, defs, depth: int, memo, late) -> tuple[terms.Typed, Type]:
     """The derivation of the coercion term ``k``, checked from ``src`` to a
-    fresh hole, and what fills that hole.  If ``k``'s own type filled it
-    and ``k`` made no other hole, no derivation holds it (a Blame that took
-    it would have left it open), so it is not counted.  No memo key holding
-    the hole is asked twice, so ``k`` is checked without the memo, which
-    keeps the answer under ``src`` instead while the check holds no hole."""
+    fresh hole, and what fills that hole.  No memo key holding the hole is
+    asked twice, so ``k`` is checked without the memo, which keeps the
+    answer under ``src`` instead if ``src`` holds no hole and no derivation
+    of ``k`` went to ``late``: then what fills the hole holds none either."""
     # three parts, so no key of :func:`_tc` is equal to it
     key = (id(k), src, "applied") if not env and memo is not None else None
     if key is not None:
         answer = memo.get(key)
         if answer is not None:
             return answer
-    made = Hole.made
+    n = len(late)
     expected = CrcT(src, Hole())
     kt = _tc(k, env, defs, expected, depth, None, late)
     tgt = resolved(expected.tgt)
-    if Hole.made == made + 1 and settled(tgt) is tgt:
-        Hole.made = made
-    if key is not None and not Hole.made:
+    if key is not None and len(late) == n and (src.__class__ in HOLE_FREE or settled(src) is src):
         memo[key] = kt, tgt
     return kt, tgt
 

@@ -68,6 +68,9 @@ Type = Dyn | Base | FunT | Fun2T | CrcT | TyVar
 INT = Base("Int")
 BOOL = Base("Bool")
 DYN = Dyn()
+# the classes of the types that hold no hole, and of no type at all: a
+# type of another class holds one if :func:`settled` does not give it back
+HOLE_FREE = frozenset((Dyn, Base, TyVar, type(None)))
 
 
 class TypeCheckError(Exception):
@@ -80,16 +83,13 @@ class Hole:
     Blame has every type and a failure converts to any type, so a check
     gives each a fresh hole, which :func:`fill` fills with the type it
     meets.  A filled hole stands for what fills it, and an open one prints
-    as ``any``.  ``made`` counts the holes the running check has made:
-    each check starts it at 0.
+    as ``any``.
     """
 
     __slots__ = ("ty",)
-    made = 0
 
     def __init__(self) -> None:
         self.ty = None
-        Hole.made += 1
 
     def __repr__(self) -> str:
         return "any" if self.ty is None else repr(self.ty)

@@ -120,6 +120,18 @@ class TestDifferentialRun:
             dropped += plain(p, optimize_op=True) != plain(p)
         assert dropped > 50
 
+    def test_an_ill_typed_source_gets_the_verdict_the_simulation_gives(self, monkeypatch):
+        # neither side runs: the source would compute 2, since 1 + True is 2
+        def no_run(*args, **kw):
+            raise AssertionError("ran an ill-typed source")
+
+        monkeypatch.setattr(S, "evaluate_program", no_run)
+        p = surface.parse_program("1 + true", "lams")
+        v = differentialRun(p, seed=5)
+        assert v.to_json() == simulationCheck(p, seed=5).to_json() == (
+            '{"kind": "invariant-violation", "detail": "source does not typecheck:'
+            ' expected Int, found Bool", "seed": 5, "witness": "1 + true"}')
+
     def test_witness_replays(self):
         p = genWellTyped(GenConfig(seed=3))
         v = differentialRun(p, seed=3)

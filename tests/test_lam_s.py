@@ -31,7 +31,7 @@ from coercion_forge.lam_s import (
 )
 from coercion_forge.terms import Stepped, StuckTerm, refocused
 from coercion_forge.translate import trans_program
-from coercion_forge.types import BOOL, DYN, INT, FunT, settled
+from coercion_forge.types import BOOL, DYN, INT, Fun2T, FunT, Hole, settled
 from test_cli_robustness import PINNED_CHAINS
 from test_translate import WILDCARD_REPRODUCERS
 
@@ -153,6 +153,27 @@ class TestTyping:
                     d = stack.pop()
                     assert settled(d.ty) is d.ty, (key, d)
                     stack.extend(d.children)
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    @pytest.mark.parametrize("mod, arrow", [(S, FunT), (X, Fun2T)], ids=["lams", "lamsx"])
+    def test_a_hole_the_caller_passes_in_is_settled_too(self, mod, arrow, memoized):
+        # what a check keeps is read off the types, so a hole passed in the
+        # expected type, an environment or the signatures is settled as one
+        # the check made is, and the memo keeps no derivation that holds it
+        def check(term, **given):
+            memo = {} if memoized else None
+            typed = mod.typecheck(term, memo=memo, **given)
+            kept = [d for key, d in (memo or {}).items() if key != "defs"]
+            stack = [typed, *kept]
+            while stack:
+                d = stack.pop()
+                assert settled(d.ty) is d.ty, d
+                stack.extend(d.children)
+            return typed.ty
+
+        assert check(Blame("p"), expected=arrow(Hole(), INT)) == arrow(DYN, INT)
+        assert check(Var("x"), env={"x": arrow(Hole(), INT)}) == arrow(DYN, INT)
+        assert check(GlobalRef("f"), defs={"f": arrow(Hole(), INT)}) == arrow(DYN, INT)
 
     def test_program_typing_uses_declared_signatures(self):
         p = surface.parse_program(

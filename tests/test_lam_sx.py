@@ -93,6 +93,17 @@ class TestTyping:
         # the second use is not held to the type the first one took
         assert typecheck(parse("let v = blame p in 1<v><v>")).ty == DYN
 
+    def test_a_coercion_checked_after_an_unrelated_hole_is_kept(self):
+        # the first continuation is checked from the hole blame leaves, so
+        # nothing is kept for it; the second, from Int, keeps its answer
+        t = parse("((blame p)(1, id{Int})) + 2<id{Int}>")
+        memo = {}
+        assert typecheck(t, memo=memo).ty == INT
+        applied = [key for key in memo if key != "defs" and key[-1] == "applied"]
+        assert applied == [(id(t.right.crc), INT, "applied")]
+        kt, tgt = memo[applied[0]]
+        assert kt.term is t.right.crc and kt.ty == CrcT(INT, INT) and tgt == INT
+
 
 class TestStep:
     def test_composition_runs_eagerly(self):

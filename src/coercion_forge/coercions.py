@@ -38,7 +38,8 @@ class Id:
     ty: Type
 
     def __post_init__(self) -> None:
-        if self.ty == DYN:
+        # a class test: ``== DYN`` would cost two record comparisons per identity
+        if self.ty.__class__ is Dyn:
             raise ValueError("identity at Dyn is IdStar")
 
 

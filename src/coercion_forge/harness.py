@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -165,6 +166,12 @@ def even_odd_target(n: int) -> X.ProgramX:
 
 _LABELS = ("p", "q", "r")
 _ARGPOOL = (INT, BOOL, DYN)
+# The numbers and names a leaf or a call's argument draws from.  ``choice``
+# over n items makes the one ``_randbelow(n)`` draw that ``randint`` makes
+# over n numbers, with less work around it.
+_LEAF_INTS = range(-4, 10)
+_LEAF_VARS = ("x0", "x1", "x2")
+_DIGITS = range(10)
 # Weights of the generator's productions, next to a leaf's 1.0.
 _COERCION_DENSITY = 0.3
 _OP_WEIGHT = 1.0
@@ -176,7 +183,7 @@ def _leaf(rng: random.Random, ty: Type) -> S.TermS:
     cls = ty.__class__
     if cls is Base:
         if ty.name == "Int":
-            return S.Const(rng.randint(-4, 9))
+            return S.Const(rng.choice(_LEAF_INTS))
         if ty.name == "Bool":
             return S.Const(rng.random() < 0.5)
     elif cls is Dyn:
@@ -184,17 +191,16 @@ def _leaf(rng: random.Random, ty: Type) -> S.TermS:
         inner = _leaf(rng, g)
         return S.CrcApp(inner, InjSeq(Id(g), g))
     elif cls is FunT:
-        x = f"x{rng.randint(0, 2)}"
-        return S.Abs(x, ty.arg, _leaf(rng, ty.res))
+        return S.Abs(rng.choice(_LEAF_VARS), ty.arg, _leaf(rng, ty.res))
     raise GenerationExhausted(f"no leaf for target type {ty!r}")
 
 
 def _to_dyn(a: Type) -> Coercion:
-    return IdStar() if a == DYN else InjSeq(Id(a), a)
+    return IdStar() if a.__class__ is Dyn else InjSeq(Id(a), a)
 
 
 def _from_dyn(b: Type, lbl: str) -> Coercion:
-    return IdStar() if b == DYN else ProjSeq(b, lbl, Id(b))
+    return IdStar() if b.__class__ is Dyn else ProjSeq(b, lbl, Id(b))
 
 
 @functools.cache
@@ -249,9 +255,10 @@ class _Gen:
             fun and ty.arg in _ARGPOOL and ty.res in _ARGPOOL,
             bool(calls),
         )
-        # the same random() call and bisect as a ``weights=`` draw, so each
-        # seed draws the program it always drew
-        kind = rng.choices(kinds, cum_weights=cum_weights)[0]
+        # the draw ``Random.choices`` makes with these ``cum_weights``: one
+        # random() call scaled by the total weight and one bisect, without
+        # its checks and its list, so each seed draws the program it always drew
+        kind = kinds[bisect_right(cum_weights, rng.random() * cum_weights[-1], 0, len(kinds) - 1)]
         d = depth - 1
         if kind == "leaf":
             return _leaf(rng, ty)
@@ -290,12 +297,12 @@ class _Gen:
         # Counting recursion must get small nonnegative inputs, or runs
         # would descend past zero and burn the whole fuel budget.
         rng = self.rng
-        if ty == INT:
+        if ty.__class__ is Base and ty.name == "Int":
             r = rng.random()
             if r < 0.6:
-                return S.Const(rng.randint(0, 9))
+                return S.Const(rng.choice(_DIGITS))
             op = "+" if r < 0.8 else "*"
-            return S.Op(op, S.Const(rng.randint(0, 9)), S.Const(rng.randint(0, 9)))
+            return S.Op(op, S.Const(rng.choice(_DIGITS)), S.Const(rng.choice(_DIGITS)))
         return self.term(ty, {}, min(depth, 2))
 
 

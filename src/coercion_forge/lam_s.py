@@ -163,7 +163,10 @@ def typecheck(
     reaches no enclosing type, has the holes left in its type filled at
     once (:func:`types.pin`): from the failure's source tag or the coerced
     value's source type if it fits, and with Dyn for the rest.  A hole
-    still open when the check ends, a caller's too, reads as Dyn.
+    still open when the check ends, a caller's too, reads as Dyn.  The
+    check meets copies of the open holes the caller passes in, so it fills
+    none of them: a later check under the same ``env`` or ``defs`` is not
+    held to what this one filled them with.
 
     ``memo``, a dict kept across the checks of one run's states, reuses the
     derivations of the subterms checked in the empty environment, keyed by
@@ -179,14 +182,17 @@ def typecheck(
 def _checked(tc, term, env, defs, expected, memo, *depth) -> terms.Typed:
     """The derivation ``tc``, either calculus's checker, builds.  It
     collects in ``late`` each derivation whose type held a hole when it was
-    built, and settles their types (:func:`types.settled`) when it ends."""
-    env = dict(env) if env else {}
+    built, and settles their types (:func:`types.settled`) when it ends.
+    ``tc`` meets copies of the caller's open holes; the memo is claimed
+    under the caller's ``defs``, since the copies differ at each call."""
+    env = {x: settled(t, True) for x, t in env.items()} if env else {}
     defs = dict(defs) if defs else {}
     if memo is not None:
         terms.claim_memo(memo, defs)
+    defs = {f: settled(t, True) for f, t in defs.items()}
     late: list[terms.Typed] = []
     try:
-        return tc(term, env, defs, expected, *depth, memo, late)
+        return tc(term, env, defs, settled(expected, True), *depth, memo, late)
     finally:
         for d in late:
             d.ty = settled(d.ty)

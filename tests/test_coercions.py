@@ -32,6 +32,7 @@ from coercion_forge.types import (
     DYN,
     INT,
     CrcT,
+    Dyn,
     Fun2T,
     FunT,
     TyVar,
@@ -152,6 +153,16 @@ class TestShapes:
     def test_identity_at_dyn_is_not_spelled_id(self):
         with pytest.raises(ValueError):
             Id(DYN)
+
+    def test_identity_at_any_dyn_is_refused_by_its_class(self):
+        # ``Id`` tests the class, so a Dyn that is not the DYN constant is
+        # refused too, and a hole, open or filled with Dyn, is not refused
+        with pytest.raises(ValueError):
+            Id(Dyn())
+        assert Id(Hole()).ty.__class__ is Hole
+        h = Hole()
+        h.ty = DYN
+        assert Id(h).ty is h
 
     def test_failure_tags_must_differ(self):
         with pytest.raises(ValueError):

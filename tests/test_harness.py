@@ -1,7 +1,10 @@
 """Tests for the verification harness: generation, differential runs,
 simulation and invariant checks, and the space benchmark."""
 
+import bisect
 import dataclasses
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -58,6 +61,46 @@ class TestGeneration:
             genWellTyped(GenConfig(seed=0, maxDepth=-1))
         with pytest.raises(GenerationExhausted):
             genWellTyped(GenConfig(seed=0, targetType=Fun2T(INT, INT)))
+
+
+def _same_draw(draw_a, draw_b, states=2000) -> None:
+    """``draw_a`` and ``draw_b`` give the same answer from each of ``states``
+    generator states, and leave the generator in the same state."""
+    rng = random.Random(2024)
+    for _ in range(states):
+        start = rng.getstate()
+        a = draw_a(rng), rng.getrandbits(64)
+        rng.setstate(start)
+        b = draw_b(rng), rng.getrandbits(64)
+        assert a == b
+        rng.setstate(start)
+        rng.random()
+
+
+class TestDraws:
+    # the generator draws through the primitives its draws reduce to, and
+    # these pin that reduction on whichever CPython runs the tests: each
+    # seed draws the program it always drew
+
+    @pytest.mark.parametrize(
+        "shape", itertools.product((False, True), repeat=5),
+        ids=lambda shape: "".join("1" if b else "0" for b in shape),
+    )
+    def test_a_production_draw_is_the_cum_weights_draw(self, shape):
+        kinds, cum = harness._productions(*shape)
+        # the expression ``_Gen.term`` draws a production with
+        _same_draw(
+            lambda rng: kinds[bisect.bisect_right(cum, rng.random() * cum[-1], 0, len(kinds) - 1)],
+            lambda rng: rng.choices(kinds, cum_weights=cum)[0],
+        )
+
+    @pytest.mark.parametrize("new, old", [
+        (lambda rng: rng.choice(harness._LEAF_INTS), lambda rng: rng.randint(-4, 9)),
+        (lambda rng: rng.choice(harness._DIGITS), lambda rng: rng.randint(0, 9)),
+        (lambda rng: rng.choice(harness._LEAF_VARS), lambda rng: f"x{rng.randint(0, 2)}"),
+    ], ids=["leaf-ints", "digits", "leaf-vars"])
+    def test_a_choice_draws_what_randint_drew(self, new, old):
+        _same_draw(new, old)
 
 
 class TestDifferentialRun:

@@ -175,6 +175,26 @@ class TestTyping:
         assert check(Var("x"), env={"x": arrow(Hole(), INT)}) == arrow(DYN, INT)
         assert check(GlobalRef("f"), defs={"f": arrow(Hole(), INT)}) == arrow(DYN, INT)
 
+    @pytest.mark.parametrize("memoized", [False, True])
+    @pytest.mark.parametrize("mod, arrow", [(S, FunT), (X, Fun2T)], ids=["lams", "lamsx"])
+    def test_a_check_fills_no_hole_the_caller_passes_in(self, mod, arrow, memoized):
+        # each check meets copies of the caller's open holes, so a later
+        # check under the same expected type, environment or signatures is
+        # not held to what an earlier one filled a hole with
+        def call(fun, arg):
+            return App(fun, arg) if mod is S else X.App2(fun, arg, X.CrcLit(Id(INT)))
+
+        def twice(term, ty1, ty2, **given):
+            memo = {} if memoized else None  # one memo, as a run's states share it
+            for v, ty in ((1, ty1), (True, ty2)):
+                assert mod.typecheck(term(Const(v)), memo=memo, **given).ty == ty
+                assert h.ty is None
+
+        h = Hole()
+        twice(lambda c: c, INT, BOOL, expected=h)
+        twice(lambda c: call(Var("g"), c), INT, INT, env={"g": arrow(h, INT)})
+        twice(lambda c: call(GlobalRef("f"), c), INT, INT, defs={"f": arrow(h, INT)})
+
     def test_program_typing_uses_declared_signatures(self):
         p = surface.parse_program(
             "letrec f (x:Int) : Int = if x = 0 then 0 else f (x - 1) in f 3",

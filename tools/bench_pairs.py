@@ -27,6 +27,14 @@ distance between the parent's quartiles is wider than the bound, unless
 every run of the change did better than every run of the parent.  Runs in
 which a check failed are counted and reported.
 
+``run.py`` scales each time to a reference speed by a calibration loop it
+times in the same process, and prints the figure as measured beside it,
+``(as measured X)``.  For each metric that has one, the as-measured
+medians and quartiles follow, with whether the calibrated and the
+as-measured medians move the same way from parent to change.  When they
+do not, the calibration has moved the reading by more than the change
+did, and neither reading shows a change.
+
 A few pairs can show a gain that is not there: a change with no measured
 effect read ``programs_per_s`` on ``verify`` 4.7 % higher over 3 pairs, and
 0.4 % higher over 8.  Claim a gain from 10 pairs or more.
@@ -36,20 +44,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+# a metric's line in ``run.py``'s output: name, value, unit, and the
+# uncalibrated figure where it has one
+_AS_MEASURED = re.compile(r"^(\S+) +\S+ \S+ \(as measured (\S+)\)$", re.MULTILINE)
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result of one untraced perfbench run in the checkout ``root``."""
+    """The JSON result of one untraced perfbench run in the checkout ``root``,
+    with the uncalibrated figures of its metric lines under ``as_measured``."""
     cmd = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    result = json.loads(out.strip().splitlines()[-1])
+    result["as_measured"] = {name: float(v) for name, v in _AS_MEASURED.findall(out)}
+    return result
 
 
 def compile_caches(root: Path) -> None:
@@ -96,6 +113,29 @@ def summary(name: str, parent: list[float], change: list[float], lower_is_better
     )
 
 
+def direction(parent: list[float], change: list[float], lower_is_better: bool) -> str:
+    """Whether the change's median is better than the parent's, worse, or equal."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    if pm == cm:
+        return "level"
+    return "better" if (cm < pm) == lower_is_better else "worse"
+
+
+def as_measured(calibrated: dict, measured: dict, lower_is_better: bool) -> str:
+    """The uncalibrated medians and quartiles of one metric, and whether they
+    move the way the calibrated ones do; each argument maps a side to its runs."""
+    p1, pm, p3 = quartiles(measured["parent"])
+    c1, cm, c3 = quartiles(measured["change"])
+    cal = direction(calibrated["parent"], calibrated["change"], lower_is_better)
+    raw = direction(measured["parent"], measured["change"], lower_is_better)
+    agree = "agree" if cal == raw else "disagree"
+    return (
+        f"as measured: parent {pm:10.4g} [{p1:.4g}, {p3:.4g}]  change {cm:10.4g} [{c1:.4g}, {c3:.4g}]"
+        f"  ratio {cm / pm if pm else float('nan'):.3f}"
+        f"  calibrated {cal}, as measured {raw}: the two {agree} on the direction"
+    )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -135,6 +175,9 @@ def main(argv=None) -> int:
             values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
             print(summary(name, values["parent"], values["change"], low))
             print(f"{'':16} no regression: {no_regression(values['parent'], values['change'], low, bounds[name])}")
+            if all(name in r["as_measured"] for side in runs.values() for r in side):
+                raw = {side: [r["as_measured"][name] for r in rs] for side, rs in runs.items()}
+                print(f"{'':16} {as_measured(values, raw, low)}")
     for side, rs in runs.items():
         failed = sum(r["failed"] for r in rs)
         attempted = sum(r["attempted"] for r in rs)

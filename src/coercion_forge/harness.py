@@ -311,8 +311,8 @@ def genWellTyped(config: GenConfig) -> S.ProgramS:
 
     Each node draws its production from the table of its shape (see
     :func:`_productions`).  The program is typechecked before it is
-    returned, and :func:`lam_s.typecheck_program` keeps the derivations,
-    so translating it next checks nothing again.
+    returned, and its record (:func:`translate.check_program`) keeps the
+    derivations, so translating it next checks nothing again.
     """
     target = config.targetType
     if target is not None and not is_source_type(target):
@@ -443,7 +443,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     back to, as a diverging run does, reuses its translation.  The run's
     typing memo starts as a copy of the program's (:func:`lam_s.run_memo`),
     and :func:`invariantSuite` on the same program takes the typing and
-    the translation this call kept.
+    the translation that its record (:func:`translate.check_program`) kept.
     """
     try:
         # consecutive states share most of their nodes, and the first shares
@@ -531,12 +531,15 @@ def invariantSuite(
                 held |= _crc_labels(m.crc)
             elif m.__class__ is Blame:
                 held.add(m.label)
-    err = _check_run(S, "lams", FunT, carriers, p, max_states, held, bad)
-    if err is not None:
-        bad(f"source does not typecheck: {err}", "")
+    try:
+        ty = S.typecheck_program(p).ty
+    except S.TypeCheckError as e:
+        bad(f"source does not typecheck: {e}", "")
         return violations
-    px = translate.trans_program(p)
-    err = _check_run(X, "lamsx", Fun2T, (X.CrcLit, CoercedVal), px, max_states, held, bad)
+    _check_run(S, "lams", FunT, carriers, p, ty, max_states, held, bad)
+    # the translation, of type Ψ(A), keeps nothing: its run checks it once
+    px, ty = translate.trans_program(p), translate.psi_type(ty)
+    err = _check_run(X, "lamsx", Fun2T, (X.CrcLit, CoercedVal), px, ty, max_states, held, bad)
     if err is not None:
         bad(f"translation does not typecheck: {err}", "")
     return violations
@@ -557,11 +560,12 @@ def _crc_labels(c: Coercion) -> set[str]:
 
 
 def _check_run(
-    mod, dialect: str, fun_t: type, carriers: tuple, p, max_states: int, held: set, bad
+    mod, dialect: str, fun_t: type, carriers: tuple, p, ty0, max_states: int, held: set, bad
 ) -> Optional[str]:
     """Check ``p``'s run in one calculus, whose function type is ``fun_t``
     and whose ``carriers`` hold a coercion in ``crc``; each violation goes
-    to ``bad``.  Returns the type error if ``p`` does not typecheck.
+    to ``bad``.  Returns the type error if ``p`` does not typecheck, or
+    its main term not at ``ty0``, the type each state is checked at.
 
     The label of each ``Blame`` node and of each coercion a carrier holds
     must be in ``held``, the labels of the source program; it is checked
@@ -569,7 +573,7 @@ def _check_run(
 
     The run is stepped by :func:`_run`, as each side of
     :func:`simulationCheck` is, so both checks follow the same searches.
-    Its typing memo starts as a copy of the program's (``mod.run_memo``).
+    Its typing memo is ``mod.run_memo``'s.
     """
     side = "" if dialect == "lams" else "target "
     sigs = p.def_types()
@@ -580,7 +584,6 @@ def _check_run(
         memo = mod.run_memo(p)
     except mod.TypeCheckError as e:
         return str(e)
-    ty0 = mod.typecheck_program(p).ty
 
     def report(detail: str) -> None:
         bad(detail, surface.print_term(state, dialect))

@@ -139,6 +139,12 @@ class DefS:
 class ProgramS:
     defs: tuple[DefS, ...]
     main: TermS
+    # its record (:func:`translate.check_program`), made at first use; not a field
+    _checked = None
+
+    def __getstate__(self) -> dict:
+        # a copy or a pickle is checked afresh: the record's memo is keyed by node identity
+        return {"defs": self.defs, "main": self.main}
 
     def def_terms(self) -> dict[str, TermS]:
         return {d.name: d.fun for d in self.defs}
@@ -184,12 +190,14 @@ def _checked(tc, term, env, defs, expected, memo, *depth) -> terms.Typed:
     collects in ``late`` each derivation whose type held a hole when it was
     built, and settles their types (:func:`types.settled`) when it ends.
     ``tc`` meets copies of the caller's open holes; the memo is claimed
-    under the caller's ``defs``, since the copies differ at each call."""
+    under the caller's ``defs``, and once it holds that very dict, as at a
+    run's later states, ``defs`` hold no hole and are taken as they are."""
     env = {x: settled(t, True) for x, t in env.items()} if env else {}
-    defs = dict(defs) if defs else {}
-    if memo is not None:
-        terms.claim_memo(memo, defs)
-    defs = {f: settled(t, True) for f, t in defs.items()}
+    if memo is None or defs is None or memo.get(terms.MEMO_DEFS) is not defs:
+        given = defs or {}
+        defs = {f: settled(t, True) for f, t in given.items()}
+        if memo is not None:
+            terms.claim_memo(memo, given, all(defs[f] is t for f, t in given.items()))
     late: list[terms.Typed] = []
     try:
         return tc(term, env, defs, settled(expected, True), *depth, memo, late)
@@ -324,48 +332,24 @@ def _check_program(p, check_term, fun_t: type, memo=None) -> tuple:
     return tuple(defs), check_term(p.main, {}, sigs, None, memo), memo
 
 
-def _keep_checks(check):
-    """The kept derivations and the run memos of either calculus, from its
-    program check ``check(p, memo)``, by the rule :func:`run_memo` states."""
-    derivations = terms.keep_last(lambda p: check(p, None))
-    kept = derivations.kept
-
-    def run_memo(p) -> dict:
-        if kept[0] is not p or kept[1][2] is None:
-            kept[:] = p, check(p, {})
-        return dict(kept[1][2])
-
-    return derivations, run_memo
-
-
-# A program is checked where it is made or read, and then translated: the
-# translation takes the derivations kept here instead of checking it again.
-_derivations, _run_memo = _keep_checks(lambda p, memo: _check_program(p, typecheck, FunT, memo))
-
-
 def typecheck_program(p: ProgramS) -> terms.Typed:
-    """Check the definitions against their signatures, then the main term.
-
-    The derivations of the last program checked are kept, keyed by its
-    identity, so checking the same program again walks nothing.  An equal
-    program that is another object is checked afresh, and an ill-typed
-    one raises at every call, since only answers are kept.  The check
-    fills no typing memo; the first :func:`run_memo` makes one.
-    """
-    return _derivations(p)[1]
+    """Check the definitions against their signatures, then the main term,
+    once: ``p``'s record keeps the derivations (:func:`translate.check_program`).
+    The check fills no typing memo; the first :func:`run_memo` makes one."""
+    from .translate import check_program  # which imports this module
+    return check_program(p).main
 
 
 def run_memo(p: ProgramS) -> dict:
-    """A typing memo for one run of ``p``'s states: a copy of the memo of
-    ``p``'s check.  The run's first state, ``p``'s main term, is then typed
-    at its root alone, and nothing the run adds reaches the kept memo or
-    another run.
-
-    The first call for ``p`` checks it once more, with a memo, and keeps
-    that check in place of :func:`typecheck_program`'s; later calls check
-    nothing.  A check that no run follows, as the generator's, fills none.
-    """
-    return _run_memo(p)
+    """A copy of the typing memo of ``p``'s check, for one run of its states,
+    whose first, ``p``'s main term, is then typed at its root alone.  The
+    first call checks ``p`` once more, with a memo, in place of its record's
+    check; later calls check nothing, and no run's additions reach the record."""
+    from .translate import check_program
+    c = check_program(p)
+    if c.memo is None:
+        c.defs, c.main, c.memo = _check_program(p, typecheck, FunT, {})
+    return dict(c.memo)
 
 
 # ---------------------------------------------------------------------------

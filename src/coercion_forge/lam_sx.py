@@ -32,7 +32,7 @@ from .coercions import (
     size,
 )
 from .types import BOOL, HOLE_FREE, CrcT, Fun2T, Hole, TyVar, Type, fill, occurs, resolved, settled
-from .lam_s import OPS, TypeCheckError, _check_program, _checked, _done, _keep_checks, _shaped
+from .lam_s import OPS, TypeCheckError, _check_program, _checked, _done, _shaped
 from .lam_s import const_type, delta
 from .terms import (
     FALSE,
@@ -280,20 +280,16 @@ def _applied(k: TermX, src: Type, env, defs, depth: int, memo, late) -> tuple[te
     return kt, tgt
 
 
-# A translated program is checked before its run, by lam_s's rule.
-_derivations, _run_memo = _keep_checks(lambda p, memo: _check_program(p, typecheck, Fun2T, memo))
-
-
 def typecheck_program(p: ProgramX) -> terms.Typed:
-    """Check ``p`` as :func:`lam_s.typecheck_program` does, keeping its
-    derivations by the same rule; the check fills no typing memo."""
-    return _derivations(p)[1]
+    """Check ``p`` as :func:`lam_s.typecheck_program` does, with no typing
+    memo.  A translated program keeps nothing: each call checks it."""
+    return _check_program(p, typecheck, Fun2T)[1]
 
 
 def run_memo(p: ProgramX) -> dict:
-    """A typing memo for one run of ``p``'s states, by the rule of
-    :func:`lam_s.run_memo`: the first call checks ``p`` once more."""
-    return _run_memo(p)
+    """A typing memo for one run of ``p``'s states, from a check of ``p``
+    made at each call, as :func:`typecheck_program`'s is."""
+    return _check_program(p, typecheck, Fun2T, {})[2]
 
 
 # ---------------------------------------------------------------------------

@@ -330,13 +330,13 @@ def under_binder(t, sub: Mapping, substitute) -> Optional[list]:
 
 
 def keep_last(fn):
-    """``fn`` keeping its last answer, keyed by the identity of its argument.
+    """``fn`` keeping its last answer, keyed by the identity of its argument,
+    as each calculus's ``measure`` does for the three sizes of one state.
 
-    Terms and programs are immutable and the kept argument stays alive, so
-    the key is sound: no caller can tell the kept answer from a fresh call.
-    The list ``kept`` of the result holds the argument and the answer, for
-    a caller that reads them there without a call, or puts there an answer
-    it worked out for that argument by other means.
+    Terms are immutable and the kept argument stays alive, so the key is
+    sound: no caller can tell the kept answer from a fresh call.  The list
+    ``kept`` of the result holds the argument and the answer, for a caller
+    that reads them there without a call.
     """
     kept = [None, None]
 
@@ -529,18 +529,22 @@ class Typed:
 
 
 # The key under which a typing memo records the definitions it answers under.
-_MEMO_DEFS = "defs"
+MEMO_DEFS = "defs"
 
 
-def claim_memo(memo: dict, defs: dict) -> None:
+def claim_memo(memo: dict, defs: dict, hole_free: bool) -> None:
     """Tie ``memo`` to the ``defs`` it is first used under.
 
     A typing memo maps (id(node), expected type) to the node's derivation in
     the empty environment.  Those derivations hold only under the
     definitions' signatures they were made with, so another set is refused.
+    The memo records a copy of ``defs``, or, if no type holds a hole, the
+    dict itself, so a check given that very dict again need not copy it.
     """
-    if memo.setdefault(_MEMO_DEFS, defs) != defs:
+    if memo.setdefault(MEMO_DEFS, defs if hole_free else dict(defs)) != defs:
         raise ValueError("a typing memo was filled under other definitions")
+    if hole_free:
+        memo[MEMO_DEFS] = defs
 
 
 class Decomposition:

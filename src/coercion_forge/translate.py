@@ -29,7 +29,6 @@ from .terms import (
     Op,
     Typed,
     Var,
-    keep_last,
     walk,
 )
 
@@ -155,7 +154,7 @@ class Translator:
             return X.App2(self.c(m.children[0]), self.c(m.children[1]), cont)  # Tr-App
         if cls is Op:
             body = Op(term.op, self.c(m.children[0]), self.c(m.children[1]))
-            if self.optimize_op and _is_identity_lit(cont):
+            if self.optimize_op and cont.__class__ is X.CrcLit and is_identity(cont.crc):
                 return body
             return X.CrcApp(body, cont)  # Tr-Op
         if cls is If:
@@ -185,10 +184,6 @@ class Translator:
         return out
 
 
-def _is_identity_lit(t: X.TermX) -> bool:
-    return isinstance(t, X.CrcLit) and is_identity(t.crc)
-
-
 def trans_term(typed: Typed, cont: Optional[X.TermX] = None) -> X.TermX:
     """Translate one typed term; with no continuation, the top level stays bare."""
     tr = Translator(_all_names(typed.term))
@@ -197,52 +192,70 @@ def trans_term(typed: Typed, cont: Optional[X.TermX] = None) -> X.TermX:
     return tr.k(typed, cont)
 
 
-@keep_last
+class Checked:
+    """What the check of one source program found and what was made from
+    it, kept on the program (``ProgramS._checked``) from first use: the
+    derivations ``defs`` and ``main``, the typing memo of their check or
+    None (:func:`lam_s.run_memo`), and the :func:`def_rename` ``names`` and
+    the ``plain`` translation, or None until first asked for."""
+
+    __slots__ = ("defs", "main", "memo", "names", "plain")
+
+
+def check_program(p: S.ProgramS) -> Checked:
+    """The record of ``p``, made by the first call for ``p``, whose check
+    fills no typing memo.  An ill-typed ``p`` raises at every call."""
+    c = p._checked
+    if c is None:
+        c = Checked()
+        c.defs, c.main, c.memo = S._check_program(p, S.typecheck, FunT)
+        c.names = c.plain = None
+        object.__setattr__(p, "_checked", c)
+    return c
+
+
 def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
-    """Continuation-style names for the definitions, plus every name in use:
-    kept for the last program, which its translation and runs all take."""
-    avoid = _all_names(p.main) | set(p.def_types())
-    for d in p.defs:
-        avoid |= _all_names(d.fun)
-    rename: dict[str, str] = {}
-    for d in p.defs:
-        new = d.name + "k"
-        while new in avoid:
-            new += "k"
-        avoid.add(new)
-        rename[d.name] = new
-    return rename, avoid
+    """Continuation-style names for the definitions, plus every name in use,
+    kept in ``p``'s record."""
+    c = check_program(p)
+    if c.names is None:
+        avoid = _all_names(p.main) | set(p.def_types())
+        for d in p.defs:
+            avoid |= _all_names(d.fun)
+        rename: dict[str, str] = {}
+        for d in p.defs:
+            new = d.name + "k"
+            while new in avoid:
+                new += "k"
+            avoid.add(new)
+            rename[d.name] = new
+        c.names = rename, avoid
+    return c.names
 
 
 def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
-    """Translate ``p``, from the derivations :func:`lam_s.typecheck_program`
-    keeps: a program checked before, as the generator and the command line
-    check it, is not checked again.
-
-    The last plain translation is kept, keyed by the identity of ``p``, so
-    both checks of one program translate it once; an equal program that is
-    another object is translated afresh.  A translation with
-    ``optimize_op`` is made afresh at each call and leaves the kept one in
-    place.
-    """
-    return _translated(p, True) if optimize_op else _kept_translation(p)
+    """Translate ``p`` from the derivations of its record (:func:`check_program`),
+    which keeps the plain translation for every later call, whatever ran in
+    between; one with ``optimize_op`` is made afresh at each call."""
+    c = check_program(p)
+    if optimize_op:
+        return _translated(p, c, True)
+    if c.plain is None:
+        c.plain = _translated(p, c)
+    return c.plain
 
 
-def _translated(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
+def _translated(p: S.ProgramS, c: Checked, optimize_op: bool = False) -> X.ProgramX:
     rename, avoid = def_rename(p)
     tr = Translator(avoid, rename, optimize_op)
-    typed_defs, typed_main, _ = S._derivations(p)
     defs: list[X.DefX] = []
-    for d, typed_fun in zip(p.defs, typed_defs):
+    for d, typed_fun in zip(p.defs, c.defs):
         fun2 = tr.value(typed_fun)
         assert isinstance(fun2, X.Abs2)
         ty2 = psi_type(d.ty)
         assert isinstance(ty2, Fun2T)
         defs.append(X.DefX(rename[d.name], ty2, fun2))
-    return X.ProgramX(tuple(defs), tr.c(typed_main))
-
-
-_kept_translation = keep_last(_translated)
+    return X.ProgramX(tuple(defs), tr.c(c.main))
 
 
 def state_translator(p: S.ProgramS, memo: Optional[dict]) -> Callable[[S.TermS], X.TermX]:
@@ -261,12 +274,11 @@ def state_translator(p: S.ProgramS, memo: Optional[dict]) -> Callable[[S.TermS],
     subterm whose derivation the typing memo reused, and mints its
     continuation names once per run, from a counter of its own, fresh
     against the program's names.  So a state's translation is
-    alpha-equivalent to :func:`trans_state`'s, but its names are not the
-    same.
+    alpha-equivalent to :func:`trans_state`'s, but its names differ.
     """
     rename, avoid = def_rename(p)
     tr = Translator(avoid, rename)
-    sigs, ty = p.def_types(), S._derivations(p)[1].ty
+    sigs, ty = p.def_types(), check_program(p).main.ty
     return lambda state: tr.c(S.typecheck(state, {}, sigs, ty, memo))
 
 

@@ -842,13 +842,14 @@ def _count_checks(monkeypatch, mod) -> Counter:
 
 class TestOneCheckPerProgram:
     def test_both_checks_share_one_typing_and_one_translation(self, monkeypatch):
-        """``simulationCheck`` then ``invariantSuite`` check each calculus's
-        program once and translate it once; each run starts from a copy of
-        the kept typing memo and adds nothing to it."""
+        """``simulationCheck`` then ``invariantSuite`` check the source
+        program once and translate it once, whatever ran in between, and
+        each source run starts from a copy of the memo the program's record
+        keeps and adds nothing to it.  The translation keeps nothing: each
+        ``invariantSuite`` checks it once, with a memo."""
         p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        other = genWellTyped(GenConfig(seed=4, maxDepth=8))
         assert p.defs
-        # the program kept now is another one
-        translate.trans_program(genWellTyped(GenConfig(seed=4, maxDepth=8)))
         typed = {mod: _count_checks(monkeypatch, mod) for mod in (S, X)}
         # ``def_rename`` collects the names of the main term and of each
         # definition: one call for each, per program it works on
@@ -860,44 +861,68 @@ class TestOneCheckPerProgram:
         first = both()
         assert first[0].kind == "agree" and first[1] == []
         px = translate.trans_program(p)
-        programs = ((S, p), (X, px))
-        for mod, q in programs:
+        for mod, q in ((S, p), (X, px)):
             assert typed[mod][(q.main, None, True)] == 1
             assert typed[mod][(q.main, None, False)] == 0
         assert named == Counter([p.main, *(d.fun for d in p.defs)])
-        before = {mod: _memo_types(mod.run_memo(q)) for mod, q in programs}
-        # the second pair of calls checks and translates nothing again
+        before = _memo_types(S.run_memo(p))
+        # another program's checks in between change nothing of ``p``'s
+        assert simulationCheck(other).kind == "agree" and invariantSuite(other) == []
+        named.clear()
         assert both() == first
-        for mod, q in programs:
-            assert typed[mod][(q.main, None, True)] == 1
-            assert _memo_types(mod.run_memo(q)) == before[mod]
-        assert named == Counter([p.main, *(d.fun for d in p.defs)])
+        assert translate.trans_program(p) is px
+        assert typed[S][(p.main, None, True)] == 1
+        assert typed[X][(px.main, None, True)] == 2
+        assert _memo_types(S.run_memo(p)) == before
+        assert not named
 
-    @pytest.mark.parametrize("mod", [S, X])
-    def test_both_calculi_keep_a_check_by_one_rule(self, monkeypatch, mod):
+    def test_a_source_program_keeps_its_check_by_one_rule(self, monkeypatch):
         """A program check fills no typing memo; the first run memo checks
         the program once more, with one, and a second checks nothing."""
         p = genWellTyped(GenConfig(seed=3, maxDepth=8))
-        q = p if mod is S else translate.trans_program(p)
-        # the program kept now is an equal one that is another object
-        mod.typecheck_program(type(q)(q.defs, q.main))
-        typed = _count_checks(monkeypatch, mod)
+        q = S.ProgramS(p.defs, p.main)
+        # an equal program that is another object has a record of its own
+        assert q == p and q._checked is None and p._checked is not None
+        typed = _count_checks(monkeypatch, S)
 
         def one_check(with_memo):
             checks = [(d.fun, d.ty) for d in q.defs] + [(q.main, None)]
             return Counter((t, ty, with_memo) for t, ty in checks)
 
-        ty = mod.typecheck_program(q).ty
-        assert mod.typecheck_program(q).ty == ty
+        ty = S.typecheck_program(q).ty
+        # another program's checks in between
+        other = surface.parse_program("1 + 2", "lams")
+        S.run_memo(other)
+        del typed[other.main, None, False], typed[other.main, None, True]
+        assert S.typecheck_program(q).ty == ty
         assert typed == one_check(False)
         typed.clear()
-        memo = mod.run_memo(q)
+        memo = S.run_memo(q)
         assert typed == one_check(True)
-        # the kept check is now the one with a memo, and it answers both
-        assert mod.typecheck_program(q).ty == ty
+        # the record's check is now the one with a memo, and it answers both
+        assert S.typecheck_program(q).ty == ty
         memo["a run's own"] = True
-        assert "a run's own" not in mod.run_memo(q)
+        assert "a run's own" not in S.run_memo(q)
         assert typed == one_check(True)
+
+    def test_a_translated_program_keeps_nothing(self, monkeypatch):
+        """Each program check of a translation checks it afresh, and each
+        run memo comes from a check of its own."""
+        px = translate.trans_program(genWellTyped(GenConfig(seed=3, maxDepth=8)))
+        typed = _count_checks(monkeypatch, X)
+
+        def one_check(with_memo):
+            checks = [(d.fun, d.ty) for d in px.defs] + [(px.main, None)]
+            return Counter((t, ty, with_memo) for t, ty in checks)
+
+        ty = X.typecheck_program(px).ty
+        assert X.typecheck_program(px).ty == ty
+        assert typed == one_check(False) + one_check(False)
+        typed.clear()
+        memo = X.run_memo(px)
+        memo["a run's own"] = True
+        assert "a run's own" not in X.run_memo(px)
+        assert typed == one_check(True) + one_check(True)
 
     def test_the_command_line_re_check_of_a_translation_fills_no_memo(self, monkeypatch, capsys):
         typed = _count_checks(monkeypatch, X)

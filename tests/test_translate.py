@@ -1,13 +1,17 @@
 """Tests for the coercion-passing translation between the two calculi."""
 
 import contextlib
+import copy
+import gc
 import hashlib
 import io
+import pickle
 import random
+import weakref
 
 import pytest
 
-from coercion_forge import GenConfig, cli, genWellTyped, invariantSuite
+from coercion_forge import GenConfig, cli, genWellTyped, invariantSuite, simulationCheck
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
 from coercion_forge import surface
@@ -412,3 +416,40 @@ class TestOneTypecheckPerProgram:
         # run then types its start state, at the main term's type
         main = [ty for t, ty in checked if t is p.main]
         assert main == [None, S.typecheck_program(p).ty]
+
+    def test_all_checks_of_a_batch_check_and_translate_each_program_once(self, checked):
+        # every simulation first, then every invariant suite: each program
+        # is checked once more, with a typing memo, where its first run asks
+        # for one, and translated once, whatever ran in between
+        programs = [genWellTyped(GenConfig(seed=s, maxDepth=8)) for s in range(20)]
+        checked.clear()
+        for p in programs:
+            assert simulationCheck(p).kind == "agree"
+        translations = [trans_program(p) for p in programs]
+        for p in programs:
+            assert invariantSuite(p) == []
+        for p, px in zip(programs, translations):
+            # the program check, then each run's start state at its type
+            ty = S.typecheck_program(p).ty
+            assert [t for m, t in checked if m is p.main] == [None, ty, ty]
+            assert trans_program(p) is px
+
+    def test_a_copy_or_a_pickle_of_a_program_is_checked_afresh(self, checked):
+        # the record's typing memo is keyed by the identity of the program's
+        # nodes, which a copy does not share
+        p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        S.run_memo(p)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            checked.clear()
+            assert q == p and q._checked is None
+            assert surface.print_program(trans_program(q)) == surface.print_program(trans_program(p))
+            assert [ty for t, ty in checked if t is q.main] == [None]
+
+    def test_a_program_is_freed_after_both_checks(self):
+        p = genWellTyped(GenConfig(seed=3, maxDepth=8))
+        verdicts = simulationCheck(p), invariantSuite(p)
+        assert verdicts[0].kind == "agree" and verdicts[1] == []
+        program = weakref.ref(p)
+        del p, verdicts
+        gc.collect()
+        assert program() is None

@@ -17,8 +17,10 @@ For every end-to-end metric it prints each side's median and quartiles,
 the change's median as a ratio of the parent's, and in how many pairs the
 change did better, by the direction ``BENCHMARK.json`` gives the metric
 (ties count for neither side).  A gain is shown when the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.  It then gives the
+least nine tenths of the pairs, the medians differ by more than the
+distance between the parent's quartiles, and, for a metric that has
+as-measured figures (below), their medians move the same way as the
+calibrated ones.  It then gives the
 no-regression reading of the metric, against its ``bound`` in
 ``BENCHMARK.json``, a share of the parent's median: "within bound" when
 the change's median is worse than the parent's by no more than the bound,
@@ -33,7 +35,7 @@ times in the same process, and prints the figure as measured beside it,
 medians and quartiles follow, with whether the calibrated and the
 as-measured medians move the same way from parent to change.  When they
 do not, the calibration has moved the reading by more than the change
-did, and neither reading shows a change.
+did, neither reading shows a change, and no gain is shown.
 
 A few pairs can show a gain that is not there: a change with no measured
 effect read ``programs_per_s`` on ``verify`` 4.7 % higher over 3 pairs, and
@@ -49,6 +51,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 
 # a metric's line in ``run.py``'s output: name, value, unit, and the
@@ -99,17 +102,37 @@ def no_regression(parent: list[float], change: list[float], lower_is_better: boo
     return f"{verdict} ({worse:+.1%} worse, bound {bound:.0%})"
 
 
-def summary(name: str, parent: list[float], change: list[float], lower_is_better: bool) -> str:
+def wins(parent: list[float], change: list[float], lower_is_better: bool) -> int:
+    """The number of pairs in which the change did better; ties count for neither side."""
+    return sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+
+
+def gain_shown(calibrated: dict, measured: Optional[dict], lower_is_better: bool) -> bool:
+    """Whether the calibrated runs show a gain: the change better in at
+    least nine tenths of the pairs, its median better by more than the
+    distance between the parent's quartiles, and, where ``measured`` gives
+    the as-measured runs, their medians moving the same way.  Each argument
+    maps a side to its runs."""
+    parent, change = calibrated["parent"], calibrated["change"]
+    p1, pm, p3 = quartiles(parent)
+    return (
+        direction(parent, change, lower_is_better) == "better"
+        and wins(parent, change, lower_is_better) >= 0.9 * len(parent)
+        and abs(statistics.median(change) - pm) > p3 - p1
+        and (measured is None or direction(measured["parent"], measured["change"], lower_is_better) == "better")
+    )
+
+
+def summary(name: str, calibrated: dict, measured: Optional[dict], lower_is_better: bool) -> str:
+    parent, change = calibrated["parent"], calibrated["change"]
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
-    wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
-    gap = abs(cm - pm)
-    better = cm < pm if lower_is_better else cm > pm
-    shown = better and wins >= 0.9 * len(parent) and gap > p3 - p1
+    shown = gain_shown(calibrated, measured, lower_is_better)
     return (
         f"{name:16} parent {pm:10.4g} [{p1:.4g}, {p3:.4g}]  change {cm:10.4g} [{c1:.4g}, {c3:.4g}]"
-        f"  ratio {cm / pm if pm else float('nan'):.3f}  change better in {wins}/{len(parent)}"
-        f"  gap {gap:.3g} vs parent IQR {p3 - p1:.3g}{'  gain shown' if shown else ''}"
+        f"  ratio {cm / pm if pm else float('nan'):.3f}"
+        f"  change better in {wins(parent, change, lower_is_better)}/{len(parent)}"
+        f"  gap {abs(cm - pm):.3g} vs parent IQR {p3 - p1:.3g}{'  gain shown' if shown else ''}"
     )
 
 
@@ -173,10 +196,12 @@ def main(argv=None) -> int:
     for name, low in lower.items():
         if all(name in r["metrics"] for side in runs.values() for r in side):
             values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
-            print(summary(name, values["parent"], values["change"], low))
-            print(f"{'':16} no regression: {no_regression(values['parent'], values['change'], low, bounds[name])}")
+            raw = None
             if all(name in r["as_measured"] for side in runs.values() for r in side):
                 raw = {side: [r["as_measured"][name] for r in rs] for side, rs in runs.items()}
+            print(summary(name, values, raw, low))
+            print(f"{'':16} no regression: {no_regression(values['parent'], values['change'], low, bounds[name])}")
+            if raw is not None:
                 print(f"{'':16} {as_measured(values, raw, low)}")
     for side, rs in runs.items():
         failed = sum(r["failed"] for r in rs)

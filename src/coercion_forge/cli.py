@@ -118,7 +118,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.trace:
             print(surface.format_trace_line(n, r.kind, r.rule, r.term, dialect))
         if peaks is not None:
-            peaks.see(r.term)
+            peaks.see_step(r)
 
     if args.trace:
         print(surface.print_term(p.main, dialect))

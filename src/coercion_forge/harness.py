@@ -101,25 +101,25 @@ class SpaceReport:
 class PeakSizes:
     """Running maxima of a dialect's three sizes over the states it is shown.
 
-    It binds the dialect's ``term_size``, ``max_coercion_size`` and
-    ``metric_f`` once, when it is made, and calls each once per state it
-    is shown, so whatever counts calls of the three (as perfbench's
-    ``lam_s.size`` layer does) sees the size accounting.  Each is a
-    projection of the dialect's ``measure``, which keeps the triple of the
-    state it walked last: the first call walks the state and the other
-    two read what it kept.
+    Each state's sizes come from one call of the dialect's ``measure``:
+    :meth:`see` sizes a term, and :meth:`see_step` the state a step left,
+    through ``measure_step``, which in ``lam_s`` reads the step's focus and
+    context and plugs nothing.
     """
 
     def __init__(self, mod, start) -> None:
-        self._sizes = (mod.term_size, mod.max_coercion_size, mod.metric_f)
-        self.term = self.crc = self.metric = 0
-        self.see(start)
+        self._measure, self._measure_step = mod.measure, mod.measure_step
+        self.term, self.crc, self.metric = mod.measure(start)
 
     def see(self, t) -> None:
-        term_size, max_coercion_size, metric_f = self._sizes
-        n = term_size(t)
-        c = max_coercion_size(t)
-        f = metric_f(t)
+        """Take in the sizes of the term ``t``."""
+        n, c, f = self._measure(t)
+        self.term, self.crc, self.metric = max(self.term, n), max(self.crc, c), max(self.metric, f)
+
+    def see_step(self, r) -> None:
+        """Take in the sizes of the state the step ``r`` left.  At stride 1
+        this runs on every state, so it compares in place of ``max``."""
+        n, c, f = self._measure_step(r)
         if n > self.term:
             self.term = n
         if c > self.crc:
@@ -670,7 +670,8 @@ def spaceBench(
     the benchmark states cycle with a short period, so a stride coprime
     to the period still observes the true maxima.  At stride 1 the size
     accounting runs on every state, so it is kept cheap: :class:`PeakSizes`
-    walks each observed state once, and each coercion keeps its size
+    walks each observed state once, from the step's focus and context
+    without plugging them in ``lams``, and each coercion keeps its size
     (:func:`coercions.size`), so the coercions a state carries on from the
     one before are not walked again.
     """
@@ -689,11 +690,11 @@ def spaceBench(
 
     stride = sample_stride if sample_stride is not None else (1 if n <= 1000 else 53)
     peaks = PeakSizes(mod, p.main)
-    see = peaks.see
+    see_step = peaks.see_step
 
     def observe(k: int, r) -> None:
         if k % stride == 0:
-            see(r.term)
+            see_step(r)
         if on_step is not None:
             on_step(k, r)
 

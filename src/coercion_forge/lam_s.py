@@ -343,10 +343,12 @@ def typecheck_program(p: ProgramS) -> terms.Typed:
 def run_memo(p: ProgramS) -> dict:
     """A copy of the typing memo of ``p``'s check, for one run of its states,
     whose first, ``p``'s main term, is then typed at its root alone.  The
-    first call checks ``p`` once more, with a memo, in place of its record's
-    check; later calls check nothing, and no run's additions reach the record."""
+    first call makes ``p``'s record with a check that fills a memo, or, if
+    the record was made with none, checks ``p`` once more, with a memo, in
+    place of its check; later calls check nothing, and no run's additions
+    reach the record."""
     from .translate import check_program
-    c = check_program(p)
+    c = check_program(p, {})
     if c.memo is None:
         c.defs, c.main, c.memo = _check_program(p, typecheck, FunT, {})
     return dict(c.memo)
@@ -638,33 +640,64 @@ def decompose_oracle(
 # Size accounting
 
 
-def _measure(t: TermS) -> tuple[int, int, int]:
-    """(term_size, max_coercion_size, metric_f) of ``t``, in one loop that
-    adds up each node's own share: 1, and the size and the metric term of
-    the coercion it carries.
+# Each frame's refill, and the children of the frame's node beside the hole.
+_BESIDE_HOLE = {
+    op_left: ("right",),
+    op_right: ("left",),
+    if_cond: ("then", "els"),
+    _app_fun: ("arg",),
+    _app_arg: ("fun",),
+    _crc_subject: (),
+}
 
-    A leaf child (``_LEAVES``) adds its 1 where the loop meets it and
-    is not pushed; the stack holds the inner nodes alone.  A coercion's
-    size is read from its slot once :func:`coercions.size` has kept it.
-    The space benchmark measures every λS state, which is why the loop
-    is spelled out per child; ``lam_sx._measure``, which it runs on every
-    53rd state, keeps the plain loop.
+
+def measure(t: TermS, k=None) -> tuple[int, int, int]:
+    """(term_size, max_coercion_size, metric_f) of the state that the focus
+    ``t`` plugs into the context ``k``, in one loop that adds up each node's
+    own share: 1, and the size and the metric term of the coercion it
+    carries.
+
+    The frames come first: each frame's node adds its own share, and its
+    children beside the hole (``_BESIDE_HOLE``) go on the stack with the
+    focus, so the state is sized without being plugged.  A leaf child
+    (``_LEAVES``) adds its 1 where the loop meets it and is not pushed;
+    the stack holds the inner nodes alone.  A coercion's size is read from
+    its slot once :func:`coercions.size` has kept it.  The space benchmark
+    measures every λS state, which is why the loop is spelled out per
+    child; ``lam_sx.measure``, which it runs on every 53rd state, keeps
+    the plain loop.
     """
     n = c = f = 0
     leaves = _LEAVES
     stack = [t]
     pop = stack.pop
     push = stack.append
+    while k is not None:
+        refill, t, k = k
+        n += 1
+        if refill is _crc_subject:
+            d = t.crc
+            s = d._size or size(d)
+            n += s
+            c = s if s > c else c
+            f += 4 * s + 2
+        else:
+            for name in _BESIDE_HOLE[refill]:
+                u = getattr(t, name)
+                if u.__class__ in leaves:
+                    n += 1
+                else:
+                    push(u)
     while stack:
         t = pop()
         n += 1
         cls = t.__class__
         if cls is CrcApp or cls is CoercedVal:
             d = t.crc
-            k = d._size or size(d)
-            n += k
-            c = k if k > c else c
-            f += 4 * k + (2 if cls is CrcApp else 1)
+            s = d._size or size(d)
+            n += s
+            c = s if s > c else c
+            f += 4 * s + (2 if cls is CrcApp else 1)
             u = t.subject
             if u.__class__ in leaves:
                 n += 1
@@ -717,22 +750,21 @@ def _measure(t: TermS) -> tuple[int, int, int]:
     return (n, c, f)
 
 
-# Asking for the three sizes of one state one after the other walks it once:
-# ``measure`` keeps the triple of the state it walked last, and each size
-# reads it there, calling ``measure`` only for another state.  The space
-# benchmark asks for all three on every λS state, so they make no call
-# for the two that the first one's walk answers.
-measure = terms.keep_last(_measure)
-_last = measure.kept
+def measure_step(r: terms.Stepped) -> tuple[int, int, int]:
+    """The sizes (:func:`measure`) of the state the step ``r`` left, read
+    from its focus and context; the state is not plugged, so the next
+    search starts where it would with no observer."""
+    t = r._focus
+    return measure(r.term) if t is None else measure(t, r._ctx)
 
 
 def term_size(t: TermS) -> int:
     """Nodes plus the sizes of the coercions they carry."""
-    return (_last[1] if t is _last[0] else measure(t))[0]
+    return measure(t)[0]
 
 
 def max_coercion_size(t: TermS) -> int:
-    return (_last[1] if t is _last[0] else measure(t))[1]
+    return measure(t)[1]
 
 
 def metric_f(t: TermS) -> int:
@@ -741,4 +773,4 @@ def metric_f(t: TermS) -> int:
     Strictly decreases along composition steps, bounding how long
     evaluation can stay inside them.
     """
-    return (_last[1] if t is _last[0] else measure(t))[2]
+    return measure(t)[2]

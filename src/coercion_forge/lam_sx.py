@@ -739,7 +739,7 @@ def decompose_oracle(
 # Size accounting (the composition metric is reported, not asserted, here)
 
 
-def _measure(t: TermX) -> tuple[int, int, int]:
+def measure(t: TermX) -> tuple[int, int, int]:
     """(term_size, max_coercion_size, metric_f) of ``t``, in one loop that
     adds up each node's own share: 1, and the size and the metric term of
     the coercion it carries.  A coercion literal counts as its coercion
@@ -784,8 +784,11 @@ def _measure(t: TermX) -> tuple[int, int, int]:
     return (n, c, f)
 
 
-# Asking for the three sizes of one state one after the other walks it once.
-measure = terms.keep_last(_measure)
+def measure_step(r: terms.Stepped) -> tuple[int, int, int]:
+    """The sizes (:func:`measure`) of the state the step ``r`` left, read
+    from its term.  A frame may hold an environment still to be applied,
+    which changes the sizes, so the state is plugged first."""
+    return measure(r.term)
 
 
 def term_size(t: TermX) -> int:

@@ -11,7 +11,6 @@ calculus module adds its own formers and keeps its own rules.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import operator
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
@@ -327,27 +326,6 @@ def under_binder(t, sub: Mapping, substitute) -> Optional[list]:
         body = substitute(body, ren)
     names.append(substitute(body, inner))
     return names
-
-
-def keep_last(fn):
-    """``fn`` keeping its last answer, keyed by the identity of its argument,
-    as each calculus's ``measure`` does for the three sizes of one state.
-
-    Terms are immutable and the kept argument stays alive, so the key is
-    sound: no caller can tell the kept answer from a fresh call.  The list
-    ``kept`` of the result holds the argument and the answer, for a caller
-    that reads them there without a call.
-    """
-    kept = [None, None]
-
-    @functools.wraps(fn)
-    def keeping(t):
-        if t is not kept[0]:
-            kept[:] = t, fn(t)
-        return kept[1]
-
-    keeping.kept = kept
-    return keeping
 
 
 # ---------------------------------------------------------------------------

@@ -202,13 +202,13 @@ class Checked:
     __slots__ = ("defs", "main", "memo", "names", "plain")
 
 
-def check_program(p: S.ProgramS) -> Checked:
+def check_program(p: S.ProgramS, memo: Optional[dict] = None) -> Checked:
     """The record of ``p``, made by the first call for ``p``, whose check
-    fills no typing memo.  An ill-typed ``p`` raises at every call."""
+    fills the typing ``memo``, or none.  An ill-typed ``p`` raises at every call."""
     c = p._checked
     if c is None:
         c = Checked()
-        c.defs, c.main, c.memo = S._check_program(p, S.typecheck, FunT)
+        c.defs, c.main, c.memo = S._check_program(p, S.typecheck, FunT, memo)
         c.names = c.plain = None
         object.__setattr__(p, "_checked", c)
     return c

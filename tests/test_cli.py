@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from coercion_forge import cli, lam_s, lam_sx
-from coercion_forge.harness import Verdict
+from coercion_forge.harness import SpaceReport, Verdict
 from coercion_forge.surface import parse_program
 
 LOOP = "letrec loop (x:Int) : Int = loop x\nin loop 0"
+SAMPLES = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.lams"))
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +114,19 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[-1] == (
             '{"n": 0, "steps": 28, "maxCoercionSize": 2, "maxTermSize": 22, "maxMetricF": 30}')
+
+    @pytest.mark.parametrize("trace", [(), ("--trace",)])
+    @pytest.mark.parametrize("sample", SAMPLES, ids=lambda f: f.name)
+    def test_metrics_are_the_peaks_of_the_plugged_states(self, capsys, sample, trace):
+        # sized from each step's focus and frames, with and without the
+        # trace reading every state first
+        p = parse_program(sample.read_text(), "lams")
+        sizes = [lam_s.measure(p.main)]
+        out = lam_s.evaluate_program(p, on_step=lambda k, r: sizes.append(lam_s.measure(r.term)))
+        peaks = [max(s[i] for s in sizes) for i in (1, 0, 2)]
+        code, printed, _ = run(capsys, "eval", "--metrics", *trace, str(sample))
+        assert code == 0
+        assert printed.splitlines()[-1] == SpaceReport(0, out.steps, *peaks).to_json()
 
     def test_lamsx_dialect_expression(self, capsys):
         code, out, _ = run(capsys, "eval", "-e",

@@ -931,6 +931,16 @@ class TestOneCheckPerProgram:
         assert typed and not any(with_memo for _, _, with_memo in typed)
 
 
+def test_the_first_run_of_an_unchecked_program_checks_it_once(monkeypatch):
+    """A program nothing has checked gets its record from the first run
+    memo's check, which fills the memo; it is not checked first with none."""
+    p = surface.parse_program("letrec f (x:Int) : Int = x + 1 in f 2", "lams")
+    typed = _count_checks(monkeypatch, S)
+    assert simulationCheck(p).kind == "agree"
+    assert typed[p.main, None, True] == 1 and typed[p.main, None, False] == 0
+    assert typed[p.defs[0].fun, p.defs[0].ty, True] == 1
+
+
 class TestTranslationMemo:
     def test_the_memo_translates_each_state_alpha_equivalently(self, monkeypatch, corpus):
         """At every distinct source state ``simulationCheck`` visits, the

@@ -4,17 +4,21 @@ Criterion 4 asserts peaks of ``term_size``, ``max_coercion_size`` and
 ``metric_f``; both calculi compute all three in one walk, ``measure``.
 Here it is checked against a separate walk for each size, written straight
 from its definition, on every state of the space benchmark and of corpus
-traces, in both calculi.
+traces, in both calculi.  ``lam_s.measure_step`` sizes a step's state from
+its focus and context without plugging them; it is checked against
+``measure`` of the plugged state.
 """
+
+import itertools
 
 import pytest
 
 from coercion_forge import lam_s as S
 from coercion_forge import lam_sx as X
-from coercion_forge import translate
+from coercion_forge import terms, translate
 from coercion_forge.coercions import Id, size
-from coercion_forge.harness import even_odd_program, even_odd_target, spaceBench
-from coercion_forge.terms import Const, children
+from coercion_forge.harness import _run, even_odd_program, even_odd_target, spaceBench
+from coercion_forge.terms import Const, Op, Stepped, children, unread
 from coercion_forge.types import INT
 
 
@@ -108,3 +112,59 @@ def test_measure_walks_a_term_of_any_depth(mod):
     for _ in range(10**5):
         t = mod.CrcApp(t, crc)
     assert mod.measure(t) == (200001, 1, 600000)
+
+
+def _refills(k):
+    out = set()
+    while k is not None:
+        out.add(k[0])
+        k = k[2]
+    return out
+
+
+def test_a_step_is_sized_from_its_focus_and_frames_on_corpus_runs(corpus):
+    # ``_run`` hands on by turns the step read and its unread twin, so the
+    # focus of each step is where the stepper left it after either; the
+    # step is sized before its term is read, and again after the read
+    # has moved its focus to the parent.  A run is cut where
+    # ``invariantSuite`` cuts it, as some runs diverge.
+    refills = set()
+    steps = 0
+    for p in corpus[:100]:
+        for r in itertools.islice(_run(S, p.main, p.def_terms()), 300):
+            if r.__class__ is not Stepped:
+                break
+            got = S.measure_step(r)
+            refills |= _refills(r._ctx)
+            want = S.measure(r.term)
+            assert got == want == S.measure_step(r), r.term
+            steps += 1
+    assert steps > 2500
+    assert refills and refills <= set(S._BESIDE_HOLE)
+
+
+def test_a_step_is_sized_from_its_focus_and_frames_on_the_space_benchmark():
+    seen = []
+
+    def on_step(k, r):
+        # the twin plugs its own term, so the run goes on as the benchmark's does
+        seen.append((S.measure_step(r), S.measure(unread(r).term), _refills(r._ctx)))
+
+    report = spaceBench(10, "lams", sample_stride=1, on_step=on_step)
+    assert len(seen) == report.steps
+    assert all(got == want for got, want, _ in seen)
+    assert set().union(*[k for _, _, k in seen]) <= set(S._BESIDE_HOLE)
+
+
+def test_a_step_under_ten_thousand_frames_is_sized_without_recursion():
+    # ((1 + 1) + 1) + ...: the first step adds the innermost pair, 10^4
+    # frames down
+    t = Const(1)
+    for _ in range(10**4 + 1):
+        t = Op("+", t, Const(1))
+    whole = Stepped("start", t)
+    # a step built whole has no focus, and is sized from its term
+    assert S.measure_step(whole) == (2 * 10**4 + 3, 0, 0)
+    r = S.step(whole)
+    assert terms._get_term(r) is None and terms._depth(r._ctx) == 10**4
+    assert S.measure_step(r) == (2 * 10**4 + 1, 0, 0)

@@ -118,7 +118,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.trace:
             print(surface.format_trace_line(n, r.kind, r.rule, r.term, dialect))
         if peaks is not None:
-            peaks.see_step(r)
+            peaks.see(r)
 
     if args.trace:
         print(surface.print_term(p.main, dialect))

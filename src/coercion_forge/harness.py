@@ -101,31 +101,31 @@ class SpaceReport:
 class PeakSizes:
     """Running maxima of a dialect's three sizes over the states it is shown.
 
-    Each state's sizes come from one call of the dialect's ``measure``:
-    :meth:`see` sizes a term, and :meth:`see_step` the state a step left,
-    through ``measure_step``, which in ``lam_s`` reads the step's focus and
-    context and plugs nothing.
+    A state is shown as a term or as the step that left it, and sized by
+    the dialect's ``term_size``, ``max_coercion_size`` and ``metric_f``.
+    A step keeps its sizes (``measure_step``), so the three take one walk
+    of it, which in ``lam_s`` reads the step's focus and context and plugs
+    nothing.
     """
 
     def __init__(self, mod, start) -> None:
-        self._measure, self._measure_step = mod.measure, mod.measure_step
-        self.term, self.crc, self.metric = mod.measure(start)
+        self._sizes = mod.term_size, mod.max_coercion_size, mod.metric_f
+        self.term = self.crc = self.metric = 0
+        self.see(start)
 
-    def see(self, t) -> None:
-        """Take in the sizes of the term ``t``."""
-        n, c, f = self._measure(t)
-        self.term, self.crc, self.metric = max(self.term, n), max(self.crc, c), max(self.metric, f)
-
-    def see_step(self, r) -> None:
-        """Take in the sizes of the state the step ``r`` left.  At stride 1
-        this runs on every state, so it compares in place of ``max``."""
-        n, c, f = self._measure_step(r)
+    def see(self, s) -> None:
+        """Take in the sizes of ``s``, a term or a step.  At stride 1 this
+        runs on every state, so it compares in place of ``max``."""
+        term_size, max_coercion_size, metric_f = self._sizes
+        n = term_size(s)
         if n > self.term:
             self.term = n
-        if c > self.crc:
-            self.crc = c
-        if f > self.metric:
-            self.metric = f
+        n = max_coercion_size(s)
+        if n > self.crc:
+            self.crc = n
+        n = metric_f(s)
+        if n > self.metric:
+            self.metric = n
 
     def report(self, n: int, steps: int, outcome: str) -> SpaceReport:
         return SpaceReport(n, steps, self.crc, self.term, self.metric, outcome)
@@ -690,11 +690,11 @@ def spaceBench(
 
     stride = sample_stride if sample_stride is not None else (1 if n <= 1000 else 53)
     peaks = PeakSizes(mod, p.main)
-    see_step = peaks.see_step
+    see = peaks.see
 
     def observe(k: int, r) -> None:
         if k % stride == 0:
-            see_step(r)
+            see(r)
         if on_step is not None:
             on_step(k, r)
 

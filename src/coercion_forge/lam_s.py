@@ -640,14 +640,15 @@ def decompose_oracle(
 # Size accounting
 
 
-# Each frame's refill, and the children of the frame's node beside the hole.
+# Each frame's refill, and the children of the frame's node beside the
+# hole.  A ``_crc_subject`` frame's node has no child beside the hole but
+# carries a coercion, so :func:`measure` sizes it in a branch of its own.
 _BESIDE_HOLE = {
     op_left: ("right",),
     op_right: ("left",),
     if_cond: ("then", "els"),
     _app_fun: ("arg",),
     _app_arg: ("fun",),
-    _crc_subject: (),
 }
 
 
@@ -753,24 +754,35 @@ def measure(t: TermS, k=None) -> tuple[int, int, int]:
 def measure_step(r: terms.Stepped) -> tuple[int, int, int]:
     """The sizes (:func:`measure`) of the state the step ``r`` left, read
     from its focus and context; the state is not plugged, so the next
-    search starts where it would with no observer."""
-    t = r._focus
-    return measure(r.term) if t is None else measure(t, r._ctx)
+    search starts where it would with no observer.  The step keeps them,
+    so the three sizes of one step take one walk."""
+    m = getattr(r, "_sizes", None)
+    if m is None:
+        t = r._focus
+        m = measure(r.term) if t is None else measure(t, r._ctx)
+        terms.keep_sizes(r, m)
+    return m
 
 
-def term_size(t: TermS) -> int:
-    """Nodes plus the sizes of the coercions they carry."""
-    return measure(t)[0]
+def _sizes(s) -> tuple[int, int, int]:
+    """The sizes of the term ``s``, or of the state the step ``s`` left."""
+    return measure_step(s) if s.__class__ is terms.Stepped else measure(s)
 
 
-def max_coercion_size(t: TermS) -> int:
-    return measure(t)[1]
+def term_size(s) -> int:
+    """Nodes plus the sizes of the coercions they carry, of a term or of
+    the state a step left."""
+    return _sizes(s)[0]
 
 
-def metric_f(t: TermS) -> int:
+def max_coercion_size(s) -> int:
+    return _sizes(s)[1]
+
+
+def metric_f(s) -> int:
     """4*(pending + delayed coercion sizes) + 2*#pending + #delayed.
 
     Strictly decreases along composition steps, bounding how long
     evaluation can stay inside them.
     """
-    return measure(t)[2]
+    return _sizes(s)[2]

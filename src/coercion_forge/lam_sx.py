@@ -787,19 +787,29 @@ def measure(t: TermX) -> tuple[int, int, int]:
 def measure_step(r: terms.Stepped) -> tuple[int, int, int]:
     """The sizes (:func:`measure`) of the state the step ``r`` left, read
     from its term.  A frame may hold an environment still to be applied,
-    which changes the sizes, so the state is plugged first."""
-    return measure(r.term)
+    which changes the sizes, so the state is plugged first.  The step
+    keeps them, as in :func:`lam_s.measure_step`."""
+    m = getattr(r, "_sizes", None)
+    if m is None:
+        m = measure(r.term)
+        terms.keep_sizes(r, m)
+    return m
 
 
-def term_size(t: TermX) -> int:
+def _sizes(s) -> tuple[int, int, int]:
+    """The sizes of the term ``s``, or of the state the step ``s`` left."""
+    return measure_step(s) if s.__class__ is terms.Stepped else measure(s)
+
+
+def term_size(s) -> int:
     """Nodes plus coercion sizes; a coercion literal counts as its coercion."""
-    return measure(t)[0]
+    return _sizes(s)[0]
 
 
-def max_coercion_size(t: TermX) -> int:
-    return measure(t)[1]
+def max_coercion_size(s) -> int:
+    return _sizes(s)[1]
 
 
-def metric_f(t: TermX) -> int:
+def metric_f(s) -> int:
     """Shape of the source-calculus metric, for observation only."""
-    return measure(t)[2]
+    return _sizes(s)[2]

@@ -350,7 +350,10 @@ class Stepped:
     A stepper can leave ``term`` unbuilt: it keeps the contractum in
     ``_focus`` and its evaluation context in ``_ctx``, and ``term`` is
     plugged from them when it is first read.  The context is immutable, so
-    a late read gives the term an early one would.
+    a late read gives the term an early one would.  ``_sizes`` holds the
+    sizes of the state once a calculus's ``measure_step`` has walked it;
+    a stepper leaves it unset, so a step that is not sized costs nothing
+    more.
     """
 
     rule: str
@@ -361,12 +364,12 @@ class Stepped:
         return kind_of(self.rule)
 
 
-Stepped = record(Stepped, extra_slots=("_focus", "_ctx"))
+Stepped = record(Stepped, extra_slots=("_focus", "_ctx", "_sizes"))
 
 
 _get_term = Stepped.term.__get__
-_set_rule, _set_term, _set_focus, _set_ctx = [
-    getattr(Stepped, k).__set__ for k in ("rule", "term", "_focus", "_ctx")
+_set_rule, _set_term, _set_focus, _set_ctx, keep_sizes = [
+    getattr(Stepped, k).__set__ for k in ("rule", "term", "_focus", "_ctx", "_sizes")
 ]
 _new = object.__new__
 

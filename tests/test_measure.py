@@ -114,6 +114,11 @@ def test_measure_walks_a_term_of_any_depth(mod):
     assert mod.measure(t) == (200001, 1, 600000)
 
 
+# every refill of a λS frame: the table's, and the coercion frame's, which
+# ``measure`` sizes in its own branch
+_REFILLS = {*S._BESIDE_HOLE, S._crc_subject}
+
+
 def _refills(k):
     out = set()
     while k is not None:
@@ -137,10 +142,10 @@ def test_a_step_is_sized_from_its_focus_and_frames_on_corpus_runs(corpus):
             got = S.measure_step(r)
             refills |= _refills(r._ctx)
             want = S.measure(r.term)
-            assert got == want == S.measure_step(r), r.term
+            assert got == want == S.measure(r._focus, r._ctx), r.term
             steps += 1
     assert steps > 2500
-    assert refills and refills <= set(S._BESIDE_HOLE)
+    assert refills == _REFILLS
 
 
 def test_a_step_is_sized_from_its_focus_and_frames_on_the_space_benchmark():
@@ -153,7 +158,7 @@ def test_a_step_is_sized_from_its_focus_and_frames_on_the_space_benchmark():
     report = spaceBench(10, "lams", sample_stride=1, on_step=on_step)
     assert len(seen) == report.steps
     assert all(got == want for got, want, _ in seen)
-    assert set().union(*[k for _, _, k in seen]) <= set(S._BESIDE_HOLE)
+    assert set().union(*[k for _, _, k in seen]) <= _REFILLS
 
 
 def test_a_step_under_ten_thousand_frames_is_sized_without_recursion():
@@ -168,3 +173,18 @@ def test_a_step_under_ten_thousand_frames_is_sized_without_recursion():
     r = S.step(whole)
     assert terms._get_term(r) is None and terms._depth(r._ctx) == 10**4
     assert S.measure_step(r) == (2 * 10**4 + 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "mod, program", [(S, even_odd_program), (X, even_odd_target)], ids=["lam_s", "lam_sx"]
+)
+def test_the_three_sizes_of_a_step_take_one_walk(mod, program, monkeypatch):
+    steps = []
+    mod.evaluate_program(program(3), on_step=lambda k, r: steps.append(r))
+    measure = mod.measure
+    walks = []
+    monkeypatch.setattr(mod, "measure", lambda *a: walks.append(a) or measure(*a))
+    for r in steps:
+        sizes = (mod.term_size(r), mod.max_coercion_size(r), mod.metric_f(r))
+        assert sizes == mod.measure_step(r) == measure(r.term), r.term
+    assert len(walks) == len(steps) > 20

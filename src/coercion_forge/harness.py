@@ -103,7 +103,7 @@ class PeakSizes:
 
     A state is shown as a term or as the step that left it, and sized by
     the dialect's ``term_size``, ``max_coercion_size`` and ``metric_f``.
-    A step keeps its sizes (``measure_step``), so the three take one walk
+    A step keeps its sizes (``measure``), so the three take one walk
     of it, which in ``lam_s`` reads the step's focus and context and plugs
     nothing.
     """
@@ -143,7 +143,7 @@ _LOOP_TEXT = "letrec loop (x:Int) : Int = loop x\nin 0"
 
 
 @functools.cache
-def _base_defs(text: str) -> tuple[S.DefS, ...]:
+def _base_defs(text: str) -> tuple[S.Def, ...]:
     """The definitions of the program ``text``, parsed on first use and then shared.
 
     Only the definitions are kept, so the even/odd argument may be any number.
@@ -311,7 +311,7 @@ def genWellTyped(config: GenConfig) -> S.ProgramS:
 
     Each node draws its production from the table of its shape (see
     :func:`_productions`).  The program is typechecked before it is
-    returned, and its record (:func:`translate.check_program`) keeps the
+    returned, and its record (:func:`lam_s.check_program`) keeps the
     derivations, so translating it next checks nothing again.
     """
     target = config.targetType
@@ -443,7 +443,7 @@ def simulationCheck(p: S.ProgramS, max_steps: int = 250, seed: Optional[int] = N
     back to, as a diverging run does, reuses its translation.  The run's
     typing memo starts as a copy of the program's (:func:`lam_s.run_memo`),
     and :func:`invariantSuite` on the same program takes the typing and
-    the translation that its record (:func:`translate.check_program`) kept.
+    the translation that its record (:func:`lam_s.check_program`) kept.
     """
     try:
         # consecutive states share most of their nodes, and the first shares

@@ -21,7 +21,6 @@ two rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .coercions import (
@@ -43,6 +42,7 @@ from .terms import (
     Blame,
     CoercedVal,
     Const,
+    Def,
     GlobalRef,
     If,
     Op,
@@ -128,29 +128,13 @@ def is_value(t: TermS) -> bool:
 # Typing
 
 
-@dataclass(frozen=True)
-class DefS:
-    name: str
-    ty: FunT
-    fun: Abs
-
-
-@dataclass(frozen=True)
-class ProgramS:
-    defs: tuple[DefS, ...]
-    main: TermS
-    # its record (:func:`translate.check_program`), made at first use; not a field
+class ProgramS(terms.Program):
+    # its record (:func:`check_program`), made at first use; not a field
     _checked = None
 
     def __getstate__(self) -> dict:
         # a copy or a pickle is checked afresh: the record's memo is keyed by node identity
         return {"defs": self.defs, "main": self.main}
-
-    def def_terms(self) -> dict[str, TermS]:
-        return {d.name: d.fun for d in self.defs}
-
-    def def_types(self) -> dict[str, Type]:
-        return {d.name: d.ty for d in self.defs}
 
 
 def typecheck(
@@ -332,11 +316,32 @@ def _check_program(p, check_term, fun_t: type, memo=None) -> tuple:
     return tuple(defs), check_term(p.main, {}, sigs, None, memo), memo
 
 
+class Checked:
+    """What the check of one source program found and what was made from
+    it, kept on the program (``ProgramS._checked``) from first use: the
+    derivations ``defs`` and ``main``, the typing memo of their check or
+    None (:func:`run_memo`), and the :func:`translate.def_rename` ``names``
+    and the ``plain`` translation, or None until first asked for."""
+
+    __slots__ = ("defs", "main", "memo", "names", "plain")
+
+
+def check_program(p: ProgramS, memo: Optional[dict] = None) -> Checked:
+    """The record of ``p``, made by the first call for ``p``, whose check
+    fills the typing ``memo``, or none.  An ill-typed ``p`` raises at every call."""
+    c = p._checked
+    if c is None:
+        c = Checked()
+        c.defs, c.main, c.memo = _check_program(p, typecheck, FunT, memo)
+        c.names = c.plain = None
+        object.__setattr__(p, "_checked", c)
+    return c
+
+
 def typecheck_program(p: ProgramS) -> terms.Typed:
     """Check the definitions against their signatures, then the main term,
-    once: ``p``'s record keeps the derivations (:func:`translate.check_program`).
+    once: ``p``'s record keeps the derivations (:func:`check_program`).
     The check fills no typing memo; the first :func:`run_memo` makes one."""
-    from .translate import check_program  # which imports this module
     return check_program(p).main
 
 
@@ -347,7 +352,6 @@ def run_memo(p: ProgramS) -> dict:
     the record was made with none, checks ``p`` once more, with a memo, in
     place of its check; later calls check nothing, and no run's additions
     reach the record."""
-    from .translate import check_program
     c = check_program(p, {})
     if c.memo is None:
         c.defs, c.main, c.memo = _check_program(p, typecheck, FunT, {})
@@ -407,8 +411,6 @@ def step(term, defs: Optional[Mapping[str, TermS]] = None) -> terms.StepResult:
     a term the result's term is built before it returns.
     """
     if term.__class__ is terms.Stepped:
-        if term._focus is None:
-            return _find(term.term, None, defs or {})
         return _find(term._focus, term._ctx, defs or {})
     r = _find(term, None, defs or {})
     if r.__class__ is terms.Stepped:
@@ -642,7 +644,7 @@ def decompose_oracle(
 
 # Each frame's refill, and the children of the frame's node beside the
 # hole.  A ``_crc_subject`` frame's node has no child beside the hole but
-# carries a coercion, so :func:`measure` sizes it in a branch of its own.
+# carries a coercion, so :func:`_measure` sizes it in a branch of its own.
 _BESIDE_HOLE = {
     op_left: ("right",),
     op_right: ("left",),
@@ -652,7 +654,7 @@ _BESIDE_HOLE = {
 }
 
 
-def measure(t: TermS, k=None) -> tuple[int, int, int]:
+def _measure(t: TermS, k) -> tuple[int, int, int]:
     """(term_size, max_coercion_size, metric_f) of the state that the focus
     ``t`` plugs into the context ``k``, in one loop that adds up each node's
     own share: 1, and the size and the metric term of the coercion it
@@ -665,7 +667,7 @@ def measure(t: TermS, k=None) -> tuple[int, int, int]:
     the stack holds the inner nodes alone.  A coercion's size is read from
     its slot once :func:`coercions.size` has kept it.  The space benchmark
     measures every λS state, which is why the loop is spelled out per
-    child; ``lam_sx.measure``, which it runs on every 53rd state, keeps
+    child; ``lam_sx._measure``, which it runs on every 53rd state, keeps
     the plain loop.
     """
     n = c = f = 0
@@ -751,32 +753,29 @@ def measure(t: TermS, k=None) -> tuple[int, int, int]:
     return (n, c, f)
 
 
-def measure_step(r: terms.Stepped) -> tuple[int, int, int]:
-    """The sizes (:func:`measure`) of the state the step ``r`` left, read
-    from its focus and context; the state is not plugged, so the next
-    search starts where it would with no observer.  The step keeps them,
-    so the three sizes of one step take one walk."""
-    m = getattr(r, "_sizes", None)
+def measure(s) -> tuple[int, int, int]:
+    """(term_size, max_coercion_size, metric_f) of the term ``s``, or of
+    the state the step ``s`` left, read from its focus and context
+    (:func:`_measure`); the state is not plugged, so the next search starts
+    where it would with no observer.  The step keeps them, so the three
+    sizes of one step take one walk."""
+    if s.__class__ is not terms.Stepped:
+        return _measure(s, None)
+    m = getattr(s, "_sizes", None)
     if m is None:
-        t = r._focus
-        m = measure(r.term) if t is None else measure(t, r._ctx)
-        terms.keep_sizes(r, m)
+        m = _measure(s._focus, s._ctx)
+        terms.keep_sizes(s, m)
     return m
-
-
-def _sizes(s) -> tuple[int, int, int]:
-    """The sizes of the term ``s``, or of the state the step ``s`` left."""
-    return measure_step(s) if s.__class__ is terms.Stepped else measure(s)
 
 
 def term_size(s) -> int:
     """Nodes plus the sizes of the coercions they carry, of a term or of
     the state a step left."""
-    return _sizes(s)[0]
+    return measure(s)[0]
 
 
 def max_coercion_size(s) -> int:
-    return _sizes(s)[1]
+    return measure(s)[1]
 
 
 def metric_f(s) -> int:
@@ -785,4 +784,4 @@ def metric_f(s) -> int:
     Strictly decreases along composition steps, bounding how long
     evaluation can stay inside them.
     """
-    return _sizes(s)[2]
+    return measure(s)[2]

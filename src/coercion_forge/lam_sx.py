@@ -15,7 +15,6 @@ the function body without copying it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .coercions import (
@@ -40,6 +39,7 @@ from .terms import (
     Blame,
     CoercedVal,
     Const,
+    Def,
     GlobalRef,
     If,
     Op,
@@ -122,23 +122,8 @@ class EscapedTyVar(TypeCheckError):
     """A function body's answer type leaked its rigid type variable."""
 
 
-@dataclass(frozen=True)
-class DefX:
-    name: str
-    ty: Fun2T
-    fun: Abs2
-
-
-@dataclass(frozen=True)
-class ProgramX:
-    defs: tuple[DefX, ...]
-    main: TermX
-
-    def def_terms(self) -> dict[str, TermX]:
-        return {d.name: d.fun for d in self.defs}
-
-    def def_types(self) -> dict[str, Type]:
-        return {d.name: d.ty for d in self.defs}
+class ProgramX(terms.Program):
+    """A program of this calculus; unlike a ``lam_s.ProgramS`` it keeps no record."""
 
 
 def typecheck(
@@ -366,8 +351,6 @@ def step(term, defs: Optional[Mapping[str, TermX]] = None) -> terms.StepResult:
     """The step from ``term``; a ``Stepped`` is taken as :func:`lam_s.step` takes it."""
     if term.__class__ is terms.Stepped:
         t = term._focus
-        if t is None:
-            return _find(term.term, _EMPTY, None, defs or {})
         k = term._ctx
         if k is not None and k[0] is _close:
             return _find(t, k[1], k[2], defs or {})
@@ -739,7 +722,7 @@ def decompose_oracle(
 # Size accounting (the composition metric is reported, not asserted, here)
 
 
-def measure(t: TermX) -> tuple[int, int, int]:
+def _measure(t: TermX) -> tuple[int, int, int]:
     """(term_size, max_coercion_size, metric_f) of ``t``, in one loop that
     adds up each node's own share: 1, and the size and the metric term of
     the coercion it carries.  A coercion literal counts as its coercion
@@ -784,32 +767,29 @@ def measure(t: TermX) -> tuple[int, int, int]:
     return (n, c, f)
 
 
-def measure_step(r: terms.Stepped) -> tuple[int, int, int]:
-    """The sizes (:func:`measure`) of the state the step ``r`` left, read
-    from its term.  A frame may hold an environment still to be applied,
-    which changes the sizes, so the state is plugged first.  The step
-    keeps them, as in :func:`lam_s.measure_step`."""
-    m = getattr(r, "_sizes", None)
+def measure(s) -> tuple[int, int, int]:
+    """The sizes (:func:`_measure`) of the term ``s``, or of the state the
+    step ``s`` left, read from its term.  A frame may hold an environment
+    still to be applied, which changes the sizes, so the state is plugged
+    first.  The step keeps them, as in :func:`lam_s.measure`."""
+    if s.__class__ is not terms.Stepped:
+        return _measure(s)
+    m = getattr(s, "_sizes", None)
     if m is None:
-        m = measure(r.term)
-        terms.keep_sizes(r, m)
+        m = _measure(s.term)
+        terms.keep_sizes(s, m)
     return m
-
-
-def _sizes(s) -> tuple[int, int, int]:
-    """The sizes of the term ``s``, or of the state the step ``s`` left."""
-    return measure_step(s) if s.__class__ is terms.Stepped else measure(s)
 
 
 def term_size(s) -> int:
     """Nodes plus coercion sizes; a coercion literal counts as its coercion."""
-    return _sizes(s)[0]
+    return measure(s)[0]
 
 
 def max_coercion_size(s) -> int:
-    return _sizes(s)[1]
+    return measure(s)[1]
 
 
 def metric_f(s) -> int:
     """Shape of the source-calculus metric, for observation only."""
-    return _sizes(s)[2]
+    return measure(s)[2]

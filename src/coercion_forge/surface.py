@@ -49,7 +49,7 @@ from .types import BOOL, DYN, INT, Base, CrcT, Dyn, FunT, Fun2T, TyVar, Type, is
 from . import lam_s as S
 from . import lam_sx as X
 from .records import record
-from .terms import Blame, CoercedVal, Const, GlobalRef, If, Op, Var
+from .terms import Blame, CoercedVal, Const, Def, GlobalRef, If, Op, Var
 
 
 class ParseError(Exception):
@@ -560,10 +560,10 @@ class Parser:
             self.eat("in")
         main = self.parse_expr()
         self.eat("EOF", "end of input")
-        mod, def_cls, program = (S, S.DefS, S.ProgramS) if lams else (X, X.DefX, X.ProgramX)
+        mod, program = (S, S.ProgramS) if lams else (X, X.ProgramX)
         # a definition name that no binder shadows refers to the definition
         refs = {d[0]: GlobalRef(d[0]) for d in raw_defs}
-        defs = tuple(def_cls(n, ty, mod.substitute(fun, refs)) for n, ty, fun in raw_defs)
+        defs = tuple(Def(n, ty, mod.substitute(fun, refs)) for n, ty, fun in raw_defs)
         return program(defs, mod.substitute(main, refs) if refs else main)
 
 

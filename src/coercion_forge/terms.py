@@ -202,6 +202,33 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
+# ---------------------------------------------------------------------------
+# Programs of both calculi
+
+
+@dataclass(frozen=True)
+class Def:
+    """A top-level definition: its name, its function type and its function."""
+
+    name: str
+    ty: Type
+    fun: Term
+
+
+@dataclass(frozen=True)
+class Program:
+    """Definitions and a main term; each calculus makes its own subclass."""
+
+    defs: tuple[Def, ...]
+    main: Term
+
+    def def_terms(self) -> dict[str, Term]:
+        return {d.name: d.fun for d in self.defs}
+
+    def def_types(self) -> dict[str, Type]:
+        return {d.name: d.ty for d in self.defs}
+
+
 def children(t) -> tuple:
     """The immediate subterms of ``t``, in field order."""
     return tuple([getattr(t, k) for k in t._kids])
@@ -347,17 +374,21 @@ def kind_of(rule: str) -> str:
 class Stepped:
     """One step: its rule and the whole term after it; its kind is its rule's.
 
-    A stepper can leave ``term`` unbuilt: it keeps the contractum in
-    ``_focus`` and its evaluation context in ``_ctx``, and ``term`` is
-    plugged from them when it is first read.  The context is immutable, so
-    a late read gives the term an early one would.  ``_sizes`` holds the
-    sizes of the state once a calculus's ``measure_step`` has walked it;
-    a stepper leaves it unset, so a step that is not sized costs nothing
-    more.
+    Every step keeps a focus in ``_focus`` and its evaluation context in
+    ``_ctx``; a step built whole is its term in the empty context.  A
+    stepper can leave ``term`` unbuilt: it keeps the contractum as the
+    focus, and ``term`` is plugged from focus and context when it is first
+    read.  The context is immutable, so a late read gives the term an early
+    one would.  ``_sizes`` holds the sizes of the state once a calculus's
+    ``measure`` has walked it; a stepper leaves it unset, so a step that is
+    not sized costs nothing more.
     """
 
     rule: str
     term: Any
+
+    def __post_init__(self) -> None:
+        _set_focus(self, _get_term(self))
 
     @property
     def kind(self) -> str:
@@ -378,7 +409,7 @@ def _plugged(s):
     """The ``term`` of the :class:`Stepped` ``s``: its slot, or, while that
     holds None, the focus plugged into the context, kept in the slot."""
     t = _get_term(s)
-    if t is None and s._focus is not None:
+    if t is None:
         t = s._focus
         k = s._ctx
         if k is not None:
@@ -419,10 +450,8 @@ def unread(s: Stepped) -> Stepped:
     Reading a step's term moves its focus to the parent the plug built, so
     the step after it starts there.  The step after the twin starts where
     the step after an unread ``s`` would: a value in the focus returns to
-    its frame.  A step built whole, with no focus, is its own twin.
+    its frame.
     """
-    if s._focus is None:
-        return s
     return refocused(s.rule, s._focus, s._ctx)
 
 

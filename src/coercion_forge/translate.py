@@ -192,32 +192,10 @@ def trans_term(typed: Typed, cont: Optional[X.TermX] = None) -> X.TermX:
     return tr.k(typed, cont)
 
 
-class Checked:
-    """What the check of one source program found and what was made from
-    it, kept on the program (``ProgramS._checked``) from first use: the
-    derivations ``defs`` and ``main``, the typing memo of their check or
-    None (:func:`lam_s.run_memo`), and the :func:`def_rename` ``names`` and
-    the ``plain`` translation, or None until first asked for."""
-
-    __slots__ = ("defs", "main", "memo", "names", "plain")
-
-
-def check_program(p: S.ProgramS, memo: Optional[dict] = None) -> Checked:
-    """The record of ``p``, made by the first call for ``p``, whose check
-    fills the typing ``memo``, or none.  An ill-typed ``p`` raises at every call."""
-    c = p._checked
-    if c is None:
-        c = Checked()
-        c.defs, c.main, c.memo = S._check_program(p, S.typecheck, FunT, memo)
-        c.names = c.plain = None
-        object.__setattr__(p, "_checked", c)
-    return c
-
-
 def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
     """Continuation-style names for the definitions, plus every name in use,
     kept in ``p``'s record."""
-    c = check_program(p)
+    c = S.check_program(p)
     if c.names is None:
         avoid = _all_names(p.main) | set(p.def_types())
         for d in p.defs:
@@ -234,10 +212,10 @@ def def_rename(p: S.ProgramS) -> tuple[dict[str, str], set[str]]:
 
 
 def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
-    """Translate ``p`` from the derivations of its record (:func:`check_program`),
+    """Translate ``p`` from the derivations of its record (:func:`lam_s.check_program`),
     which keeps the plain translation for every later call, whatever ran in
     between; one with ``optimize_op`` is made afresh at each call."""
-    c = check_program(p)
+    c = S.check_program(p)
     if optimize_op:
         return _translated(p, c, True)
     if c.plain is None:
@@ -245,16 +223,16 @@ def trans_program(p: S.ProgramS, optimize_op: bool = False) -> X.ProgramX:
     return c.plain
 
 
-def _translated(p: S.ProgramS, c: Checked, optimize_op: bool = False) -> X.ProgramX:
+def _translated(p: S.ProgramS, c: S.Checked, optimize_op: bool = False) -> X.ProgramX:
     rename, avoid = def_rename(p)
     tr = Translator(avoid, rename, optimize_op)
-    defs: list[X.DefX] = []
+    defs: list[X.Def] = []
     for d, typed_fun in zip(p.defs, c.defs):
         fun2 = tr.value(typed_fun)
         assert isinstance(fun2, X.Abs2)
         ty2 = psi_type(d.ty)
         assert isinstance(ty2, Fun2T)
-        defs.append(X.DefX(rename[d.name], ty2, fun2))
+        defs.append(X.Def(rename[d.name], ty2, fun2))
     return X.ProgramX(tuple(defs), tr.c(c.main))
 
 
@@ -278,7 +256,7 @@ def state_translator(p: S.ProgramS, memo: Optional[dict]) -> Callable[[S.TermS],
     """
     rename, avoid = def_rename(p)
     tr = Translator(avoid, rename)
-    sigs, ty = p.def_types(), check_program(p).main.ty
+    sigs, ty = p.def_types(), S.check_program(p).main.ty
     return lambda state: tr.c(S.typecheck(state, {}, sigs, ty, memo))
 
 

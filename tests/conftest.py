@@ -24,7 +24,7 @@ def refocus_fault(monkeypatch):
     plugged = terms.Stepped.term.fget
 
     def drops_the_outermost_frame(s):
-        fresh = s._focus is not None and terms._get_term(s) is None
+        fresh = terms._get_term(s) is None
         t = plugged(s)
         if fresh and s._ctx is not None:
             frames = []

@@ -4,8 +4,8 @@ Criterion 4 asserts peaks of ``term_size``, ``max_coercion_size`` and
 ``metric_f``; both calculi compute all three in one walk, ``measure``.
 Here it is checked against a separate walk for each size, written straight
 from its definition, on every state of the space benchmark and of corpus
-traces, in both calculi.  ``lam_s.measure_step`` sizes a step's state from
-its focus and context without plugging them; it is checked against
+traces, in both calculi.  Given a step, ``lam_s.measure`` sizes its state
+from its focus and context without plugging them; it is checked against
 ``measure`` of the plugged state.
 """
 
@@ -115,7 +115,7 @@ def test_measure_walks_a_term_of_any_depth(mod):
 
 
 # every refill of a λS frame: the table's, and the coercion frame's, which
-# ``measure`` sizes in its own branch
+# ``_measure`` sizes in its own branch
 _REFILLS = {*S._BESIDE_HOLE, S._crc_subject}
 
 
@@ -130,19 +130,19 @@ def _refills(k):
 def test_a_step_is_sized_from_its_focus_and_frames_on_corpus_runs(corpus):
     # ``_run`` hands on by turns the step read and its unread twin, so the
     # focus of each step is where the stepper left it after either; the
-    # step is sized before its term is read, and again after the read
-    # has moved its focus to the parent.  A run is cut where
-    # ``invariantSuite`` cuts it, as some runs diverge.
+    # step is sized before its term is read, and its twin made after the
+    # read, whose focus the read has moved to the parent.  A run is cut
+    # where ``invariantSuite`` cuts it, as some runs diverge.
     refills = set()
     steps = 0
     for p in corpus[:100]:
         for r in itertools.islice(_run(S, p.main, p.def_terms()), 300):
             if r.__class__ is not Stepped:
                 break
-            got = S.measure_step(r)
+            got = S.measure(r)
             refills |= _refills(r._ctx)
             want = S.measure(r.term)
-            assert got == want == S.measure(r._focus, r._ctx), r.term
+            assert got == want == S.measure(unread(r)), r.term
             steps += 1
     assert steps > 2500
     assert refills == _REFILLS
@@ -153,7 +153,7 @@ def test_a_step_is_sized_from_its_focus_and_frames_on_the_space_benchmark():
 
     def on_step(k, r):
         # the twin plugs its own term, so the run goes on as the benchmark's does
-        seen.append((S.measure_step(r), S.measure(unread(r).term), _refills(r._ctx)))
+        seen.append((S.measure(r), S.measure(unread(r).term), _refills(r._ctx)))
 
     report = spaceBench(10, "lams", sample_stride=1, on_step=on_step)
     assert len(seen) == report.steps
@@ -168,11 +168,11 @@ def test_a_step_under_ten_thousand_frames_is_sized_without_recursion():
     for _ in range(10**4 + 1):
         t = Op("+", t, Const(1))
     whole = Stepped("start", t)
-    # a step built whole has no focus, and is sized from its term
-    assert S.measure_step(whole) == (2 * 10**4 + 3, 0, 0)
+    # a step built whole is its term in the empty context
+    assert S.measure(whole) == (2 * 10**4 + 3, 0, 0)
     r = S.step(whole)
     assert terms._get_term(r) is None and terms._depth(r._ctx) == 10**4
-    assert S.measure_step(r) == (2 * 10**4 + 1, 0, 0)
+    assert S.measure(r) == (2 * 10**4 + 1, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -181,10 +181,12 @@ def test_a_step_under_ten_thousand_frames_is_sized_without_recursion():
 def test_the_three_sizes_of_a_step_take_one_walk(mod, program, monkeypatch):
     steps = []
     mod.evaluate_program(program(3), on_step=lambda k, r: steps.append(r))
-    measure = mod.measure
+    # each state's sizes, from a twin's term, so each step is sized unread
+    wants = [mod.measure(unread(r).term) for r in steps]
+    walk = mod._measure
     walks = []
-    monkeypatch.setattr(mod, "measure", lambda *a: walks.append(a) or measure(*a))
-    for r in steps:
+    monkeypatch.setattr(mod, "_measure", lambda *a: walks.append(a) or walk(*a))
+    for r, want in zip(steps, wants):
         sizes = (mod.term_size(r), mod.max_coercion_size(r), mod.metric_f(r))
-        assert sizes == mod.measure_step(r) == measure(r.term), r.term
+        assert sizes == mod.measure(r) == want, r.term
     assert len(walks) == len(steps) > 20

@@ -9,8 +9,10 @@ import dataclasses
 import functools
 import gc
 import importlib
+import pathlib
 import pickle
 import re
+import shutil
 import sys
 import time
 import typing
@@ -304,10 +306,10 @@ def test_the_typecheckers_reject_an_unknown_definition(mod):
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
 def test_the_typecheckers_reject_a_definition_without_a_function_signature(mod):
     if mod is S:
-        p = S.ProgramS((S.DefS("f", INT, S.Abs("x", INT, S.Var("x"))),), S.Const(0))
+        p = S.ProgramS((S.Def("f", INT, S.Abs("x", INT, S.Var("x"))),), S.Const(0))
     else:
         fun = X.Abs2("x", INT, "k", INT, X.CrcApp(X.Var("x"), X.Var("k")))
-        p = X.ProgramX((X.DefX("f", INT, fun),), X.Const(0))
+        p = X.ProgramX((X.Def("f", INT, fun),), X.Const(0))
     with rejection(mod, "definition f needs a function signature"):
         mod.typecheck_program(p)
 
@@ -382,7 +384,7 @@ def test_the_typecheckers_reject_each_shared_witness(mod, make, message):
 
 def test_a_definition_unlike_its_signature_is_rejected():
     fun = X.Abs2("x", BOOL, "k", INT, X.CrcApp(X.Var("x"), X.Var("k")))
-    p = X.ProgramX((X.DefX("f", Fun2T(INT, INT), fun),), X.Const(0))
+    p = X.ProgramX((X.Def("f", Fun2T(INT, INT), fun),), X.Const(0))
     with rejection(X, "function annotated Bool/Int, expected (Int => Int)"):
         X.typecheck_program(p)
 
@@ -409,11 +411,34 @@ def test_a_fresh_name_counts_past_every_taken_one():
     assert terms.fresh_name("k", {"k", "k1", "k3"}) == "k2"
 
 
-def test_unread_gives_back_a_step_built_whole():
-    # a step made by the constructor has no focus or context to go on from,
-    # so the checks may hand it on unread
-    r = terms.Stepped("R-Op", S.Const(3))
-    assert terms.unread(r) is r
+def test_the_twin_of_a_step_built_whole_has_its_term():
+    # a step made by the constructor is its term in the empty context, so
+    # the checks may hand on its unread twin
+    r = terms.Stepped("R-Op", S.Op("+", S.Const(1), S.Const(2)))
+    twin = terms.unread(r)
+    assert twin is not r and terms._get_term(twin) is None
+    assert twin.term == r.term and twin.rule == r.rule
+
+
+def test_a_step_built_whole_is_its_term_in_the_empty_context(corpus):
+    # every state of the corpus runs, given to each stepper as a step built
+    # whole, steps as the state itself does
+    states = 0
+    for p in corpus[:100]:
+        for mod, q in ((S, p), (X, translate.trans_program(p))):
+            defs = q.def_terms()
+            run = [q.main]
+            mod.evaluate_program(q, 300, lambda k, r: run.append(r.term))
+            for t in run:
+                whole = terms.Stepped("start", t)
+                assert whole._focus is t and whole._ctx is None
+                want, got = mod.step(t, defs), mod.step(whole, defs)
+                if want.__class__ is terms.Stepped:
+                    assert (got.rule, got.term) == (want.rule, want.term), t
+                else:
+                    assert got is want, t
+                states += 1
+    assert states > 5000
 
 
 @pytest.mark.parametrize("mod", [S, X], ids=["lams", "lamsx"])
@@ -775,3 +800,35 @@ def test_importing_the_package_again_leaves_no_old_copy_alive():
     after = _package_classes()
     assert after[("coercion_forge.types", "FunT")] == before[("coercion_forge.types", "FunT")]
     assert after == before
+
+
+def test_a_copy_of_the_package_keeps_to_its_own_modules(tmp_path):
+    # two copies of the package imported one after the other under its name,
+    # as an in-process A/B of two checkouts does: the first copy's functions
+    # reach only its own modules, whichever copy ``sys.modules`` holds now
+    package = [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]
+    saved = {k: sys.modules[k] for k in package}
+    source = pathlib.Path(terms.__file__).parent
+    copies = []
+    try:
+        for name in ("a", "b"):
+            root = tmp_path / name
+            shutil.copytree(source, root / "coercion_forge", ignore=shutil.ignore_patterns("__pycache__"))
+            sys.path.insert(0, str(root))
+            for k in [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]:
+                del sys.modules[k]
+            copies.append(importlib.import_module("coercion_forge"))
+        a, b = copies
+        assert a.lam_s is not b.lam_s and pathlib.Path(a.__file__).parent == tmp_path / "a" / "coercion_forge"
+        p = a.parse_program("1 + 2", "lams")
+        assert a.lam_s.typecheck_program(p).ty == a.types.INT
+        p = a.genWellTyped(a.GenConfig(seed=1, maxDepth=8))
+        assert a.simulationCheck(p).kind == "agree"
+        assert a.invariantSuite(p) == []
+    finally:
+        for name in ("a", "b"):
+            if str(tmp_path / name) in sys.path:
+                sys.path.remove(str(tmp_path / name))
+        for k in [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]:
+            del sys.modules[k]
+        sys.modules.update(saved)

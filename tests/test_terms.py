@@ -766,6 +766,11 @@ def test_the_records_still_check_what_they_are_built_from():
     assert hash(S.Const(1)) != hash(S.Const(True))
 
 
+def _package_names() -> list[str]:
+    """The names in ``sys.modules`` of the package and its modules."""
+    return [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]
+
+
 def _package_classes() -> typing.Counter:
     """How many classes of each (module, name) of the package are alive."""
     return collections.Counter(
@@ -781,7 +786,7 @@ def test_importing_the_package_again_leaves_no_old_copy_alive():
     # every class and module of each import.  Counted against what is alive
     # before, since a test that imported the package afresh before this one
     # may have left its copy in ``sys.modules``
-    package = [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]
+    package = _package_names()
     saved = {k: sys.modules[k] for k in package}
     gc.collect()
     before = _package_classes()
@@ -792,7 +797,7 @@ def test_importing_the_package_again_leaves_no_old_copy_alive():
             fresh = importlib.import_module("coercion_forge")
             assert fresh.types.FunT is not saved["coercion_forge.types"].FunT
     finally:
-        for k in [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]:
+        for k in _package_names():
             del sys.modules[k]
         sys.modules.update(saved)
     del fresh
@@ -806,8 +811,7 @@ def test_a_copy_of_the_package_keeps_to_its_own_modules(tmp_path):
     # two copies of the package imported one after the other under its name,
     # as an in-process A/B of two checkouts does: the first copy's functions
     # reach only its own modules, whichever copy ``sys.modules`` holds now
-    package = [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]
-    saved = {k: sys.modules[k] for k in package}
+    saved = {k: sys.modules[k] for k in _package_names()}
     source = pathlib.Path(terms.__file__).parent
     copies = []
     try:
@@ -815,7 +819,7 @@ def test_a_copy_of_the_package_keeps_to_its_own_modules(tmp_path):
             root = tmp_path / name
             shutil.copytree(source, root / "coercion_forge", ignore=shutil.ignore_patterns("__pycache__"))
             sys.path.insert(0, str(root))
-            for k in [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]:
+            for k in _package_names():
                 del sys.modules[k]
             copies.append(importlib.import_module("coercion_forge"))
         a, b = copies
@@ -829,6 +833,6 @@ def test_a_copy_of_the_package_keeps_to_its_own_modules(tmp_path):
         for name in ("a", "b"):
             if str(tmp_path / name) in sys.path:
                 sys.path.remove(str(tmp_path / name))
-        for k in [k for k in sys.modules if k == "coercion_forge" or k.startswith("coercion_forge.")]:
+        for k in _package_names():
             del sys.modules[k]
         sys.modules.update(saved)
